@@ -37,6 +37,13 @@
 
 use longsynth_dp::budget::Rho;
 
+/// True when a lifetime spend overruns `cap` beyond floating-point slack —
+/// the comparison behind [`EngineBudget::within_cap`], shared with the
+/// engine's per-round check so both agree on the slack.
+pub(crate) fn exceeds_cap(spent: Rho, cap: Rho) -> bool {
+    spent.value() > cap.value() + 1e-9
+}
+
 /// Aggregate budget state of a sharded engine at some point in its run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineBudget {
@@ -122,10 +129,10 @@ impl EngineBudget {
     }
 
     /// The generalized parallel-composition invariant, verified every
-    /// round by scheduled engines: no individual's lifetime spend exceeds
+    /// round by every engine: no individual's lifetime spend exceeds
     /// `cap` (up to floating-point slack).
     pub fn within_cap(&self, cap: Rho) -> bool {
-        self.max_lifetime_spend().value() <= cap.value() + 1e-9
+        !exceeds_cap(self.max_lifetime_spend(), cap)
     }
 
     /// Total user-level zCDP guaranteed for the whole run, both levels

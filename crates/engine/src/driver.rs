@@ -34,20 +34,22 @@
 //! counters) through [`ShardedEngine::shard`] — and the population
 //! synthesizer through [`ShardedEngine::population_synthesizer`].
 //!
-//! ## Dynamic panels
+//! ## Panel schedules
 //!
-//! Constructed over a [`PanelSchedule`]
-//! ([`with_schedule`](ShardedEngine::with_schedule)), the engine runs a
-//! **rotating panel**: each global round it steps only the schedule's
-//! *active set*, late entrants start at their own local round 0, retired
-//! cohorts stay sealed (their synthesizers reject further input but remain
-//! inspectable), and the generalized parallel-composition invariant — no
-//! individual's lifetime zCDP spend exceeds the schedule's cap — is
-//! re-verified every round in every build (see
-//! [`EngineBudget::within_cap`]; a violation is an
-//! [`EngineError::BudgetCapExceeded`]). The static lockstep panel is the
-//! degenerate schedule and stays bit-identical to the plan-based
-//! constructors.
+//! Every engine runs a [`PanelSchedule`]. The plan constructors
+//! ([`new`](ShardedEngine::new), [`with_aggregation`](ShardedEngine::with_aggregation)
+//! and their pooled forms) derive the **static** schedule from their
+//! shards — every cohort enters at round 0 and stays the whole run — so
+//! the static lockstep panel is not a separate code path but the
+//! degenerate schedule. [`with_schedule`](ShardedEngine::with_schedule)
+//! takes an explicit schedule and runs a **rotating panel**: each global
+//! round it steps only the schedule's *active set*, late entrants start at
+//! their own local round 0, and retired cohorts stay sealed (their
+//! synthesizers reject further input but remain inspectable). Either way
+//! the generalized parallel-composition invariant — no individual's
+//! lifetime zCDP spend exceeds the schedule's cap — is re-verified every
+//! round in every build; a violation is an
+//! [`EngineError::BudgetCapExceeded`].
 //!
 //! Shared noise runs on rotating schedules too: the population slot is a
 //! [`WindowedPopulationSynthesizer`] whose statistics are scoped to the
@@ -57,16 +59,19 @@
 //! saturating. See the [`crate::window`] module docs.
 
 use longsynth::{ContinualSynthesizer, SynthError};
+use longsynth_dp::budget::Rho;
 use longsynth_ingest::SealedRound;
 use longsynth_pool::WorkerPool;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use crate::budget::EngineBudget;
+use crate::budget::{exceeds_cap, EngineBudget};
 use crate::merge::{MergeAggregate, MergeRelease};
 use crate::obs::{EngineObserver, PhaseClock};
 use crate::policy::{AggregationPolicy, PolicyTag};
-use crate::shard::{PanelSchedule, PanelSlot, ShardPlan, ShardableInput, SlotRole, SynthSlot};
+use crate::shard::{
+    CohortSchedule, PanelSchedule, PanelSlot, ShardPlan, ShardableInput, SlotRole, SynthSlot,
+};
 use crate::sink::ReleaseSink;
 use crate::window::WindowedPopulationSynthesizer;
 use crate::EngineError;
@@ -118,24 +123,23 @@ enum DriveMode {
 /// A round started via the two-phase [`ShardedEngine::prepare`] and
 /// awaiting [`ShardedEngine::finalize`].
 struct PendingRound<A> {
-    /// Active cohort indices of the round (`None` for a legacy lockstep
-    /// round, where every shard participated).
-    active: Option<Vec<usize>>,
+    /// Active cohort indices of the round.
+    active: Vec<usize>,
     /// Per-participating-cohort aggregates, in the same order.
     aggregates: Vec<A>,
 }
 
 /// A sharded multi-cohort streaming engine over any synthesizer family.
 ///
-/// Under the plan-based constructors all shards must be configured
-/// identically (same horizon, same total budget) — the engine feeds them
-/// in lockstep and aggregates their releases positionally; construction
-/// fails with [`EngineError::HeterogeneousShards`] otherwise.
-/// Heterogeneous panels (per-cohort entry rounds, horizons, and budgets)
-/// are supported through [`with_schedule`](Self::with_schedule), which
-/// validates each cohort against its [`CohortSchedule`](crate::CohortSchedule)
-/// instead. Constructors take a factory so per-shard RNG streams stay
-/// independent.
+/// Every engine runs a [`PanelSchedule`]. The plan-based constructors
+/// require identically configured shards (same horizon, same total
+/// budget) and fail with [`EngineError::HeterogeneousShards`] otherwise;
+/// from those shards they derive the static schedule, where every cohort
+/// is active every round. Heterogeneous panels (per-cohort entry rounds,
+/// horizons, and budgets) are built through
+/// [`with_schedule`](Self::with_schedule), which validates each cohort
+/// against its [`CohortSchedule`] instead. Constructors take a factory so
+/// per-shard RNG streams stay independent.
 ///
 /// Where the noise goes is a pluggable [`AggregationPolicy`]:
 /// [`new`](Self::new)/[`with_pool`](Self::with_pool) keep the default
@@ -145,21 +149,24 @@ struct PendingRound<A> {
 /// population-level synthesizer carrying the population budget share.
 pub struct ShardedEngine<S: ContinualSynthesizer> {
     plan: ShardPlan,
-    /// The panel lifecycle this engine runs: `None` for the legacy static
-    /// lockstep panel (every cohort active every round), `Some` for a
-    /// dynamic panel whose cohorts join and retire per their
-    /// [`CohortSchedule`](crate::CohortSchedule)s.
-    schedule: Option<PanelSchedule>,
-    /// Cached `schedule.is_static()` (false for plan-based engines, whose
-    /// static-ness is structural): a scheduled-but-degenerate panel emits
-    /// plain lockstep sink rounds, so downstream stores treat it exactly
-    /// like a plan-based engine.
-    scheduled_static: bool,
+    /// The panel lifecycle this engine runs: the static schedule a plan
+    /// constructor derives, or the one passed to
+    /// [`with_schedule`](Self::with_schedule).
+    schedule: PanelSchedule,
+    /// Cached `schedule.is_static()`: a static panel emits plain lockstep
+    /// sink rounds and may serve as a finalize-only population
+    /// synthesizer.
+    static_panel: bool,
     policy: AggregationPolicy,
     shards: Vec<S>,
     /// Scratch for [`Self::drive_active`]'s take-by-slot scatter/gather,
     /// kept across rounds so steady-state rounds allocate no slot vectors.
     slot_scratch: Vec<Option<S>>,
+    /// The active set of the latest round and its split layout, rebuilt
+    /// only when the set changes — never on a static panel — so
+    /// steady-state rounds allocate neither.
+    active: Vec<usize>,
+    layout: ShardPlan,
     /// The finalize-only population synthesizer (shared-noise policy with
     /// more than one shard): persistent for static panels, windowed for
     /// rotating schedules.
@@ -208,12 +215,11 @@ where
         plan: ShardPlan,
         mut factory: impl FnMut(usize, usize) -> S,
     ) -> Result<Self, EngineError> {
-        let pool = Self::own_pool(&plan);
         Self::build(
             plan,
             AggregationPolicy::PerShardNoise,
             Self::adapt_shard_factory(&mut factory),
-            pool,
+            None,
         )
     }
 
@@ -246,8 +252,7 @@ where
         policy: AggregationPolicy,
         factory: impl FnMut(SynthSlot) -> S,
     ) -> Result<Self, EngineError> {
-        let pool = Self::own_pool(&plan);
-        Self::build(plan, policy, factory, pool)
+        Self::build(plan, policy, factory, None)
     }
 
     /// [`with_aggregation`](Self::with_aggregation) on a shared pool.
@@ -274,17 +279,16 @@ where
     /// slot's horizon and budget, and that no cohort's budget plus the
     /// population budget over-commits the cap.
     ///
-    /// A degenerate schedule (all cohorts entering at round 0 under the
-    /// global horizon) behaves bit-identically to the plan-based
-    /// constructors — the static panel is the special case, pinned by the
-    /// `panel_lifecycle` equivalence tests.
+    /// A static schedule (all cohorts entering at round 0 under the
+    /// global horizon) is exactly what the plan-based constructors build,
+    /// so both run the same rounds — pinned by the `panel_lifecycle`
+    /// equivalence tests.
     pub fn with_schedule(
         schedule: PanelSchedule,
         policy: AggregationPolicy,
         factory: impl FnMut(PanelSlot) -> S,
     ) -> Result<Self, EngineError> {
-        let pool = Self::own_schedule_pool(&schedule);
-        Self::build_scheduled(schedule, policy, factory, pool)
+        Self::build_scheduled(schedule, policy, factory, None)
     }
 
     /// [`with_schedule`](Self::with_schedule) on a shared pool.
@@ -297,17 +301,17 @@ where
         Self::build_scheduled(schedule, policy, factory, Some(pool))
     }
 
-    fn own_pool(plan: &ShardPlan) -> Option<Arc<WorkerPool>> {
-        if plan.shards() > 1 {
-            Some(Arc::new(WorkerPool::with_capacity_hint(plan.shards())))
-        } else {
-            None
-        }
-    }
-
+    /// A pool sized to the widest active set, or `None` when no round
+    /// steps more than one cohort (such engines step inline). Counts
+    /// without allocating: construction sits inside the hot-path
+    /// allocation budget.
     fn own_schedule_pool(schedule: &PanelSchedule) -> Option<Arc<WorkerPool>> {
         let max_active = (0..schedule.global_horizon())
-            .map(|round| schedule.active(round).len())
+            .map(|round| {
+                (0..schedule.cohorts())
+                    .filter(|&c| schedule.cohort(c).is_active(round))
+                    .count()
+            })
             .max()
             .unwrap_or(0);
         if max_active > 1 {
@@ -330,6 +334,11 @@ where
         }
     }
 
+    /// The plan constructors: build the shards (and population slot),
+    /// check they agree, and derive the static schedule from what they
+    /// report — every cohort at entry 0 with shard 0's horizon and budget,
+    /// under the cap `shard budget ÷ shard share` the policy split
+    /// implies.
     fn build(
         plan: ShardPlan,
         policy: AggregationPolicy,
@@ -358,23 +367,23 @@ where
         if let (Some(population), Some(share)) = (&population, population_share) {
             validate_population(&shards[0], population, shard_share, share)?;
         }
-        Ok(Self {
-            plan,
-            schedule: None,
-            scheduled_static: false,
-            policy,
-            shards,
-            slot_scratch: Vec::new(),
-            population: population.map(PopulationSlot::Persistent),
-            retired_through: 0,
-            lifetime: Vec::new(),
-            pending: None,
-            mode: None,
-            rounds_fed: 0,
-            pool,
-            sink: None,
-            obs: None,
-        })
+        let horizon = shards[0].horizon();
+        let cohort = CohortSchedule {
+            entry_round: 0,
+            horizon,
+            budget: shards[0].budget_total(),
+        };
+        let cap = Rho::new(cohort.budget.value() / shard_share)
+            .expect("a budget over a share in (0, 1] is a budget");
+        let schedule = PanelSchedule::new(
+            (0..plan.shards())
+                .map(|s| (plan.cohort_size(s), cohort))
+                .collect(),
+            horizon,
+            cap,
+        )?;
+        let population = population.map(PopulationSlot::Persistent);
+        Self::assemble(plan, schedule, policy, shards, population, pool)
     }
 
     fn build_scheduled(
@@ -482,18 +491,36 @@ where
                 .map(|c| schedule.cohort_size(c))
                 .collect::<Vec<_>>(),
         )?;
-        let scheduled_static = schedule.is_static();
+        Self::assemble(plan, schedule, policy, shards, population, pool)
+    }
+
+    /// The constructor tail every engine shares: the round-0 active set
+    /// and layout, the lifetime views a windowed population slot needs,
+    /// and the engine's own pool when none was passed in.
+    fn assemble(
+        plan: ShardPlan,
+        schedule: PanelSchedule,
+        policy: AggregationPolicy,
+        shards: Vec<S>,
+        population: Option<PopulationSlot<S>>,
+        pool: Option<Arc<WorkerPool>>,
+    ) -> Result<Self, EngineError> {
+        let active = schedule.active(0);
+        let layout = schedule.active_layout(0)?;
         let lifetime = match &population {
             Some(PopulationSlot::Windowed(_)) => (0..schedule.cohorts()).map(|_| None).collect(),
             _ => Vec::new(),
         };
+        let pool = pool.or_else(|| Self::own_schedule_pool(&schedule));
         Ok(Self {
             plan,
-            schedule: Some(schedule),
-            scheduled_static,
+            static_panel: schedule.is_static(),
+            schedule,
             policy,
             shards,
             slot_scratch: Vec::new(),
+            active,
+            layout,
             population,
             retired_through: 0,
             lifetime,
@@ -512,22 +539,20 @@ where
         &self.plan
     }
 
-    /// The panel lifecycle schedule, when this is a dynamic-panel engine.
-    pub fn schedule(&self) -> Option<&PanelSchedule> {
-        self.schedule.as_ref()
+    /// The panel lifecycle schedule: static for a plan-built engine, the
+    /// one passed to [`with_schedule`](Self::with_schedule) otherwise.
+    pub fn schedule(&self) -> &PanelSchedule {
+        &self.schedule
     }
 
-    /// The cohorts the *next* round will step (all of them for a static
-    /// engine, the schedule's active set otherwise). Empty once the
-    /// horizon is exhausted.
+    /// The cohorts the *next* round will step: the schedule's active set
+    /// (every cohort, on a static panel). Empty once the horizon is
+    /// exhausted.
     pub fn active_cohorts(&self) -> Vec<usize> {
         if self.rounds_fed >= self.horizon() {
             return Vec::new();
         }
-        match &self.schedule {
-            None => (0..self.shards.len()).collect(),
-            Some(schedule) => schedule.active(self.rounds_fed),
-        }
+        self.schedule.active(self.rounds_fed)
     }
 
     /// The aggregation policy this engine runs under.
@@ -569,13 +594,10 @@ where
         self.rounds_fed
     }
 
-    /// The engine's horizon: the schedule's global horizon for a
-    /// dynamic-panel engine, the (uniform) shard horizon otherwise.
+    /// The engine's horizon: the schedule's global horizon (the uniform
+    /// shard horizon, on a plan-built engine).
     pub fn horizon(&self) -> usize {
-        match &self.schedule {
-            Some(schedule) => schedule.global_horizon(),
-            None => self.shards[0].horizon(),
-        }
+        self.schedule.global_horizon()
     }
 
     /// The worker pool driving multi-shard steps (`None` for a 1-shard
@@ -762,6 +784,24 @@ fn validate_population<S: ContinualSynthesizer>(
     Ok(())
 }
 
+/// Sum per-cohort aggregates on the global clock, in cohort order: each
+/// is aligned to the 1-based `round` the sum will be finalized at.
+fn merge_at_round<A: MergeAggregate>(
+    aggregates: impl IntoIterator<Item = A>,
+    round: usize,
+) -> Result<A, EngineError> {
+    let mut aligned = aggregates.into_iter().map(|a| a.align_to_round(round));
+    let Some(mut merged) = aligned.next() else {
+        return Err(EngineError::MergeMismatch(
+            "no shard aggregates to merge".to_string(),
+        ));
+    };
+    for aggregate in aligned {
+        merged.merge_into(&aggregate)?;
+    }
+    Ok(merged)
+}
+
 impl<S> ShardedEngine<S>
 where
     S: ContinualSynthesizer + Send + 'static,
@@ -784,24 +824,12 @@ where
                 "step during a prepared round awaiting finalize".to_string(),
             ));
         }
-        if self.schedule.is_some() {
-            let mut clock = PhaseClock::new(self.obs.is_some());
-            let (active, parts) = self.begin_scheduled_round(column)?;
-            clock.lap_prepare();
-            return self.scheduled_round(&active, parts, clock);
-        }
-        if column.population() != self.plan.population() {
-            return Err(EngineError::PopulationMismatch {
-                expected: self.plan.population(),
-                actual: column.population(),
-            });
-        }
-        self.enter_stepped_mode()?;
-        if self.population.is_some() {
-            self.shared_step(column)
-        } else {
-            self.concat_step(column)
-        }
+        let mut clock = PhaseClock::new(self.obs.is_some());
+        let (active, parts) = self.begin_scheduled_round(column)?;
+        clock.lap_prepare();
+        let result = self.scheduled_round(&active, parts, clock);
+        self.active = active;
+        result
     }
 
     /// Pin the engine as a raw-data (stepped) engine: stepped rounds and
@@ -838,185 +866,83 @@ where
         }
     }
 
-    /// Per-shard-noise round (also shared noise collapsed at one shard):
-    /// every shard runs a full `step`, releases concatenate. Bit-exact
-    /// with the pre-policy engine.
-    fn concat_step(&mut self, column: &S::Input) -> Result<S::Release, EngineError> {
-        let mut clock = PhaseClock::new(self.obs.is_some());
-        let parts = column.split(&self.plan);
-        clock.lap_prepare();
-        let releases = if self.shards.len() == 1 {
-            let mut parts = parts;
-            vec![self.shards[0]
-                .step(&parts.remove(0))
-                .map_err(|source| EngineError::Shard { shard: 0, source })?]
-        } else {
-            self.parallel_step(parts)?
-        };
-        clock.lap_finalize();
-        // Merge consumes the per-shard releases; only a live sink pays for
-        // keeping them around one call longer.
-        let merged = match &mut self.sink {
-            None => {
-                let merged = S::Release::merge(releases)?;
-                clock.lap_merge();
-                merged
-            }
-            Some(sink) => {
-                let merged = S::Release::merge_borrowed(&releases)?;
-                clock.lap_merge();
-                sink.on_round(self.rounds_fed, &releases, &merged, PolicyTag::PerShard);
-                clock.lap_sink();
-                merged
-            }
-        };
-        self.commit_round_observation(clock);
-        self.rounds_fed += 1;
-        Ok(merged)
-    }
-
-    /// Shared-noise round: shards `prepare` (unnoised aggregates) and
-    /// `finalize` their own cohort releases on the pool; the aggregates
-    /// sum into one population aggregate, privatized by the population
-    /// synthesizer with a single noise draw.
-    fn shared_step(&mut self, column: &S::Input) -> Result<S::Release, EngineError> {
-        let mut clock = PhaseClock::new(self.obs.is_some());
-        let parts = column.split(&self.plan);
-        clock.lap_prepare();
-        let pool = Arc::clone(
-            self.pool
-                .as_ref()
-                .expect("multi-shard engines always hold a pool"),
-        );
-        let shards = std::mem::take(&mut self.shards);
-        let outcomes = pool.run_batch(shards.into_iter().zip(parts).map(|(mut shard, part)| {
-            move || {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    let aggregate = shard.prepare(&part)?;
-                    let release = shard.finalize(aggregate.clone())?;
-                    Ok::<_, SynthError>((aggregate, release))
-                }));
-                (shard, result)
-            }
-        }));
-        let mut aggregates = Vec::with_capacity(outcomes.len());
-        let mut releases = Vec::with_capacity(outcomes.len());
-        let mut first_error = None;
-        let mut first_panic = None;
-        for (index, (shard, result)) in outcomes.into_iter().enumerate() {
-            self.shards.push(shard);
-            match result {
-                Ok(Ok((aggregate, release))) => {
-                    aggregates.push(aggregate);
-                    releases.push(release);
-                }
-                Ok(Err(source)) if first_error.is_none() => {
-                    first_error = Some(EngineError::Shard {
-                        shard: index,
-                        source,
-                    });
-                }
-                Ok(Err(_)) => {}
-                Err(payload) if first_panic.is_none() => first_panic = Some(payload),
-                Err(_) => {}
-            }
-        }
-        if let Some(payload) = first_panic {
-            resume_unwind(payload);
-        }
-        if let Some(error) = first_error {
-            return Err(error);
-        }
-        clock.lap_finalize();
-        let merged_aggregate = S::Aggregate::merge(aggregates)?;
-        clock.lap_merge();
-        let population = self
-            .population
-            .as_mut()
-            .expect("shared_step only runs with a population synthesizer");
-        let merged = population.finalize(merged_aggregate)?;
-        clock.lap_noise();
-        if let Some(sink) = &mut self.sink {
-            sink.on_round(self.rounds_fed, &releases, &merged, PolicyTag::Shared);
-            clock.lap_sink();
-        }
-        self.commit_round_observation(clock);
-        self.rounds_fed += 1;
-        Ok(merged)
-    }
-
-    /// Validate a dynamic-panel round and split its column: global-horizon
-    /// check, active-set lookup, active-population check, word-level split
-    /// into per-active-cohort parts. Pins stepped mode. Debug builds also
-    /// assert the active cohorts are in lockstep with the global clock
-    /// (cohort `c`'s local round equals `round − entry`) and that no
-    /// sealed synthesizer is about to be stepped.
+    /// Validate a round and split its column: global-horizon check,
+    /// active-set lookup, active-population check, word-level split into
+    /// per-active-cohort parts. Pins stepped mode. Returns the active set,
+    /// taken out of the engine's scratch; the caller puts it back once
+    /// the round is done. Debug builds also assert that no active cohort
+    /// lags the global clock (cohort `c`'s local round is at least
+    /// `round − entry`; a failed round may leave survivors ahead) and that
+    /// no sealed synthesizer is about to be stepped.
     fn begin_scheduled_round(
         &mut self,
         column: &S::Input,
     ) -> Result<(Vec<usize>, Vec<S::Input>), EngineError> {
-        let schedule = self.schedule.as_ref().expect("scheduled path");
+        let schedule = &self.schedule;
         let round = self.rounds_fed;
         if round >= schedule.global_horizon() {
             return Err(EngineError::HorizonExhausted {
                 horizon: schedule.global_horizon(),
             });
         }
-        // One pass over the cohorts: the active set and its sizes drive
-        // the population check and the split layout.
-        let active = schedule.active(round);
-        let sizes: Vec<usize> = active.iter().map(|&c| schedule.cohort_size(c)).collect();
-        let expected: usize = sizes.iter().sum();
+        let unchanged = (0..schedule.cohorts())
+            .filter(|&c| schedule.cohort(c).is_active(round))
+            .eq(self.active.iter().copied());
+        if !unchanged {
+            self.layout = schedule.active_layout(round)?;
+            self.active = schedule.active(round);
+        }
+        let expected = self.layout.population();
         if column.population() != expected {
             return Err(EngineError::PopulationMismatch {
                 expected,
                 actual: column.population(),
             });
         }
-        let layout = ShardPlan::from_sizes(&sizes)?;
+        self.enter_stepped_mode()?;
         #[cfg(debug_assertions)]
-        for &c in &active {
-            let entry = schedule.cohort(c).entry_round;
+        for &c in &self.active {
+            let local = round - self.schedule.cohort(c).entry_round;
             debug_assert!(
-                !self.shards[c].is_sealed(),
+                self.shards[c].round() >= local,
+                "cohort {c} fell behind the global clock"
+            );
+            debug_assert!(
+                self.shards[c].round() > local || !self.shards[c].is_sealed(),
                 "cohort {c} is sealed but scheduled active at round {round}"
             );
-            debug_assert_eq!(
-                self.shards[c].round(),
-                round - entry,
-                "cohort {c} fell out of lockstep with the global clock"
-            );
         }
-        self.enter_stepped_mode()?;
-        Ok((active, column.split(&layout)))
+        let parts = column.split(&self.layout);
+        Ok((std::mem::take(&mut self.active), parts))
     }
 
-    /// Notify the sink of a completed scheduled round. A degenerate
-    /// (static) schedule emits a plain lockstep round — every cohort
-    /// participated, so downstream stores treat the engine exactly like a
-    /// plan-based one (static store, rectangular merged panel); only a
+    /// Hand the completed round to the sink, if any. A static panel emits
+    /// a plain lockstep round — every cohort participated, so downstream
+    /// stores keep a static store with a rectangular merged panel; only a
     /// genuinely rotating round carries the active set.
-    #[allow(clippy::too_many_arguments)] // the sink contract's full round context
-    fn notify_scheduled_sink(
-        sink: &mut Box<dyn ReleaseSink<S::Release>>,
-        scheduled_static: bool,
-        round: usize,
-        cohorts: usize,
+    fn notify_sink(
+        &mut self,
         active: &[usize],
         releases: &[S::Release],
         merged: &S::Release,
-        tag: PolicyTag,
+        clock: &mut PhaseClock,
     ) {
-        if scheduled_static {
+        let tag = self.effective_tag();
+        let Some(sink) = &mut self.sink else {
+            return;
+        };
+        let round = self.rounds_fed;
+        if self.static_panel {
             sink.on_round(round, releases, merged, tag);
         } else {
-            sink.on_round_active(round, cohorts, active, releases, merged, tag);
+            sink.on_round_active(round, self.shards.len(), active, releases, merged, tag);
         }
+        clock.lap_sink();
     }
 
-    /// Complete a dynamic-panel round on already-split parts: step the
-    /// active cohorts (pooled when possible), aggregate per the policy,
-    /// notify the sink with the active set, and advance the global clock.
+    /// Complete a round on already-split parts: step the active cohorts
+    /// (pooled when possible), aggregate per the policy, notify the sink,
+    /// and advance the global clock.
     fn scheduled_round(
         &mut self,
         active: &[usize],
@@ -1024,9 +950,6 @@ where
         mut clock: PhaseClock,
     ) -> Result<S::Release, EngineError> {
         let round = self.rounds_fed;
-        let cohorts = self.shards.len();
-        let tag = self.effective_tag();
-        let scheduled_static = self.scheduled_static;
         let merged = if self.population.is_some() {
             // Shared noise: every cohort prepares + finalizes its own
             // release; the sum of the *active* cohorts' aggregates —
@@ -1040,16 +963,7 @@ where
             let (aggregates, releases) = self.prepare_finalize_active(active, parts)?;
             clock.lap_finalize();
             self.absorb_lifetimes(active, &aggregates)?;
-            let mut aggregates = aggregates.into_iter();
-            let Some(first) = aggregates.next() else {
-                return Err(EngineError::MergeMismatch(
-                    "no shard aggregates to merge".to_string(),
-                ));
-            };
-            let mut merged_aggregate = first.align_to_round(round + 1);
-            for aggregate in aggregates {
-                merged_aggregate.merge_into(&aggregate.align_to_round(round + 1))?;
-            }
+            let merged_aggregate = merge_at_round(aggregates, round + 1)?;
             clock.lap_merge();
             let population = self.population.as_mut().expect("checked population above");
             let merged = population.finalize(merged_aggregate)?;
@@ -1057,49 +971,24 @@ where
             // Verify the budget cap BEFORE any sink observes the round:
             // an over-budget release must not reach downstream stores.
             self.verify_budget_invariant_at(round)?;
-            if let Some(sink) = &mut self.sink {
-                Self::notify_scheduled_sink(
-                    sink,
-                    scheduled_static,
-                    round,
-                    cohorts,
-                    active,
-                    &releases,
-                    &merged,
-                    tag,
-                );
-                clock.lap_sink();
-            }
+            self.notify_sink(active, &releases, &merged, &mut clock);
             merged
         } else {
             // Per-shard noise over the active set: the live cohorts'
-            // releases concatenate in cohort order.
-            let releases = self.step_active(active, parts)?;
+            // releases concatenate in cohort order. Merge consumes them;
+            // only a live sink pays for keeping them one call longer.
+            let releases = self.drive_active(active, parts, |synth, part| synth.step(part))?;
             clock.lap_finalize();
             self.verify_budget_invariant_at(round)?;
-            match &mut self.sink {
-                None => {
-                    let merged = S::Release::merge(releases)?;
-                    clock.lap_merge();
-                    merged
-                }
-                Some(_) => {
-                    let merged = S::Release::merge_borrowed(&releases)?;
-                    clock.lap_merge();
-                    let sink = self.sink.as_mut().expect("checked above");
-                    Self::notify_scheduled_sink(
-                        sink,
-                        scheduled_static,
-                        round,
-                        cohorts,
-                        active,
-                        &releases,
-                        &merged,
-                        tag,
-                    );
-                    clock.lap_sink();
-                    merged
-                }
+            if self.sink.is_none() {
+                let merged = S::Release::merge(releases)?;
+                clock.lap_merge();
+                merged
+            } else {
+                let merged = S::Release::merge_borrowed(&releases)?;
+                clock.lap_merge();
+                self.notify_sink(active, &releases, &merged, &mut clock);
+                merged
             }
         };
         self.commit_round_observation(clock);
@@ -1107,25 +996,9 @@ where
         Ok(merged)
     }
 
-    /// Step the active cohorts' synthesizers on their parts, in active
-    /// order — inline for a single cohort or a pool-less engine, else on
-    /// the worker pool (synthesizers move into jobs and back, like
-    /// [`parallel_step`](Self::parallel_step), with the same
-    /// panic-containment contract). Every cohort is driven even when an
-    /// earlier one fails, so the survivors stay in lockstep; the first
-    /// error is reported.
-    fn step_active(
-        &mut self,
-        active: &[usize],
-        parts: Vec<S::Input>,
-    ) -> Result<Vec<S::Release>, EngineError> {
-        self.drive_active(active, parts, |synth, part| synth.step(part))
-    }
-
-    /// The shared-noise variant of [`step_active`](Self::step_active):
-    /// each active cohort runs `prepare` (unnoised aggregate) and
-    /// `finalize` (its own cohort release), returning both in active
-    /// order.
+    /// The shared-noise round's cohort step: each active cohort runs
+    /// `prepare` (unnoised aggregate) and `finalize` (its own cohort
+    /// release), returning both in active order.
     #[allow(clippy::type_complexity)]
     fn prepare_finalize_active(
         &mut self,
@@ -1140,15 +1013,15 @@ where
         Ok(pairs.into_iter().unzip())
     }
 
-    /// The one scatter/gather skeleton behind both active-set drivers: run
+    /// The one scatter/gather skeleton behind every round: run
     /// `op` on each active cohort's synthesizer with its part, in active
     /// order — inline for a single cohort or a pool-less engine, else on
-    /// the worker pool (synthesizers move into jobs and back by slot, with
-    /// the same panic-containment contract as
-    /// [`parallel_step`](Self::parallel_step)). Every cohort is driven
-    /// even when an earlier one fails, so the survivors stay in lockstep;
-    /// the first error is reported, and a panic is re-raised only after
-    /// every synthesizer is back in place.
+    /// the worker pool. Synthesizers move into the jobs and back by slot;
+    /// each job catches a panicking `op` around a *borrow* of its
+    /// synthesizer, so the synthesizer survives either way. Every cohort
+    /// is driven even when an earlier one fails, so the survivors stay in
+    /// lockstep; the first error is reported, and a panic is re-raised
+    /// only after every synthesizer is back in place.
     fn drive_active<T: Send + 'static>(
         &mut self,
         active: &[usize],
@@ -1258,7 +1131,7 @@ where
             self.retired_through = round + 1;
             return Ok(());
         }
-        let schedule = self.schedule.as_ref().expect("windowed implies scheduled");
+        let schedule = &self.schedule;
         let due: Vec<usize> = (0..schedule.cohorts())
             .filter(|&c| {
                 let cohort = schedule.cohort(c);
@@ -1284,26 +1157,31 @@ where
         Ok(())
     }
 
-    /// The per-round active-set budget invariant, verified for every
-    /// scheduled round in **every** build (it is an O(cohorts) maximum,
-    /// cheap enough to always run — a release binary must not silently
-    /// skip budget-cap enforcement): no individual's lifetime zCDP spend
-    /// may exceed the schedule's per-individual cap. Checked after the
+    /// The per-round budget invariant, verified for every round in
+    /// **every** build (an O(cohorts) maximum over the synthesizers'
+    /// spends, cheap enough to always run — a release binary must not
+    /// silently skip budget-cap enforcement): no individual's lifetime
+    /// zCDP spend — their cohort's spend plus the population level — may
+    /// exceed the schedule's per-individual cap. Checked after the
     /// round's synthesis but **before any sink observes the round**, so
     /// an over-budget release never reaches downstream stores. The
     /// exhaustive cross-checks (lockstep clocks, sealed-cohort sweeps in
     /// [`begin_scheduled_round`](Self::begin_scheduled_round)) stay
     /// debug-only.
     fn verify_budget_invariant_at(&self, round: usize) -> Result<(), EngineError> {
-        if let Some(schedule) = &self.schedule {
-            let budget = self.budget();
-            if !budget.within_cap(schedule.total_budget()) {
-                return Err(EngineError::BudgetCapExceeded {
-                    round,
-                    spent: budget.max_lifetime_spend(),
-                    cap: schedule.total_budget(),
-                });
-            }
+        let cohort = self
+            .shards
+            .iter()
+            .map(S::budget_spent)
+            .max_by(|a, b| a.value().total_cmp(&b.value()))
+            .expect("engines have shards");
+        let spent = match &self.population {
+            Some(population) => cohort.compose(population.synth().budget_spent()),
+            None => cohort,
+        };
+        let cap = self.schedule.total_budget();
+        if exceeds_cap(spent, cap) {
+            return Err(EngineError::BudgetCapExceeded { round, spent, cap });
         }
         Ok(())
     }
@@ -1350,67 +1228,25 @@ where
     }
 
     /// Phase 1 of the engine as a two-phase synthesizer: split the column,
-    /// run every shard's `prepare` inline, stash the per-shard aggregates
-    /// for [`finalize`](Self::finalize), and return their population-level
-    /// sum. (The hot path is [`step`](Self::step), which pools the
-    /// per-shard work; this explicit path exists so engines compose as
-    /// synthesizers — e.g. as a shard of a larger engine.)
+    /// run every active cohort's `prepare`, stash the per-cohort
+    /// aggregates for [`finalize`](Self::finalize), and return their
+    /// population-level sum. (The hot path is [`step`](Self::step); this
+    /// explicit path exists so engines compose as synthesizers — e.g. as
+    /// a shard of a larger engine.)
     pub fn prepare(&mut self, column: &S::Input) -> Result<S::Aggregate, EngineError> {
         if self.pending.is_some() {
             return Err(EngineError::OutOfPhase(
                 "prepare during a prepared round awaiting finalize".to_string(),
             ));
         }
-        if self.schedule.is_some() {
-            let round = self.rounds_fed;
-            let (active, parts) = self.begin_scheduled_round(column)?;
-            let mut aggregates = Vec::with_capacity(active.len());
-            for (&c, part) in active.iter().zip(&parts) {
-                aggregates.push(
-                    self.shards[c]
-                        .prepare(part)
-                        .map_err(|source| EngineError::Shard { shard: c, source })?,
-                );
-            }
-            // The merged (population-level) aggregate lives on the global
-            // clock; the pending per-cohort aggregates stay local — each
-            // cohort's own finalize expects its local shape.
-            let mut parts = aggregates.iter();
-            let Some(first) = parts.next() else {
-                return Err(EngineError::MergeMismatch(
-                    "no shard aggregates to merge".to_string(),
-                ));
-            };
-            let mut merged = first.clone().align_to_round(round + 1);
-            for aggregate in parts {
-                merged.merge_into(&aggregate.clone().align_to_round(round + 1))?;
-            }
-            self.pending = Some(PendingRound {
-                active: Some(active),
-                aggregates,
-            });
-            return Ok(merged);
-        }
-        if column.population() != self.plan.population() {
-            return Err(EngineError::PopulationMismatch {
-                expected: self.plan.population(),
-                actual: column.population(),
-            });
-        }
-        self.enter_stepped_mode()?;
-        let parts = column.split(&self.plan);
-        let mut aggregates = Vec::with_capacity(self.shards.len());
-        for (index, (shard, part)) in self.shards.iter_mut().zip(&parts).enumerate() {
-            aggregates.push(shard.prepare(part).map_err(|source| EngineError::Shard {
-                shard: index,
-                source,
-            })?);
-        }
-        let merged = S::Aggregate::merge_borrowed(&aggregates)?;
-        self.pending = Some(PendingRound {
-            active: None,
-            aggregates,
-        });
+        let round = self.rounds_fed;
+        let (active, parts) = self.begin_scheduled_round(column)?;
+        let aggregates = self.drive_active(&active, parts, |synth, part| synth.prepare(part))?;
+        // The merged (population-level) aggregate lives on the global
+        // clock; the pending per-cohort aggregates stay local — each
+        // cohort's own finalize expects its local shape.
+        let merged = merge_at_round(aggregates.iter().cloned(), round + 1)?;
+        self.pending = Some(PendingRound { active, aggregates });
         Ok(merged)
     }
 
@@ -1432,17 +1268,19 @@ where
     /// standalone (it cannot be un-summed into cohorts) and errors.
     /// Standalone rounds are not forwarded to this engine's sink — there
     /// is no cohort level to observe; attach sinks to the outer engine.
+    /// Only a static panel has the role: a rotating schedule's raw
+    /// population aggregate carries no active-set information.
     pub fn finalize(&mut self, aggregate: S::Aggregate) -> Result<S::Release, EngineError> {
         // Two-phase rounds are timed from finalize entry (the `prepare`
         // half ran in an earlier call); the prepare span is a step-path
         // metric.
         let mut clock = PhaseClock::new(self.obs.is_some());
-        let Some(pending) = self.pending.take() else {
-            if self.schedule.is_some() {
+        let Some(PendingRound { active, aggregates }) = self.pending.take() else {
+            if !self.static_panel {
                 return Err(EngineError::OutOfPhase(
                     "standalone finalize on a dynamic-panel engine: a raw population \
-                     aggregate carries no active-set information, so scheduled engines \
-                     only finalize rounds they prepared"
+                     aggregate carries no active-set information, so rotating-schedule \
+                     engines only finalize rounds they prepared"
                         .to_string(),
                 ));
             }
@@ -1467,6 +1305,7 @@ where
                 }
             };
             clock.lap_noise();
+            self.verify_budget_invariant_at(self.rounds_fed)?;
             // Pin finalize-only mode only after a *successful* standalone
             // round (a rejected aggregate changed nothing).
             self.mode = Some(DriveMode::FinalizeOnly);
@@ -1474,28 +1313,20 @@ where
             self.rounds_fed += 1;
             return Ok(merged);
         };
-        // Finalize *every* participating shard before reporting the first
-        // error: each shard must consume its pending aggregate to stay in
-        // phase for the next round (only a shard whose own finalize failed
+        // Finalize *every* participating cohort before reporting the first
+        // error: each cohort must consume its pending aggregate to stay in
+        // phase for the next round (only a cohort whose own finalize failed
         // remains out of phase — its synthesizer rejected the round and a
         // custom implementation owns its recovery).
-        let PendingRound { active, aggregates } = pending;
-        // Lifetime views absorb only after every shard finalize succeeded
+        //
+        // Lifetime views absorb only after every cohort finalize succeeded
         // (below) — matching the step path's ordering, so a failed round
         // never poisons the retirement bookkeeping.
-        let pending_absorb: Option<Vec<S::Aggregate>> = match &active {
-            Some(_) if matches!(self.population, Some(PopulationSlot::Windowed(_))) => {
-                Some(aggregates.clone())
-            }
-            _ => None,
-        };
-        let participants: Vec<usize> = match &active {
-            Some(active) => active.clone(),
-            None => (0..self.shards.len()).collect(),
-        };
+        let pending_absorb = matches!(self.population, Some(PopulationSlot::Windowed(_)))
+            .then(|| aggregates.clone());
         let mut releases = Vec::with_capacity(aggregates.len());
         let mut first_error = None;
-        for (&index, part) in participants.iter().zip(aggregates) {
+        for (&index, part) in active.iter().zip(aggregates) {
             match self.shards[index].finalize(part) {
                 Ok(release) => releases.push(release),
                 Err(source) if first_error.is_none() => {
@@ -1511,16 +1342,13 @@ where
             return Err(error);
         }
         clock.lap_finalize();
-        if let (Some(active), Some(aggregates)) = (&active, &pending_absorb) {
-            self.absorb_lifetimes(active, aggregates)?;
+        if let Some(aggregates) = &pending_absorb {
+            self.absorb_lifetimes(&active, aggregates)?;
         }
-        let tag = self.effective_tag();
-        let cohorts = self.shards.len();
         let round = self.rounds_fed;
-        let scheduled_static = self.scheduled_static;
-        if active.is_some() && self.population.is_some() {
-            // Scheduled shared round: apply any retirements due at this
-            // round boundary before the population-level finalize.
+        if self.population.is_some() {
+            // Shared round: apply any retirements due at this round
+            // boundary before the population-level finalize.
             self.process_retirements(round)?;
         }
         let merged = match &mut self.population {
@@ -1543,75 +1371,11 @@ where
         // Verify the budget cap BEFORE any sink observes the round: an
         // over-budget release must not reach downstream stores.
         self.verify_budget_invariant_at(round)?;
-        if let Some(sink) = &mut self.sink {
-            match &active {
-                Some(active) => Self::notify_scheduled_sink(
-                    sink,
-                    scheduled_static,
-                    round,
-                    cohorts,
-                    active,
-                    &releases,
-                    &merged,
-                    tag,
-                ),
-                None => sink.on_round(round, &releases, &merged, tag),
-            }
-            clock.lap_sink();
-        }
+        self.notify_sink(&active, &releases, &merged, &mut clock);
         self.commit_round_observation(clock);
         self.rounds_fed += 1;
+        self.active = active;
         Ok(merged)
-    }
-
-    /// Step every shard on the persistent pool. Synthesizers are moved into
-    /// the jobs and moved back with their results in shard order, so the
-    /// engine's `shards` vector is identical (modulo stepped state) on
-    /// return — including when a shard reports an error.
-    fn parallel_step(&mut self, parts: Vec<S::Input>) -> Result<Vec<S::Release>, EngineError> {
-        let pool = Arc::clone(
-            self.pool
-                .as_ref()
-                .expect("multi-shard engines always hold a pool"),
-        );
-        let shards = std::mem::take(&mut self.shards);
-        // Each job catches a panicking `step` around a *borrow* of the
-        // shard, so the shard itself survives and is returned either way;
-        // a panic is re-raised here only after every shard is back in
-        // place — matching the old `thread::scope` semantics, where
-        // borrowed shards survived a propagated panic and the engine
-        // stayed structurally intact.
-        let outcomes = pool.run_batch(shards.into_iter().zip(parts).map(|(mut shard, part)| {
-            move || {
-                let result = catch_unwind(AssertUnwindSafe(|| shard.step(&part)));
-                (shard, result)
-            }
-        }));
-        let mut releases = Vec::with_capacity(outcomes.len());
-        let mut first_error = None;
-        let mut first_panic = None;
-        for (index, (shard, result)) in outcomes.into_iter().enumerate() {
-            self.shards.push(shard);
-            match result {
-                Ok(Ok(release)) => releases.push(release),
-                Ok(Err(source)) if first_error.is_none() => {
-                    first_error = Some(EngineError::Shard {
-                        shard: index,
-                        source,
-                    });
-                }
-                Ok(Err(_)) => {}
-                Err(payload) if first_panic.is_none() => first_panic = Some(payload),
-                Err(_) => {}
-            }
-        }
-        if let Some(payload) = first_panic {
-            resume_unwind(payload);
-        }
-        match first_error {
-            Some(error) => Err(error),
-            None => Ok(releases),
-        }
     }
 }
 

@@ -114,9 +114,10 @@ pub enum EngineError {
         source: SynthError,
     },
     /// The shard factory produced differently-configured synthesizers for
-    /// a **static** (plan-based) engine. The lockstep constructors step
-    /// shards positionally under one shared configuration, so the engine
-    /// names the first mismatch instead of mis-merging later. To actually
+    /// a plan-based engine. Those constructors derive a static schedule
+    /// from shard 0's horizon and budget, with every cohort running that
+    /// one configuration, so the engine names the first shard that
+    /// disagrees instead of mis-merging later. To actually
     /// run a heterogeneous panel (per-cohort horizons or budgets), build a
     /// [`PanelSchedule`] and construct with
     /// [`ShardedEngine::with_schedule`](crate::ShardedEngine::with_schedule).

@@ -20,9 +20,8 @@
 //! cohorts; the engine steps exactly those, seals cohorts whose horizon
 //! has elapsed, and starts late entrants at their own local round 0.
 //! A schedule with every cohort entering at round 0 under the global
-//! horizon and budget is the *degenerate* (static) schedule — the exact
-//! lockstep panel the pre-schedule engine ran, pinned bit-identical by the
-//! `panel_lifecycle` equivalence tests.
+//! horizon and budget is the *degenerate* (static) schedule — the
+//! lockstep panel the engine's plan-based constructors build.
 
 use longsynth_data::categorical::CategoricalColumn;
 use longsynth_data::BitColumn;
@@ -255,8 +254,8 @@ impl PanelSchedule {
 
     /// The degenerate (static) schedule: `population` split into `shards`
     /// balanced cohorts, all entering at round 0 with the global horizon
-    /// and budget `cohort_budget` each. Behaves bit-identically to the
-    /// pre-schedule lockstep engine.
+    /// and budget `cohort_budget` each — the schedule a plan-based engine
+    /// over `ShardPlan::new(population, shards)` runs.
     pub fn uniform(
         population: usize,
         shards: usize,

@@ -35,8 +35,9 @@ pub trait ReleaseSink<R>: Send {
     /// Observe one completed **dynamic-panel** round: only the cohorts in
     /// `active` (indices into the panel's `cohorts` cohorts, ascending)
     /// produced releases this round, and `per_shard[i]` is the release of
-    /// cohort `active[i]`. Scheduled engines call this instead of
-    /// [`on_round`](Self::on_round).
+    /// cohort `active[i]`. Engines on a rotating schedule call this
+    /// instead of [`on_round`](Self::on_round); static panels call
+    /// `on_round`.
     ///
     /// The default forwards to [`on_round`](Self::on_round), dropping the
     /// active-set information — fine for sinks that only observe the

@@ -6,9 +6,9 @@
 //! max_lifetime_spend}` after *every* round — plain f64 equality, no
 //! tolerance — across every schedule family the engine runs:
 //!
-//! * static per-shard noise (the plan-based `concat_step` path),
-//! * static shared noise (the pooled `shared_step` path),
-//! * rotating panels under per-shard noise (scheduled lifecycle path),
+//! * static per-shard noise (a plan-built engine's static schedule),
+//! * static shared noise (pooled, with a persistent population slot),
+//! * rotating panels under per-shard noise,
 //! * rotating panels under windowed-shared noise (retirements and a
 //!   windowed population synthesizer).
 //!
@@ -208,7 +208,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Static per-shard noise: one ledger line per cohort, replay exact
-    /// after every round of the `concat_step` path.
+    /// after every round of a plan-built engine.
     #[test]
     fn static_per_shard_ledger_replays_exactly(
         seed in any::<u64>(),
@@ -235,7 +235,7 @@ proptest! {
     }
 
     /// Static shared noise: cohort and population levels both move every
-    /// round, and the pooled `shared_step` path replays exactly.
+    /// round, and the pooled shared round replays exactly.
     #[test]
     fn static_shared_ledger_replays_exactly(
         seed in any::<u64>(),

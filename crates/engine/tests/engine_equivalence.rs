@@ -4,17 +4,67 @@
 //! releases are bit-identical to the unsharded synthesizer under the same
 //! seed. On top of that, a multi-shard engine must equal the hand-driven
 //! composition: running each shard's synthesizer manually on its cohort
-//! split and concatenating, in shard order.
+//! split and concatenating, in shard order. Under shared noise the
+//! hand-driven reference sums the shards' unnoised aggregates and has the
+//! population synthesizer privatize the sum once.
 
 use longsynth::{
-    CumulativeConfig, CumulativeSynthesizer, FixedWindowConfig, FixedWindowSynthesizer, Release,
+    ContinualSynthesizer, CumulativeConfig, CumulativeSynthesizer, FixedWindowConfig,
+    FixedWindowSynthesizer, Release,
 };
 use longsynth_data::generators::iid_bernoulli;
-use longsynth_data::BitColumn;
+use longsynth_data::{BitColumn, LongitudinalDataset};
 use longsynth_dp::budget::Rho;
 use longsynth_dp::rng::{rng_from_seed, RngFork};
-use longsynth_engine::{MergeRelease, ShardPlan, ShardableInput, ShardedEngine};
+use longsynth_engine::{
+    AggregationPolicy, MergeAggregate, MergeRelease, ShardPlan, ShardableInput, ShardedEngine,
+    SlotRole,
+};
 use proptest::prelude::*;
+
+/// Drive a `with_aggregation(…, shared())` engine and a hand composition of
+/// the same synthesizers side by side, asserting bit-identical releases.
+/// The hand composition runs, per round: each shard's `prepare` then
+/// `finalize(aggregate.clone())` on its cohort split, `MergeAggregate::merge`
+/// of the aggregates in shard order, then the population synthesizer's
+/// `finalize` of the sum. `make(role, budget_share)` builds one slot.
+fn assert_shared_engine_matches_hand<S>(
+    data: &LongitudinalDataset,
+    plan: &ShardPlan,
+    make: impl Fn(SlotRole, f64) -> S,
+) where
+    S: ContinualSynthesizer<Input = BitColumn> + Send + 'static,
+    S::Release: MergeRelease + Clone + PartialEq + std::fmt::Debug + Send + 'static,
+    S::Aggregate: MergeAggregate + Clone + Send + 'static,
+{
+    let policy = AggregationPolicy::shared();
+    let (shard_share, population_share) = policy.budget_shares(plan.shards());
+    let population_share = population_share.expect("multi-shard shared noise");
+    let mut engine = ShardedEngine::with_aggregation(plan.clone(), policy, |slot| {
+        make(slot.role, slot.budget_share)
+    })
+    .unwrap();
+    let mut shards: Vec<S> = (0..plan.shards())
+        .map(|s| make(SlotRole::Shard(s), shard_share))
+        .collect();
+    let mut population = make(SlotRole::Population, population_share);
+    for (_, col) in data.stream() {
+        let merged = engine.step(col).unwrap();
+        let aggregates: Vec<S::Aggregate> = shards
+            .iter_mut()
+            .zip(&col.split(plan))
+            .map(|(synth, part)| {
+                let aggregate = synth.prepare(part).unwrap();
+                synth.finalize(aggregate.clone()).unwrap();
+                aggregate
+            })
+            .collect();
+        let hand = population
+            .finalize(MergeAggregate::merge(aggregates).unwrap())
+            .unwrap();
+        assert_eq!(merged, hand);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -105,6 +155,36 @@ proptest! {
         for (s, synth) in manual.iter().enumerate() {
             prop_assert_eq!(engine.shard(s).synthetic(), synth.synthetic());
         }
+    }
+
+    /// Shared noise == hand composition (per-shard prepare + finalize,
+    /// aggregate merge, one population finalize), bit for bit, for both
+    /// the fixed-window and the cumulative family.
+    #[test]
+    fn shared_noise_engine_equals_manual_composition(
+        seed in any::<u64>(),
+        n in 40usize..250,
+        shards in 2usize..5,
+        horizon in 3usize..8,
+    ) {
+        let data = iid_bernoulli(&mut rng_from_seed(seed ^ 0xF5), n, horizon, 0.4);
+        let plan = ShardPlan::new(n, shards).unwrap();
+        let fork = RngFork::new(seed);
+        let stream = |role: SlotRole| match role {
+            SlotRole::Shard(s) => s as u64,
+            SlotRole::Population => 0x5EED,
+        };
+        assert_shared_engine_matches_hand(&data, &plan, |role, share| {
+            let rho = Rho::new(0.05 * share).unwrap();
+            let config = FixedWindowConfig::new(horizon, 2, rho).unwrap();
+            FixedWindowSynthesizer::new(config, fork.child(stream(role)))
+        });
+        assert_shared_engine_matches_hand(&data, &plan, |role, share| {
+            let rho = Rho::new(0.05 * share).unwrap();
+            let config = CumulativeConfig::new(horizon, rho).unwrap();
+            let s = stream(role);
+            CumulativeSynthesizer::new(config, fork.subfork(s), rng_from_seed(seed ^ s))
+        });
     }
 
     /// Merged releases always cover the whole population, and the engine's

@@ -100,7 +100,7 @@ fn static_schedule_matches_plan_engine_per_shard() {
             )
         })
         .unwrap();
-    assert!(scheduled.schedule().unwrap().is_static());
+    assert!(scheduled.schedule().is_static());
     for (_, col) in data.stream() {
         let a = legacy.step(col).unwrap();
         let b = scheduled.step(col).unwrap();
@@ -559,6 +559,28 @@ fn budget_cap_violation_is_an_error_in_release_builds_too() {
     assert!(err.to_string().contains("budget invariant"), "{err}");
     assert!(err.to_string().contains("cap"), "{err}");
     assert_eq!(seen.load(Ordering::SeqCst), 0, "sink saw no release");
+
+    // A plan-built engine runs the same check: its static schedule's cap
+    // is the shard budget, and the violating round never reaches the sink.
+    let mut plan_engine = ShardedEngine::new(ShardPlan::new(20, 2).unwrap(), |_, _| Overspender {
+        horizon: 3,
+        budget: cap,
+        rounds: 0,
+    })
+    .unwrap();
+    let plan_seen = Arc::new(AtomicUsize::new(0));
+    let plan_handle = Arc::clone(&plan_seen);
+    plan_engine.set_sink(Box::new(
+        move |_: usize, _: &[BitColumn], _: &BitColumn, _: longsynth_engine::PolicyTag| {
+            plan_handle.fetch_add(1, Ordering::SeqCst);
+        },
+    ));
+    let err = plan_engine.step(&BitColumn::zeros(20)).unwrap_err();
+    assert!(
+        matches!(err, EngineError::BudgetCapExceeded { round: 0, .. }),
+        "expected BudgetCapExceeded at round 0, got {err:?}"
+    );
+    assert_eq!(plan_seen.load(Ordering::SeqCst), 0, "sink saw no release");
 }
 
 /// Scheduled rounds validate their input against the *active* population.

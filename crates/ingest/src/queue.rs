@@ -203,22 +203,22 @@ impl<T> Producer<T> {
             }
             let mut pushed = false;
             while state.buf.len() < self.shared.cap {
-                match iter.next() {
-                    Some(item) => {
-                        state.buf.push_back(item);
-                        pushed = true;
-                    }
-                    None => {
-                        self.shared.note_depth(&mut state);
-                        drop(state);
-                        if pushed {
-                            self.shared.not_empty.notify_one();
-                        }
-                        return Ok(());
-                    }
-                }
+                let Some(item) = iter.next() else { break };
+                state.buf.push_back(item);
+                pushed = true;
             }
             self.shared.note_depth(&mut state);
+            // `vec::IntoIter` is exact-size: an empty remainder means the
+            // whole batch is queued, including when it exactly filled the
+            // queue — waiting for room then would block with nothing left
+            // to send.
+            if iter.len() == 0 {
+                drop(state);
+                if pushed {
+                    self.shared.not_empty.notify_one();
+                }
+                return Ok(());
+            }
             if pushed {
                 self.shared.not_empty.notify_one();
             }
@@ -350,6 +350,28 @@ mod tests {
             "peak {} breached cap",
             rx.peak_depth()
         );
+    }
+
+    /// A batch that exactly fills the remaining capacity returns at once,
+    /// with no consumer draining. Run under a watchdog so a regression
+    /// fails instead of hanging the suite.
+    #[test]
+    fn batch_send_that_exactly_fills_the_queue_returns() {
+        let (tx, rx) = bounded::<u32>(4, None);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let sender = thread::spawn(move || {
+            let result = tx.send_batch((0..4).collect());
+            done_tx.send(result.is_ok()).unwrap();
+        });
+        let finished = done_rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(finished, Ok(true), "send_batch blocked on a full queue");
+        sender.join().unwrap();
+        let mut out = Vec::new();
+        assert_eq!(
+            rx.recv_many(&mut out, 8, Duration::from_millis(10)),
+            RecvResult::Received(4)
+        );
+        assert_eq!(out, vec![0, 1, 2, 3]);
     }
 
     #[test]
