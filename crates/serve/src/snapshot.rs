@@ -2,11 +2,11 @@
 //!
 //! A continual release runs for months; the serving process must not lose
 //! the archive on restart. [`snapshot_json`] renders the whole store —
-//! merged panel, every cohort panel, cohort count, aggregation-policy tag —
-//! as a self-describing JSON document, and [`restore_json`] rebuilds a
-//! store whose query answers are **bit-identical** (the property-based
-//! tests in `tests/prop_store.rs` pin this down over random release
-//! sequences).
+//! merged release, every cohort panel with its entry round, cohort count,
+//! aggregation-policy tag — as a self-describing JSON document, and
+//! [`restore_json`] rebuilds a store whose query answers are
+//! **bit-identical** (the property-based tests in `tests/prop_store.rs`
+//! pin this down over random release sequences).
 //!
 //! Full snapshots are O(store), which is the wrong cost for *periodic*
 //! checkpoints of an append-only archive. [`snapshot_since_json`] exports
@@ -15,15 +15,25 @@
 //! that base. Restoring a base snapshot and chaining deltas is equivalent,
 //! bit for bit, to restoring one full snapshot (property-tested).
 //!
+//! Restore never assembles a store by hand: it **decodes, then replays
+//! through live ingestion**. A document of any supported version (v1–v4
+//! full snapshots, v1–v2 deltas) decodes into one round plan — for each
+//! carried global round, the cohorts carrying a column for it, those
+//! columns, and the merged release (in a static document every cohort is
+//! active in every round). The plan then runs through the store's single
+//! ingest validator, so a snapshot restores exactly when live ingestion
+//! could have produced it, and a refusal names the broken invariant in
+//! live ingestion's words.
+//!
 //! Bit columns travel as hex strings of their packed little-endian `u64`
 //! words (16 hex digits per word) rather than JSON numbers: lossless at
 //! any width, compact, and independent of JSON number precision.
 
-use longsynth_data::{BitColumn, LongitudinalDataset};
+use longsynth_data::BitColumn;
 use longsynth_engine::PolicyTag;
 use serde::Serialize;
 
-use crate::store::{GrowingPanel, ReleaseStore, ServeError};
+use crate::store::{GrowingPanel, IngestRound, MergedRelease, ReleaseStore, ServeError};
 
 /// Format tag embedded in every full snapshot; bump on layout changes.
 /// v4 added cohort-coverage metadata on a dynamic store's merged rounds
@@ -123,33 +133,55 @@ fn column_from_hex(hex: &str, records: usize) -> Result<BitColumn, ServeError> {
     Ok(BitColumn::from_words(words, records))
 }
 
-fn panel_to_dto(panel: &GrowingPanel) -> Option<PanelDto> {
-    panel.panel().map(|dataset| PanelDto {
-        records: dataset.individuals() as u64,
-        columns: (0..dataset.rounds())
+/// A panel's columns of local rounds `since..`.
+fn columns_to_hex(panel: &GrowingPanel, since: usize) -> Option<(u64, Vec<String>)> {
+    panel.panel().map(|dataset| {
+        let columns = (since.min(dataset.rounds())..dataset.rounds())
             .map(|t| column_to_hex(dataset.column(t)))
-            .collect(),
+            .collect();
+        (dataset.individuals() as u64, columns)
     })
 }
 
-/// A cohort panel as a [`CohortDto`], carrying the columns of **local**
-/// rounds `since..` (possibly none — the record count still travels so
-/// the receiver can validate shape) plus the cohort's entry round.
-fn cohort_to_dto(panel: &GrowingPanel, entry: Option<usize>, since: usize) -> Option<CohortDto> {
-    panel.panel().map(|dataset| CohortDto {
-        records: dataset.individuals() as u64,
-        entry: entry.map(|e| e as u64),
-        columns: (since.min(dataset.rounds())..dataset.rounds())
-            .map(|t| column_to_hex(dataset.column(t)))
-            .collect(),
-    })
-}
-
-fn ragged_to_dto(column: &BitColumn) -> RaggedColumnDto {
-    RaggedColumnDto {
-        records: column.len() as u64,
-        column: column_to_hex(column),
+/// The merged release's rounds `since..`: a panel for a longitudinal
+/// store, ragged columns for a dynamic one.
+fn merged_to_dto(merged: &MergedRelease, since: usize) -> (Option<PanelDto>, Vec<RaggedColumnDto>) {
+    match merged {
+        MergedRelease::Longitudinal(panel) => {
+            let panel = columns_to_hex(panel, since)
+                .map(|(records, columns)| PanelDto { records, columns });
+            (panel, Vec::new())
+        }
+        MergedRelease::Ragged(rounds) => {
+            let rounds = rounds[since..]
+                .iter()
+                .map(|column| RaggedColumnDto {
+                    records: column.len() as u64,
+                    column: column_to_hex(column),
+                })
+                .collect();
+            (None, rounds)
+        }
     }
+}
+
+/// Every cohort's columns of the global rounds `since..` (possibly none —
+/// the record count still travels so the receiver can validate shape),
+/// plus its entry round, which only a dynamic store records.
+fn cohorts_to_dto(store: &ReleaseStore, since: usize) -> Vec<Option<CohortDto>> {
+    store
+        .cohorts
+        .iter()
+        .zip(&store.entries)
+        .map(|(panel, &entry)| {
+            let local_since = entry.map_or(0, |e| since.saturating_sub(e));
+            columns_to_hex(panel, local_since).map(|(records, columns)| CohortDto {
+                records,
+                entry: entry.filter(|_| store.is_dynamic()).map(|e| e as u64),
+                columns,
+            })
+        })
+        .collect()
 }
 
 /// Interprets one JSON value as a non-negative integer index, naming the
@@ -185,28 +217,6 @@ fn ragged_from_value(value: &serde_json::Value) -> Result<BitColumn, ServeError>
     column_from_hex(hex, records)
 }
 
-fn merged_rounds_from_value(value: &serde_json::Value) -> Result<Vec<BitColumn>, ServeError> {
-    value
-        .get("merged_rounds")
-        .and_then(serde_json::Value::as_array)
-        .ok_or_else(|| ServeError::Snapshot("missing `merged_rounds`".to_string()))?
-        .iter()
-        .map(ragged_from_value)
-        .collect()
-}
-
-/// Decode one dynamic cohort: `(entry, records, columns)`, or `None` for a
-/// cohort that has not entered the panel.
-type DynamicCohort = Option<(usize, usize, Vec<BitColumn>)>;
-
-fn dynamic_cohort_from_value(value: &serde_json::Value) -> Result<DynamicCohort, ServeError> {
-    let Some((records, columns)) = panel_columns_from_value(value, false)? else {
-        return Ok(None);
-    };
-    let entry = index_field(value, "entry", "dynamic cohort")?;
-    Ok(Some((entry, records, columns)))
-}
-
 fn policy_to_dto(policy: Option<PolicyTag>) -> Option<String> {
     policy.map(|tag| tag.to_string())
 }
@@ -226,13 +236,13 @@ fn policy_from_value(value: &serde_json::Value) -> Result<Option<PolicyTag>, Ser
     }
 }
 
-/// Decode a panel value into `(records, columns)`; `require_columns`
-/// distinguishes full snapshots (a stored panel always has ≥ 1 column)
-/// from deltas (zero new rounds is legal).
+/// Decode a panel value into its columns (`None` for a null panel);
+/// `require_columns` distinguishes full snapshots (a stored panel always
+/// has ≥ 1 column) from deltas (zero new rounds is legal).
 fn panel_columns_from_value(
     value: &serde_json::Value,
     require_columns: bool,
-) -> Result<Option<(usize, Vec<BitColumn>)>, ServeError> {
+) -> Result<Option<Vec<BitColumn>>, ServeError> {
     if *value == serde_json::Value::Null {
         return Ok(None);
     }
@@ -246,196 +256,234 @@ fn panel_columns_from_value(
             "stored panels always hold at least one column".to_string(),
         ));
     }
-    let columns: Vec<BitColumn> = columns
+    columns
         .iter()
         .map(|col| {
             col.as_str()
                 .ok_or_else(|| ServeError::Snapshot("column is not a hex string".to_string()))
                 .and_then(|hex| column_from_hex(hex, records))
         })
-        .collect::<Result<_, _>>()?;
-    Ok(Some((records, columns)))
+        .collect::<Result<_, _>>()
+        .map(Some)
 }
 
-fn panel_from_value(value: &serde_json::Value) -> Result<GrowingPanel, ServeError> {
-    match panel_columns_from_value(value, true)? {
-        None => Ok(GrowingPanel::default()),
-        Some((_, columns)) => {
-            let dataset = LongitudinalDataset::from_columns(columns)
-                .map_err(|e| ServeError::Snapshot(format!("inconsistent panel: {e}")))?;
-            Ok(GrowingPanel::from_dataset(Some(dataset)))
+/// The v4 cohort coverage of a dynamic document's merged rounds (`None`
+/// when absent, as in v3).
+fn coverage_from_value(value: &serde_json::Value) -> Result<Option<Vec<Vec<usize>>>, ServeError> {
+    let Some(rows) = value
+        .get("coverage")
+        .filter(|raw| **raw != serde_json::Value::Null)
+    else {
+        return Ok(None);
+    };
+    let rows = rows
+        .as_array()
+        .ok_or_else(|| ServeError::Snapshot("coverage is not an array".to_string()))?;
+    rows.iter()
+        .map(|row| {
+            row.as_array()
+                .ok_or_else(|| ServeError::Snapshot("coverage round is not an array".to_string()))?
+                .iter()
+                .map(|c| index_from_value(c, "coverage entry"))
+                .collect()
+        })
+        .collect::<Result<_, _>>()
+        .map(Some)
+}
+
+/// A decoded full or delta document, of any supported version.
+struct Document {
+    policy: Option<PolicyTag>,
+    dynamic: bool,
+    /// Per cohort, its entry round (0 in a static document) and the columns
+    /// it carries; `None` for a cohort without a panel.
+    cohorts: Vec<Option<(usize, Vec<BitColumn>)>>,
+    /// The merged release of every carried round.
+    merged: Vec<BitColumn>,
+}
+
+/// Parse `json` and check that its format tag is one of `accepted`.
+fn parse(
+    json: &str,
+    kind: &str,
+    accepted: &[&'static str],
+) -> Result<(serde_json::Value, &'static str), ServeError> {
+    let value: serde_json::Value =
+        serde_json::from_str(json).map_err(|e| ServeError::Snapshot(e.to_string()))?;
+    let format = value
+        .get("format")
+        .and_then(serde_json::Value::as_str)
+        .ok_or_else(|| ServeError::Snapshot("missing `format` tag".to_string()))?;
+    let known = *accepted.iter().find(|&&f| f == format).ok_or_else(|| {
+        ServeError::Snapshot(format!(
+            "unsupported {kind} format {format:?} (expected one of {accepted:?})"
+        ))
+    })?;
+    Ok((value, known))
+}
+
+fn decode(value: &serde_json::Value, full: bool) -> Result<Document, ServeError> {
+    let policy = policy_from_value(value)?;
+    let dynamic = value
+        .get("dynamic")
+        .and_then(serde_json::Value::as_bool)
+        .unwrap_or(false);
+    let cohorts = value
+        .get("cohorts")
+        .and_then(serde_json::Value::as_array)
+        .ok_or_else(|| ServeError::Snapshot("missing `cohorts`".to_string()))?
+        .iter()
+        .map(|cohort| {
+            let Some(columns) = panel_columns_from_value(cohort, full)? else {
+                return Ok(None);
+            };
+            let entry = if dynamic {
+                index_field(cohort, "entry", "dynamic cohort")?
+            } else {
+                0
+            };
+            Ok(Some((entry, columns)))
+        })
+        .collect::<Result<_, ServeError>>()?;
+    let merged = if dynamic {
+        value
+            .get("merged_rounds")
+            .and_then(serde_json::Value::as_array)
+            .ok_or_else(|| ServeError::Snapshot("missing `merged_rounds`".to_string()))?
+            .iter()
+            .map(ragged_from_value)
+            .collect::<Result<_, _>>()?
+    } else {
+        let merged = value
+            .get("merged")
+            .ok_or_else(|| ServeError::Snapshot("missing `merged`".to_string()))?;
+        panel_columns_from_value(merged, full)?.unwrap_or_default()
+    };
+    Ok(Document {
+        policy,
+        dynamic,
+        cohorts,
+        merged,
+    })
+}
+
+/// The round plan of `doc` against `store`: for every carried round
+/// `base..`, the cohorts carrying a column for it and those columns. A
+/// cohort's columns start at its entry plus the rounds the store already
+/// holds of it, and must fall inside the carried rounds.
+fn plan<'a>(
+    store: &ReleaseStore,
+    base: usize,
+    doc: &'a Document,
+) -> Result<Vec<IngestRound<'a>>, ServeError> {
+    let end = base + doc.merged.len();
+    let mut plan: Vec<IngestRound<'a>> = (base..end)
+        .zip(&doc.merged)
+        .map(|(round, merged)| (round, Vec::new(), Vec::new(), merged))
+        .collect();
+    for (c, cohort) in doc.cohorts.iter().enumerate() {
+        let Some((entry, columns)) = cohort.as_ref().filter(|(_, cols)| !cols.is_empty()) else {
+            continue;
+        };
+        let first = entry + store.cohort_window(c).map_or(0, |held| held.len());
+        let last = first + columns.len();
+        if first < base || last > end {
+            return Err(ServeError::Snapshot(format!(
+                "cohort {c} covers rounds {first}..{last} but the document carries rounds \
+                 {base}..{end}"
+            )));
+        }
+        for ((_, active, parts, _), column) in plan[first - base..].iter_mut().zip(columns) {
+            active.push(c);
+            parts.push(column);
         }
     }
+    Ok(plan)
+}
+
+/// Replay a round plan through live ingestion; its refusals become
+/// snapshot errors with the same message.
+fn replay(
+    store: &mut ReleaseStore,
+    policy: PolicyTag,
+    doc: &Document,
+    plan: &[IngestRound<'_>],
+) -> Result<(), ServeError> {
+    store
+        .ingest_rounds(policy, doc.cohorts.len(), !doc.dynamic, plan)
+        .map_err(|e| match e {
+            ServeError::IngestMismatch(msg) => ServeError::Snapshot(msg),
+            other => other,
+        })
 }
 
 /// Render the store as a full JSON snapshot.
 pub fn snapshot_json(store: &ReleaseStore) -> String {
-    let dto = if store.is_dynamic() {
-        let (cohorts, entries, merged_rounds, coverage) = store.dynamic_parts();
-        let entries = entries.expect("dynamic store tracks entries");
-        SnapshotDto {
-            format: FORMAT.to_string(),
-            policy: policy_to_dto(store.policy()),
-            dynamic: true,
-            merged: None,
-            merged_rounds: merged_rounds.iter().map(ragged_to_dto).collect(),
-            coverage: coverage
-                .iter()
-                .map(|active| active.iter().map(|&c| c as u64).collect())
-                .collect(),
-            cohorts: cohorts
-                .iter()
-                .zip(entries)
-                .map(|(panel, entry)| cohort_to_dto(panel, *entry, 0))
-                .collect(),
-        }
-    } else {
-        let (merged, cohorts) = store.parts();
-        SnapshotDto {
-            format: FORMAT.to_string(),
-            policy: policy_to_dto(store.policy()),
-            dynamic: false,
-            merged: panel_to_dto(merged),
-            merged_rounds: Vec::new(),
-            coverage: Vec::new(),
-            cohorts: cohorts
-                .iter()
-                .map(|panel| cohort_to_dto(panel, None, 0))
-                .collect(),
-        }
+    let (merged, merged_rounds) = merged_to_dto(&store.merged, 0);
+    let coverage = match &store.merged {
+        MergedRelease::Longitudinal(_) => Vec::new(),
+        MergedRelease::Ragged(_) => (0..store.rounds())
+            .map(|t| {
+                let active = store.merged_coverage(t).expect("a released round");
+                active.into_iter().map(|c| c as u64).collect()
+            })
+            .collect(),
+    };
+    let dto = SnapshotDto {
+        format: FORMAT.to_string(),
+        policy: policy_to_dto(store.policy()),
+        dynamic: store.is_dynamic(),
+        merged,
+        merged_rounds,
+        coverage,
+        cohorts: cohorts_to_dto(store, 0),
     };
     serde_json::to_string_pretty(&dto).expect("vendored JSON writer is infallible")
 }
 
 /// Rebuild a store from a snapshot produced by [`snapshot_json`] (or by
-/// the pre-schedule v2 / pre-policy v1 writers, whose stores restore as
-/// static — v1 additionally as untagged).
+/// the pre-coverage v3, pre-schedule v2 and pre-policy v1 writers — v2 and
+/// v1 stores are static, and an untagged v1 store restores as
+/// [`PolicyTag::PerShard`]).
 pub fn restore_json(json: &str) -> Result<ReleaseStore, ServeError> {
-    let value = serde_json::from_str(json).map_err(|e| ServeError::Snapshot(e.to_string()))?;
-    let format = value
-        .get("format")
-        .and_then(serde_json::Value::as_str)
-        .ok_or_else(|| ServeError::Snapshot("missing `format` tag".to_string()))?;
-    if format != FORMAT && format != FORMAT_V3 && format != FORMAT_V2 && format != FORMAT_V1 {
+    let accepted = [FORMAT, FORMAT_V3, FORMAT_V2, FORMAT_V1];
+    let (value, format) = parse(json, "snapshot", &accepted)?;
+    let doc = decode(&value, true)?;
+    if doc.dynamic && (format == FORMAT_V2 || format == FORMAT_V1) {
         return Err(ServeError::Snapshot(format!(
-            "unsupported snapshot format {format:?} (expected {FORMAT:?}, {FORMAT_V3:?}, \
-             {FORMAT_V2:?}, or {FORMAT_V1:?})"
+            "dynamic stores need snapshot format {FORMAT:?} or {FORMAT_V3:?}, got {format:?}"
         )));
     }
-    let policy = policy_from_value(&value)?;
-    let dynamic = value
-        .get("dynamic")
-        .and_then(serde_json::Value::as_bool)
-        .unwrap_or(false);
-    if dynamic {
-        if format != FORMAT && format != FORMAT_V3 {
-            return Err(ServeError::Snapshot(format!(
-                "dynamic stores need snapshot format {FORMAT:?} or {FORMAT_V3:?}, \
-                 got {format:?}"
-            )));
-        }
-        let mut cohorts = Vec::new();
-        let mut entries = Vec::new();
-        for cohort in value
-            .get("cohorts")
-            .and_then(serde_json::Value::as_array)
-            .ok_or_else(|| ServeError::Snapshot("missing `cohorts`".to_string()))?
-        {
-            match dynamic_cohort_from_value(cohort)? {
-                None => {
-                    cohorts.push(GrowingPanel::default());
-                    entries.push(None);
-                }
-                Some((entry, _records, columns)) => {
-                    let dataset = LongitudinalDataset::from_columns(columns)
-                        .map_err(|e| ServeError::Snapshot(format!("inconsistent panel: {e}")))?;
-                    cohorts.push(GrowingPanel::from_dataset(Some(dataset)));
-                    entries.push(Some(entry));
-                }
-            }
-        }
-        let merged_rounds = merged_rounds_from_value(&value)?;
-        // v4 records coverage explicitly; v3 derives it from the windows.
-        let coverage = match value.get("coverage") {
-            None | Some(serde_json::Value::Null) => None,
-            Some(raw) => {
-                let rows = raw
-                    .as_array()
-                    .ok_or_else(|| ServeError::Snapshot("coverage is not an array".to_string()))?;
-                Some(
-                    rows.iter()
-                        .map(|row| {
-                            row.as_array()
-                                .ok_or_else(|| {
-                                    ServeError::Snapshot(
-                                        "coverage round is not an array".to_string(),
-                                    )
-                                })?
-                                .iter()
-                                .map(|c| index_from_value(c, "coverage entry"))
-                                .collect::<Result<Vec<usize>, _>>()
-                        })
-                        .collect::<Result<Vec<Vec<usize>>, _>>()?,
-                )
-            }
-        };
-        return ReleaseStore::from_dynamic_parts(cohorts, entries, merged_rounds, coverage, policy);
-    }
-    let merged = panel_from_value(
-        value
-            .get("merged")
-            .ok_or_else(|| ServeError::Snapshot("missing `merged`".to_string()))?,
-    )?;
-    let cohorts: Vec<GrowingPanel> = value
-        .get("cohorts")
-        .and_then(serde_json::Value::as_array)
-        .ok_or_else(|| ServeError::Snapshot("missing `cohorts`".to_string()))?
-        .iter()
-        .map(panel_from_value)
-        .collect::<Result<_, _>>()?;
-    // Lockstep invariant: every non-empty cohort panel has exactly the
-    // merged panel's round count, and — for per-shard stores, where the
-    // merged panel is the cohort concatenation — cohort records sum to
-    // merged records (a shared-noise merged panel is an independent
-    // synthesis, so no sum constraint applies).
-    let rounds = merged.rounds();
-    for (index, cohort) in cohorts.iter().enumerate() {
-        if cohort.panel().is_some() && cohort.rounds() != rounds {
-            return Err(ServeError::Snapshot(format!(
-                "cohort {index} has {} rounds, merged has {rounds}",
-                cohort.rounds()
-            )));
-        }
-    }
-    if policy != Some(PolicyTag::Shared) {
-        if let Some(records) = merged.records() {
-            let cohort_records: usize = cohorts.iter().filter_map(GrowingPanel::records).sum();
-            if cohort_records != records {
-                return Err(ServeError::Snapshot(format!(
-                    "cohort records sum to {cohort_records}, merged has {records}"
-                )));
-            }
-        }
-    }
-    // An untagged snapshot with rounds can only be a pre-policy (v1)
+    let mut store = ReleaseStore::new();
+    // An untagged document holding anything can only be a pre-policy (v1)
     // store, which by construction held per-shard concatenation rounds
-    // (the sum check above just enforced exactly that). Pin the tag so a
-    // later shared-noise ingest cannot retroactively relabel the history.
-    let policy = match policy {
-        None if merged.rounds() > 0 => Some(PolicyTag::PerShard),
-        other => other,
+    // (the replay enforces exactly that). Pin the tag so a later
+    // shared-noise ingest cannot retroactively relabel the history.
+    let holds_anything = !doc.cohorts.is_empty() || !doc.merged.is_empty();
+    let Some(policy) = doc.policy.or(holds_anything.then_some(PolicyTag::PerShard)) else {
+        return Ok(store);
     };
-    Ok(ReleaseStore::from_parts(merged, cohorts, policy))
+    let plan = plan(&store, 0, &doc)?;
+    if let Some(recorded) = coverage_from_value(&value)?.filter(|_| doc.dynamic) {
+        let replayed = plan.iter().map(|(_, active, _, _)| active);
+        if recorded.len() != plan.len() || !recorded.iter().eq(replayed) {
+            return Err(ServeError::Snapshot(
+                "merged-round coverage metadata disagrees with the cohort windows".to_string(),
+            ));
+        }
+    }
+    replay(&mut store, policy, &doc, &plan)?;
+    Ok(store)
 }
 
 /// Render the rounds released **after** `base_rounds` as an incremental
 /// snapshot — O(delta), not O(store). The receiver must hold exactly
 /// `base_rounds` rounds when applying ([`apply_delta_json`]).
 ///
-/// For a dynamic store the delta carries, per cohort, the columns of the
-/// global rounds past the base (a cohort retired before the base
-/// contributes none; one entering after it contributes all of its
-/// columns), plus the ragged merged rounds.
+/// Each cohort carries its columns of the global rounds past the base (a
+/// cohort retired before the base contributes none; one entering after it
+/// contributes all of its columns), plus the merged release of those
+/// rounds.
 ///
 /// Errors if the store holds fewer than `base_rounds` rounds.
 pub fn snapshot_since_json(store: &ReleaseStore, base_rounds: usize) -> Result<String, ServeError> {
@@ -445,70 +493,26 @@ pub fn snapshot_since_json(store: &ReleaseStore, base_rounds: usize) -> Result<S
             store.rounds()
         )));
     }
-    let dto = if store.is_dynamic() {
-        let (cohorts, entries, merged_rounds, _coverage) = store.dynamic_parts();
-        let entries = entries.expect("dynamic store tracks entries");
-        DeltaDto {
-            format: DELTA_FORMAT.to_string(),
-            policy: policy_to_dto(store.policy()),
-            dynamic: true,
-            base_rounds: base_rounds as u64,
-            delta_rounds: (store.rounds() - base_rounds) as u64,
-            merged: None,
-            merged_rounds: merged_rounds[base_rounds..]
-                .iter()
-                .map(ragged_to_dto)
-                .collect(),
-            cohorts: cohorts
-                .iter()
-                .zip(entries)
-                .map(|(panel, entry)| {
-                    // Local index of the first column at or past the base.
-                    let since = entry.map_or(0, |e| base_rounds.saturating_sub(e));
-                    cohort_to_dto(panel, *entry, since)
-                })
-                .collect(),
-        }
-    } else {
-        let (merged, cohorts) = store.parts();
-        DeltaDto {
-            format: DELTA_FORMAT.to_string(),
-            policy: policy_to_dto(store.policy()),
-            dynamic: false,
-            base_rounds: base_rounds as u64,
-            delta_rounds: (store.rounds() - base_rounds) as u64,
-            merged: merged.panel().map(|dataset| PanelDto {
-                records: dataset.individuals() as u64,
-                columns: (base_rounds..dataset.rounds())
-                    .map(|t| column_to_hex(dataset.column(t)))
-                    .collect(),
-            }),
-            merged_rounds: Vec::new(),
-            cohorts: cohorts
-                .iter()
-                .map(|panel| cohort_to_dto(panel, None, base_rounds))
-                .collect(),
-        }
+    let (merged, merged_rounds) = merged_to_dto(&store.merged, base_rounds);
+    let dto = DeltaDto {
+        format: DELTA_FORMAT.to_string(),
+        policy: policy_to_dto(store.policy()),
+        dynamic: store.is_dynamic(),
+        base_rounds: base_rounds as u64,
+        delta_rounds: (store.rounds() - base_rounds) as u64,
+        merged,
+        merged_rounds,
+        cohorts: cohorts_to_dto(store, base_rounds),
     };
     Ok(serde_json::to_string_pretty(&dto).expect("vendored JSON writer is infallible"))
 }
 
 /// Apply an incremental snapshot produced by [`snapshot_since_json`] to a
-/// store holding exactly the delta's base rounds. Appended rounds pass the
-/// same validation as live ingestion, so a rejected delta leaves the store
-/// untouched round-atomically.
+/// store holding exactly the delta's base rounds. The delta's rounds are
+/// planned from the base and replayed through live ingestion as one batch:
+/// same validation, and a rejected delta leaves the store untouched.
 pub fn apply_delta_json(store: &mut ReleaseStore, json: &str) -> Result<(), ServeError> {
-    let value = serde_json::from_str(json).map_err(|e| ServeError::Snapshot(e.to_string()))?;
-    let format = value
-        .get("format")
-        .and_then(serde_json::Value::as_str)
-        .ok_or_else(|| ServeError::Snapshot("missing `format` tag".to_string()))?;
-    if format != DELTA_FORMAT && format != DELTA_FORMAT_V1 {
-        return Err(ServeError::Snapshot(format!(
-            "unsupported delta format {format:?} (expected {DELTA_FORMAT:?} or \
-             {DELTA_FORMAT_V1:?})"
-        )));
-    }
+    let (value, _) = parse(json, "delta", &[DELTA_FORMAT, DELTA_FORMAT_V1])?;
     let base_rounds = index_field(&value, "base_rounds", "delta")?;
     if store.rounds() != base_rounds {
         return Err(ServeError::Snapshot(format!(
@@ -516,143 +520,22 @@ pub fn apply_delta_json(store: &mut ReleaseStore, json: &str) -> Result<(), Serv
             store.rounds()
         )));
     }
-    let policy = policy_from_value(&value)?;
     let delta_rounds = index_field(&value, "delta_rounds", "delta")?;
+    let doc = decode(&value, false)?;
     if delta_rounds == 0 {
         return Ok(());
     }
-    let policy = policy.ok_or_else(|| {
+    let policy = doc.policy.ok_or_else(|| {
         ServeError::Snapshot("delta with rounds carries no policy tag".to_string())
     })?;
-    let dynamic = value
-        .get("dynamic")
-        .and_then(serde_json::Value::as_bool)
-        .unwrap_or(false);
-    if dynamic {
-        return apply_dynamic_delta(store, &value, base_rounds, delta_rounds, policy);
-    }
-    let merged = panel_columns_from_value(
-        value
-            .get("merged")
-            .ok_or_else(|| ServeError::Snapshot("missing `merged`".to_string()))?,
-        false,
-    )?
-    .ok_or_else(|| ServeError::Snapshot("delta with rounds has a null merged panel".to_string()))?;
-    let cohorts: Vec<(usize, Vec<BitColumn>)> = value
-        .get("cohorts")
-        .and_then(serde_json::Value::as_array)
-        .ok_or_else(|| ServeError::Snapshot("missing `cohorts`".to_string()))?
-        .iter()
-        .map(|panel| {
-            panel_columns_from_value(panel, false)?.ok_or_else(|| {
-                ServeError::Snapshot("delta with rounds has a null cohort panel".to_string())
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let (_, merged_columns) = merged;
-    if merged_columns.len() != delta_rounds
-        || cohorts
-            .iter()
-            .any(|(_, columns)| columns.len() != delta_rounds)
-    {
-        return Err(ServeError::Snapshot(format!(
-            "delta declares {delta_rounds} rounds but panels disagree"
-        )));
-    }
-    // Replay through the live ingestion path: same validation, same
-    // atomicity per round, policy consistency included.
-    for round in 0..delta_rounds {
-        let parts: Vec<BitColumn> = cohorts
-            .iter()
-            .map(|(_, columns)| columns[round].clone())
-            .collect();
-        store.ingest_columns_with(policy, &parts, &merged_columns[round])?;
-    }
-    Ok(())
-}
-
-/// Apply a dynamic-panel delta by replaying each global round through the
-/// live [`ReleaseStore::ingest_active_columns`] path — same validation
-/// (entry pinning, contiguity, concatenation sums), same per-round
-/// atomicity. Each cohort's delta columns map onto global rounds
-/// `entry + already_stored + k`; a round's active set is exactly the
-/// cohorts with a column at that round.
-fn apply_dynamic_delta(
-    store: &mut ReleaseStore,
-    value: &serde_json::Value,
-    base_rounds: usize,
-    delta_rounds: usize,
-    policy: longsynth_engine::PolicyTag,
-) -> Result<(), ServeError> {
-    let merged_rounds = merged_rounds_from_value(value)?;
-    if merged_rounds.len() != delta_rounds {
+    if doc.merged.len() != delta_rounds {
         return Err(ServeError::Snapshot(format!(
             "delta declares {delta_rounds} rounds but carries {} merged columns",
-            merged_rounds.len()
+            doc.merged.len()
         )));
     }
-    let cohorts: Vec<DynamicCohort> = value
-        .get("cohorts")
-        .and_then(serde_json::Value::as_array)
-        .ok_or_else(|| ServeError::Snapshot("missing `cohorts`".to_string()))?
-        .iter()
-        .map(dynamic_cohort_from_value)
-        .collect::<Result<_, _>>()?;
-    let cohort_count = cohorts.len();
-    // Rounds each cohort already holds — captured before the replay
-    // mutates the store. An empty (fresh) store holds none anywhere.
-    let already: Vec<usize> = (0..cohort_count)
-        .map(|c| store.cohort_window(c).map_or(0, |window| window.len()))
-        .collect();
-    // Dry pass: plan each round's active set and check, BEFORE any
-    // mutation, that every carried column lands inside the declared round
-    // range. A delta whose cohort columns spill outside it (understated
-    // `delta_rounds`, shifted `entry`) is corrupt, not silently
-    // truncatable — mirroring the static path's "panels disagree" check.
-    let mut plan: Vec<(Vec<usize>, Vec<&BitColumn>)> = Vec::with_capacity(delta_rounds);
-    let mut consumed = vec![0usize; cohort_count];
-    for round in base_rounds..base_rounds + delta_rounds {
-        let mut active = Vec::new();
-        let mut columns = Vec::new();
-        for (c, cohort) in cohorts.iter().enumerate() {
-            let Some((entry, _records, cols)) = cohort else {
-                continue;
-            };
-            let first_new = entry + already[c];
-            if round >= first_new && round - first_new < cols.len() {
-                active.push(c);
-                columns.push(&cols[round - first_new]);
-                consumed[c] += 1;
-            }
-        }
-        plan.push((active, columns));
-    }
-    for (c, cohort) in cohorts.iter().enumerate() {
-        if let Some((_, _, cols)) = cohort {
-            if consumed[c] != cols.len() {
-                return Err(ServeError::Snapshot(format!(
-                    "delta declares {delta_rounds} rounds but cohort {c} carries {} columns, \
-                     of which only {} fall inside the declared range",
-                    cols.len(),
-                    consumed[c]
-                )));
-            }
-        }
-    }
-    // Replay through the live ingestion path: same validation, same
-    // per-round atomicity, policy consistency included.
-    for (offset, (active, columns)) in plan.into_iter().enumerate() {
-        let columns: Vec<BitColumn> = columns.into_iter().cloned().collect();
-        store.ingest_active_columns(
-            policy,
-            base_rounds + offset,
-            cohort_count,
-            &active,
-            &columns,
-            &merged_rounds[offset],
-        )?;
-    }
-    Ok(())
+    let plan = plan(store, base_rounds, &doc)?;
+    replay(store, policy, &doc, &plan)
 }
 
 impl ReleaseStore {
@@ -988,22 +871,16 @@ mod tests {
     #[test]
     fn dynamic_snapshot_coverage_is_validated() {
         let store = dynamic_store();
-        assert!(store.to_snapshot_json().contains("\"coverage\""));
+        let json = store.to_snapshot_json();
+        assert!(json.contains("\"coverage\""));
         // Tampered coverage that disagrees with the cohort windows is
         // refused (the v3-restore derivation path — no coverage recorded
         // at all — is pinned by the frozen fixture in
-        // `tests/prop_store.rs`).
-        let (cohorts, entries, merged_rounds, coverage) = store.dynamic_parts();
-        let mut tampered = coverage.to_vec();
-        tampered[0] = vec![1];
-        let err = ReleaseStore::from_dynamic_parts(
-            cohorts.to_vec(),
-            entries.expect("dynamic store").to_vec(),
-            merged_rounds.to_vec(),
-            Some(tampered),
-            store.policy(),
-        )
-        .unwrap_err();
+        // `tests/prop_store.rs`): round 0's row [0, 1] becomes [1].
+        let row = "\"coverage\": [\n    [\n      0,\n      1\n    ],";
+        assert!(json.contains(row), "{json}");
+        let tampered = json.replace(row, "\"coverage\": [\n    [\n      1\n    ],");
+        let err = ReleaseStore::from_snapshot_json(&tampered).unwrap_err();
         assert!(err.to_string().contains("coverage"), "{err}");
     }
 
@@ -1022,6 +899,50 @@ mod tests {
         let bad = json.replace("\"entry\": 1", "\"entry\": 2");
         let err = ReleaseStore::from_snapshot_json(&bad).unwrap_err();
         assert!(err.to_string().contains("covers rounds"), "{err}");
+    }
+
+    #[test]
+    fn restore_refuses_shapes_live_ingest_cannot_produce() {
+        // A static store whose cohort 0 has no panel beside a 2-round
+        // merged panel: live ingest steps every cohort in every round.
+        let json = format!(
+            r#"{{
+  "format": "{FORMAT}",
+  "policy": "shared",
+  "dynamic": false,
+  "merged": {{ "records": 3, "columns": ["0000000000000005", "0000000000000003"] }},
+  "merged_rounds": [],
+  "coverage": [],
+  "cohorts": [
+    null,
+    {{ "records": 2, "entry": null, "columns": ["0000000000000001", "0000000000000002"] }}
+  ]
+}}"#
+        );
+        assert!(matches!(
+            ReleaseStore::from_snapshot_json(&json),
+            Err(ServeError::Snapshot(_))
+        ));
+        // A dynamic store with a round no cohort covers: live ingest
+        // refuses an empty active set.
+        let json = format!(
+            r#"{{
+  "format": "{FORMAT}",
+  "policy": "shared",
+  "dynamic": true,
+  "merged": null,
+  "merged_rounds": [
+    {{ "records": 1, "column": "0000000000000001" }},
+    {{ "records": 0, "column": "" }}
+  ],
+  "coverage": [[0], []],
+  "cohorts": [ {{ "records": 1, "entry": 0, "columns": ["0000000000000001"] }} ]
+}}"#
+        );
+        assert!(matches!(
+            ReleaseStore::from_snapshot_json(&json),
+            Err(ServeError::Snapshot(_))
+        ));
     }
 
     #[test]

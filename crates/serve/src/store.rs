@@ -1,11 +1,11 @@
 //! [`ReleaseStore`]: the append-only archive of everything the engine has
 //! released.
 //!
-//! The store keeps one growing synthetic panel per scope: the merged
-//! population-level release, plus one panel per cohort (shard). Panels grow
-//! strictly by appending columns — released prefixes are never rewritten,
-//! mirroring the persistent-record guarantee of the synthesizers themselves.
-//! That immutability is what makes the serving cache sound and the snapshot
+//! The store keeps one growing synthetic panel per cohort (shard) plus the
+//! merged population-level release. Panels grow strictly by appending
+//! columns — released prefixes are never rewritten, mirroring the
+//! persistent-record guarantee of the synthesizers themselves. That
+//! immutability is what makes the serving cache sound and the snapshot
 //! format trivial.
 //!
 //! Ingestion accepts the two release shapes the engine produces:
@@ -22,30 +22,44 @@
 //! bookkeeping and is not a function of the release alone).
 //!
 //! Every round arrives tagged with the engine's [`PolicyTag`]: under
-//! `PerShard` the merged panel is the shard-order concatenation of the
-//! cohort panels (and ingestion enforces that cohort record counts sum to
-//! the merged count); under `Shared` the merged panel is an *independent*
-//! population-level synthesis whose record count need not match the
-//! cohort sum, so that cross-check is relaxed (per-panel consistency and
-//! round lockstep still hold). The tag is recorded on first ingest, must
-//! stay constant for the store's lifetime, and travels with snapshots.
+//! `PerShard` the merged release is the shard-order concatenation of the
+//! stepping cohorts' columns (ingestion enforces that their record counts
+//! sum to the merged count); under `Shared` the merged release is an
+//! *independent* population-level synthesis whose record count need not
+//! match, so that cross-check is relaxed (per-panel consistency and
+//! contiguity still hold). The tag is recorded on first ingest, must stay
+//! constant for the store's lifetime, and travels with snapshots.
 //!
-//! ## Dynamic panels
+//! ## One model: cohorts × round ranges
 //!
-//! A rotating panel's cohorts cover different **round ranges**: wave `c`
-//! enters at round `e_c` and retires after its horizon. The store indexes
-//! such releases by *cohort × round range* —
-//! [`ingest_active_columns`](ReleaseStore::ingest_active_columns) records
-//! each active cohort's column at its own local round offset, and the
-//! per-round merged release (whose record count varies with the active
-//! set) is kept as a ragged column list. Cross-round queries at
-//! [`StoreScope::Merged`] are answered as the **size-weighted combination
-//! of the covering cohorts' answers** (a window query only counts cohorts
-//! that observed the whole window): the ragged merged panel is not
-//! longitudinally meaningful — record `i` of round `t` and round `t+1`
-//! may be different individuals. The two ingestion families are mutually
-//! exclusive: a store is *static* (lockstep) or *dynamic* (scheduled) for
-//! its whole lifetime, fixed by the first ingested round.
+//! Every cohort covers a contiguous range of global rounds: cohort `c`
+//! enters at round `e_c` and, in a rotating panel, retires after its
+//! horizon. Its panel holds **local** rounds, so a cohort query at global
+//! round `t` reads local round `t − e_c`. A static (lockstep) panel is the
+//! schedule where every cohort enters at round 0 and steps in every round.
+//! [`ingest_columns`](ReleaseStore::ingest_columns) and
+//! [`ingest_releases`](ReleaseStore::ingest_releases) feed such lockstep
+//! rounds, [`ingest_active_columns`](ReleaseStore::ingest_active_columns)
+//! feeds scheduled ones (each round names its active cohorts), and all of
+//! them — snapshot restore and delta replay included — run through one
+//! validator.
+//!
+//! The one real difference between the two shapes is whether record `i`
+//! of the merged release is the same individual in every round. The
+//! store's merged release records it, fixed by the first ingested round:
+//!
+//! - **Longitudinal** (lockstep rounds): the merged release is one
+//!   rectangular panel and merged-scope queries evaluate it directly.
+//!   Under shared noise it is an independent population synthesis, so its
+//!   answers are *not* the pooled cohort answers.
+//! - **Ragged** (scheduled rounds — [`is_dynamic`](ReleaseStore::is_dynamic)):
+//!   the merged record count varies with the active set, and record `i` of
+//!   rounds `t` and `t+1` may be different individuals. The rounds are kept
+//!   as a column list, and cross-round merged queries are answered as the
+//!   **size-weighted combination of the covering cohorts' answers** (a
+//!   window query only counts cohorts that observed the whole window).
+//!
+//! The two ingestion families never mix in one store.
 //!
 //! Note on **shared-noise rotating** stores: merged-scope answers still
 //! pool the covering cohorts' panels. The stored merged rounds are the
@@ -54,9 +68,9 @@
 //! reset bookkeeping (which record slots rotated out when) — the same
 //! limitation as the fixed-window debiased estimator above. The
 //! engine-side `population_synthesizer()` estimates remain the
-//! single-draw accuracy product; the store records the columns plus their
-//! [cohort coverage](ReleaseStore::merged_coverage) so consumers can
-//! interpret them.
+//! single-draw accuracy product; the store records the columns, and
+//! [`merged_coverage`](ReleaseStore::merged_coverage) names the cohorts
+//! each one stands for so consumers can interpret them.
 
 use longsynth::Release;
 use longsynth_data::{BitColumn, LongitudinalDataset};
@@ -114,8 +128,8 @@ pub enum ServeError {
         /// The query's window width.
         width: usize,
     },
-    /// A dynamic store was asked about a round outside a cohort's covered
-    /// range (before its entry, or after its retirement).
+    /// A released round lies outside a cohort's covered range (before its
+    /// entry, or after its retirement).
     RoundNotCovered {
         /// The scope queried.
         scope: StoreScope,
@@ -190,27 +204,20 @@ impl fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// A synthetic panel that grows by appending released columns. The record
-/// count is pinned by the first column and every later append must match.
+/// count is pinned by the first column; callers validate later appends.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct GrowingPanel {
     panel: Option<LongitudinalDataset>,
 }
 
 impl GrowingPanel {
-    pub(crate) fn push(&mut self, column: &BitColumn) -> Result<(), ServeError> {
-        match &mut self.panel {
-            None => {
-                let mut panel = LongitudinalDataset::empty(column.len());
-                panel
-                    .push_column(column.clone())
-                    .expect("first column always matches");
-                self.panel = Some(panel);
-                Ok(())
-            }
-            Some(panel) => panel.push_column(column.clone()).map_err(|e| {
-                ServeError::IngestMismatch(format!("released column has wrong record count: {e}"))
-            }),
-        }
+    fn push(&mut self, column: &BitColumn) {
+        let panel = self
+            .panel
+            .get_or_insert_with(|| LongitudinalDataset::empty(column.len()));
+        panel
+            .push_column(column.clone())
+            .expect("validated against the panel's record count");
     }
 
     pub(crate) fn rounds(&self) -> usize {
@@ -224,11 +231,28 @@ impl GrowingPanel {
     pub(crate) fn panel(&self) -> Option<&LongitudinalDataset> {
         self.panel.as_ref()
     }
+}
 
-    pub(crate) fn from_dataset(panel: Option<LongitudinalDataset>) -> Self {
-        Self { panel }
+/// The merged population-level release. Whether record `i` is the same
+/// individual in every round decides its shape: one rectangular panel for
+/// lockstep rounds, or the per-round columns of a scheduled panel, whose
+/// active population changes with the schedule.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum MergedRelease {
+    Longitudinal(GrowingPanel),
+    Ragged(Vec<BitColumn>),
+}
+
+impl Default for MergedRelease {
+    fn default() -> Self {
+        MergedRelease::Longitudinal(GrowingPanel::default())
     }
 }
+
+/// One round of an ingest batch: the global round, the ascending cohorts
+/// that stepped in it, their released columns (in `active` order), and the
+/// merged release.
+pub(crate) type IngestRound<'a> = (usize, Vec<usize>, Vec<&'a BitColumn>, &'a BitColumn);
 
 /// The append-only store of merged and per-cohort releases.
 ///
@@ -236,34 +260,21 @@ impl GrowingPanel {
 /// which the snapshot/restore tests use to pin bit-identity.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReleaseStore {
-    merged: GrowingPanel,
-    cohorts: Vec<GrowingPanel>,
     /// The aggregation policy that produced every ingested round (fixed by
     /// the first ingest; `None` while the store is empty).
-    policy: Option<PolicyTag>,
-    /// Dynamic-panel state: `Some` once the first scheduled round arrives.
-    /// `entries[c]` is cohort `c`'s entry round (`None` until it enters);
-    /// the cohort's panel then covers global rounds
-    /// `entry .. entry + panel.rounds()`.
-    entries: Option<Vec<Option<usize>>>,
-    /// The per-round merged releases of a dynamic store — ragged, because
-    /// the active population changes with the schedule.
-    merged_rounds: Vec<BitColumn>,
-    /// Cohort-coverage metadata of a dynamic store's merged rounds:
-    /// `merged_coverage[t]` is the ascending set of cohorts whose
-    /// individuals round `t`'s merged release covers — the interpretation
-    /// key for **shared-noise rotating** stores, whose merged rounds are
-    /// independent windowed population syntheses. The value equals the
-    /// set of cohorts whose window contains `t` (restore validates
-    /// exactly that, and pre-v4 snapshots derive it), so recording it
-    /// makes each snapshot self-describing and tamper-evident rather
-    /// than adding new information.
-    merged_coverage: Vec<Vec<usize>>,
+    pub(crate) policy: Option<PolicyTag>,
+    /// One panel per cohort, holding the cohort's local rounds.
+    pub(crate) cohorts: Vec<GrowingPanel>,
+    /// `entries[c]` is cohort `c`'s entry round (`None` until it enters;
+    /// 0 for every cohort of a static store): its panel covers global
+    /// rounds `entry .. entry + panel.rounds()`.
+    pub(crate) entries: Vec<Option<usize>>,
+    pub(crate) merged: MergedRelease,
 }
 
 impl ReleaseStore {
-    /// An empty store; the first ingested round fixes the cohort count and
-    /// the policy tag.
+    /// An empty store; the first ingested round fixes the cohort count,
+    /// the policy tag, and whether the store is static or dynamic.
     pub fn new() -> Self {
         Self::default()
     }
@@ -279,9 +290,9 @@ impl ReleaseStore {
         self.ingest_columns_with(PolicyTag::PerShard, per_cohort, merged)
     }
 
-    /// Ingest one cumulative-family round: per-cohort released columns (in
-    /// shard order) plus the merged population-level column, tagged with
-    /// the aggregation policy that produced them.
+    /// Ingest one cumulative-family lockstep round: per-cohort released
+    /// columns (in shard order) plus the merged population-level column,
+    /// tagged with the aggregation policy that produced them.
     ///
     /// Ingestion is atomic: every column of the round is validated against
     /// the store's shape *before* anything is appended, so a rejected round
@@ -293,8 +304,13 @@ impl ReleaseStore {
         per_cohort: &[BitColumn],
         merged: &BitColumn,
     ) -> Result<(), ServeError> {
-        let parts: Vec<&BitColumn> = per_cohort.iter().collect();
-        self.ingest_validated_rounds(policy, per_cohort.len(), &[(&parts, merged)])
+        let round = (
+            self.rounds(),
+            (0..per_cohort.len()).collect(),
+            per_cohort.iter().collect(),
+            merged,
+        );
+        self.ingest_rounds(policy, per_cohort.len(), true, &[round])
     }
 
     /// Ingest one fixed-window round under the default
@@ -320,145 +336,45 @@ impl ReleaseStore {
         per_cohort: &[Release],
         merged: &Release,
     ) -> Result<(), ServeError> {
-        match merged {
-            Release::Buffered => {
-                if per_cohort
-                    .iter()
-                    .any(|release| !matches!(release, Release::Buffered))
-                {
-                    return Err(ServeError::IngestMismatch(
-                        "cohort/merged release variants disagree".to_string(),
-                    ));
-                }
-                self.ingest_validated_rounds(policy, per_cohort.len(), &[])
-            }
-            Release::Initial(columns) => {
-                let mut rounds = Vec::with_capacity(columns.len());
-                for (round_offset, column) in columns.iter().enumerate() {
-                    let parts: Vec<&BitColumn> = per_cohort
-                        .iter()
-                        .map(|release| match release {
-                            Release::Initial(cols) => cols.get(round_offset).ok_or_else(|| {
-                                ServeError::IngestMismatch(
-                                    "cohort initial release narrower than merged".to_string(),
-                                )
-                            }),
-                            _ => Err(ServeError::IngestMismatch(
-                                "cohort/merged release variants disagree".to_string(),
-                            )),
-                        })
-                        .collect::<Result<_, _>>()?;
-                    rounds.push((parts, column));
-                }
-                let rounds: Vec<(&[&BitColumn], &BitColumn)> = rounds
-                    .iter()
-                    .map(|(parts, column)| (parts.as_slice(), *column))
-                    .collect();
-                self.ingest_validated_rounds(policy, per_cohort.len(), &rounds)
-            }
-            Release::Update(column) => {
-                let parts: Vec<&BitColumn> = per_cohort
-                    .iter()
-                    .map(|release| match release {
-                        Release::Update(col) => Ok(col),
-                        _ => Err(ServeError::IngestMismatch(
-                            "cohort/merged release variants disagree".to_string(),
-                        )),
-                    })
-                    .collect::<Result<_, _>>()?;
-                self.ingest_validated_rounds(policy, per_cohort.len(), &[(&parts, column)])
+        fn columns(release: &Release) -> &[BitColumn] {
+            match release {
+                Release::Buffered => &[],
+                Release::Initial(columns) => columns,
+                Release::Update(column) => std::slice::from_ref(column),
             }
         }
-    }
-
-    /// The single mutation path: check the policy tag and cohort count,
-    /// validate every column of every round against the store's shape, and
-    /// only then append — so any error leaves the store untouched.
-    fn ingest_validated_rounds(
-        &mut self,
-        policy: PolicyTag,
-        incoming_cohorts: usize,
-        rounds: &[(&[&BitColumn], &BitColumn)],
-    ) -> Result<(), ServeError> {
-        if self.is_dynamic() {
-            return Err(ServeError::IngestMismatch(
-                "store holds dynamic (scheduled) rounds; lockstep rounds cannot mix in".to_string(),
-            ));
-        }
-        if let Some(existing) = self.policy {
-            if existing != policy {
-                return Err(ServeError::IngestMismatch(format!(
-                    "round tagged {policy}, store holds {existing} releases"
-                )));
+        let merged_columns = columns(merged);
+        let mut parts = vec![Vec::with_capacity(per_cohort.len()); merged_columns.len()];
+        for release in per_cohort {
+            if std::mem::discriminant(release) != std::mem::discriminant(merged) {
+                return Err(ServeError::IngestMismatch(
+                    "cohort/merged release variants disagree".to_string(),
+                ));
+            }
+            if columns(release).len() < merged_columns.len() {
+                return Err(ServeError::IngestMismatch(
+                    "cohort initial release narrower than merged".to_string(),
+                ));
+            }
+            for (round_parts, column) in parts.iter_mut().zip(columns(release)) {
+                round_parts.push(column);
             }
         }
-        let fresh = self.cohorts.is_empty() && self.merged.rounds() == 0;
-        if !fresh && self.cohorts.len() != incoming_cohorts {
-            return Err(ServeError::IngestMismatch(format!(
-                "round carries {incoming_cohorts} cohort releases, store tracks {}",
-                self.cohorts.len()
-            )));
-        }
-        // Validation pass — no mutation yet. Expected record counts come
-        // from the store if it has them, else from the first round of this
-        // very batch (a multi-column Initial release must self-agree).
-        let mut expected_merged = self.merged.records();
-        let mut expected_cohorts: Vec<Option<usize>> = if fresh {
-            vec![None; incoming_cohorts]
-        } else {
-            self.cohorts.iter().map(GrowingPanel::records).collect()
-        };
-        for (parts, merged) in rounds {
-            // Under per-shard noise the merged column is the cohort
-            // concatenation, so record counts must sum; a shared-noise
-            // merged column is an independent population synthesis whose
-            // n* is free to differ.
-            if policy == PolicyTag::PerShard {
-                let total: usize = parts.iter().map(|c| c.len()).sum();
-                if total != merged.len() {
-                    return Err(ServeError::IngestMismatch(format!(
-                        "cohort columns cover {total} records, merged column {}",
-                        merged.len()
-                    )));
-                }
-            }
-            match expected_merged {
-                Some(records) if records != merged.len() => {
-                    return Err(ServeError::IngestMismatch(format!(
-                        "merged column has {} records, store holds {records}",
-                        merged.len()
-                    )));
-                }
-                _ => expected_merged = Some(merged.len()),
-            }
-            for (cohort, (expected, column)) in
-                expected_cohorts.iter_mut().zip(parts.iter()).enumerate()
-            {
-                match *expected {
-                    Some(records) if records != column.len() => {
-                        return Err(ServeError::IngestMismatch(format!(
-                            "cohort {cohort} column has {} records, panel holds {records}",
-                            column.len()
-                        )));
-                    }
-                    _ => *expected = Some(column.len()),
-                }
-            }
-        }
-        // Commit pass — every push is now guaranteed to succeed.
-        if fresh {
-            self.cohorts = vec![GrowingPanel::default(); incoming_cohorts];
-        }
-        self.policy = Some(policy);
-        for (parts, merged) in rounds {
-            self.merged
-                .push(merged)
-                .expect("validated against store shape");
-            for (panel, column) in self.cohorts.iter_mut().zip(parts.iter()) {
-                panel.push(column).expect("validated against store shape");
-            }
-        }
-        Ok(())
+        let start = self.rounds();
+        let batch: Vec<IngestRound<'_>> = parts
+            .into_iter()
+            .zip(merged_columns)
+            .enumerate()
+            .map(|(offset, (parts, merged))| {
+                (
+                    start + offset,
+                    (0..per_cohort.len()).collect(),
+                    parts,
+                    merged,
+                )
+            })
+            .collect();
+        self.ingest_rounds(policy, per_cohort.len(), true, &batch)
     }
 
     /// Ingest one **dynamic-panel** round: the releases of the round's
@@ -481,145 +397,194 @@ impl ReleaseStore {
         per_cohort: &[BitColumn],
         merged: &BitColumn,
     ) -> Result<(), ServeError> {
-        let fresh = self.policy.is_none() && self.cohorts.is_empty();
-        if !fresh && !self.is_dynamic() {
-            return Err(ServeError::IngestMismatch(
-                "store holds static lockstep rounds; scheduled rounds cannot mix in".to_string(),
-            ));
-        }
+        let round = (round, active.to_vec(), per_cohort.iter().collect(), merged);
+        self.ingest_rounds(policy, cohorts, false, &[round])
+    }
+
+    /// The single mutation path, shared by live ingestion, snapshot
+    /// restore and delta replay. Checks the policy tag, the cohort count
+    /// and the merged release's shape (`longitudinal` rounds are lockstep:
+    /// every cohort steps), then validates each round of `batch` against
+    /// the store as the batch's earlier rounds leave it, and only then
+    /// appends — so any error leaves the store untouched. The first ingest
+    /// (even of an empty batch) fixes the cohort count, policy and shape.
+    pub(crate) fn ingest_rounds(
+        &mut self,
+        policy: PolicyTag,
+        cohorts: usize,
+        longitudinal: bool,
+        batch: &[IngestRound<'_>],
+    ) -> Result<(), ServeError> {
+        let mismatch = |msg: String| Err(ServeError::IngestMismatch(msg));
         if let Some(existing) = self.policy {
+            if self.is_dynamic() == longitudinal {
+                return mismatch(if longitudinal {
+                    "store holds dynamic (scheduled) rounds; lockstep rounds cannot mix in".into()
+                } else {
+                    "store holds static lockstep rounds; scheduled rounds cannot mix in".into()
+                });
+            }
             if existing != policy {
-                return Err(ServeError::IngestMismatch(format!(
+                return mismatch(format!(
                     "round tagged {policy}, store holds {existing} releases"
-                )));
+                ));
+            }
+            if self.cohorts.len() != cohorts {
+                return mismatch(format!(
+                    "round declares {cohorts} cohorts, store tracks {}",
+                    self.cohorts.len()
+                ));
             }
         }
-        if cohorts == 0 {
-            return Err(ServeError::IngestMismatch(
-                "dynamic round declares zero cohorts".to_string(),
-            ));
+        if cohorts == 0 && !longitudinal {
+            return mismatch("dynamic round declares zero cohorts".to_string());
         }
-        if !fresh && self.cohorts.len() != cohorts {
-            return Err(ServeError::IngestMismatch(format!(
-                "round declares {cohorts} cohorts, store tracks {}",
-                self.cohorts.len()
-            )));
-        }
-        if round != self.merged_rounds.len() {
-            return Err(ServeError::IngestMismatch(format!(
-                "round {round} out of order: store expects round {}",
-                self.merged_rounds.len()
-            )));
-        }
-        if active.is_empty() || active.len() != per_cohort.len() {
-            return Err(ServeError::IngestMismatch(format!(
-                "{} active cohorts but {} release columns",
-                active.len(),
-                per_cohort.len()
-            )));
-        }
-        if active.windows(2).any(|pair| pair[0] >= pair[1]) || *active.last().unwrap() >= cohorts {
-            return Err(ServeError::IngestMismatch(
-                "active cohort indices must be ascending and within the panel".to_string(),
-            ));
-        }
-        // Validation pass against the (possibly empty) dynamic state.
-        let entries = self.entries.clone().unwrap_or_else(|| vec![None; cohorts]);
-        for (&c, column) in active.iter().zip(per_cohort) {
-            match entries[c] {
-                None => {
-                    // Entering now; nothing to check until commit.
-                }
-                Some(entry) => {
-                    let local = self.cohorts[c].rounds();
-                    if entry + local != round {
-                        return Err(ServeError::IngestMismatch(format!(
-                            "cohort {c} covers rounds {entry}..{} but round {round} arrived \
-                             (cohort rounds must be contiguous; retired cohorts cannot resume)",
-                            entry + local
-                        )));
-                    }
-                    if let Some(records) = self.cohorts[c].records() {
-                        if records != column.len() {
-                            return Err(ServeError::IngestMismatch(format!(
-                                "cohort {c} column has {} records, panel holds {records}",
-                                column.len()
-                            )));
-                        }
-                    }
-                }
+        // Validation pass: each cohort's (entry, rounds, records) as the
+        // rounds validated so far leave it — no mutation yet.
+        let mut shape: Vec<(Option<usize>, usize, Option<usize>)> = (0..cohorts)
+            .map(|c| match self.cohorts.get(c) {
+                Some(panel) => (self.entries[c], panel.rounds(), panel.records()),
+                None => (None, 0, None),
+            })
+            .collect();
+        let mut merged_records = match &self.merged {
+            MergedRelease::Longitudinal(panel) => panel.records(),
+            MergedRelease::Ragged(_) => None,
+        };
+        for (offset, (round, active, parts, merged)) in batch.iter().enumerate() {
+            let round = *round;
+            let next = self.rounds() + offset;
+            if round != next {
+                return mismatch(format!(
+                    "round {round} out of order: store expects round {next}"
+                ));
             }
-        }
-        if policy == PolicyTag::PerShard {
-            let total: usize = per_cohort.iter().map(BitColumn::len).sum();
-            if total != merged.len() {
-                return Err(ServeError::IngestMismatch(format!(
-                    "active cohort columns cover {total} records, merged column {}",
+            if active.len() != parts.len() || (active.is_empty() && !longitudinal) {
+                return mismatch(format!(
+                    "{} active cohorts but {} release columns",
+                    active.len(),
+                    parts.len()
+                ));
+            }
+            if active.windows(2).any(|pair| pair[0] >= pair[1])
+                || active.last().is_some_and(|&c| c >= cohorts)
+            {
+                return mismatch(
+                    "active cohort indices must be ascending and within the panel".to_string(),
+                );
+            }
+            if longitudinal && active.len() != cohorts {
+                return mismatch(format!(
+                    "lockstep round {round} steps {} of {cohorts} cohorts",
+                    active.len()
+                ));
+            }
+            // Under per-shard noise the merged column is the concatenation
+            // of the stepping cohorts' columns; a shared-noise merged
+            // column is an independent population synthesis whose n* is
+            // free to differ.
+            let total: usize = parts.iter().map(|column| column.len()).sum();
+            if policy == PolicyTag::PerShard && total != merged.len() {
+                return mismatch(format!(
+                    "per-shard cohort columns sum to {total} records, merged column has {}",
                     merged.len()
-                )));
+                ));
+            }
+            if longitudinal {
+                match merged_records {
+                    Some(records) if records != merged.len() => {
+                        return mismatch(format!(
+                            "merged column has {} records, store holds {records}",
+                            merged.len()
+                        ));
+                    }
+                    _ => merged_records = Some(merged.len()),
+                }
+            }
+            for (&c, column) in active.iter().zip(parts) {
+                let (entry, rounds, records) = &mut shape[c];
+                let entry = *entry.get_or_insert(round);
+                if entry + *rounds != round {
+                    return mismatch(format!(
+                        "cohort {c} covers rounds {entry}..{} but round {round} arrived \
+                         (cohort rounds must be contiguous; retired cohorts cannot resume)",
+                        entry + *rounds
+                    ));
+                }
+                match *records {
+                    Some(n) if n != column.len() => {
+                        return mismatch(format!(
+                            "cohort {c} column has {} records, panel holds {n}",
+                            column.len()
+                        ));
+                    }
+                    _ => *records = Some(column.len()),
+                }
+                *rounds += 1;
             }
         }
-        // Commit pass.
-        if fresh {
+        // Commit pass — every push is now guaranteed to succeed.
+        if self.policy.is_none() {
             self.cohorts = vec![GrowingPanel::default(); cohorts];
+            self.entries = vec![None; cohorts];
+            self.merged = if longitudinal {
+                MergedRelease::default()
+            } else {
+                MergedRelease::Ragged(Vec::new())
+            };
         }
-        let mut entries = entries;
-        for (&c, column) in active.iter().zip(per_cohort) {
-            if entries[c].is_none() {
-                entries[c] = Some(round);
-            }
-            self.cohorts[c]
-                .push(column)
-                .expect("validated against store shape");
-        }
-        self.entries = Some(entries);
-        self.merged_rounds.push(merged.clone());
-        self.merged_coverage.push(active.to_vec());
         self.policy = Some(policy);
+        for (round, active, parts, merged) in batch {
+            for (&c, column) in active.iter().zip(parts) {
+                self.entries[c].get_or_insert(*round);
+                self.cohorts[c].push(column);
+            }
+            match &mut self.merged {
+                MergedRelease::Longitudinal(panel) => panel.push(merged),
+                MergedRelease::Ragged(columns) => columns.push((*merged).clone()),
+            }
+        }
         Ok(())
     }
 
-    /// True once the store holds dynamic (scheduled) rounds — cohort
-    /// panels then cover per-cohort round ranges and the merged release is
-    /// ragged.
+    /// True once the store holds dynamic (scheduled) rounds — its merged
+    /// release is ragged.
     pub fn is_dynamic(&self) -> bool {
-        self.entries.is_some()
+        matches!(self.merged, MergedRelease::Ragged(_))
     }
 
-    /// The global rounds cohort `c` covers so far (`None` while the store
-    /// is static, or the cohort has not entered yet).
+    /// The global rounds cohort `c` covers so far (`0..rounds()` for every
+    /// cohort of a static store; `None` until the cohort enters).
     pub fn cohort_window(&self, cohort: usize) -> Option<Range<usize>> {
-        let entry = (*self.entries.as_ref()?.get(cohort)?)?;
+        let entry = (*self.entries.get(cohort)?)?;
         Some(entry..entry + self.cohorts[cohort].rounds())
     }
 
-    /// The cohorts whose individuals round `t`'s merged release covers
-    /// (dynamic stores only — a static store's merged release always
-    /// covers every cohort). Under a shared-noise rotating panel this is
-    /// the metadata consumers need to interpret a windowed population
-    /// release: which cohorts' members the synthetic active set stands
-    /// for.
-    pub fn merged_coverage(&self, t: usize) -> Result<&[usize], ServeError> {
-        self.merged_coverage
-            .get(t)
-            .map(Vec::as_slice)
-            .ok_or(ServeError::RoundNotReleased {
-                scope: StoreScope::Merged,
-                round: t,
-                available: self.merged_coverage.len(),
-            })
+    /// The ascending cohorts whose individuals round `t`'s merged release
+    /// covers — every cohort for a static store. Under a shared-noise
+    /// rotating panel this is the metadata consumers need to interpret a
+    /// windowed population release: which cohorts' members the synthetic
+    /// active set stands for.
+    pub fn merged_coverage(&self, t: usize) -> Result<Vec<usize>, ServeError> {
+        if t >= self.rounds() {
+            return Err(self.unreleased(StoreScope::Merged, t));
+        }
+        Ok((0..self.cohorts.len())
+            .filter(|&c| self.cohort_window(c).is_some_and(|w| w.contains(&t)))
+            .collect())
     }
 
-    /// A dynamic store's merged release of round `t` — the active set's
-    /// release, whose record count varies with the schedule.
+    /// The merged release of round `t`. A dynamic store's record count
+    /// varies with the schedule.
     pub fn merged_round(&self, t: usize) -> Result<&BitColumn, ServeError> {
-        self.merged_rounds
-            .get(t)
-            .ok_or(ServeError::RoundNotReleased {
-                scope: StoreScope::Merged,
-                round: t,
-                available: self.merged_rounds.len(),
-            })
+        let column = match &self.merged {
+            MergedRelease::Longitudinal(panel) => panel
+                .panel()
+                .filter(|panel| t < panel.rounds())
+                .map(|panel| panel.column(t)),
+            MergedRelease::Ragged(columns) => columns.get(t),
+        };
+        column.ok_or_else(|| self.unreleased(StoreScope::Merged, t))
     }
 
     /// The aggregation policy tag of every ingested round (`None` while
@@ -630,14 +595,11 @@ impl ReleaseStore {
         self.policy
     }
 
-    /// Released global rounds: the merged panel's rounds for a static
-    /// store (cohort panels always agree — lockstep ingestion), the count
-    /// of ragged merged rounds for a dynamic one.
+    /// Released global rounds.
     pub fn rounds(&self) -> usize {
-        if self.is_dynamic() {
-            self.merged_rounds.len()
-        } else {
-            self.merged.rounds()
+        match &self.merged {
+            MergedRelease::Longitudinal(panel) => panel.rounds(),
+            MergedRelease::Ragged(columns) => columns.len(),
         }
     }
 
@@ -650,26 +612,25 @@ impl ReleaseStore {
     /// for dynamic stores, whose merged record count varies per round —
     /// see [`merged_round`](Self::merged_round)).
     pub fn records(&self) -> Option<usize> {
-        if self.is_dynamic() {
-            None
-        } else {
-            self.merged.records()
+        match &self.merged {
+            MergedRelease::Longitudinal(panel) => panel.records(),
+            MergedRelease::Ragged(_) => None,
         }
     }
 
     /// Borrow the stored panel for `scope`, if any rounds exist there.
     ///
-    /// A dynamic store's cohort panels cover the cohort's **local**
-    /// rounds (global round = [`cohort_window`](Self::cohort_window)'s
-    /// start + local index); its merged scope is ragged and has no
-    /// rectangular panel ([`ServeError::ScopeNotRectangular`]).
+    /// Cohort panels hold the cohort's **local** rounds (global round =
+    /// [`cohort_window`](Self::cohort_window)'s start + local index); a
+    /// dynamic store's merged scope is ragged and has no rectangular panel
+    /// ([`ServeError::ScopeNotRectangular`]).
     pub fn panel(&self, scope: StoreScope) -> Result<&LongitudinalDataset, ServeError> {
-        let growing = match scope {
-            StoreScope::Merged if self.is_dynamic() => {
+        let growing = match (scope, &self.merged) {
+            (StoreScope::Merged, MergedRelease::Ragged(_)) => {
                 return Err(ServeError::ScopeNotRectangular(scope));
             }
-            StoreScope::Merged => &self.merged,
-            StoreScope::Cohort(c) => self.cohorts.get(c).ok_or(ServeError::UnknownCohort {
+            (StoreScope::Merged, MergedRelease::Longitudinal(panel)) => panel,
+            (StoreScope::Cohort(c), _) => self.cohorts.get(c).ok_or(ServeError::UnknownCohort {
                 cohort: c,
                 cohorts: self.cohorts.len(),
             })?,
@@ -681,284 +642,80 @@ impl ReleaseStore {
     /// caching (the [`QueryService`](crate::QueryService) layers the cache
     /// on top of this).
     ///
-    /// Dynamic stores answer cohort scopes at the cohort's local round
-    /// (rounds outside its window are
-    /// [`ServeError::RoundNotCovered`]) and the merged scope as the
-    /// size-weighted combination of the covering cohorts — for window and
-    /// pattern queries, only cohorts that observed the *entire* window
-    /// count.
+    /// A cohort scope reads its local round (released rounds outside its
+    /// window are [`ServeError::RoundNotCovered`]); the merged scope reads
+    /// the longitudinal merged panel, or — for a dynamic store — the
+    /// size-weighted combination of the covering cohorts, where window and
+    /// pattern queries only count cohorts that observed the *entire*
+    /// window.
     pub fn answer(&self, query: &ServeQuery) -> Result<f64, ServeError> {
-        if self.is_dynamic() {
-            return self.answer_dynamic(query);
-        }
-        let panel = self.panel(query.scope)?;
-        let check_round = |t: usize| {
-            if t >= panel.rounds() {
-                Err(ServeError::RoundNotReleased {
-                    scope: query.scope,
-                    round: t,
-                    available: panel.rounds(),
-                })
-            } else {
-                Ok(())
-            }
-        };
-        match &query.kind {
-            QueryKind::Window { t, query: window } => {
-                check_round(*t)?;
-                if *t + 1 < window.width() {
-                    return Err(ServeError::WindowUnderflow {
-                        round: *t,
-                        width: window.width(),
-                    });
-                }
-                Ok(window.evaluate_true(panel, *t))
-            }
-            QueryKind::Pattern { t, pattern } => {
-                check_round(*t)?;
-                if *t + 1 < pattern.width() {
-                    return Err(ServeError::WindowUnderflow {
-                        round: *t,
-                        width: pattern.width(),
-                    });
-                }
-                Ok(WindowQuery::pattern(*pattern).evaluate_true(panel, *t))
-            }
-            QueryKind::CumulativeFraction { t, b } => {
-                check_round(*t)?;
-                Ok(cumulative_fraction(panel, *t, *b))
-            }
-        }
-    }
-
-    /// The dynamic branch of [`answer`](Self::answer).
-    fn answer_dynamic(&self, query: &ServeQuery) -> Result<f64, ServeError> {
-        // A cohort query at global round t reads the cohort's local panel.
-        if let StoreScope::Cohort(c) = query.scope {
-            if c >= self.cohorts.len() {
-                return Err(ServeError::UnknownCohort {
-                    cohort: c,
-                    cohorts: self.cohorts.len(),
-                });
-            }
-            let window = self
-                .cohort_window(c)
-                .ok_or(ServeError::NothingReleased(query.scope))?;
-            let panel = self.cohorts[c]
-                .panel()
-                .ok_or(ServeError::NothingReleased(query.scope))?;
-            let t = query.kind.round();
-            if !window.contains(&t) {
-                return Err(ServeError::RoundNotCovered {
-                    scope: query.scope,
-                    round: t,
-                    covered: window,
-                });
-            }
-            let local = t - window.start;
-            return match &query.kind {
-                QueryKind::Window { query: window, .. } => {
-                    // The cohort must have observed the whole window.
-                    if local + 1 < window.width() {
-                        return Err(ServeError::WindowUnderflow {
-                            round: t,
-                            width: window.width(),
-                        });
-                    }
-                    Ok(window.evaluate_true(panel, local))
-                }
-                QueryKind::Pattern { pattern, .. } => {
-                    if local + 1 < pattern.width() {
-                        return Err(ServeError::WindowUnderflow {
-                            round: t,
-                            width: pattern.width(),
-                        });
-                    }
-                    Ok(WindowQuery::pattern(*pattern).evaluate_true(panel, local))
-                }
-                QueryKind::CumulativeFraction { b, .. } => {
-                    Ok(cumulative_fraction(panel, local, *b))
-                }
-            };
-        }
-        // Merged scope: size-weighted combination over covering cohorts.
-        let t = query.kind.round();
-        if t >= self.rounds() {
-            return Err(ServeError::RoundNotReleased {
-                scope: query.scope,
-                round: t,
-                available: self.rounds(),
-            });
-        }
+        let (scope, t) = (query.scope, query.kind.round());
         let width = match &query.kind {
             QueryKind::Window { query, .. } => query.width(),
             QueryKind::Pattern { pattern, .. } => pattern.width(),
             QueryKind::CumulativeFraction { .. } => 1,
         };
-        if t + 1 < width {
+        // The panel to evaluate (none for a ragged merged scope) and the
+        // global rounds it covers.
+        let (panel, covered) = match scope {
+            StoreScope::Cohort(c) => {
+                let panel = self.panel(scope)?;
+                let covered = self
+                    .cohort_window(c)
+                    .expect("a cohort with columns has entered");
+                (Some(panel), covered)
+            }
+            StoreScope::Merged if self.rounds() == 0 => {
+                return Err(ServeError::NothingReleased(scope));
+            }
+            StoreScope::Merged => (self.panel(scope).ok(), 0..self.rounds()),
+        };
+        if t >= self.rounds() {
+            return Err(self.unreleased(scope, t));
+        }
+        if !covered.contains(&t) {
+            return Err(ServeError::RoundNotCovered {
+                scope,
+                round: t,
+                covered,
+            });
+        }
+        if t + 1 < covered.start + width {
             return Err(ServeError::WindowUnderflow { round: t, width });
         }
-        let parts = (0..self.cohorts.len()).filter_map(|c| {
-            let window = self.cohort_window(c)?;
-            // The cohort must cover the query's whole span [t-width+1, t].
-            if !window.contains(&t) || t + 1 - width < window.start {
-                return None;
-            }
-            let panel = self.cohorts[c].panel()?;
-            let local = t - window.start;
-            let answer = match &query.kind {
-                QueryKind::Window { query, .. } => query.evaluate_true(panel, local),
-                QueryKind::Pattern { pattern, .. } => {
-                    WindowQuery::pattern(*pattern).evaluate_true(panel, local)
-                }
-                QueryKind::CumulativeFraction { b, .. } => cumulative_fraction(panel, local, *b),
-            };
-            Some((answer, panel.individuals()))
+        if let Some(panel) = panel {
+            return Ok(evaluate(&query.kind, panel, t - covered.start));
+        }
+        let parts = self.cohorts.iter().enumerate().filter_map(|(c, cohort)| {
+            let covered = self.cohort_window(c)?;
+            let panel = cohort.panel()?;
+            (covered.contains(&t) && covered.start + width <= t + 1).then(|| {
+                (
+                    evaluate(&query.kind, panel, t - covered.start),
+                    panel.individuals(),
+                )
+            })
         });
         active_weighted_mean(parts).ok_or(ServeError::WindowNotCovered { round: t, width })
     }
 
-    pub(crate) fn from_parts(
-        merged: GrowingPanel,
-        cohorts: Vec<GrowingPanel>,
-        policy: Option<PolicyTag>,
-    ) -> Self {
-        Self {
-            merged,
-            cohorts,
-            policy,
-            entries: None,
-            merged_rounds: Vec::new(),
-            merged_coverage: Vec::new(),
+    fn unreleased(&self, scope: StoreScope, round: usize) -> ServeError {
+        ServeError::RoundNotReleased {
+            scope,
+            round,
+            available: self.rounds(),
         }
     }
+}
 
-    pub(crate) fn parts(&self) -> (&GrowingPanel, &[GrowingPanel]) {
-        (&self.merged, &self.cohorts)
-    }
-
-    /// Rebuild a dynamic store from snapshot parts, re-validating the
-    /// cohort × round-range invariants. `coverage` is the per-round
-    /// cohort-coverage metadata (snapshot v4); `None` (pre-v4 snapshots)
-    /// derives it from the cohort windows — exactly what live ingestion
-    /// records, since a round's active set is the set of cohorts whose
-    /// window contains it.
-    pub(crate) fn from_dynamic_parts(
-        cohorts: Vec<GrowingPanel>,
-        entries: Vec<Option<usize>>,
-        merged_rounds: Vec<BitColumn>,
-        coverage: Option<Vec<Vec<usize>>>,
-        policy: Option<PolicyTag>,
-    ) -> Result<Self, ServeError> {
-        if cohorts.len() != entries.len() {
-            return Err(ServeError::Snapshot(format!(
-                "{} cohorts but {} entry rounds",
-                cohorts.len(),
-                entries.len()
-            )));
+/// Evaluate `kind` on `panel` at the panel's local round `local`.
+fn evaluate(kind: &QueryKind, panel: &LongitudinalDataset, local: usize) -> f64 {
+    match kind {
+        QueryKind::Window { query, .. } => query.evaluate_true(panel, local),
+        QueryKind::Pattern { pattern, .. } => {
+            WindowQuery::pattern(*pattern).evaluate_true(panel, local)
         }
-        let rounds = merged_rounds.len();
-        for (c, (panel, entry)) in cohorts.iter().zip(&entries).enumerate() {
-            match (panel.rounds(), entry) {
-                (0, None) => {}
-                (_, None) => {
-                    return Err(ServeError::Snapshot(format!(
-                        "cohort {c} has columns but no entry round"
-                    )));
-                }
-                (local, Some(entry)) => {
-                    if local == 0 {
-                        return Err(ServeError::Snapshot(format!(
-                            "cohort {c} has an entry round but no columns"
-                        )));
-                    }
-                    if entry + local > rounds {
-                        return Err(ServeError::Snapshot(format!(
-                            "cohort {c} covers rounds {entry}..{} but the store has {rounds}",
-                            entry + local
-                        )));
-                    }
-                }
-            }
-        }
-        if policy == Some(PolicyTag::PerShard) {
-            // Per-shard merged rounds are active-set concatenations:
-            // record counts must sum per round.
-            for (t, merged) in merged_rounds.iter().enumerate() {
-                let covered: usize = cohorts
-                    .iter()
-                    .zip(&entries)
-                    .filter_map(|(panel, entry)| {
-                        let entry = (*entry)?;
-                        (entry <= t && t < entry + panel.rounds()).then(|| panel.records())?
-                    })
-                    .sum();
-                if covered != merged.len() {
-                    return Err(ServeError::Snapshot(format!(
-                        "round {t}: active cohorts cover {covered} records, merged column {}",
-                        merged.len()
-                    )));
-                }
-            }
-        }
-        if rounds > 0 && policy.is_none() {
-            return Err(ServeError::Snapshot(
-                "dynamic store with rounds carries no policy tag".to_string(),
-            ));
-        }
-        // Coverage: the round's active set is exactly the cohorts whose
-        // window contains it; recorded metadata must agree, pre-v4
-        // snapshots derive it.
-        let derived: Vec<Vec<usize>> = (0..rounds)
-            .map(|t| {
-                cohorts
-                    .iter()
-                    .zip(&entries)
-                    .enumerate()
-                    .filter_map(|(c, (panel, entry))| {
-                        let entry = (*entry)?;
-                        (entry <= t && t < entry + panel.rounds()).then_some(c)
-                    })
-                    .collect()
-            })
-            .collect();
-        let merged_coverage = match coverage {
-            None => derived,
-            Some(recorded) => {
-                if recorded != derived {
-                    return Err(ServeError::Snapshot(
-                        "merged-round coverage metadata disagrees with the cohort windows"
-                            .to_string(),
-                    ));
-                }
-                recorded
-            }
-        };
-        Ok(Self {
-            merged: GrowingPanel::default(),
-            cohorts,
-            policy,
-            entries: Some(entries),
-            merged_rounds,
-            merged_coverage,
-        })
-    }
-
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn dynamic_parts(
-        &self,
-    ) -> (
-        &[GrowingPanel],
-        Option<&[Option<usize>]>,
-        &[BitColumn],
-        &[Vec<usize>],
-    ) {
-        (
-            &self.cohorts,
-            self.entries.as_deref(),
-            &self.merged_rounds,
-            &self.merged_coverage,
-        )
+        QueryKind::CumulativeFraction { b, .. } => cumulative_fraction(panel, local, *b),
     }
 }
 
@@ -1242,6 +999,44 @@ mod tests {
             ),
             Err(ServeError::RoundNotCovered { .. })
         ));
+        // A round the store has not released yet is unreleased in every
+        // scope, whether or not the cohort is still active.
+        for c in [0, 1] {
+            assert!(matches!(
+                ask(
+                    StoreScope::Cohort(c),
+                    QueryKind::CumulativeFraction { t: 3, b: 1 }
+                ),
+                Err(ServeError::RoundNotReleased {
+                    round: 3,
+                    available: 3,
+                    ..
+                })
+            ));
+        }
+    }
+
+    #[test]
+    fn static_stores_answer_the_shape_accessors() {
+        // A static store is the schedule where every cohort covers every
+        // round: the dynamic accessors describe it truthfully.
+        let mut store = ReleaseStore::new();
+        for round in 0..3 {
+            let (parts, merged) = two_cohort_round(&[round != 1], &[true, round == 2]);
+            store.ingest_columns(&parts, &merged).unwrap();
+        }
+        assert!(!store.is_dynamic());
+        for c in 0..2 {
+            assert_eq!(store.cohort_window(c), Some(0..3));
+        }
+        assert_eq!(store.cohort_window(2), None);
+        let merged = store.panel(StoreScope::Merged).unwrap();
+        for t in 0..3 {
+            assert_eq!(store.merged_coverage(t).unwrap(), &[0, 1]);
+            assert_eq!(store.merged_round(t).unwrap(), merged.column(t));
+        }
+        assert!(store.merged_coverage(3).is_err());
+        assert!(store.merged_round(3).is_err());
     }
 
     #[test]

@@ -456,3 +456,352 @@ fn v2_fixture_restore_stays_pinned() {
     let upgraded = ReleaseStore::from_snapshot_json(&store.to_snapshot_json()).unwrap();
     assert_eq!(upgraded, store);
 }
+
+/// A column of `records` bits read from the low bits of `word`.
+fn word_column(word: u64, records: usize) -> BitColumn {
+    BitColumn::from_iter_bits((0..records).map(|i| word >> i & 1 == 1))
+}
+
+/// The first `rounds` rounds of the live-ingested store behind the frozen
+/// v4 static fixtures: shared noise, cohorts of 1 and 2 records, and an
+/// independent 4-record population panel.
+fn v4_static_store(rounds: usize) -> ReleaseStore {
+    let plan: [([u64; 2], u64); 3] = [
+        ([1, 0b10], 0b1011),
+        ([0, 0b11], 0b0110),
+        ([1, 0b01], 0b1111),
+    ];
+    let mut store = ReleaseStore::new();
+    for ([a, b], merged) in plan.into_iter().take(rounds) {
+        store
+            .ingest_columns_with(
+                PolicyTag::Shared,
+                &[word_column(a, 1), word_column(b, 2)],
+                &word_column(merged, 4),
+            )
+            .unwrap();
+    }
+    store
+}
+
+/// The first `rounds` rounds of the live-ingested store behind the frozen
+/// v4 dynamic fixtures: a shared-noise rotating panel of four cohorts
+/// (1, 2, 1 and 2 records) entering two at a time, with a constant
+/// 3-record windowed population release.
+fn v4_rotating_store(rounds: usize) -> ReleaseStore {
+    let sizes = [1, 2, 1, 2];
+    let plan: [([usize; 2], [u64; 2], u64); 3] = [
+        ([0, 1], [1, 0b10], 0b101),
+        ([1, 2], [0b11, 1], 0b011),
+        ([2, 3], [0, 0b10], 0b110),
+    ];
+    let mut store = ReleaseStore::new();
+    for (round, (active, words, merged)) in plan.into_iter().enumerate().take(rounds) {
+        let parts: Vec<BitColumn> = active
+            .iter()
+            .zip(words)
+            .map(|(&c, word)| word_column(word, sizes[c]))
+            .collect();
+        store
+            .ingest_active_columns(
+                PolicyTag::Shared,
+                round,
+                4,
+                &active,
+                &parts,
+                &word_column(merged, 3),
+            )
+            .unwrap();
+    }
+    store
+}
+
+/// Frozen **v4** full snapshot of a static shared-noise store: exactly
+/// what the writer renders for [`v4_static_store`]`(3)`.
+const V4_STATIC_FIXTURE: &str = r#"{
+  "format": "longsynth-release-store/v4",
+  "policy": "shared",
+  "dynamic": false,
+  "merged": {
+    "records": 4,
+    "columns": [
+      "000000000000000b",
+      "0000000000000006",
+      "000000000000000f"
+    ]
+  },
+  "merged_rounds": [],
+  "coverage": [],
+  "cohorts": [
+    {
+      "records": 1,
+      "entry": null,
+      "columns": [
+        "0000000000000001",
+        "0000000000000000",
+        "0000000000000001"
+      ]
+    },
+    {
+      "records": 2,
+      "entry": null,
+      "columns": [
+        "0000000000000002",
+        "0000000000000003",
+        "0000000000000001"
+      ]
+    }
+  ]
+}"#;
+
+/// Frozen **v4** full snapshot of a shared-noise rotating store, with the
+/// cohort coverage of every merged round: the rendering of
+/// [`v4_rotating_store`]`(3)`.
+const V4_ROTATING_FIXTURE: &str = r#"{
+  "format": "longsynth-release-store/v4",
+  "policy": "shared",
+  "dynamic": true,
+  "merged": null,
+  "merged_rounds": [
+    {
+      "records": 3,
+      "column": "0000000000000005"
+    },
+    {
+      "records": 3,
+      "column": "0000000000000003"
+    },
+    {
+      "records": 3,
+      "column": "0000000000000006"
+    }
+  ],
+  "coverage": [
+    [
+      0,
+      1
+    ],
+    [
+      1,
+      2
+    ],
+    [
+      2,
+      3
+    ]
+  ],
+  "cohorts": [
+    {
+      "records": 1,
+      "entry": 0,
+      "columns": [
+        "0000000000000001"
+      ]
+    },
+    {
+      "records": 2,
+      "entry": 0,
+      "columns": [
+        "0000000000000002",
+        "0000000000000003"
+      ]
+    },
+    {
+      "records": 1,
+      "entry": 1,
+      "columns": [
+        "0000000000000001",
+        "0000000000000000"
+      ]
+    },
+    {
+      "records": 2,
+      "entry": 2,
+      "columns": [
+        "0000000000000002"
+      ]
+    }
+  ]
+}"#;
+
+/// Frozen static delta (`longsynth-release-store-delta/v2`): rounds 1..3
+/// of [`v4_static_store`].
+const V2_STATIC_DELTA_FIXTURE: &str = r#"{
+  "format": "longsynth-release-store-delta/v2",
+  "policy": "shared",
+  "dynamic": false,
+  "base_rounds": 1,
+  "delta_rounds": 2,
+  "merged": {
+    "records": 4,
+    "columns": [
+      "0000000000000006",
+      "000000000000000f"
+    ]
+  },
+  "merged_rounds": [],
+  "cohorts": [
+    {
+      "records": 1,
+      "entry": null,
+      "columns": [
+        "0000000000000000",
+        "0000000000000001"
+      ]
+    },
+    {
+      "records": 2,
+      "entry": null,
+      "columns": [
+        "0000000000000003",
+        "0000000000000001"
+      ]
+    }
+  ]
+}"#;
+
+/// Frozen dynamic delta of the same format: rounds 1..3 of
+/// [`v4_rotating_store`]. Cohort 0 retired before the base and carries no
+/// columns; cohorts 2 and 3 enter inside the delta.
+const V2_ROTATING_DELTA_FIXTURE: &str = r#"{
+  "format": "longsynth-release-store-delta/v2",
+  "policy": "shared",
+  "dynamic": true,
+  "base_rounds": 1,
+  "delta_rounds": 2,
+  "merged": null,
+  "merged_rounds": [
+    {
+      "records": 3,
+      "column": "0000000000000003"
+    },
+    {
+      "records": 3,
+      "column": "0000000000000006"
+    }
+  ],
+  "cohorts": [
+    {
+      "records": 1,
+      "entry": 0,
+      "columns": []
+    },
+    {
+      "records": 2,
+      "entry": 0,
+      "columns": [
+        "0000000000000003"
+      ]
+    },
+    {
+      "records": 1,
+      "entry": 1,
+      "columns": [
+        "0000000000000001",
+        "0000000000000000"
+      ]
+    },
+    {
+      "records": 2,
+      "entry": 2,
+      "columns": [
+        "0000000000000002"
+      ]
+    }
+  ]
+}"#;
+
+#[test]
+fn v4_static_fixture_restore_stays_pinned() {
+    let store = ReleaseStore::from_snapshot_json(V4_STATIC_FIXTURE).unwrap();
+    assert!(!store.is_dynamic());
+    assert_eq!(store.policy(), Some(PolicyTag::Shared));
+    assert_eq!(store.rounds(), 3);
+    assert_eq!(store.cohorts(), 2);
+    assert_eq!(store.records(), Some(4));
+    let answer = |scope, t, b| {
+        store
+            .answer(&ServeQuery {
+                scope,
+                kind: QueryKind::CumulativeFraction { t, b },
+            })
+            .unwrap()
+    };
+    // Merged bits 1011, 0110, 1111: weights 2, 3, 2, 2 after round 2.
+    assert_eq!(answer(StoreScope::Merged, 0, 1), 3.0 / 4.0);
+    assert_eq!(answer(StoreScope::Merged, 2, 3), 1.0 / 4.0);
+    // Cohort 1 bits 10, 11, 01: weights 1, 2 after round 1.
+    assert_eq!(answer(StoreScope::Cohort(1), 1, 2), 0.5);
+    assert_eq!(answer(StoreScope::Cohort(1), 2, 2), 1.0);
+    // The same store built by live ingest renders byte for byte.
+    let live = v4_static_store(3);
+    assert_eq!(store, live);
+    assert_eq!(live.to_snapshot_json(), V4_STATIC_FIXTURE);
+    assert_eq!(store.to_snapshot_json(), V4_STATIC_FIXTURE);
+}
+
+#[test]
+fn v4_rotating_fixture_restore_stays_pinned() {
+    let store = ReleaseStore::from_snapshot_json(V4_ROTATING_FIXTURE).unwrap();
+    assert!(store.is_dynamic());
+    assert_eq!(store.policy(), Some(PolicyTag::Shared));
+    assert_eq!(store.rounds(), 3);
+    assert_eq!(store.cohorts(), 4);
+    assert_eq!(store.cohort_window(0), Some(0..1));
+    assert_eq!(store.cohort_window(2), Some(1..3));
+    assert_eq!(store.cohort_window(3), Some(2..3));
+    assert_eq!(store.merged_coverage(1).unwrap(), &[1, 2]);
+    assert_eq!(store.merged_round(1).unwrap(), &word_column(0b011, 3));
+    let answer = |scope, t, b| {
+        store
+            .answer(&ServeQuery {
+                scope,
+                kind: QueryKind::CumulativeFraction { t, b },
+            })
+            .unwrap()
+    };
+    // Round 1 pools cohort 1 (weights 1, 2) and cohort 2 (weight 1).
+    assert_eq!(answer(StoreScope::Merged, 1, 2), 1.0 / 3.0);
+    // Round 2 pools cohort 2 (weight 1) and cohort 3 (weights 0, 1).
+    assert_eq!(answer(StoreScope::Merged, 2, 1), 2.0 / 3.0);
+    assert_eq!(answer(StoreScope::Cohort(2), 2, 1), 1.0);
+    let live = v4_rotating_store(3);
+    assert_eq!(store, live);
+    assert_eq!(live.to_snapshot_json(), V4_ROTATING_FIXTURE);
+    assert_eq!(store.to_snapshot_json(), V4_ROTATING_FIXTURE);
+}
+
+#[test]
+fn v2_delta_fixtures_apply_with_pinned_answers() {
+    let static_case: (fn(usize) -> ReleaseStore, _) = (v4_static_store, V2_STATIC_DELTA_FIXTURE);
+    for (build, fixture) in [static_case, (v4_rotating_store, V2_ROTATING_DELTA_FIXTURE)] {
+        let full = build(3);
+        assert_eq!(full.to_delta_json(1).unwrap(), fixture);
+        // Onto a live base and onto a restored base alike.
+        let mut live = build(1);
+        live.apply_delta_json(fixture).unwrap();
+        assert_eq!(live, full);
+        let mut restored = ReleaseStore::from_snapshot_json(&build(1).to_snapshot_json()).unwrap();
+        restored.apply_delta_json(fixture).unwrap();
+        assert_eq!(restored, full);
+    }
+    let mut store = v4_static_store(1);
+    store.apply_delta_json(V2_STATIC_DELTA_FIXTURE).unwrap();
+    let merged = store
+        .answer(&ServeQuery {
+            scope: StoreScope::Merged,
+            kind: QueryKind::CumulativeFraction { t: 2, b: 3 },
+        })
+        .unwrap();
+    assert_eq!(merged, 1.0 / 4.0);
+    let mut store = v4_rotating_store(1);
+    store.apply_delta_json(V2_ROTATING_DELTA_FIXTURE).unwrap();
+    let merged = store
+        .answer(&ServeQuery {
+            scope: StoreScope::Merged,
+            kind: QueryKind::CumulativeFraction { t: 2, b: 1 },
+        })
+        .unwrap();
+    assert_eq!(merged, 2.0 / 3.0);
+    assert_eq!(store.merged_coverage(2).unwrap(), &[2, 3]);
+}
