@@ -1,82 +1,85 @@
 //! `longsynth-cli`: continual DP synthetic data release from the command
-//! line.
-//!
-//! ```text
-//! longsynth-cli fixed-window --input panel.csv --rho 0.005 --window 3 \
-//!     --output synthetic.csv [--estimates estimates.csv] [--seed 42]
-//! longsynth-cli cumulative   --input panel.csv --rho 0.005 \
-//!     --output synthetic.csv [--estimates estimates.csv] [--seed 42]
-//! longsynth-cli engine       --input panel.csv --rho 0.005 --shards 4 \
-//!     [--algorithm fixed-window|cumulative] [--window 3] \
-//!     [--output synthetic.csv] [--estimates estimates.csv] [--seed 42]
-//! longsynth-cli serve        --input panel.csv --rho 0.005 --shards 4 \
-//!     [--algorithm fixed-window|cumulative] [--queries 1000] \
-//!     [--pool-threads 4] [--snapshot store.json] [--seed 42]
-//! longsynth-cli simulate     --households 23374 --months 12 --output panel.csv
-//! ```
+//! line. `longsynth-cli --help` prints the commands and their flags.
 //!
 //! Input panels are plain 0/1 CSV (one row per individual, one column per
 //! round; header and id column auto-detected); SIPP public-use files load
 //! with `--sipp`. The released synthetic panel is written in the same
 //! format (fixed-window output carries a public `padding` column).
+//!
+//! There is one run path. Every engine the CLI builds runs a
+//! [`PanelSchedule`]: a static panel is the schedule whose `--shards`
+//! cohorts all cover every round, and `--panel rotating:W` is the rotating
+//! schedule of `W + T − 1` wave cohorts (`--shards` is unused there).
+//! `engine` and `serve` share one body generic over the private [`Family`]
+//! trait, which holds what differs between the synthesizer families, and
+//! `engine`, `serve` and `ingest` share one [`Wiring`] for metrics, the
+//! worker pool, the query service and its sink. Each subcommand accepts
+//! exactly the flags its USAGE block lists.
 
 use longsynth::{
-    CumulativeConfig, CumulativeSynthesizer, FixedWindowConfig, FixedWindowSynthesizer,
+    ContinualSynthesizer, CumulativeConfig, CumulativeSynthesizer, FixedWindowConfig,
+    FixedWindowSynthesizer, PaddingPolicy, Release,
 };
 use longsynth_data::csvio::{read_panel_csv, write_panel_csv};
 use longsynth_data::generators::iid_bernoulli;
 use longsynth_data::sipp::{load_sipp_csv, SippConfig};
-use longsynth_data::LongitudinalDataset;
+use longsynth_data::{BitColumn, LongitudinalDataset};
 use longsynth_dp::budget::Rho;
 use longsynth_dp::rng::{rng_from_seed, RngFork};
 use longsynth_engine::{
-    AggregationPolicy, EngineObserver, IngestDriver, PanelSchedule, ShardPlan, ShardedEngine,
-    SlotRole,
+    AggregationPolicy, EngineObserver, IngestDriver, MergeAggregate, MergeRelease, PanelSchedule,
+    PanelSlot, ReleaseSink, ShardedEngine, SlotRole,
 };
 use longsynth_ingest::{
     BitRoundAssembler, Event, IngestConfig, IngestTier, LatePolicy, WindowSpec,
 };
-use longsynth_obs::{BudgetLedger, MetricsRegistry};
+use longsynth_obs::MetricsRegistry;
 use longsynth_pool::WorkerPool;
-use longsynth_queries::cumulative::cumulative_counts;
+use longsynth_queries::cumulative::cumulative_fraction;
 use longsynth_queries::window::quarterly_battery;
-use longsynth_queries::{active_weighted_mean, AccuracyComparison, ErrorSummary};
-use longsynth_serve::{EvictionPolicy, QueryService, ServeQuery};
+use longsynth_queries::{active_weighted_mean, AccuracyComparison, ErrorSummary, WindowQuery};
+use longsynth_serve::{
+    mixed_battery, EvictionPolicy, QueryKind, QueryService, ReleaseStore, ServeQuery, StoreScope,
+};
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 const USAGE: &str = "usage:
   longsynth-cli fixed-window --input PANEL.csv --rho R [--window K] [--output OUT.csv]
-                             [--estimates EST.csv] [--seed N] [--sipp] [--beta B]
+                             [--estimates EST.csv] [--seed N] [--sipp] [--months T] [--beta B]
   longsynth-cli cumulative   --input PANEL.csv --rho R [--output OUT.csv]
-                             [--estimates EST.csv] [--seed N] [--sipp] [--max-b B]
+                             [--estimates EST.csv] [--seed N] [--sipp] [--months T] [--max-b B]
   longsynth-cli engine       --input PANEL.csv --rho R --shards S
                              [--algorithm fixed-window|cumulative] [--window K]
                              [--aggregation per-shard|shared|shared:P]
-                             [--panel rotating:W]
+                             [--panel static|rotating:W]
                              [--output OUT.csv] [--estimates EST.csv] [--seed N]
-                             [--sipp] [--beta B] [--max-b B] [--metrics M.jsonl]
+                             [--sipp] [--months T] [--beta B] [--max-b B] [--metrics M.jsonl]
   longsynth-cli serve        --input PANEL.csv --rho R --shards S
                              [--algorithm fixed-window|cumulative] [--window K]
                              [--aggregation per-shard|shared|shared:P]
-                             [--panel rotating:W] [--eviction fifo|lru]
+                             [--panel static|rotating:W] [--eviction fifo|lru]
                              [--queries N] [--pool-threads P] [--snapshot OUT.json]
-                             [--seed N] [--sipp] [--beta B] [--max-b B]
+                             [--seed N] [--sipp] [--months T] [--beta B] [--max-b B]
                              [--metrics M.jsonl]
   longsynth-cli ingest       --rho R [--individuals N] [--rounds T] [--shards S]
                              [--window W:S] [--t0 MS] [--late-policy drop|grace:G]
                              [--queue-cap N] [--producers P] [--rate F]
-                             [--aggregation per-shard|shared|shared:P]
-                             [--queries N] [--pool-threads P] [--seed N]
-                             [--metrics M.jsonl]
+                             [--aggregation per-shard|shared|shared:P] [--eviction fifo|lru]
+                             [--queries N] [--pool-threads P] [--snapshot OUT.json]
+                             [--max-b B] [--seed N] [--metrics M.jsonl]
   longsynth-cli stats        --metrics M.jsonl [--fail-on-late]
   longsynth-cli simulate     [--households N] [--months T] [--seed N] --output PANEL.csv
 
+A command rejects any flag its line does not list.
+
 The panel CSV has one row per individual and one 0/1 column per round
 (header / id column auto-detected). --sipp parses a Census SIPP public-use
-file instead, applying the paper's pre-processing.
+file instead, applying the paper's pre-processing; --months T is the SIPP
+loader's horizon hint (default 12).
 
 `engine` partitions the panel into S cohorts, synthesizes them in parallel
 (one synthesizer per shard), and writes the merged population-level release;
@@ -85,24 +88,25 @@ disjoint cohorts give the same user-level zCDP guarantee as one shard.
 concatenate, population queries pay ~sqrt(S) extra noise) or shared (one
 population-level noise draw over summed cohort aggregates, recovering
 unsharded population accuracy; P is the population budget share, default
-0.8). Both engine runs print a per-policy population-query error summary
-against the true panel.
+0.8). Every engine and serve run prints a per-policy population-query
+error summary against the true panel.
 
---panel rotating:W runs a **dynamic panel** instead of a static one
+--panel rotating:W runs a **dynamic panel** instead of the static one
 (cumulative algorithm only): W overlapping waves are active at every round,
 one wave retires and a fresh one enters each round (SIPP/CPS-style
 rotation), and the panel's rows are divided across the W+T-1 wave cohorts
-(W must not exceed the round count). The per-individual budget cap still
-holds: each individual lives in exactly one wave. Under per-shard noise,
-population answers pool the cohorts covering each round; under
---aggregation shared the engine runs a **windowed population synthesizer**
-whose statistics forget each retiring wave, so the active-set release
-carries a single population-level noise draw per round.
+(W must not exceed the round count), so --shards is accepted but unused.
+The per-individual budget cap still holds: each individual lives in exactly
+one wave. Under per-shard noise, population answers pool the cohorts
+covering each round; under --aggregation shared the engine runs a
+**windowed population synthesizer** whose statistics forget each retiring
+wave, so the active-set release carries a single population-level noise
+draw per round.
 
-`serve` runs the engine with the release store attached, then drives a batch
-of concurrent window/cumulative queries against the stored releases through
-the shared worker pool — cold (empty cache) and cached — and reports
-queries/sec for both. --eviction picks the memo-cache eviction policy
+`serve` is the engine run with the release store attached. It then drives
+a batch of concurrent window/cumulative queries against the stored releases
+through the shared worker pool — cold (empty cache) and cached — and
+reports queries/sec for both. --eviction picks the memo-cache eviction policy
 (fifo default, lru for skewed traffic). --snapshot additionally writes the
 store as JSON, restores it, and verifies the restored answers are
 bit-identical.
@@ -113,20 +117,43 @@ jittered inside each round's window starting at epoch --t0 ms) flows from P
 concurrent producers through a --queue-cap-bounded queue with backpressure,
 is watermark-sealed into rounds by the event-time window spec --window
 (width:slide in ms; one value means tumbling), stepped through the sharded
-cumulative engine as each round seals, and served through the query layer.
---late-policy drop (default) drops-and-counts events that miss a sealed
-window; grace:G holds every seal back G ms of event time. See
+cumulative engine as each round seals, and served through the query layer
+as in `serve`. --late-policy drop (default) drops-and-counts events that
+miss a sealed window; grace:G holds every seal back G ms of event time. See
 docs/INGEST.md for the semantics.
 
 --metrics M.jsonl (engine, serve, and ingest) turns on the observability
-layer:
-round-phase latency histograms, worker-pool queue/latency/panic counters,
-serving cache and ingest counters, and the privacy-budget audit ledger. At
-the end of the run the metrics and ledger events are written as JSONL to M
-and a Prometheus text dump to M with a .prom extension. `stats` reads such
+layer: round-phase latency histograms, worker-pool queue/latency/panic
+counters, serving cache and ingest counters, and the privacy-budget audit
+ledger. At the end of the run the metrics and ledger events are written as
+JSONL to M and a Prometheus text dump to M with a .prom extension. `stats` reads such
 a JSONL file back and prints a summary (exits nonzero on malformed input);
 with --fail-on-late it also exits nonzero when ingest_late_events_total > 0,
 catching silent event loss in CI smoke runs.";
+
+/// The flags `command` accepts, space-separated: exactly those its USAGE
+/// block lists (pinned by a test).
+fn accepted_flags(command: &str) -> &'static str {
+    match command {
+        "fixed-window" => "input rho window output estimates seed sipp months beta",
+        "cumulative" => "input rho output estimates seed sipp months max-b",
+        "engine" => {
+            "input rho shards algorithm window aggregation panel output estimates seed sipp \
+             months beta max-b metrics"
+        }
+        "serve" => {
+            "input rho shards algorithm window aggregation panel eviction queries pool-threads \
+             snapshot seed sipp months beta max-b metrics"
+        }
+        "ingest" => {
+            "rho individuals rounds shards window t0 late-policy queue-cap producers rate \
+             aggregation eviction queries pool-threads snapshot max-b seed metrics"
+        }
+        "stats" => "metrics fail-on-late",
+        "simulate" => "households months seed output",
+        _ => "",
+    }
+}
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -182,26 +209,24 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     Ok(flags)
 }
 
+/// Reject the first (by name) flag `command` does not accept.
+fn check_flags(flags: &Flags, command: &str) -> Result<(), String> {
+    let accepted = accepted_flags(command);
+    match (flags.keys())
+        .filter(|flag| !accepted.split_whitespace().any(|name| name == *flag))
+        .min()
+    {
+        Some(flag) => Err(format!("`{command}` does not accept --{flag} (see --help)")),
+        None => Ok(()),
+    }
+}
+
 fn get_parsed<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, String> {
     match flags.get(name) {
         None => Ok(default),
         Some(raw) => raw
             .parse()
             .map_err(|_| format!("--{name}: cannot parse {raw:?}")),
-    }
-}
-
-fn load_input(flags: &Flags, horizon_hint: usize) -> Result<LongitudinalDataset, String> {
-    let input: PathBuf = flags
-        .get("input")
-        .map(PathBuf::from)
-        .ok_or("--input is required")?;
-    if flags.contains_key("sipp") {
-        load_sipp_csv(&input, horizon_hint).map_err(|e| e.to_string())
-    } else {
-        let file =
-            std::fs::File::open(&input).map_err(|e| format!("opening {}: {e}", input.display()))?;
-        read_panel_csv(std::io::BufReader::new(file)).map_err(|e| e.to_string())
     }
 }
 
@@ -218,110 +243,141 @@ fn open_output(
     }
 }
 
-fn run_fixed_window(flags: &Flags) -> Result<(), String> {
-    let rho_v: f64 = get_parsed(flags, "rho", f64::NAN)?;
-    if rho_v.is_nan() {
-        return Err("--rho is required".into());
-    }
-    let window: usize = get_parsed(flags, "window", 3)?;
-    let seed: u64 = get_parsed(flags, "seed", 42)?;
-    let beta: f64 = get_parsed(flags, "beta", 0.05)?;
-    let months_hint: usize = get_parsed(flags, "months", 12)?;
-    let panel = load_input(flags, months_hint)?;
-    let horizon = panel.rounds();
-    eprintln!(
-        "panel: {} individuals x {} rounds; k = {window}, rho = {rho_v}",
-        panel.individuals(),
-        horizon
-    );
-
-    let rho = Rho::new(rho_v).map_err(|e| e.to_string())?;
-    let config = FixedWindowConfig::new(horizon, window, rho)
-        .map_err(|e| e.to_string())?
-        .with_padding(longsynth::PaddingPolicy::Recommended { beta });
-    let mut synth = FixedWindowSynthesizer::new(config, rng_from_seed(seed));
-    for (_, col) in panel.stream() {
-        synth.step(col).map_err(|e| e.to_string())?;
-    }
-    eprintln!(
-        "released n* = {} synthetic records (npad = {} per bin, {} clamp events)",
-        synth.n_star(),
-        synth.npad(),
-        synth.failures().total()
-    );
-
-    if let Some(mut out) = open_output(flags, "output")? {
-        let records: Vec<_> = synth.synthetic().iter().collect();
-        write_panel_csv(
-            &mut out,
-            records.into_iter(),
-            horizon,
-            Some(synth.padding_flags()),
-        )
-        .map_err(|e| e.to_string())?;
-        eprintln!("wrote synthetic panel to --output");
-    }
-    if let Some(mut out) = open_output(flags, "estimates")? {
-        writeln!(out, "round,query,debiased_estimate").map_err(|e| e.to_string())?;
-        for t in (window - 1)..horizon {
-            for q in quarterly_battery(window) {
-                let est = synth.estimate_debiased(t, &q).map_err(|e| e.to_string())?;
-                writeln!(out, "{},{},{est}", t + 1, q.name()).map_err(|e| e.to_string())?;
-            }
-        }
-        eprintln!("wrote window-query estimates to --estimates");
-    }
-    Ok(())
+/// The flags the synthesizing commands share, parsed once.
+struct RunSpec {
+    rho: f64,
+    seed: u64,
+    /// Cohorts of a static panel.
+    shards: usize,
+    /// `fixed-window` or `cumulative`.
+    algorithm: &'static str,
+    policy: AggregationPolicy,
+    /// `--panel rotating:W`'s wave count; `None` for a static panel.
+    waves: Option<usize>,
+    eviction: EvictionPolicy,
+    metrics: Option<String>,
+    /// The SIPP loader's horizon hint.
+    months: usize,
 }
 
-fn run_cumulative(flags: &Flags) -> Result<(), String> {
-    let rho_v: f64 = get_parsed(flags, "rho", f64::NAN)?;
-    if rho_v.is_nan() {
-        return Err("--rho is required".into());
-    }
-    let seed: u64 = get_parsed(flags, "seed", 42)?;
-    let months_hint: usize = get_parsed(flags, "months", 12)?;
-    let panel = load_input(flags, months_hint)?;
-    let horizon = panel.rounds();
-    let max_b: usize = get_parsed(flags, "max-b", horizon.min(6))?;
-    eprintln!(
-        "panel: {} individuals x {} rounds; rho = {rho_v}",
-        panel.individuals(),
-        horizon
-    );
-
-    let rho = Rho::new(rho_v).map_err(|e| e.to_string())?;
-    let config = CumulativeConfig::new(horizon, rho).map_err(|e| e.to_string())?;
-    let mut synth = CumulativeSynthesizer::new(config, RngFork::new(seed), rng_from_seed(seed));
-    for (_, col) in panel.stream() {
-        synth.step(col).map_err(|e| e.to_string())?;
-    }
-    eprintln!("released {} rounds of synthetic data", synth.rounds_fed());
-
-    if let Some(mut out) = open_output(flags, "output")? {
-        let records: Vec<_> = synth.synthetic().iter().collect();
-        write_panel_csv(&mut out, records.into_iter(), horizon, None).map_err(|e| e.to_string())?;
-        eprintln!("wrote synthetic panel to --output");
-    }
-    if let Some(mut out) = open_output(flags, "estimates")? {
-        writeln!(out, "round,threshold_b,fraction_at_least_b").map_err(|e| e.to_string())?;
-        for t in 0..horizon {
-            for b in 1..=max_b.min(t + 1) {
-                let est = synth.estimate_fraction(t, b).map_err(|e| e.to_string())?;
-                writeln!(out, "{},{b},{est}", t + 1).map_err(|e| e.to_string())?;
-            }
+impl RunSpec {
+    fn parse(flags: &Flags, command: &str) -> Result<Self, String> {
+        check_flags(flags, command)?;
+        let rho: f64 = get_parsed(flags, "rho", f64::NAN)?;
+        if rho.is_nan() {
+            return Err("--rho is required".into());
         }
-        eprintln!("wrote cumulative estimates to --estimates");
+        let waves = match flags.get("panel").map(String::as_str) {
+            None | Some("static") => None,
+            Some(raw) => {
+                let waves = (raw.strip_prefix("rotating:"))
+                    .ok_or_else(|| format!("--panel must be static or rotating:W, got {raw:?}"))?;
+                match waves.parse() {
+                    Ok(0) => return Err("--panel rotating needs at least one wave".into()),
+                    Ok(waves) => Some(waves),
+                    Err(_) => return Err(format!("--panel: cannot parse wave count {waves:?}")),
+                }
+            }
+        };
+        // `engine` and `serve` split a static panel into --shards cohorts;
+        // a rotating panel has W+T-1 wave cohorts instead.
+        let required = waves.is_none() && matches!(command, "engine" | "serve");
+        let shards: usize = get_parsed(flags, "shards", if required { 0 } else { 1 })?;
+        if shards == 0 && waves.is_none() {
+            return Err("--shards is required (try the number of cores)".into());
+        }
+        let algorithm = match flags.get("algorithm").map(String::as_str) {
+            None if command == "engine" => "fixed-window",
+            None | Some("cumulative") => "cumulative",
+            Some("fixed-window") => "fixed-window",
+            Some(other) => {
+                return Err(format!(
+                    "--algorithm must be fixed-window or cumulative, got {other:?}"
+                ))
+            }
+        };
+        if waves.is_some() && algorithm != "cumulative" {
+            return Err(
+                "--panel rotating requires --algorithm cumulative (fixed-window cohorts at \
+                 different buffering phases cannot merge)"
+                    .into(),
+            );
+        }
+        if waves.is_some() && flags.contains_key("output") {
+            return Err(
+                "--output is not available under a rotating panel: the merged release is \
+                 ragged (the active set changes each round); use --estimates"
+                    .into(),
+            );
+        }
+        let policy = match flags.get("aggregation") {
+            None => AggregationPolicy::PerShardNoise,
+            Some(raw) => raw.parse().map_err(|e| format!("--aggregation: {e}"))?,
+        };
+        let eviction = match flags.get("eviction").map(String::as_str) {
+            None | Some("fifo") => EvictionPolicy::Fifo,
+            Some("lru") => EvictionPolicy::Lru,
+            Some(other) => return Err(format!("--eviction must be fifo or lru, got {other:?}")),
+        };
+        Ok(Self {
+            rho,
+            seed: get_parsed(flags, "seed", 42)?,
+            shards,
+            algorithm,
+            policy,
+            waves,
+            eviction,
+            metrics: flags.get("metrics").cloned(),
+            months: get_parsed(flags, "months", 12)?,
+        })
     }
-    Ok(())
-}
 
-/// Parse `--aggregation` (default: per-shard noise, the pre-policy
-/// semantics).
-fn parse_aggregation(flags: &Flags) -> Result<AggregationPolicy, String> {
-    match flags.get("aggregation") {
-        None => Ok(AggregationPolicy::PerShardNoise),
-        Some(raw) => raw.parse().map_err(|e| format!("--aggregation: {e}")),
+    fn load(&self, flags: &Flags) -> Result<LongitudinalDataset, String> {
+        let input: PathBuf = flags
+            .get("input")
+            .map(PathBuf::from)
+            .ok_or("--input is required")?;
+        if flags.contains_key("sipp") {
+            load_sipp_csv(&input, self.months).map_err(|e| e.to_string())
+        } else {
+            let file = std::fs::File::open(&input)
+                .map_err(|e| format!("opening {}: {e}", input.display()))?;
+            read_panel_csv(std::io::BufReader::new(file)).map_err(|e| e.to_string())
+        }
+    }
+
+    /// The run's schedule over `n` individuals and `horizon` rounds, with
+    /// the policy's cohort share of rho per cohort under the per-individual
+    /// cap rho.
+    ///
+    /// Shared noise on a rotating panel needs a **constant active
+    /// population** (the windowed population synthesizer's size is pinned
+    /// at round 0), so such runs trim the panel to the largest row count
+    /// the wave cohorts divide evenly, with a note on stderr.
+    fn schedule(&self, n: usize, horizon: usize) -> Result<PanelSchedule, String> {
+        let cohorts = self.waves.map_or(self.shards, |waves| waves + horizon - 1);
+        let (cohort_share, population_share) = self.policy.budget_shares(cohorts);
+        let cohort_rho = Rho::new(self.rho * cohort_share).map_err(|e| e.to_string())?;
+        let total = Rho::new(self.rho).map_err(|e| e.to_string())?;
+        let Some(waves) = self.waves else {
+            return PanelSchedule::uniform(n, self.shards, horizon, cohort_rho, total)
+                .map_err(|e| e.to_string());
+        };
+        let mut n = n;
+        if population_share.is_some() && !n.is_multiple_of(cohorts) {
+            let trimmed = (n / cohorts) * cohorts;
+            if trimmed == 0 {
+                return Err(format!(
+                    "panel of {n} rows cannot cover {cohorts} wave cohorts"
+                ));
+            }
+            eprintln!(
+                "shared noise needs equal wave cohorts: using the first {trimmed} of {n} rows \
+                 ({cohorts} cohorts)"
+            );
+            n = trimmed;
+        }
+        PanelSchedule::rotating(n, horizon, waves, cohort_rho, total).map_err(|e| e.to_string())
     }
 }
 
@@ -334,250 +390,737 @@ fn slot_stream(role: SlotRole) -> u64 {
     }
 }
 
-/// Parse `--panel` (default: static lockstep; `rotating:W` = W overlapping
-/// waves, one rotating out per round).
-fn parse_panel(flags: &Flags) -> Result<Option<usize>, String> {
-    match flags.get("panel").map(String::as_str) {
-        None | Some("static") => Ok(None),
-        Some(raw) => match raw.strip_prefix("rotating:") {
-            Some(waves) => {
-                let waves: usize = waves
-                    .parse()
-                    .map_err(|_| format!("--panel: cannot parse wave count {waves:?}"))?;
-                if waves == 0 {
-                    return Err("--panel rotating needs at least one wave".to_string());
-                }
-                Ok(Some(waves))
-            }
-            None => Err(format!("--panel must be static or rotating:W, got {raw:?}")),
-        },
-    }
+type ReleaseOf<F> = <<F as Family>::Synth as ContinualSynthesizer>::Release;
+
+/// What differs between the synthesizer families; the run paths are
+/// generic over it.
+trait Family: Sized {
+    type Synth: ContinualSynthesizer<
+            Input = BitColumn,
+            Release: MergeRelease + Clone + Send,
+            Aggregate: MergeAggregate + Clone + Send,
+        > + Send
+        + 'static;
+    type Config;
+    /// One query of the family's estimate battery.
+    type Query;
+    /// The `--estimates` CSV header.
+    const HEADER: &'static str;
+
+    fn from_flags(flags: &Flags, horizon: usize) -> Result<Self, String>;
+    fn config(&self, horizon: usize, budget: Rho) -> Result<Self::Config, String>;
+    /// The engine's synthesizer for `slot`, on RNG streams forked per
+    /// slot; `waves` bounds a rotating panel's population window.
+    fn synth(&self, slot: PanelSlot, waves: Option<usize>, fork: &RngFork) -> Self::Synth;
+    /// The standalone command's synthesizer, with its own seeding.
+    fn seeded(config: Self::Config, seed: u64) -> Self::Synth;
+    /// `(round, query)` pairs in `--estimates` row order.
+    fn battery(&self, horizon: usize) -> Vec<(usize, Self::Query)>;
+    fn estimate(synth: &Self::Synth, t: usize, query: &Self::Query) -> Result<f64, String>;
+    fn truth(panel: &LongitudinalDataset, t: usize, query: &Self::Query) -> f64;
+    /// The query's `--estimates` column.
+    fn label(query: &Self::Query) -> String;
+    /// The public per-record padding flags, for families that pad.
+    fn padding(synth: &Self::Synth) -> Option<&[bool]>;
+    /// Append the columns a release adds to the released panel.
+    fn push_columns(release: ReleaseOf<Self>, columns: &mut Vec<BitColumn>);
+    fn sink(service: &QueryService) -> Box<dyn ReleaseSink<ReleaseOf<Self>>>;
 }
 
-/// Parse `--eviction` (default: fifo).
-fn parse_eviction(flags: &Flags) -> Result<EvictionPolicy, String> {
-    match flags.get("eviction").map(String::as_str) {
-        None | Some("fifo") => Ok(EvictionPolicy::Fifo),
-        Some("lru") => Ok(EvictionPolicy::Lru),
-        Some(other) => Err(format!("--eviction must be fifo or lru, got {other:?}")),
-    }
-}
-
-/// Build the rotating-panel schedule for a rectangular input panel: the
-/// panel's rows are divided across the `waves + horizon − 1` wave cohorts
-/// and each cohort streams the panel's columns during its own window.
-///
-/// Shared noise needs a **constant active population** (the windowed
-/// population synthesizer's size is pinned at round 0), so shared runs
-/// trim the panel to the largest row count the wave cohorts divide
-/// evenly, with a note on stderr.
-fn rotating_schedule(
-    n: usize,
-    horizon: usize,
-    waves: usize,
-    rho_v: f64,
-    policy: AggregationPolicy,
-) -> Result<(PanelSchedule, ShardPlan), String> {
-    // The cohort budget share depends on whether the engine will actually
-    // run a population synthesizer, which depends on the panel's cohort
-    // count — mirror the generator's arithmetic rather than guessing
-    // (waves > horizon is rejected by the schedule generator below).
-    let cohort_count = waves + horizon - 1;
-    let (cohort_share, population_share) = policy.budget_shares(cohort_count);
-    let n = if population_share.is_some() && !n.is_multiple_of(cohort_count) {
-        let trimmed = (n / cohort_count) * cohort_count;
-        if trimmed == 0 {
-            return Err(format!(
-                "panel of {n} rows cannot cover {cohort_count} wave cohorts"
-            ));
-        }
-        eprintln!(
-            "shared noise needs equal wave cohorts: using the first {trimmed} of {n} rows \
-             ({cohort_count} cohorts)"
-        );
-        trimmed
-    } else {
-        n
-    };
-    let cohort_rho = Rho::new(rho_v * cohort_share).map_err(|e| e.to_string())?;
-    let total = Rho::new(rho_v).map_err(|e| e.to_string())?;
-    let schedule =
-        PanelSchedule::rotating(n, horizon, waves, cohort_rho, total).map_err(|e| e.to_string())?;
-    debug_assert_eq!(schedule.cohorts(), cohort_count);
-    let sizes: Vec<usize> = (0..schedule.cohorts())
-        .map(|c| schedule.cohort_size(c))
-        .collect();
-    let layout = ShardPlan::from_sizes(&sizes).map_err(|e| e.to_string())?;
-    Ok((schedule, layout))
-}
-
-/// Step a scheduled cumulative engine over the panel: each round feeds the
-/// active cohorts' slices of that round's column.
-fn drive_rotating_cumulative(
-    engine: &mut ShardedEngine<longsynth::CumulativeSynthesizer>,
-    schedule: &PanelSchedule,
-    layout: &ShardPlan,
-    panel: &LongitudinalDataset,
-) -> Result<(), String> {
-    for round in 0..schedule.global_horizon() {
-        let parts: Vec<longsynth_data::BitColumn> = schedule
-            .active(round)
-            .into_iter()
-            .map(|c| panel.column(round).slice(layout.range(c)))
-            .collect();
-        let column = longsynth_data::BitColumn::concat(parts.iter());
-        // The engine verifies the per-individual budget cap every round
-        // (in every build profile) and errors before releasing to a sink.
-        engine.step(&column).map_err(|e| e.to_string())?;
-    }
-    Ok(())
-}
-
-/// The engine factory for a rotating cumulative run. Under shared noise
-/// the population slot runs the cumulative family's **windowed release
-/// mode**, bounded by the wave length (the longest membership window) —
-/// the windowed population synthesizer that makes shared noise sound
-/// under churn.
-fn rotating_cumulative_factory(
-    seed: u64,
+/// Algorithm 1: window queries over the last `window` rounds.
+struct FixedWindow {
     window: usize,
-) -> impl FnMut(longsynth_engine::PanelSlot) -> longsynth::CumulativeSynthesizer {
-    let fork = RngFork::new(seed);
-    move |slot| {
-        let config =
-            CumulativeConfig::new(slot.horizon, slot.budget).expect("schedule-validated slot");
-        let config = match slot.role {
-            SlotRole::Population => config
-                .with_window(window)
-                .expect("wave length fits the horizon"),
-            SlotRole::Shard(_) => config,
+    beta: f64,
+}
+
+impl Family for FixedWindow {
+    type Synth = FixedWindowSynthesizer;
+    type Config = FixedWindowConfig;
+    type Query = WindowQuery;
+    const HEADER: &'static str = "round,query,debiased_estimate";
+
+    fn from_flags(flags: &Flags, _: usize) -> Result<Self, String> {
+        let window = get_parsed(flags, "window", 3)?;
+        Ok(Self {
+            window,
+            beta: get_parsed(flags, "beta", 0.05)?,
+        })
+    }
+
+    fn config(&self, horizon: usize, budget: Rho) -> Result<FixedWindowConfig, String> {
+        let config = FixedWindowConfig::new(horizon, self.window, budget);
+        let config = config.map_err(|e| e.to_string())?;
+        Ok(config.with_padding(PaddingPolicy::Recommended { beta: self.beta }))
+    }
+
+    fn synth(&self, slot: PanelSlot, _: Option<usize>, fork: &RngFork) -> FixedWindowSynthesizer {
+        let config = self.config(slot.horizon, slot.budget).expect("validated");
+        FixedWindowSynthesizer::new(config, fork.child(slot_stream(slot.role)))
+    }
+
+    fn seeded(config: FixedWindowConfig, seed: u64) -> FixedWindowSynthesizer {
+        FixedWindowSynthesizer::new(config, rng_from_seed(seed))
+    }
+
+    fn battery(&self, horizon: usize) -> Vec<(usize, WindowQuery)> {
+        let rounds = (self.window - 1)..horizon;
+        let queries = |t| {
+            quarterly_battery(self.window)
+                .into_iter()
+                .map(move |q| (t, q))
         };
+        rounds.flat_map(queries).collect()
+    }
+
+    fn estimate(synth: &FixedWindowSynthesizer, t: usize, q: &WindowQuery) -> Result<f64, String> {
+        synth.estimate_debiased(t, q).map_err(|e| e.to_string())
+    }
+
+    fn truth(panel: &LongitudinalDataset, t: usize, query: &WindowQuery) -> f64 {
+        query.evaluate_true(panel, t)
+    }
+
+    fn label(query: &WindowQuery) -> String {
+        query.name().to_string()
+    }
+
+    fn padding(synth: &FixedWindowSynthesizer) -> Option<&[bool]> {
+        Some(synth.padding_flags())
+    }
+
+    fn push_columns(release: Release, columns: &mut Vec<BitColumn>) {
+        match release {
+            Release::Buffered => {}
+            Release::Initial(initial) => columns.extend(initial),
+            Release::Update(column) => columns.push(column),
+        }
+    }
+
+    fn sink(service: &QueryService) -> Box<dyn ReleaseSink<Release>> {
+        service.release_sink()
+    }
+}
+
+/// Algorithm 2: cumulative thresholds `b = 1..=max_b`.
+struct Cumulative {
+    max_b: usize,
+}
+
+impl Family for Cumulative {
+    type Synth = CumulativeSynthesizer;
+    type Config = CumulativeConfig;
+    type Query = usize;
+    const HEADER: &'static str = "round,threshold_b,fraction_at_least_b";
+
+    fn from_flags(flags: &Flags, horizon: usize) -> Result<Self, String> {
+        let max_b = get_parsed(flags, "max-b", horizon.min(6))?;
+        Ok(Self { max_b })
+    }
+
+    fn config(&self, horizon: usize, budget: Rho) -> Result<CumulativeConfig, String> {
+        CumulativeConfig::new(horizon, budget).map_err(|e| e.to_string())
+    }
+
+    /// On a rotating panel the population slot runs the family's
+    /// **windowed release mode**, bounded by the wave length (the longest
+    /// membership window), which makes shared noise sound under churn.
+    fn synth(&self, slot: PanelSlot, waves: Option<usize>, fork: &RngFork) -> Self::Synth {
+        let mut config = self.config(slot.horizon, slot.budget).expect("validated");
+        if let (SlotRole::Population, Some(waves)) = (slot.role, waves) {
+            config = config.with_window(waves).expect("waves fit the horizon");
+        }
         let stream = slot_stream(slot.role);
         CumulativeSynthesizer::new(config, fork.subfork(stream), fork.child(0x0C00 + stream))
     }
-}
 
-/// Population cumulative estimate over the active set at global round `t`:
-/// the windowed population synthesizer's released estimate under shared
-/// noise, else the size-weighted pool of the covering cohorts' released
-/// estimates.
-fn rotating_population_estimate(
-    engine: &ShardedEngine<longsynth::CumulativeSynthesizer>,
-    schedule: &PanelSchedule,
-    t: usize,
-    b: usize,
-) -> Result<f64, String> {
-    if let Some(population) = engine.population_synthesizer() {
-        return population
-            .estimate_fraction(t, b)
-            .map_err(|e| e.to_string());
+    fn seeded(config: CumulativeConfig, seed: u64) -> CumulativeSynthesizer {
+        CumulativeSynthesizer::new(config, RngFork::new(seed), rng_from_seed(seed))
     }
-    rotating_cohort_pool_estimate(engine, schedule, t, b)
+
+    fn battery(&self, horizon: usize) -> Vec<(usize, usize)> {
+        let thresholds = |t: usize| (1..=self.max_b.min(t + 1)).map(move |b| (t, b));
+        (0..horizon).flat_map(thresholds).collect()
+    }
+
+    fn estimate(synth: &CumulativeSynthesizer, t: usize, b: &usize) -> Result<f64, String> {
+        synth.estimate_fraction(t, *b).map_err(|e| e.to_string())
+    }
+
+    fn truth(panel: &LongitudinalDataset, t: usize, b: &usize) -> f64 {
+        cumulative_fraction(panel, t, *b)
+    }
+
+    fn label(b: &usize) -> String {
+        b.to_string()
+    }
+
+    fn padding(_: &CumulativeSynthesizer) -> Option<&[bool]> {
+        None
+    }
+
+    fn push_columns(release: BitColumn, columns: &mut Vec<BitColumn>) {
+        columns.push(release);
+    }
+
+    fn sink(service: &QueryService) -> Box<dyn ReleaseSink<BitColumn>> {
+        service.column_sink()
+    }
 }
 
-/// The per-cohort pooled estimate (the per-shard-noise population
-/// estimator, and the cohort-level comparison row under shared noise).
-fn rotating_cohort_pool_estimate(
-    engine: &ShardedEngine<longsynth::CumulativeSynthesizer>,
-    schedule: &PanelSchedule,
-    t: usize,
-    b: usize,
-) -> Result<f64, String> {
-    let parts = (0..schedule.cohorts())
-        .filter(|&c| schedule.cohort(c).is_active(t))
-        .map(|c| {
-            let local = t - schedule.cohort(c).entry_round;
-            engine
-                .shard(c)
-                .estimate_fraction(local, b)
-                .map(|est| (est, schedule.cohort_size(c)))
-                .map_err(|e| e.to_string())
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    active_weighted_mean(parts).ok_or_else(|| format!("no cohort covers round {t}"))
-}
-
-/// The matching ground truth: each covering cohort's true cumulative
-/// fraction over *its observed columns*, size-weighted.
-fn rotating_population_truth(
-    schedule: &PanelSchedule,
-    layout: &ShardPlan,
-    panel: &LongitudinalDataset,
-    t: usize,
-    b: usize,
-) -> f64 {
-    let parts = (0..schedule.cohorts())
-        .filter(|&c| schedule.cohort(c).is_active(t))
-        .map(|c| {
-            let entry = schedule.cohort(c).entry_round;
-            let observed = LongitudinalDataset::from_columns(
-                (entry..=t)
-                    .map(|round| panel.column(round).slice(layout.range(c)))
-                    .collect(),
-            )
-            .expect("cohort slices are rectangular");
-            let counts = cumulative_counts(&observed, t - entry);
-            let count = counts.get(b).copied().unwrap_or(0);
-            (
-                count as f64 / schedule.cohort_size(c) as f64,
-                schedule.cohort_size(c),
-            )
-        });
-    active_weighted_mean(parts).expect("every round has a covering cohort")
-}
-
-/// The `--metrics` wiring shared by `engine` and `serve`: one registry
-/// collects every subsystem's metrics, and the end of the run dumps the
-/// JSONL event stream (metrics + budget ledger) to the requested path
-/// plus a Prometheus text rendering to the same path with a `.prom`
-/// extension.
-struct CliMetrics {
-    path: String,
+/// The wiring `engine`, `serve` and `ingest` share around their engine:
+/// the `--metrics` registry and, for the serving commands, one worker pool
+/// that steps the engine and answers queries, plus the query service the
+/// engine's releases land in.
+struct Wiring {
+    /// The `--metrics` dump path; engines are observed only when it is set.
+    metrics: Option<String>,
     registry: MetricsRegistry,
+    serving: Option<(Arc<WorkerPool>, QueryService)>,
 }
 
-impl CliMetrics {
-    fn from_flags(flags: &Flags) -> Option<Self> {
-        flags.get("metrics").map(|path| Self {
-            path: path.clone(),
-            registry: MetricsRegistry::new(),
-        })
-    }
-
-    /// Attach an [`EngineObserver`] plus (when the engine runs pooled)
-    /// the worker-pool instrumentation.
-    fn observe_engine<S: longsynth::ContinualSynthesizer>(&self, engine: &mut ShardedEngine<S>) {
-        engine.set_observer(EngineObserver::new(&self.registry));
-        if let Some(pool) = engine.pool() {
-            pool.attach_metrics(&self.registry);
+impl Wiring {
+    /// `pool_threads` is `Some` for the serving commands.
+    fn new(spec: &RunSpec, pool_threads: Option<usize>) -> Self {
+        let registry = MetricsRegistry::new();
+        let serving = pool_threads.map(|threads| {
+            let capacity = longsynth_serve::DEFAULT_CACHE_CAPACITY;
+            let store = ReleaseStore::new();
+            let service =
+                QueryService::with_cache_in_registry(store, capacity, spec.eviction, &registry);
+            (Arc::new(WorkerPool::new(threads.max(1))), service)
+        });
+        let metrics = spec.metrics.clone();
+        Self {
+            metrics,
+            registry,
+            serving,
         }
     }
 
-    /// Write both exports and a one-line summary on stderr.
-    fn write(&self, ledger: Option<&BudgetLedger>) -> Result<(), String> {
-        let file = std::fs::File::create(&self.path)
-            .map_err(|e| format!("creating {}: {e}", self.path))?;
+    /// Build the run's engine over `schedule`, observed under `--metrics`
+    /// and feeding the query service when serving.
+    fn engine<F: Family>(
+        &self,
+        family: &F,
+        spec: &RunSpec,
+        schedule: PanelSchedule,
+    ) -> Result<ShardedEngine<F::Synth>, String> {
+        eprintln!(
+            "panel: {} individuals x {} rounds; {} cohorts (~{} active per round), \
+             algorithm = {}, aggregation = {}, total rho = {}",
+            schedule.population(),
+            schedule.global_horizon(),
+            schedule.cohorts(),
+            schedule.active_population(0),
+            spec.algorithm,
+            spec.policy,
+            spec.rho
+        );
+        // Validate the parameters once at the full budget; slot configs
+        // only rescale it.
+        family.config(schedule.global_horizon(), schedule.total_budget())?;
+        let fork = RngFork::new(spec.seed);
+        let factory = |slot| family.synth(slot, spec.waves, &fork);
+        let mut engine = match &self.serving {
+            Some((pool, _)) => {
+                let pool = Arc::clone(pool);
+                ShardedEngine::with_schedule_and_pool(schedule, spec.policy, factory, pool)
+            }
+            None => ShardedEngine::with_schedule(schedule, spec.policy, factory),
+        }
+        .map_err(|e| e.to_string())?;
+        if self.metrics.is_some() {
+            engine.set_observer(EngineObserver::new(&self.registry));
+            if let Some(pool) = engine.pool() {
+                pool.attach_metrics(&self.registry);
+            }
+        }
+        if let Some((_, service)) = &self.serving {
+            engine.set_sink(F::sink(service));
+        }
+        Ok(engine)
+    }
+
+    /// Drive the schedule's query battery over the stored releases cold
+    /// and cached, report throughput, and (optionally) verify a snapshot
+    /// round-trip.
+    fn serve_queries(
+        &self,
+        flags: &Flags,
+        schedule: &PanelSchedule,
+        max_b: usize,
+        window: usize,
+        query_target: usize,
+    ) -> Result<(), String> {
+        let (pool, service) = self.serving.as_ref().expect("a serving command");
+        let (rounds, records, tag) = service.with_store(|s| (s.rounds(), s.records(), s.policy()));
+        let tag = tag.map_or("none".to_string(), |tag| tag.to_string());
+        let records = records.unwrap_or(0);
+        eprintln!("stored {rounds} released rounds ({records} records, policy tag {tag})");
+        let distinct = serve_battery(schedule, rounds, max_b, window);
+        if distinct.is_empty() {
+            return Err("no answerable queries (panel too short?)".into());
+        }
+        let batch: Vec<ServeQuery> = distinct
+            .iter()
+            .cycle()
+            .take(query_target)
+            .cloned()
+            .collect();
+
+        // Cold pass: every distinct query computed from the store. Cached
+        // pass: same batch, all hits.
+        let run_batch = |label: &str| {
+            let start = std::time::Instant::now();
+            let answers = service.answer_batch(pool, batch.clone());
+            let elapsed = start.elapsed();
+            let failures = answers.iter().filter(|a| a.is_err()).count();
+            let qps = batch.len() as f64 / elapsed.as_secs_f64();
+            let (hits, misses) = service.cache_stats();
+            eprintln!(
+                "{label}: {} queries in {elapsed:?} ({qps:.0} queries/sec; \
+                 {hits} hits, {misses} misses, {failures} failures)",
+                batch.len()
+            );
+            qps
+        };
+        service.clear_cache();
+        let cold_qps = run_batch("cold  ");
+        let cached_qps = run_batch("cached");
+        eprintln!(
+            "cache speedup: {:.1}x ({} distinct queries memoized, {} evictions)",
+            cached_qps / cold_qps,
+            service.cache_len(),
+            service.cache_evictions()
+        );
+
+        if let Some(path) = flags.get("snapshot") {
+            let json = service.snapshot_json();
+            std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
+            let restored_json =
+                std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+            let restored = QueryService::restore_json(&restored_json).map_err(|e| e.to_string())?;
+            for query in &distinct {
+                let original = service.answer(query).map_err(|e| e.to_string())?;
+                let recovered = restored.answer(query).map_err(|e| e.to_string())?;
+                if original.to_bits() != recovered.to_bits() {
+                    return Err(format!(
+                        "snapshot restore diverged on {query:?}: {original} vs {recovered}"
+                    ));
+                }
+            }
+            eprintln!(
+                "snapshot: wrote {} bytes to {path}; restore verified bit-identical \
+                 on {} distinct queries",
+                json.len(),
+                distinct.len()
+            );
+        }
+        Ok(())
+    }
+
+    /// Under `--metrics`, write the registry and the engine's budget
+    /// ledger as JSONL to the path and a Prometheus text rendering to the
+    /// same path with a `.prom` extension.
+    fn finish<S: ContinualSynthesizer>(&self, engine: &mut ShardedEngine<S>) -> Result<(), String> {
+        let Some(path) = &self.metrics else {
+            return Ok(());
+        };
+        let observer = engine.take_observer();
+        let ledger = observer.as_ref().map(EngineObserver::ledger);
+        let file = std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
         let mut out = std::io::BufWriter::new(file);
         self.registry
             .write_jsonl(&mut out)
-            .map_err(|e| format!("writing {}: {e}", self.path))?;
+            .map_err(|e| format!("writing {path}: {e}"))?;
         if let Some(ledger) = ledger {
             ledger
                 .write_jsonl(&mut out)
-                .map_err(|e| format!("writing {}: {e}", self.path))?;
+                .map_err(|e| format!("writing {path}: {e}"))?;
         }
         out.flush().map_err(|e| e.to_string())?;
-        let prom_path = PathBuf::from(&self.path).with_extension("prom");
+        let prom_path = PathBuf::from(path).with_extension("prom");
         std::fs::write(&prom_path, self.registry.prometheus_text())
             .map_err(|e| format!("writing {}: {e}", prom_path.display()))?;
         eprintln!(
-            "metrics: wrote JSONL ({} budget events) to {} and Prometheus text to {}",
+            "metrics: wrote JSONL ({} budget events) to {path} and Prometheus text to {}",
             ledger.map_or(0, longsynth_obs::BudgetLedger::len),
-            self.path,
             prom_path.display()
         );
         Ok(())
     }
+}
+
+/// The size-weighted mean of `answer(cohort, local round)` over the
+/// cohorts covering global round `t`.
+fn pool(
+    schedule: &PanelSchedule,
+    t: usize,
+    mut answer: impl FnMut(usize, usize) -> Result<f64, String>,
+) -> Result<f64, String> {
+    let mut parts = Vec::new();
+    for c in schedule.active(t) {
+        let local = t - schedule.cohort(c).entry_round;
+        parts.push((answer(c, local)?, schedule.cohort_size(c)));
+    }
+    active_weighted_mean(parts).ok_or_else(|| format!("no cohort covers round {t}"))
+}
+
+/// The matching ground truth: each covering cohort's true answer over the
+/// columns it observed, size-weighted.
+fn population_truths<F: Family>(
+    engine: &ShardedEngine<F::Synth>,
+    panel: &LongitudinalDataset,
+    battery: &[(usize, F::Query)],
+) -> Result<Vec<f64>, String> {
+    let (schedule, plan) = (engine.schedule(), engine.plan());
+    let observed: Vec<LongitudinalDataset> = (0..schedule.cohorts())
+        .map(|c| {
+            let window = schedule.cohort(c).window();
+            let columns = window.map(|round| panel.column(round).slice(plan.range(c)));
+            LongitudinalDataset::from_columns(columns.collect()).expect("rectangular slices")
+        })
+        .collect();
+    let truth = |(t, query): &(usize, F::Query)| {
+        pool(schedule, *t, |c, local| {
+            Ok(F::truth(&observed[c], local, query))
+        })
+    };
+    battery.iter().map(truth).collect()
+}
+
+/// Write `--output` (the released columns as rows, plus the public padding
+/// column for families that pad) and `--estimates`.
+fn write_release<F: Family>(
+    flags: &Flags,
+    columns: &[BitColumn],
+    padding: Option<&[bool]>,
+    battery: &[(usize, F::Query)],
+    estimates: &[f64],
+) -> Result<(), String> {
+    if let Some(mut out) = open_output(flags, "output")? {
+        let records = columns.first().map_or(0, BitColumn::len);
+        let rows = (0..records).map(|i| columns.iter().map(|c| c.get(i)).collect());
+        write_panel_csv(&mut out, rows, columns.len(), padding).map_err(|e| e.to_string())?;
+        eprintln!("wrote synthetic panel to --output");
+    }
+    if let Some(mut out) = open_output(flags, "estimates")? {
+        writeln!(out, "{}", F::HEADER).map_err(|e| e.to_string())?;
+        for ((t, query), estimate) in battery.iter().zip(estimates) {
+            writeln!(out, "{},{},{estimate}", t + 1, F::label(query)).map_err(|e| e.to_string())?;
+        }
+        eprintln!("wrote estimates to --estimates");
+    }
+    Ok(())
+}
+
+fn run_fixed_window(flags: &Flags) -> Result<(), String> {
+    run_single::<FixedWindow>(flags, "fixed-window")
+}
+
+fn run_cumulative(flags: &Flags) -> Result<(), String> {
+    run_single::<Cumulative>(flags, "cumulative")
+}
+
+/// The standalone commands: one synthesizer over the whole panel.
+fn run_single<F: Family>(flags: &Flags, command: &str) -> Result<(), String> {
+    let spec = RunSpec::parse(flags, command)?;
+    let panel = spec.load(flags)?;
+    let (n, horizon) = (panel.individuals(), panel.rounds());
+    eprintln!(
+        "panel: {n} individuals x {horizon} rounds; {command}, rho = {}",
+        spec.rho
+    );
+    let family = F::from_flags(flags, horizon)?;
+    let rho = Rho::new(spec.rho).map_err(|e| e.to_string())?;
+    let mut synth = F::seeded(family.config(horizon, rho)?, spec.seed);
+    let mut columns = Vec::with_capacity(horizon);
+    for (_, col) in panel.stream() {
+        F::push_columns(synth.step(col).map_err(|e| e.to_string())?, &mut columns);
+    }
+    let records = columns.first().map_or(0, BitColumn::len);
+    eprintln!("released {records} synthetic records over {horizon} rounds");
+    let battery = family.battery(horizon);
+    let estimates = (battery.iter())
+        .map(|(t, query)| F::estimate(&synth, *t, query))
+        .collect::<Result<Vec<_>, String>>()?;
+    write_release::<F>(flags, &columns, F::padding(&synth), &battery, &estimates)
+}
+
+fn run_engine(flags: &Flags) -> Result<(), String> {
+    run_panel(flags, RunSpec::parse(flags, "engine")?, None)
+}
+
+/// The serve subcommand: the engine run with the release store attached,
+/// then a concurrent query batch over the stored releases — the whole
+/// serving subsystem end to end, with throughput numbers on stderr.
+fn run_serve(flags: &Flags) -> Result<(), String> {
+    let spec = RunSpec::parse(flags, "serve")?;
+    run_panel(flags, spec, Some(get_parsed(flags, "pool-threads", 4)?))
+}
+
+fn run_panel(flags: &Flags, spec: RunSpec, pool_threads: Option<usize>) -> Result<(), String> {
+    let panel = spec.load(flags)?;
+    let wiring = Wiring::new(&spec, pool_threads);
+    match spec.algorithm {
+        "fixed-window" => run_scheduled::<FixedWindow>(flags, &spec, &panel, &wiring),
+        _ => run_scheduled::<Cumulative>(flags, &spec, &panel, &wiring),
+    }
+}
+
+/// `engine` and `serve`: step the scheduled engine through the panel (each
+/// round feeds the concatenated slices of its active cohorts; on a static
+/// panel, the whole column), report the population estimates against the
+/// truth, write the release, and, when serving, drive the query batch.
+fn run_scheduled<F: Family>(
+    flags: &Flags,
+    spec: &RunSpec,
+    panel: &LongitudinalDataset,
+    wiring: &Wiring,
+) -> Result<(), String> {
+    let horizon = panel.rounds();
+    let family = F::from_flags(flags, horizon)?;
+    let schedule = spec.schedule(panel.individuals(), horizon)?;
+    let mut engine = wiring.engine(&family, spec, schedule)?;
+    let start = std::time::Instant::now();
+    let mut columns = Vec::with_capacity(horizon);
+    for round in 0..horizon {
+        let parts: Vec<BitColumn> = (engine.schedule().active(round).into_iter())
+            .map(|c| panel.column(round).slice(engine.plan().range(c)))
+            .collect();
+        // The engine checks the per-individual budget cap every round and
+        // errors before releasing to a sink.
+        let release = engine.step(&BitColumn::concat(&parts));
+        F::push_columns(release.map_err(|e| e.to_string())?, &mut columns);
+    }
+    let budget = engine.budget();
+    eprintln!(
+        "released {} rounds in {:?}; max individual lifetime budget {} (cap {}; cohort \
+         level {} + population level {}; sequential-sum view {})",
+        engine.rounds_fed(),
+        start.elapsed(),
+        budget.max_lifetime_spend(),
+        engine.schedule().total_budget(),
+        budget.cohort_spent(),
+        budget.population_spent(),
+        budget.spent_sequential()
+    );
+    if let Some(windowed) = engine.windowed_population() {
+        let retired = windowed.retired_cohorts();
+        eprintln!("windowed population synthesizer: {retired} cohorts retired from the window");
+    }
+
+    // Evaluate the battery once; the summary and --estimates share it.
+    // The population estimate is the population synthesizer's under
+    // shared noise, the cohort pool otherwise.
+    let battery = family.battery(horizon);
+    let truths = population_truths::<F>(&engine, panel, &battery)?;
+    let cohort_pool = |(t, query): &(usize, F::Query)| {
+        pool(engine.schedule(), *t, |c, local| {
+            F::estimate(engine.shard(c), local, query)
+        })
+    };
+    let estimate = |entry: &(usize, F::Query)| match engine.population_synthesizer() {
+        Some(population) => F::estimate(population, entry.0, &entry.1),
+        None => cohort_pool(entry),
+    };
+    let estimates = battery
+        .iter()
+        .map(estimate)
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut comparison = AccuracyComparison::against(
+        format!("{} population estimates", spec.policy),
+        ErrorSummary::from_pairs(&estimates, &truths),
+    );
+    if engine.population_synthesizer().is_some() {
+        // Under shared noise the cohort releases still exist at the
+        // cohort budget share — show both levels side by side.
+        let pooled = battery
+            .iter()
+            .map(cohort_pool)
+            .collect::<Result<Vec<_>, _>>()?;
+        let pooled = ErrorSummary::from_pairs(&pooled, &truths);
+        comparison.add("per-cohort pool (cohort budget share)", pooled);
+    }
+    eprintln!("population-query error vs truth (active set per round):\n{comparison}");
+    let padding: Option<Vec<bool>> = match engine.population_synthesizer() {
+        Some(population) => F::padding(population).map(<[bool]>::to_vec),
+        None => (0..engine.shards())
+            .map(|s| F::padding(engine.shard(s)))
+            .collect::<Option<Vec<_>>>()
+            .map(|parts| parts.concat()),
+    };
+    write_release::<F>(flags, &columns, padding.as_deref(), &battery, &estimates)?;
+
+    if wiring.serving.is_some() {
+        let max_b = get_parsed(flags, "max-b", horizon.min(6))?;
+        let window = get_parsed(flags, "window", 3)?;
+        let queries = get_parsed(flags, "queries", 1_000)?;
+        wiring.serve_queries(flags, engine.schedule(), max_b, window, queries)?;
+    }
+    wiring.finish(&mut engine)
+}
+
+/// The read battery a `serve` run drives. A static panel cycles the
+/// canonical mixed battery — the read traffic a deployment sees. A
+/// rotating panel reads merged-scope cumulative thresholds over every
+/// round, plus each covering cohort's `b = 1`.
+fn serve_battery(
+    schedule: &PanelSchedule,
+    rounds: usize,
+    max_b: usize,
+    window: usize,
+) -> Vec<ServeQuery> {
+    if schedule.is_static() {
+        return mixed_battery(rounds, schedule.cohorts(), max_b, window);
+    }
+    let cumulative = |scope, t, b| ServeQuery {
+        scope,
+        kind: QueryKind::CumulativeFraction { t, b },
+    };
+    let mut distinct = Vec::new();
+    for t in 0..rounds {
+        for b in 1..=max_b.min(t + 1) {
+            distinct.push(cumulative(StoreScope::Merged, t, b));
+        }
+        for c in schedule.active(t) {
+            distinct.push(cumulative(StoreScope::Cohort(c), t, 1));
+        }
+    }
+    distinct
+}
+
+/// Parse the ingest subcommand's `--window`: `W` (tumbling) or `W:S`
+/// (sliding), both in event-time milliseconds, anchored at `--t0`.
+fn parse_ingest_window(flags: &Flags, t0: i64) -> Result<WindowSpec, String> {
+    let raw = flags.get("window").map(String::as_str).unwrap_or("60000");
+    let (width, slide) = match raw.split_once(':') {
+        Some((w, s)) => (w, s),
+        None => (raw, raw),
+    };
+    let width: i64 = width
+        .parse()
+        .map_err(|_| format!("--window: cannot parse width {width:?} (ms)"))?;
+    let slide: i64 = slide
+        .parse()
+        .map_err(|_| format!("--window: cannot parse slide {slide:?} (ms)"))?;
+    WindowSpec::new(width, slide, t0).map_err(|e| e.to_string())
+}
+
+/// The `ingest` subcommand: the event-time pipeline end to end. A
+/// synthetic timestamped stream flows from concurrent producers through
+/// the bounded queue, is watermark-sealed into rounds, stepped through
+/// the sharded cumulative engine as each round seals, and served through
+/// the query layer — the engine's round clock driven by event time
+/// instead of a pre-binned panel.
+fn run_ingest(flags: &Flags) -> Result<(), String> {
+    let spec = RunSpec::parse(flags, "ingest")?;
+    let n: usize = get_parsed(flags, "individuals", 2_000)?;
+    let horizon: usize = get_parsed(flags, "rounds", 12)?;
+    if n == 0 || horizon == 0 {
+        return Err("--individuals and --rounds must be positive".into());
+    }
+    let producers: usize = get_parsed::<usize>(flags, "producers", 2)?.max(1);
+    let queue_cap: usize = get_parsed(flags, "queue-cap", 65_536)?;
+    let rate: f64 = get_parsed(flags, "rate", 0.3)?;
+    // Default origin ≈ late 2025 in Unix ms: the boundary math runs at
+    // real epoch magnitudes, not toy offsets (see docs/INGEST.md).
+    let t0: i64 = get_parsed(flags, "t0", 1_760_000_000_000_i64)?;
+    let window = parse_ingest_window(flags, t0)?;
+    let late = match flags.get("late-policy") {
+        None => LatePolicy::Drop,
+        Some(raw) => LatePolicy::parse(raw).map_err(|e| e.to_string())?,
+    };
+    let query_target: usize = get_parsed(flags, "queries", 500)?;
+    let family = Cumulative::from_flags(flags, horizon)?;
+    let wiring = Wiring::new(&spec, Some(get_parsed(flags, "pool-threads", 2)?));
+    let mut engine = wiring.engine(&family, &spec, spec.schedule(n, horizon)?)?;
+    eprintln!(
+        "stream: rate {rate}; window {}ms/{}ms from t0 = {t0}, late policy {late}, \
+         {producers} producers, queue cap {queue_cap}",
+        window.width(),
+        window.slide(),
+    );
+
+    let mut config = IngestConfig::new(window);
+    config.late = late;
+    config.queue_cap = queue_cap;
+    let tier = match &wiring.metrics {
+        Some(_) => IngestTier::with_metrics(config, BitRoundAssembler::new(n), &wiring.registry),
+        None => IngestTier::new(config, BitRoundAssembler::new(n)),
+    };
+
+    // Synthetic timestamped stream: a Bernoulli panel's set bits become
+    // events, deterministically jittered inside each round's slide span —
+    // a tumbling run seals with zero late events, while an overlapping
+    // W:S spec genuinely exercises the late path.
+    let data = iid_bernoulli(&mut rng_from_seed(spec.seed ^ 0x1A6E57), n, horizon, rate);
+    let columns: Arc<Vec<BitColumn>> =
+        Arc::new((0..horizon).map(|r| data.column(r).clone()).collect());
+    let start = std::time::Instant::now();
+    let base = tier.producer();
+    let chunk = n.div_ceil(producers);
+    let mut handles = Vec::with_capacity(producers);
+    for p in 0..producers {
+        let producer = base.clone();
+        let columns = Arc::clone(&columns);
+        let (lo, hi) = (p * chunk, ((p + 1) * chunk).min(n));
+        handles.push(std::thread::spawn(move || {
+            for round in 0..horizon {
+                let instance = window.window(round as u64);
+                let span = window.slide();
+                let batch: Vec<Event<bool>> = (lo..hi)
+                    .filter(|&i| columns[round].get(i))
+                    .map(|i| {
+                        let jitter = ((i as u64).wrapping_mul(7_919)
+                            ^ (round as u64).wrapping_mul(104_729))
+                            % span as u64;
+                        Event {
+                            time_ms: instance.open + jitter as i64,
+                            individual: i as u32,
+                            payload: true,
+                        }
+                    })
+                    .collect();
+                if !batch.is_empty() && producer.send_batch(batch).is_err() {
+                    return; // consumer gone: nothing left to feed
+                }
+                // Zero-event rounds still advance this producer's
+                // watermark slot, so an idle slice cannot stall sealing.
+                producer.heartbeat(instance.open + span - 1);
+            }
+        }));
+    }
+    drop(base);
+
+    let mut sealed_rounds = tier.into_rounds().with_min_rounds(horizon as u64);
+    {
+        let mut driver = IngestDriver::new(&mut engine);
+        for sealed in sealed_rounds.by_ref() {
+            driver.on_sealed(&sealed).map_err(|e| e.to_string())?;
+        }
+    }
+    for handle in handles {
+        handle
+            .join()
+            .map_err(|_| "a producer thread panicked".to_string())?;
+    }
+    let stats = sealed_rounds.stats();
+    eprintln!(
+        "sealed {} rounds from {} events ({} late, {} rejected; peak queue depth {}) \
+         in {:?}; user-level budget {}",
+        stats.rounds_sealed,
+        stats.events,
+        stats.late_events,
+        stats.rejected_events,
+        stats.peak_queue_depth,
+        start.elapsed(),
+        engine.budget().spent(),
+    );
+
+    let schedule = engine.schedule();
+    wiring.serve_queries(flags, schedule, family.max_b, horizon.min(3), query_target)?;
+    wiring.finish(&mut engine)
 }
 
 /// The `stats` subcommand: parse a `--metrics` JSONL dump back and print
@@ -585,6 +1128,7 @@ impl CliMetrics {
 /// known `type`) is an error — this doubles as the CI well-formedness
 /// check on the exporter.
 fn run_stats(flags: &Flags) -> Result<(), String> {
+    check_flags(flags, "stats")?;
     let path = flags.get("metrics").ok_or("--metrics is required")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let mut counters: Vec<(String, u64)> = Vec::new();
@@ -702,790 +1246,8 @@ fn run_stats(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn run_engine(flags: &Flags) -> Result<(), String> {
-    let rho_v: f64 = get_parsed(flags, "rho", f64::NAN)?;
-    if rho_v.is_nan() {
-        return Err("--rho is required".into());
-    }
-    let shards: usize = get_parsed(flags, "shards", 0)?;
-    if shards == 0 {
-        return Err("--shards is required (try the number of cores)".into());
-    }
-    let algorithm = flags
-        .get("algorithm")
-        .map(String::as_str)
-        .unwrap_or("fixed-window");
-    let policy = parse_aggregation(flags)?;
-    let rotating = parse_panel(flags)?;
-    let metrics = CliMetrics::from_flags(flags);
-    let seed: u64 = get_parsed(flags, "seed", 42)?;
-    let months_hint: usize = get_parsed(flags, "months", 12)?;
-    let panel = load_input(flags, months_hint)?;
-    let horizon = panel.rounds();
-    let n = panel.individuals();
-    if let Some(waves) = rotating {
-        if algorithm != "cumulative" {
-            return Err(
-                "--panel rotating requires --algorithm cumulative (fixed-window cohorts \
-                 at different buffering phases cannot merge)"
-                    .to_string(),
-            );
-        }
-        if flags.contains_key("output") {
-            return Err(
-                "--output is not available under a rotating panel: the merged release \
-                 is ragged (the active set changes each round); use --estimates"
-                    .to_string(),
-            );
-        }
-        let max_b: usize = get_parsed(flags, "max-b", horizon.min(6))?;
-        let (schedule, layout) = rotating_schedule(n, horizon, waves, rho_v, policy)?;
-        eprintln!(
-            "panel: {n} individuals x {horizon} rounds; rotating panel of {waves} waves \
-             ({} cohorts, ~{} active per round), aggregation = {policy}, total rho = {rho_v}",
-            schedule.cohorts(),
-            schedule.active_population(0)
-        );
-        let mut engine = ShardedEngine::with_schedule(
-            schedule.clone(),
-            policy,
-            rotating_cumulative_factory(seed, waves),
-        )
-        .map_err(|e| e.to_string())?;
-        if let Some(metrics) = &metrics {
-            metrics.observe_engine(&mut engine);
-        }
-        drive_rotating_cumulative(&mut engine, &schedule, &layout, &panel)?;
-        let budget = engine.budget();
-        eprintln!(
-            "released {} rounds over the rotating panel; max individual lifetime budget {} \
-             (cap {}; population level {})",
-            engine.rounds_fed(),
-            budget.max_lifetime_spend(),
-            schedule.total_budget(),
-            budget.population_spent()
-        );
-        if let Some(windowed) = engine.windowed_population() {
-            eprintln!(
-                "windowed population synthesizer: {} cohorts retired from the window",
-                windowed.retired_cohorts()
-            );
-        }
-        let battery: Vec<(usize, usize)> = (0..horizon)
-            .flat_map(|t| (1..=max_b.min(t + 1)).map(move |b| (t, b)))
-            .collect();
-        let mut estimates = Vec::with_capacity(battery.len());
-        let mut truths = Vec::with_capacity(battery.len());
-        for &(t, b) in &battery {
-            estimates.push(rotating_population_estimate(&engine, &schedule, t, b)?);
-            truths.push(rotating_population_truth(&schedule, &layout, &panel, t, b));
-        }
-        let mut comparison = AccuracyComparison::against(
-            format!("rotating:{waves} {policy} active-set estimates"),
-            ErrorSummary::from_pairs(&estimates, &truths),
-        );
-        if engine.population_synthesizer().is_some() {
-            // Under shared noise the cohort releases still exist at the
-            // cohort budget share — show both levels side by side.
-            let pooled = battery
-                .iter()
-                .map(|&(t, b)| rotating_cohort_pool_estimate(&engine, &schedule, t, b))
-                .collect::<Result<Vec<f64>, String>>()?;
-            comparison.add(
-                "per-cohort pool (cohort budget share)",
-                ErrorSummary::from_pairs(&pooled, &truths),
-            );
-        }
-        eprintln!("population-query error vs truth (active set per round):\n{comparison}");
-        if let Some(mut out) = open_output(flags, "estimates")? {
-            writeln!(out, "round,threshold_b,fraction_at_least_b").map_err(|e| e.to_string())?;
-            for ((t, b), estimate) in battery.iter().zip(&estimates) {
-                writeln!(out, "{},{b},{estimate}", t + 1).map_err(|e| e.to_string())?;
-            }
-            eprintln!("wrote active-set cumulative estimates to --estimates");
-        }
-        if let Some(metrics) = &metrics {
-            let observer = engine.take_observer();
-            metrics.write(observer.as_ref().map(EngineObserver::ledger))?;
-        }
-        return Ok(());
-    }
-    let plan = ShardPlan::new(n, shards).map_err(|e| e.to_string())?;
-    let rho = Rho::new(rho_v).map_err(|e| e.to_string())?;
-    let fork = RngFork::new(seed);
-    eprintln!(
-        "panel: {n} individuals x {horizon} rounds; {shards} shards \
-         (cohorts of ~{}), algorithm = {algorithm}, aggregation = {policy}, \
-         total rho = {rho_v}",
-        plan.cohort_size(0)
-    );
-
-    match algorithm {
-        "fixed-window" => {
-            let window: usize = get_parsed(flags, "window", 3)?;
-            let beta: f64 = get_parsed(flags, "beta", 0.05)?;
-            // Validate the parameters once at the full budget; slot
-            // configs below only rescale rho.
-            FixedWindowConfig::new(horizon, window, rho).map_err(|e| e.to_string())?;
-            let mut engine = ShardedEngine::with_aggregation(plan, policy, |slot| {
-                let slot_rho = Rho::new(rho_v * slot.budget_share).expect("positive share");
-                let config = FixedWindowConfig::new(horizon, window, slot_rho)
-                    .expect("parameters validated above")
-                    .with_padding(longsynth::PaddingPolicy::Recommended { beta });
-                FixedWindowSynthesizer::new(config, fork.child(slot_stream(slot.role)))
-            })
-            .map_err(|e| e.to_string())?;
-            if let Some(metrics) = &metrics {
-                metrics.observe_engine(&mut engine);
-            }
-            let mut columns = Vec::with_capacity(horizon);
-            for (_, col) in panel.stream() {
-                match engine.step(col).map_err(|e| e.to_string())? {
-                    longsynth::Release::Buffered => {}
-                    longsynth::Release::Initial(cols) => columns.extend(cols),
-                    longsynth::Release::Update(col) => columns.push(col),
-                }
-            }
-            let budget = engine.budget();
-            // The released population: the population synthesizer's under
-            // shared noise, the cohort concatenation otherwise.
-            let (n_star, padding): (usize, Vec<bool>) = match engine.population_synthesizer() {
-                Some(population) => (population.n_star(), population.padding_flags().to_vec()),
-                None => (
-                    (0..shards).map(|s| engine.shard(s).n_star()).sum(),
-                    (0..shards)
-                        .flat_map(|s| engine.shard(s).padding_flags().to_vec())
-                        .collect(),
-                ),
-            };
-            eprintln!(
-                "released n* = {n_star} population-level synthetic records; \
-                 user-level budget {} (cohort level {} + population level {}; \
-                 sequential-sum view {})",
-                budget.spent(),
-                budget.cohort_spent(),
-                budget.population_spent(),
-                budget.spent_sequential()
-            );
-            // The cohort-size-weighted average of per-shard debiased
-            // estimates — the population estimator of the per-shard
-            // policy, and the cohort-level comparison row under shared.
-            let cohort_average =
-                |t: usize, q: &longsynth_queries::WindowQuery| -> Result<f64, String> {
-                    let mut total = 0.0;
-                    for s in 0..shards {
-                        let est = engine
-                            .shard(s)
-                            .estimate_debiased(t, q)
-                            .map_err(|e| e.to_string())?;
-                        total += est * engine.plan().cohort_size(s) as f64;
-                    }
-                    Ok(total / n as f64)
-                };
-            // Evaluate the battery once; the summary and the --estimates
-            // CSV both read from these vectors.
-            let battery: Vec<(usize, longsynth_queries::WindowQuery)> = ((window - 1)..horizon)
-                .flat_map(|t| quarterly_battery(window).into_iter().map(move |q| (t, q)))
-                .collect();
-            let mut estimates = Vec::with_capacity(battery.len());
-            let mut truths = Vec::with_capacity(battery.len());
-            for (t, q) in &battery {
-                let estimate = match engine.population_synthesizer() {
-                    Some(population) => population
-                        .estimate_debiased(*t, q)
-                        .map_err(|e| e.to_string())?,
-                    None => cohort_average(*t, q)?,
-                };
-                estimates.push(estimate);
-                truths.push(q.evaluate_true(&panel, *t));
-            }
-            let mut comparison = AccuracyComparison::against(
-                format!("{policy} population estimates"),
-                ErrorSummary::from_pairs(&estimates, &truths),
-            );
-            if engine.population_synthesizer().is_some() {
-                // Under shared noise the cohort releases still exist at
-                // the cohort budget share — show both levels side by side.
-                let cohort_estimates = battery
-                    .iter()
-                    .map(|(t, q)| cohort_average(*t, q))
-                    .collect::<Result<Vec<f64>, String>>()?;
-                comparison.add(
-                    "per-cohort average (cohort budget share)",
-                    ErrorSummary::from_pairs(&cohort_estimates, &truths),
-                );
-            }
-            eprintln!("population-query error vs truth:\n{comparison}");
-            if let Some(mut out) = open_output(flags, "output")? {
-                let rows: Vec<longsynth_data::BitStream> = (0..n_star)
-                    .map(|i| columns.iter().map(|c| c.get(i)).collect())
-                    .collect();
-                write_panel_csv(&mut out, rows.into_iter(), horizon, Some(&padding))
-                    .map_err(|e| e.to_string())?;
-                eprintln!("wrote merged synthetic panel to --output");
-            }
-            if let Some(mut out) = open_output(flags, "estimates")? {
-                writeln!(out, "round,query,debiased_estimate").map_err(|e| e.to_string())?;
-                for ((t, q), estimate) in battery.iter().zip(&estimates) {
-                    writeln!(out, "{},{},{estimate}", t + 1, q.name())
-                        .map_err(|e| e.to_string())?;
-                }
-                eprintln!("wrote merged window-query estimates to --estimates");
-            }
-            if let Some(metrics) = &metrics {
-                let observer = engine.take_observer();
-                metrics.write(observer.as_ref().map(EngineObserver::ledger))?;
-            }
-        }
-        "cumulative" => {
-            let max_b: usize = get_parsed(flags, "max-b", horizon.min(6))?;
-            CumulativeConfig::new(horizon, rho).map_err(|e| e.to_string())?;
-            let mut engine = ShardedEngine::with_aggregation(plan, policy, |slot| {
-                let slot_rho = Rho::new(rho_v * slot.budget_share).expect("positive share");
-                let config =
-                    CumulativeConfig::new(horizon, slot_rho).expect("parameters validated above");
-                let stream = slot_stream(slot.role);
-                CumulativeSynthesizer::new(
-                    config,
-                    fork.subfork(stream),
-                    fork.child(0x0C00 + stream),
-                )
-            })
-            .map_err(|e| e.to_string())?;
-            if let Some(metrics) = &metrics {
-                metrics.observe_engine(&mut engine);
-            }
-            let mut columns = Vec::with_capacity(horizon);
-            for (_, col) in panel.stream() {
-                columns.push(engine.step(col).map_err(|e| e.to_string())?);
-            }
-            let budget = engine.budget();
-            eprintln!(
-                "released {} rounds; user-level budget {} (cohort level {} + \
-                 population level {}; sequential-sum view {})",
-                engine.rounds_fed(),
-                budget.spent(),
-                budget.cohort_spent(),
-                budget.population_spent(),
-                budget.spent_sequential()
-            );
-            let population_estimate = |t: usize, b: usize| -> Result<f64, String> {
-                match engine.population_synthesizer() {
-                    Some(population) => population
-                        .estimate_fraction(t, b)
-                        .map_err(|e| e.to_string()),
-                    None => {
-                        let mut total = 0.0;
-                        for s in 0..shards {
-                            let est = engine
-                                .shard(s)
-                                .estimate_fraction(t, b)
-                                .map_err(|e| e.to_string())?;
-                            total += est * engine.plan().cohort_size(s) as f64;
-                        }
-                        Ok(total / n as f64)
-                    }
-                }
-            };
-            // Evaluate the battery once; the summary and the --estimates
-            // CSV both read from these vectors.
-            let battery: Vec<(usize, usize)> = (0..horizon)
-                .flat_map(|t| (1..=max_b.min(t + 1)).map(move |b| (t, b)))
-                .collect();
-            let mut estimates = Vec::with_capacity(battery.len());
-            let mut truths = Vec::with_capacity(battery.len());
-            let mut truth_row = (usize::MAX, Vec::new());
-            for &(t, b) in &battery {
-                if truth_row.0 != t {
-                    truth_row = (t, cumulative_counts(&panel, t));
-                }
-                estimates.push(population_estimate(t, b)?);
-                truths.push(truth_row.1[b] as f64 / n as f64);
-            }
-            let comparison = AccuracyComparison::against(
-                format!("{policy} population estimates"),
-                ErrorSummary::from_pairs(&estimates, &truths),
-            );
-            eprintln!("population-query error vs truth:\n{comparison}");
-            if let Some(mut out) = open_output(flags, "output")? {
-                let records = columns.first().map_or(0, longsynth_data::BitColumn::len);
-                let rows: Vec<longsynth_data::BitStream> = (0..records)
-                    .map(|i| columns.iter().map(|c| c.get(i)).collect())
-                    .collect();
-                write_panel_csv(&mut out, rows.into_iter(), horizon, None)
-                    .map_err(|e| e.to_string())?;
-                eprintln!("wrote merged synthetic panel to --output");
-            }
-            if let Some(mut out) = open_output(flags, "estimates")? {
-                writeln!(out, "round,threshold_b,fraction_at_least_b")
-                    .map_err(|e| e.to_string())?;
-                for ((t, b), estimate) in battery.iter().zip(&estimates) {
-                    writeln!(out, "{},{b},{estimate}", t + 1).map_err(|e| e.to_string())?;
-                }
-                eprintln!("wrote merged cumulative estimates to --estimates");
-            }
-            if let Some(metrics) = &metrics {
-                let observer = engine.take_observer();
-                metrics.write(observer.as_ref().map(EngineObserver::ledger))?;
-            }
-        }
-        other => {
-            return Err(format!(
-                "--algorithm must be fixed-window or cumulative, got {other:?}"
-            ))
-        }
-    }
-    Ok(())
-}
-
-/// Parse the ingest subcommand's `--window`: `W` (tumbling) or `W:S`
-/// (sliding), both in event-time milliseconds, anchored at `--t0`.
-fn parse_ingest_window(flags: &Flags, t0: i64) -> Result<WindowSpec, String> {
-    let raw = flags.get("window").map(String::as_str).unwrap_or("60000");
-    let (width, slide) = match raw.split_once(':') {
-        Some((w, s)) => (w, s),
-        None => (raw, raw),
-    };
-    let width: i64 = width
-        .parse()
-        .map_err(|_| format!("--window: cannot parse width {width:?} (ms)"))?;
-    let slide: i64 = slide
-        .parse()
-        .map_err(|_| format!("--window: cannot parse slide {slide:?} (ms)"))?;
-    WindowSpec::new(width, slide, t0).map_err(|e| e.to_string())
-}
-
-/// The `ingest` subcommand: the event-time pipeline end to end. A
-/// synthetic timestamped stream flows from concurrent producers through
-/// the bounded queue, is watermark-sealed into rounds, stepped through
-/// the sharded cumulative engine as each round seals, and served through
-/// the query layer — the engine's round clock driven by event time
-/// instead of a pre-binned panel.
-fn run_ingest(flags: &Flags) -> Result<(), String> {
-    let rho_v: f64 = get_parsed(flags, "rho", f64::NAN)?;
-    if rho_v.is_nan() {
-        return Err("--rho is required".into());
-    }
-    let n: usize = get_parsed(flags, "individuals", 2_000)?;
-    let horizon: usize = get_parsed(flags, "rounds", 12)?;
-    if n == 0 || horizon == 0 {
-        return Err("--individuals and --rounds must be positive".into());
-    }
-    let shards: usize = get_parsed(flags, "shards", 1)?;
-    let producers: usize = get_parsed::<usize>(flags, "producers", 2)?.max(1);
-    let queue_cap: usize = get_parsed(flags, "queue-cap", 65_536)?;
-    let rate: f64 = get_parsed(flags, "rate", 0.3)?;
-    let seed: u64 = get_parsed(flags, "seed", 42)?;
-    // Default origin ≈ late 2025 in Unix ms: the boundary math runs at
-    // real epoch magnitudes, not toy offsets (see docs/INGEST.md).
-    let t0: i64 = get_parsed(flags, "t0", 1_760_000_000_000_i64)?;
-    let window = parse_ingest_window(flags, t0)?;
-    let late = match flags.get("late-policy") {
-        None => LatePolicy::Drop,
-        Some(raw) => LatePolicy::parse(raw).map_err(|e| e.to_string())?,
-    };
-    let policy = parse_aggregation(flags)?;
-    let eviction = parse_eviction(flags)?;
-    let query_target: usize = get_parsed(flags, "queries", 500)?;
-    let pool_threads: usize = get_parsed(flags, "pool-threads", 2)?;
-    let metrics = CliMetrics::from_flags(flags);
-
-    let plan = ShardPlan::new(n, shards).map_err(|e| e.to_string())?;
-    let rho = Rho::new(rho_v).map_err(|e| e.to_string())?;
-    CumulativeConfig::new(horizon, rho).map_err(|e| e.to_string())?;
-    let fork = RngFork::new(seed);
-    let mut engine = ShardedEngine::with_aggregation(plan, policy, |slot| {
-        let slot_rho = Rho::new(rho_v * slot.budget_share).expect("positive share");
-        let config = CumulativeConfig::new(horizon, slot_rho).expect("parameters validated above");
-        let stream = slot_stream(slot.role);
-        CumulativeSynthesizer::new(config, fork.subfork(stream), fork.child(0x0C00 + stream))
-    })
-    .map_err(|e| e.to_string())?;
-    if let Some(m) = &metrics {
-        m.observe_engine(&mut engine);
-    }
-    let pool = std::sync::Arc::new(WorkerPool::new(pool_threads.max(1)));
-    let service = match &metrics {
-        Some(m) => {
-            pool.attach_metrics(&m.registry);
-            QueryService::with_cache_in_registry(
-                longsynth_serve::ReleaseStore::new(),
-                longsynth_serve::DEFAULT_CACHE_CAPACITY,
-                eviction,
-                &m.registry,
-            )
-        }
-        None => QueryService::with_cache(
-            longsynth_serve::ReleaseStore::new(),
-            longsynth_serve::DEFAULT_CACHE_CAPACITY,
-            eviction,
-        ),
-    };
-    engine.set_sink(service.column_sink());
-
-    eprintln!(
-        "stream: {n} individuals x {horizon} rounds at rate {rate}; window {}ms/{}ms \
-         from t0 = {t0}, late policy {late}, {producers} producers, queue cap {queue_cap}; \
-         {shards} shards, aggregation = {policy}, total rho = {rho_v}",
-        window.width(),
-        window.slide(),
-    );
-
-    let mut config = IngestConfig::new(window);
-    config.late = late;
-    config.queue_cap = queue_cap;
-    let tier = match &metrics {
-        Some(m) => IngestTier::with_metrics(config, BitRoundAssembler::new(n), &m.registry),
-        None => IngestTier::new(config, BitRoundAssembler::new(n)),
-    };
-
-    // Synthetic timestamped stream: a Bernoulli panel's set bits become
-    // events, deterministically jittered inside each round's slide span —
-    // a tumbling run seals with zero late events, while an overlapping
-    // W:S spec genuinely exercises the late path.
-    let data = iid_bernoulli(&mut rng_from_seed(seed ^ 0x1A6E57), n, horizon, rate);
-    let columns: std::sync::Arc<Vec<longsynth_data::BitColumn>> =
-        std::sync::Arc::new((0..horizon).map(|r| data.column(r).clone()).collect());
-    let start = std::time::Instant::now();
-    let base = tier.producer();
-    let chunk = n.div_ceil(producers);
-    let mut handles = Vec::with_capacity(producers);
-    for p in 0..producers {
-        let producer = base.clone();
-        let columns = std::sync::Arc::clone(&columns);
-        let (lo, hi) = (p * chunk, ((p + 1) * chunk).min(n));
-        handles.push(std::thread::spawn(move || {
-            for round in 0..horizon {
-                let instance = window.window(round as u64);
-                let span = window.slide();
-                let batch: Vec<Event<bool>> = (lo..hi)
-                    .filter(|&i| columns[round].get(i))
-                    .map(|i| {
-                        let jitter = ((i as u64).wrapping_mul(7_919)
-                            ^ (round as u64).wrapping_mul(104_729))
-                            % span as u64;
-                        Event {
-                            time_ms: instance.open + jitter as i64,
-                            individual: i as u32,
-                            payload: true,
-                        }
-                    })
-                    .collect();
-                if !batch.is_empty() && producer.send_batch(batch).is_err() {
-                    return; // consumer gone: nothing left to feed
-                }
-                // Zero-event rounds still advance this producer's
-                // watermark slot, so an idle slice cannot stall sealing.
-                producer.heartbeat(instance.open + span - 1);
-            }
-        }));
-    }
-    drop(base);
-
-    let mut sealed_rounds = tier.into_rounds().with_min_rounds(horizon as u64);
-    {
-        let mut driver = IngestDriver::new(&mut engine);
-        for sealed in sealed_rounds.by_ref() {
-            driver.on_sealed(&sealed).map_err(|e| e.to_string())?;
-        }
-    }
-    for handle in handles {
-        handle
-            .join()
-            .map_err(|_| "a producer thread panicked".to_string())?;
-    }
-    let stats = sealed_rounds.stats();
-    let budget = engine.budget();
-    eprintln!(
-        "sealed {} rounds from {} events ({} late, {} rejected; peak queue depth {}) \
-         in {:?}; user-level budget {}",
-        stats.rounds_sealed,
-        stats.events,
-        stats.late_events,
-        stats.rejected_events,
-        stats.peak_queue_depth,
-        start.elapsed(),
-        budget.spent(),
-    );
-
-    let rounds = service.with_store(longsynth_serve::ReleaseStore::rounds);
-    let max_b: usize = get_parsed(flags, "max-b", horizon.min(6))?;
-    let distinct = longsynth_serve::mixed_battery(rounds, shards, max_b, horizon.min(3));
-    finish_serve(flags, &service, &pool, distinct, query_target)?;
-    if let Some(m) = &metrics {
-        let observer = engine.take_observer();
-        m.write(observer.as_ref().map(EngineObserver::ledger))?;
-    }
-    Ok(())
-}
-
-/// The serve subcommand: engine run with the release store attached, then
-/// a concurrent query batch over the stored releases — the whole serving
-/// subsystem end to end, with throughput numbers on stderr.
-fn run_serve(flags: &Flags) -> Result<(), String> {
-    let rho_v: f64 = get_parsed(flags, "rho", f64::NAN)?;
-    if rho_v.is_nan() {
-        return Err("--rho is required".into());
-    }
-    let shards: usize = get_parsed(flags, "shards", 0)?;
-    if shards == 0 {
-        return Err("--shards is required (try the number of cores)".into());
-    }
-    let algorithm = flags
-        .get("algorithm")
-        .map(String::as_str)
-        .unwrap_or("cumulative");
-    let policy = parse_aggregation(flags)?;
-    let rotating = parse_panel(flags)?;
-    let eviction = parse_eviction(flags)?;
-    let seed: u64 = get_parsed(flags, "seed", 42)?;
-    let months_hint: usize = get_parsed(flags, "months", 12)?;
-    let query_target: usize = get_parsed(flags, "queries", 1_000)?;
-    let pool_threads: usize = get_parsed(flags, "pool-threads", 4)?;
-    let panel = load_input(flags, months_hint)?;
-    let horizon = panel.rounds();
-    let n = panel.individuals();
-    let rho = Rho::new(rho_v).map_err(|e| e.to_string())?;
-    let fork = RngFork::new(seed);
-    let pool = std::sync::Arc::new(WorkerPool::new(pool_threads.max(1)));
-    let metrics = CliMetrics::from_flags(flags);
-    // Under --metrics, one shared registry collects the engine, pool,
-    // and serving-layer metrics together.
-    let service = match &metrics {
-        Some(m) => {
-            pool.attach_metrics(&m.registry);
-            QueryService::with_cache_in_registry(
-                longsynth_serve::ReleaseStore::new(),
-                longsynth_serve::DEFAULT_CACHE_CAPACITY,
-                eviction,
-                &m.registry,
-            )
-        }
-        None => QueryService::with_cache(
-            longsynth_serve::ReleaseStore::new(),
-            longsynth_serve::DEFAULT_CACHE_CAPACITY,
-            eviction,
-        ),
-    };
-    eprintln!(
-        "panel: {n} individuals x {horizon} rounds; {shards} shards, \
-         {} pool threads, algorithm = {algorithm}, aggregation = {policy}, \
-         eviction = {eviction}, total rho = {rho_v}",
-        pool.threads()
-    );
-
-    // Engine run with the serving sink attached: every release lands in
-    // the store the moment its round completes, tagged with the policy.
-    let ingest_start = std::time::Instant::now();
-    let window: usize = get_parsed(flags, "window", 3)?;
-    if let Some(waves) = rotating {
-        if algorithm != "cumulative" {
-            return Err(
-                "--panel rotating requires --algorithm cumulative (fixed-window cohorts \
-                 at different buffering phases cannot merge)"
-                    .to_string(),
-            );
-        }
-        let (schedule, layout) = rotating_schedule(n, horizon, waves, rho_v, policy)?;
-        let mut engine = ShardedEngine::with_schedule_and_pool(
-            schedule.clone(),
-            policy,
-            rotating_cumulative_factory(seed, waves),
-            std::sync::Arc::clone(&pool),
-        )
-        .map_err(|e| e.to_string())?;
-        if let Some(m) = &metrics {
-            m.observe_engine(&mut engine);
-        }
-        engine.set_sink(service.column_sink());
-        drive_rotating_cumulative(&mut engine, &schedule, &layout, &panel)?;
-        let rounds = service.with_store(longsynth_serve::ReleaseStore::rounds);
-        eprintln!(
-            "ingested {rounds} rotating rounds ({} cohorts, {} waves active) in {:?}",
-            schedule.cohorts(),
-            waves,
-            ingest_start.elapsed()
-        );
-        // Dynamic read battery: merged-scope cumulative thresholds over
-        // every round, plus each cohort's covered rounds.
-        let max_b: usize = get_parsed(flags, "max-b", horizon.min(6))?;
-        let mut distinct = Vec::new();
-        for t in 0..rounds {
-            for b in 1..=max_b.min(t + 1) {
-                distinct.push(ServeQuery {
-                    scope: longsynth_serve::StoreScope::Merged,
-                    kind: longsynth_serve::QueryKind::CumulativeFraction { t, b },
-                });
-            }
-            for c in 0..schedule.cohorts() {
-                if schedule.cohort(c).is_active(t) {
-                    distinct.push(ServeQuery {
-                        scope: longsynth_serve::StoreScope::Cohort(c),
-                        kind: longsynth_serve::QueryKind::CumulativeFraction { t, b: 1 },
-                    });
-                }
-            }
-        }
-        finish_serve(flags, &service, &pool, distinct, query_target)?;
-        if let Some(m) = &metrics {
-            let observer = engine.take_observer();
-            m.write(observer.as_ref().map(EngineObserver::ledger))?;
-        }
-        return Ok(());
-    }
-    let plan = ShardPlan::new(n, shards).map_err(|e| e.to_string())?;
-    let observer: Option<EngineObserver> = match algorithm {
-        "fixed-window" => {
-            let beta: f64 = get_parsed(flags, "beta", 0.05)?;
-            FixedWindowConfig::new(horizon, window, rho).map_err(|e| e.to_string())?;
-            let mut engine = ShardedEngine::with_aggregation_and_pool(
-                plan,
-                policy,
-                |slot| {
-                    let slot_rho = Rho::new(rho_v * slot.budget_share).expect("positive share");
-                    let config = FixedWindowConfig::new(horizon, window, slot_rho)
-                        .expect("parameters validated above")
-                        .with_padding(longsynth::PaddingPolicy::Recommended { beta });
-                    FixedWindowSynthesizer::new(config, fork.child(slot_stream(slot.role)))
-                },
-                std::sync::Arc::clone(&pool),
-            )
-            .map_err(|e| e.to_string())?;
-            if let Some(m) = &metrics {
-                m.observe_engine(&mut engine);
-            }
-            engine.set_sink(service.release_sink());
-            for (_, col) in panel.stream() {
-                engine.step(col).map_err(|e| e.to_string())?;
-            }
-            engine.take_observer()
-        }
-        "cumulative" => {
-            CumulativeConfig::new(horizon, rho).map_err(|e| e.to_string())?;
-            let mut engine = ShardedEngine::with_aggregation_and_pool(
-                plan,
-                policy,
-                |slot| {
-                    let slot_rho = Rho::new(rho_v * slot.budget_share).expect("positive share");
-                    let config = CumulativeConfig::new(horizon, slot_rho)
-                        .expect("parameters validated above");
-                    let stream = slot_stream(slot.role);
-                    CumulativeSynthesizer::new(
-                        config,
-                        fork.subfork(stream),
-                        fork.child(0x0C00 + stream),
-                    )
-                },
-                std::sync::Arc::clone(&pool),
-            )
-            .map_err(|e| e.to_string())?;
-            if let Some(m) = &metrics {
-                m.observe_engine(&mut engine);
-            }
-            engine.set_sink(service.column_sink());
-            for (_, col) in panel.stream() {
-                engine.step(col).map_err(|e| e.to_string())?;
-            }
-            engine.take_observer()
-        }
-        other => {
-            return Err(format!(
-                "--algorithm must be fixed-window or cumulative, got {other:?}"
-            ))
-        }
-    };
-    let (rounds, records, stored_policy) =
-        service.with_store(|s| (s.rounds(), s.records(), s.policy()));
-    eprintln!(
-        "ingested {rounds} released rounds ({} records, policy tag {}) in {:?}",
-        records.unwrap_or(0),
-        stored_policy.map_or("none".to_string(), |tag| tag.to_string()),
-        ingest_start.elapsed()
-    );
-
-    // Build the query batch: cycle the canonical mixed battery until the
-    // requested batch size — the read traffic a deployment sees.
-    let max_b: usize = get_parsed(flags, "max-b", horizon.min(6))?;
-    let distinct = longsynth_serve::mixed_battery(rounds, shards, max_b, window);
-    finish_serve(flags, &service, &pool, distinct, query_target)?;
-    if let Some(m) = &metrics {
-        m.write(observer.as_ref().map(EngineObserver::ledger))?;
-    }
-    Ok(())
-}
-
-/// The serving tail shared by static and rotating runs: drive the batch
-/// cold and cached, report throughput, and (optionally) verify a snapshot
-/// round-trip.
-fn finish_serve(
-    flags: &Flags,
-    service: &QueryService,
-    pool: &WorkerPool,
-    distinct: Vec<ServeQuery>,
-    query_target: usize,
-) -> Result<(), String> {
-    if distinct.is_empty() {
-        return Err("no answerable queries (panel too short?)".into());
-    }
-    let batch: Vec<ServeQuery> = distinct
-        .iter()
-        .cycle()
-        .take(query_target)
-        .cloned()
-        .collect();
-
-    // Cold pass: every distinct query computed from the store. Cached
-    // pass: same batch, all hits.
-    let run_batch = |label: &str| {
-        let start = std::time::Instant::now();
-        let answers = service.answer_batch(pool, batch.clone());
-        let elapsed = start.elapsed();
-        let failures = answers.iter().filter(|a| a.is_err()).count();
-        let qps = batch.len() as f64 / elapsed.as_secs_f64();
-        let (hits, misses) = service.cache_stats();
-        eprintln!(
-            "{label}: {} queries in {elapsed:?} ({qps:.0} queries/sec; \
-             {hits} hits, {misses} misses, {failures} failures)",
-            batch.len()
-        );
-        qps
-    };
-    service.clear_cache();
-    let cold_qps = run_batch("cold  ");
-    let cached_qps = run_batch("cached");
-    eprintln!(
-        "cache speedup: {:.1}x ({} distinct queries memoized, {} evictions)",
-        cached_qps / cold_qps,
-        service.cache_len(),
-        service.cache_evictions()
-    );
-
-    if let Some(path) = flags.get("snapshot") {
-        let json = service.snapshot_json();
-        std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-        let restored_json =
-            std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let restored = QueryService::restore_json(&restored_json).map_err(|e| e.to_string())?;
-        for query in &distinct {
-            let original = service.answer(query).map_err(|e| e.to_string())?;
-            let recovered = restored.answer(query).map_err(|e| e.to_string())?;
-            if original.to_bits() != recovered.to_bits() {
-                return Err(format!(
-                    "snapshot restore diverged on {query:?}: {original} vs {recovered}"
-                ));
-            }
-        }
-        eprintln!(
-            "snapshot: wrote {} bytes to {path}; restore verified bit-identical \
-             on {} distinct queries",
-            json.len(),
-            distinct.len()
-        );
-    }
-    Ok(())
-}
-
 fn run_simulate(flags: &Flags) -> Result<(), String> {
+    check_flags(flags, "simulate")?;
     let households: usize = get_parsed(flags, "households", 23_374)?;
     let months: usize = get_parsed(flags, "months", 12)?;
     let seed: u64 = get_parsed(flags, "seed", 2021)?;
@@ -2046,5 +1808,260 @@ mod tests {
         .is_err());
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// FNV-1a, 64-bit: a dependency-free digest for pinning file bytes.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Every artifact the panel commands write, digested and compared
+    /// against constants captured before the CLI's run paths were merged:
+    /// a refactor of the CLI must not change one released byte.
+    #[test]
+    fn cli_outputs_are_byte_pinned() {
+        let dir = std::env::temp_dir().join("longsynth_cli_pinned_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (panel, output, estimates, snapshot) = (
+            path("panel.csv"),
+            path("out.csv"),
+            path("est.csv"),
+            path("store.json"),
+        );
+        run_simulate(&flags_of(&[
+            ("households", "400"),
+            ("months", "6"),
+            ("seed", "7"),
+            ("output", &panel),
+        ]))
+        .unwrap();
+        let digest = |file: &str| fnv1a64(&std::fs::read(file).unwrap());
+        let mut digests: Vec<(String, u64)> = Vec::new();
+
+        for command in ["fixed-window", "cumulative"] {
+            let flags = flags_of(&[
+                ("input", &panel),
+                ("rho", "0.1"),
+                ("output", &output),
+                ("estimates", &estimates),
+            ]);
+            match command {
+                "fixed-window" => run_fixed_window(&flags),
+                _ => run_cumulative(&flags),
+            }
+            .unwrap();
+            digests.push((format!("{command} output"), digest(&output)));
+            digests.push((format!("{command} estimates"), digest(&estimates)));
+        }
+        for algorithm in ["fixed-window", "cumulative"] {
+            for aggregation in ["per-shard", "shared"] {
+                run_engine(&flags_of(&[
+                    ("input", &panel),
+                    ("rho", "0.1"),
+                    ("shards", "3"),
+                    ("algorithm", algorithm),
+                    ("aggregation", aggregation),
+                    ("output", &output),
+                    ("estimates", &estimates),
+                ]))
+                .unwrap();
+                let label = format!("engine {algorithm} {aggregation}");
+                digests.push((format!("{label} output"), digest(&output)));
+                digests.push((format!("{label} estimates"), digest(&estimates)));
+            }
+        }
+        for aggregation in ["per-shard", "shared"] {
+            run_engine(&flags_of(&[
+                ("input", &panel),
+                ("rho", "0.1"),
+                ("shards", "1"),
+                ("algorithm", "cumulative"),
+                ("panel", "rotating:3"),
+                ("aggregation", aggregation),
+                ("estimates", &estimates),
+            ]))
+            .unwrap();
+            let label = format!("engine rotating:3 {aggregation} estimates");
+            digests.push((label, digest(&estimates)));
+        }
+        for (algorithm, panel_kind, aggregation) in [
+            ("fixed-window", "static", "per-shard"),
+            ("cumulative", "static", "shared"),
+            ("cumulative", "rotating:3", "per-shard"),
+            ("cumulative", "rotating:3", "shared"),
+        ] {
+            run_serve(&flags_of(&[
+                ("input", &panel),
+                ("rho", "0.1"),
+                ("shards", "3"),
+                ("algorithm", algorithm),
+                ("panel", panel_kind),
+                ("aggregation", aggregation),
+                ("queries", "50"),
+                ("pool-threads", "2"),
+                ("snapshot", &snapshot),
+            ]))
+            .unwrap();
+            let label = format!("serve {algorithm} {panel_kind} {aggregation} snapshot");
+            digests.push((label, digest(&snapshot)));
+        }
+        for aggregation in ["per-shard", "shared"] {
+            run_ingest(&flags_of(&[
+                ("rho", "0.1"),
+                ("individuals", "300"),
+                ("rounds", "5"),
+                ("shards", "2"),
+                ("producers", "3"),
+                ("aggregation", aggregation),
+                ("queries", "50"),
+                ("pool-threads", "2"),
+                ("snapshot", &snapshot),
+            ]))
+            .unwrap();
+            digests.push((format!("ingest {aggregation} snapshot"), digest(&snapshot)));
+        }
+
+        let expected = [
+            ("fixed-window output", 0x14074f0a8628f2a4),
+            ("fixed-window estimates", 0x333dacb36aabc7f1),
+            ("cumulative output", 0x2eeb9af75493a1a9),
+            ("cumulative estimates", 0x827401db3a27292c),
+            ("engine fixed-window per-shard output", 0x0319179cbb0fd637),
+            (
+                "engine fixed-window per-shard estimates",
+                0xc1f5aad92a6d9ab8,
+            ),
+            ("engine fixed-window shared output", 0xe3ab4c4d25f9c860),
+            ("engine fixed-window shared estimates", 0x770e5e41a7b548f9),
+            ("engine cumulative per-shard output", 0x850a8470a548eb21),
+            ("engine cumulative per-shard estimates", 0xb20e87745973790d),
+            ("engine cumulative shared output", 0x1aab18e794461809),
+            ("engine cumulative shared estimates", 0xc6368026d21182e7),
+            ("engine rotating:3 per-shard estimates", 0x34b6347a870b805a),
+            ("engine rotating:3 shared estimates", 0x865cbb07f92be58d),
+            (
+                "serve fixed-window static per-shard snapshot",
+                0x0dffa2837324d8d4,
+            ),
+            (
+                "serve cumulative static shared snapshot",
+                0xac4781a880c7db4f,
+            ),
+            (
+                "serve cumulative rotating:3 per-shard snapshot",
+                0xd25723ed9d42bf2a,
+            ),
+            (
+                "serve cumulative rotating:3 shared snapshot",
+                0x99e049bd6a87797a,
+            ),
+            ("ingest per-shard snapshot", 0x983ed8b4676e29f8),
+            ("ingest shared snapshot", 0x60b83205375ff4b7),
+        ];
+        let digests: Vec<(&str, u64)> = digests.iter().map(|(l, d)| (l.as_str(), *d)).collect();
+        assert_eq!(digests, expected, "{digests:#x?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let dir = std::env::temp_dir().join("longsynth_cli_flags_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let panel = dir.join("panel.csv");
+        let panel = panel.to_str().unwrap();
+        run_simulate(&flags_of(&[
+            ("households", "120"),
+            ("months", "4"),
+            ("output", panel),
+        ]))
+        .unwrap();
+
+        // A misspelt flag is an error naming the flag and the command,
+        // not a silent fall-back to the default.
+        let err = run_cumulative(&flags_of(&[
+            ("input", panel),
+            ("rho", "0.1"),
+            ("seeds", "9"),
+        ]))
+        .unwrap_err();
+        assert!(
+            err.contains("--seeds") && err.contains("cumulative"),
+            "{err}"
+        );
+        // `ingest` always runs the cumulative family: it takes no
+        // --algorithm.
+        let err =
+            run_ingest(&flags_of(&[("rho", "0.1"), ("algorithm", "fixed-window")])).unwrap_err();
+        assert!(
+            err.contains("--algorithm") && err.contains("ingest"),
+            "{err}"
+        );
+        for command in ["stats", "simulate"] {
+            let flags = flags_of(&[("bogus", "1")]);
+            let err = match command {
+                "stats" => run_stats(&flags),
+                _ => run_simulate(&flags),
+            }
+            .unwrap_err();
+            assert!(err.contains("--bogus") && err.contains(command), "{err}");
+        }
+
+        // A rotating panel's cohort count is W+T-1: --shards is not
+        // required there.
+        run_engine(&flags_of(&[
+            ("input", panel),
+            ("rho", "0.1"),
+            ("algorithm", "cumulative"),
+            ("panel", "rotating:2"),
+        ]))
+        .unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Each command's USAGE block: the line naming it plus its indented
+    /// continuation lines.
+    fn usage_flags(command: &str) -> Vec<String> {
+        let mut lines = USAGE.lines().skip_while(|line| {
+            line.split_whitespace().take(2).collect::<Vec<_>>() != ["longsynth-cli", command]
+        });
+        let first = lines
+            .next()
+            .unwrap_or_else(|| panic!("no USAGE block for {command}"));
+        let block = std::iter::once(first).chain(lines.take_while(|line| {
+            line.starts_with("     ") && !line.trim_start().starts_with("longsynth-cli")
+        }));
+        let mut flags: Vec<String> = block
+            .flat_map(|line| line.split("--").skip(1))
+            .map(|rest| {
+                rest.chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '-')
+            })
+            .map(String::from_iter)
+            .collect();
+        flags.sort();
+        flags
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_accepted_flags() {
+        for command in [
+            "fixed-window",
+            "cumulative",
+            "engine",
+            "serve",
+            "ingest",
+            "stats",
+            "simulate",
+        ] {
+            let mut accepted: Vec<String> = accepted_flags(command)
+                .split_whitespace()
+                .map(String::from)
+                .collect();
+            accepted.sort();
+            assert_eq!(usage_flags(command), accepted, "USAGE block of {command}");
+        }
     }
 }

@@ -22,7 +22,7 @@ use crate::aggregate::HistogramAggregate;
 use crate::arena::GroupArena;
 use crate::error::SynthError;
 use longsynth_data::categorical::CategoricalColumn;
-use longsynth_dp::budget::{BudgetLedger, Rho};
+use longsynth_dp::budget::{Rho, SpendTracker};
 use longsynth_dp::fastrange::RangePool;
 use longsynth_dp::mechanisms::{NoiseDistribution, NoiseSampler};
 use longsynth_dp::rng::StdDpRng;
@@ -139,7 +139,7 @@ pub struct CategoricalSynthesizer<R: Rng = StdDpRng> {
     /// out of the per-bin noising loop).
     sampler: NoiseSampler,
     npad: u64,
-    ledger: BudgetLedger,
+    ledger: SpendTracker,
     per_step_rho: Rho,
     n: Option<usize>,
     /// Rolling base-`V` window code per true record — the last
@@ -185,7 +185,7 @@ impl<R: Rng> CategoricalSynthesizer<R> {
         Self {
             sampler: noise.sampler(),
             npad: config.npad(),
-            ledger: BudgetLedger::new(config.rho),
+            ledger: SpendTracker::new(config.rho),
             per_step_rho,
             n: None,
             window_codes: Vec::new(),
@@ -592,7 +592,7 @@ impl<R: Rng> CategoricalSynthesizer<R> {
     }
 
     /// The privacy ledger.
-    pub fn ledger(&self) -> &BudgetLedger {
+    pub fn ledger(&self) -> &SpendTracker {
         &self.ledger
     }
 }

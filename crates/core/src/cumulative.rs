@@ -30,7 +30,7 @@ use crate::synthetic::SyntheticDataset;
 use longsynth_counters::{CounterKind, StreamCounter};
 use longsynth_data::BitColumn;
 use longsynth_data::LongitudinalDataset;
-use longsynth_dp::budget::{BudgetLedger, Rho};
+use longsynth_dp::budget::{Rho, SpendTracker};
 use longsynth_dp::fastrange::RangePool;
 use longsynth_dp::rng::RngFork;
 use longsynth_queries::cumulative::threshold_increment;
@@ -168,7 +168,7 @@ pub struct CumulativeSynthesizer<R: Rng = longsynth_dp::rng::StdDpRng> {
     /// rounds `t ≥ b`, the earliest a weight-`b` history can exist).
     counters: Vec<Box<dyn StreamCounter>>,
     per_counter_rho: Vec<Rho>,
-    ledger: BudgetLedger,
+    ledger: SpendTracker,
     n: Option<usize>,
     /// Previous round's monotone estimates `Ŝ_b^{t−1}` for `b = 0..=T`.
     s_prev: Vec<i64>,
@@ -280,7 +280,7 @@ impl<R: Rng> CumulativeSynthesizer<R> {
         Self {
             counters,
             per_counter_rho,
-            ledger: BudgetLedger::new(config.rho),
+            ledger: SpendTracker::new(config.rho),
             n: None,
             s_prev: Vec::new(),
             exact_s,
@@ -511,7 +511,7 @@ impl<R: Rng> CumulativeSynthesizer<R> {
 
     /// The privacy ledger (fully spent once every counter has activated,
     /// i.e. after `T` rounds).
-    pub fn ledger(&self) -> &BudgetLedger {
+    pub fn ledger(&self) -> &SpendTracker {
         &self.ledger
     }
 

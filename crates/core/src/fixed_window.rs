@@ -25,7 +25,7 @@ use crate::error::SynthError;
 use crate::padding::PaddingPolicy;
 use crate::synthetic::SyntheticDataset;
 use longsynth_data::BitColumn;
-use longsynth_dp::budget::{BudgetLedger, Rho};
+use longsynth_dp::budget::{Rho, SpendTracker};
 use longsynth_dp::fastrange::RangePool;
 use longsynth_dp::mechanisms::{NoiseDistribution, NoiseSampler};
 use longsynth_dp::rng::StdDpRng;
@@ -172,7 +172,7 @@ pub struct FixedWindowSynthesizer<R: Rng = StdDpRng> {
     sampler: NoiseSampler,
     npad: u64,
     per_step_rho: Rho,
-    ledger: BudgetLedger,
+    ledger: SpendTracker,
     /// True population size, fixed by the first column.
     n: Option<usize>,
     /// Ring buffer of the last `k` true columns.
@@ -251,7 +251,7 @@ impl<R: Rng> FixedWindowSynthesizer<R> {
             sampler: config.derived_noise().sampler(),
             npad,
             per_step_rho,
-            ledger: BudgetLedger::new(config.rho),
+            ledger: SpendTracker::new(config.rho),
             n: None,
             buffer: VecDeque::with_capacity(config.window),
             rounds_fed: 0,
@@ -678,7 +678,7 @@ impl<R: Rng> FixedWindowSynthesizer<R> {
     }
 
     /// The privacy ledger (fully spent after `T` rounds).
-    pub fn ledger(&self) -> &BudgetLedger {
+    pub fn ledger(&self) -> &SpendTracker {
         &self.ledger
     }
 

@@ -8,7 +8,7 @@
 //! derived from the Laplace tail in place of Theorem 3.2's Gaussian one.
 //!
 //! Accounting: pure ε-DP implies `ε²/2`-zCDP, so the returned
-//! configuration carries `ρ = ε²/2` and the synthesizer's `BudgetLedger`
+//! configuration carries `ρ = ε²/2` and the synthesizer's `SpendTracker`
 //! tracks that implied (conservative) zCDP budget; the *stated* guarantee
 //! of a run under these configs is the pure `ε` one, by basic composition
 //! of the `R` Laplace releases.

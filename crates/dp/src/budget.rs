@@ -219,19 +219,19 @@ impl fmt::Display for Epsilon {
     }
 }
 
-/// A running zCDP ledger: tracks how much of a total budget has been spent.
+/// A running zCDP spend tracker: how much of a total budget has been spent.
 ///
 /// The synthesizers use this to assert, at the end of a run, that the noise
 /// they injected accounts for exactly the budget the caller granted —
 /// turning the privacy proof's bookkeeping into an executable check.
 #[derive(Debug, Clone)]
-pub struct BudgetLedger {
+pub struct SpendTracker {
     total: Rho,
     spent: f64,
 }
 
-impl BudgetLedger {
-    /// Open a ledger with `total` budget available.
+impl SpendTracker {
+    /// Open a tracker with `total` budget available.
     pub fn new(total: Rho) -> Self {
         Self { total, spent: 0.0 }
     }
@@ -259,7 +259,7 @@ impl BudgetLedger {
         Rho((self.total.value() - self.spent).max(0.0))
     }
 
-    /// Total budget this ledger was opened with.
+    /// Total budget this tracker was opened with.
     pub fn total(&self) -> Rho {
         self.total
     }
@@ -353,7 +353,7 @@ mod tests {
 
     #[test]
     fn ledger_tracks_and_guards() {
-        let mut ledger = BudgetLedger::new(Rho::new(0.01).unwrap());
+        let mut ledger = SpendTracker::new(Rho::new(0.01).unwrap());
         assert!(!ledger.exhausted());
         for _ in 0..10 {
             ledger.charge(Rho::new(0.001).unwrap()).unwrap();
