@@ -19,7 +19,7 @@ use longsynth_bench::bench_panel;
 use longsynth_data::LongitudinalDataset;
 use longsynth_dp::budget::Rho;
 use longsynth_dp::rng::RngFork;
-use longsynth_engine::{AggregationPolicy, ShardPlan, ShardedEngine, SlotRole};
+use longsynth_engine::{AggregationPolicy, PanelSchedule, ShardedEngine, SlotRole};
 use longsynth_queries::window::quarterly_battery;
 use longsynth_queries::{AccuracyComparison, ErrorSummary};
 
@@ -34,11 +34,18 @@ fn build_engine(
     policy: AggregationPolicy,
     seed: u64,
 ) -> ShardedEngine<FixedWindowSynthesizer> {
-    let plan = ShardPlan::new(panel_n, shards).expect("valid plan");
+    let (cohort_share, _) = policy.budget_shares(shards);
+    let schedule = PanelSchedule::uniform(
+        panel_n,
+        shards,
+        HORIZON,
+        Rho::new(RHO * cohort_share).expect("positive share"),
+        Rho::new(RHO).expect("positive budget"),
+    )
+    .expect("valid schedule");
     let fork = RngFork::new(seed);
-    ShardedEngine::with_aggregation(plan, policy, |slot| {
-        let rho = Rho::new(RHO * slot.budget_share).expect("positive share");
-        let config = FixedWindowConfig::new(HORIZON, WINDOW, rho).expect("valid config");
+    ShardedEngine::with_schedule(schedule, policy, |slot| {
+        let config = FixedWindowConfig::new(HORIZON, WINDOW, slot.budget).expect("valid config");
         let stream = match slot.role {
             SlotRole::Shard(s) => s as u64,
             SlotRole::Population => 0xA110,

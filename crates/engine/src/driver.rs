@@ -36,13 +36,13 @@
 //!
 //! ## Panel schedules
 //!
-//! Every engine runs a [`PanelSchedule`]. The plan constructors
-//! ([`new`](ShardedEngine::new), [`with_aggregation`](ShardedEngine::with_aggregation)
-//! and their pooled forms) derive the **static** schedule from their
-//! shards — every cohort enters at round 0 and stays the whole run — so
-//! the static lockstep panel is not a separate code path but the
-//! degenerate schedule. [`with_schedule`](ShardedEngine::with_schedule)
-//! takes an explicit schedule and runs a **rotating panel**: each global
+//! Every engine runs a [`PanelSchedule`] and is built from [`PanelSlot`]s.
+//! [`new`](ShardedEngine::new) and [`with_pool`](ShardedEngine::with_pool)
+//! derive the **static** schedule from their shards — every cohort enters
+//! at round 0 and stays the whole run — so the static lockstep panel is
+//! not a separate code path but the degenerate schedule.
+//! [`with_schedule`](ShardedEngine::with_schedule) takes an explicit
+//! schedule (static, or a **rotating panel**): each global
 //! round it steps only the schedule's *active set*, late entrants start at
 //! their own local round 0, and retired cohorts stay sealed (their
 //! synthesizers reject further input but remain inspectable). Either way
@@ -69,9 +69,7 @@ use crate::budget::{exceeds_cap, EngineBudget};
 use crate::merge::{MergeAggregate, MergeRelease};
 use crate::obs::{EngineObserver, PhaseClock};
 use crate::policy::{AggregationPolicy, PolicyTag};
-use crate::shard::{
-    CohortSchedule, PanelSchedule, PanelSlot, ShardPlan, ShardableInput, SlotRole, SynthSlot,
-};
+use crate::shard::{CohortSchedule, PanelSchedule, PanelSlot, ShardPlan, ShardableInput, SlotRole};
 use crate::sink::ReleaseSink;
 use crate::window::WindowedPopulationSynthesizer;
 use crate::EngineError;
@@ -131,22 +129,19 @@ struct PendingRound<A> {
 
 /// A sharded multi-cohort streaming engine over any synthesizer family.
 ///
-/// Every engine runs a [`PanelSchedule`]. The plan-based constructors
-/// require identically configured shards (same horizon, same total
-/// budget) and fail with [`EngineError::HeterogeneousShards`] otherwise;
-/// from those shards they derive the static schedule, where every cohort
-/// is active every round. Heterogeneous panels (per-cohort entry rounds,
-/// horizons, and budgets) are built through
-/// [`with_schedule`](Self::with_schedule), which validates each cohort
-/// against its [`CohortSchedule`] instead. Constructors take a factory so
-/// per-shard RNG streams stay independent.
-///
-/// Where the noise goes is a pluggable [`AggregationPolicy`]:
-/// [`new`](Self::new)/[`with_pool`](Self::with_pool) keep the default
-/// per-shard noise (bit-exact with the pre-policy engine), while
-/// [`with_aggregation`](Self::with_aggregation) selects the policy
-/// explicitly and — for shared noise — asks the factory for one extra
-/// population-level synthesizer carrying the population budget share.
+/// Every engine runs a [`PanelSchedule`], and every constructor ends in
+/// one build path that fills one [`PanelSlot`] per cohort (plus the
+/// population slot under shared noise) and checks each synthesizer
+/// against its slot. [`new`](Self::new)/[`with_pool`](Self::with_pool)
+/// take a `(shard, size)` factory under per-shard noise: they require
+/// identically configured shards (same horizon, same total budget), fail
+/// with [`EngineError::HeterogeneousShards`] otherwise, and derive the
+/// static schedule from shard 0, where every cohort is active every
+/// round. [`with_schedule`](Self::with_schedule) takes the schedule and
+/// the [`AggregationPolicy`] explicitly — per-cohort entry rounds,
+/// horizons and budgets, and for shared noise one extra population-level
+/// synthesizer carrying the population budget. Constructors take a
+/// factory so per-shard RNG streams stay independent.
 pub struct ShardedEngine<S: ContinualSynthesizer> {
     plan: ShardPlan,
     /// The panel lifecycle this engine runs: the static schedule a plan
@@ -213,14 +208,9 @@ where
     /// share an existing pool instead.
     pub fn new(
         plan: ShardPlan,
-        mut factory: impl FnMut(usize, usize) -> S,
+        factory: impl FnMut(usize, usize) -> S,
     ) -> Result<Self, EngineError> {
-        Self::build(
-            plan,
-            AggregationPolicy::PerShardNoise,
-            Self::adapt_shard_factory(&mut factory),
-            None,
-        )
+        Self::build(plan, factory, None)
     }
 
     /// Build an engine that runs its per-shard steps on `pool` — the
@@ -228,41 +218,10 @@ where
     /// and the serving front-end. Default per-shard noise policy.
     pub fn with_pool(
         plan: ShardPlan,
-        mut factory: impl FnMut(usize, usize) -> S,
+        factory: impl FnMut(usize, usize) -> S,
         pool: Arc<WorkerPool>,
     ) -> Result<Self, EngineError> {
-        Self::build(
-            plan,
-            AggregationPolicy::PerShardNoise,
-            Self::adapt_shard_factory(&mut factory),
-            Some(pool),
-        )
-    }
-
-    /// Build an engine under an explicit [`AggregationPolicy`].
-    ///
-    /// The factory is called once per [`SynthSlot`]: every shard (with the
-    /// cohort-level budget share), and — for shared noise with more than
-    /// one shard — once with [`SlotRole::Population`] and the population
-    /// budget share. Configure each synthesizer with
-    /// `total_rho * slot.budget_share`; construction verifies the split
-    /// was honored.
-    pub fn with_aggregation(
-        plan: ShardPlan,
-        policy: AggregationPolicy,
-        factory: impl FnMut(SynthSlot) -> S,
-    ) -> Result<Self, EngineError> {
-        Self::build(plan, policy, factory, None)
-    }
-
-    /// [`with_aggregation`](Self::with_aggregation) on a shared pool.
-    pub fn with_aggregation_and_pool(
-        plan: ShardPlan,
-        policy: AggregationPolicy,
-        factory: impl FnMut(SynthSlot) -> S,
-        pool: Arc<WorkerPool>,
-    ) -> Result<Self, EngineError> {
-        Self::build(plan, policy, factory, Some(pool))
+        Self::build(plan, factory, Some(pool))
     }
 
     /// Build a **dynamic-panel** engine over a [`PanelSchedule`]: cohorts
@@ -280,9 +239,8 @@ where
     /// population budget over-commits the cap.
     ///
     /// A static schedule (all cohorts entering at round 0 under the
-    /// global horizon) is exactly what the plan-based constructors build,
-    /// so both run the same rounds — pinned by the `panel_lifecycle`
-    /// equivalence tests.
+    /// global horizon) is exactly what [`new`](Self::new) builds from
+    /// identical shards, so both run the same rounds.
     pub fn with_schedule(
         schedule: PanelSchedule,
         policy: AggregationPolicy,
@@ -321,71 +279,42 @@ where
         }
     }
 
-    /// Adapt the legacy `(shard_index, cohort_size)` factory to the slot
-    /// factory (per-shard noise never asks for a population slot).
-    fn adapt_shard_factory(
-        factory: &mut impl FnMut(usize, usize) -> S,
-    ) -> impl FnMut(SynthSlot) -> S + '_ {
-        move |slot| match slot.role {
-            SlotRole::Shard(s) => factory(s, slot.size),
-            SlotRole::Population => {
-                unreachable!("per-shard noise never builds a population synthesizer")
-            }
-        }
-    }
-
-    /// The plan constructors: build the shards (and population slot),
-    /// check they agree, and derive the static schedule from what they
-    /// report — every cohort at entry 0 with shard 0's horizon and budget,
-    /// under the cap `shard budget ÷ shard share` the policy split
-    /// implies.
+    /// The `(shard, size)` constructors: build the shards, check they
+    /// agree, and run them as the static schedule derived from shard 0 —
+    /// every cohort at entry 0 with shard 0's horizon and budget, which is
+    /// also the cap (per-shard noise spends no population level).
     fn build(
         plan: ShardPlan,
-        policy: AggregationPolicy,
-        mut factory: impl FnMut(SynthSlot) -> S,
+        mut factory: impl FnMut(usize, usize) -> S,
         pool: Option<Arc<WorkerPool>>,
     ) -> Result<Self, EngineError> {
-        policy.validate()?;
-        let (shard_share, population_share) = policy.budget_shares(plan.shards());
         let shards: Vec<S> = (0..plan.shards())
-            .map(|s| {
-                factory(SynthSlot {
-                    role: SlotRole::Shard(s),
-                    size: plan.cohort_size(s),
-                    budget_share: shard_share,
-                })
-            })
+            .map(|s| factory(s, plan.cohort_size(s)))
             .collect();
         validate_homogeneous(&shards)?;
-        let population = population_share.map(|share| {
-            factory(SynthSlot {
-                role: SlotRole::Population,
-                size: plan.population(),
-                budget_share: share,
-            })
-        });
-        if let (Some(population), Some(share)) = (&population, population_share) {
-            validate_population(&shards[0], population, shard_share, share)?;
-        }
-        let horizon = shards[0].horizon();
         let cohort = CohortSchedule {
             entry_round: 0,
-            horizon,
+            horizon: shards[0].horizon(),
             budget: shards[0].budget_total(),
         };
-        let cap = Rho::new(cohort.budget.value() / shard_share)
-            .expect("a budget over a share in (0, 1] is a budget");
         let schedule = PanelSchedule::new(
             (0..plan.shards())
                 .map(|s| (plan.cohort_size(s), cohort))
                 .collect(),
-            horizon,
-            cap,
+            cohort.horizon,
+            cohort.budget,
         )?;
-        let population = population.map(PopulationSlot::Persistent);
-        Self::assemble(plan, schedule, policy, shards, population, pool)
+        let mut shards = shards.into_iter();
+        Self::build_scheduled(
+            schedule,
+            AggregationPolicy::PerShardNoise,
+            |_| shards.next().expect("one built shard per cohort"),
+            pool,
+        )
     }
 
+    /// The one build path: fill every [`PanelSlot`] of `schedule`, check
+    /// each synthesizer against its slot, and assemble the engine.
     fn build_scheduled(
         schedule: PanelSchedule,
         policy: AggregationPolicy,
@@ -731,7 +660,7 @@ fn validate_slot<S: ContinualSynthesizer>(
     synth: &S,
     cohort: Option<usize>,
     horizon: usize,
-    budget: longsynth_dp::budget::Rho,
+    budget: Rho,
 ) -> Result<(), EngineError> {
     if synth.horizon() != horizon {
         return Err(EngineError::ScheduleMismatch {
@@ -750,36 +679,6 @@ fn validate_slot<S: ContinualSynthesizer>(
             expected: budget.to_string(),
             actual: synth.budget_total().to_string(),
         });
-    }
-    Ok(())
-}
-
-/// The population synthesizer must run the same horizon as the shards, and
-/// the factory must have honored the policy's budget split: the total ρ
-/// implied by the shard budgets (`shard_total / shard_share`) and by the
-/// population budget (`population_total / population_share`) must agree.
-fn validate_population<S: ContinualSynthesizer>(
-    shard: &S,
-    population: &S,
-    shard_share: f64,
-    population_share: f64,
-) -> Result<(), EngineError> {
-    if population.horizon() != shard.horizon() {
-        return Err(EngineError::InvalidPolicy(format!(
-            "population synthesizer has horizon {}, shards have {}",
-            population.horizon(),
-            shard.horizon()
-        )));
-    }
-    let implied_by_shards = shard.budget_total().value() / shard_share;
-    let implied_by_population = population.budget_total().value() / population_share;
-    let scale = implied_by_shards.abs().max(implied_by_population.abs());
-    if (implied_by_shards - implied_by_population).abs() > 1e-9 * scale.max(1.0) {
-        return Err(EngineError::InvalidPolicy(format!(
-            "factory did not honor the shared-noise budget split: shard budgets imply \
-             total ρ={implied_by_shards}, population budget implies ρ={implied_by_population} \
-             (shard share {shard_share}, population share {population_share})"
-        )));
     }
     Ok(())
 }
@@ -827,7 +726,24 @@ where
         let mut clock = PhaseClock::new(self.obs.is_some());
         let (active, parts) = self.begin_scheduled_round(column)?;
         clock.lap_prepare();
-        let result = self.scheduled_round(&active, parts, clock);
+        // Shared noise: every cohort prepares + finalizes its own release,
+        // and the round tail privatizes the sum of the active cohorts'
+        // aggregates once. Per-shard noise: the cohorts step.
+        let driven = if self.population.is_some() {
+            self.drive_active(&active, parts, |synth, part| {
+                let aggregate = synth.prepare(&part)?;
+                let release = synth.finalize(aggregate.clone())?;
+                Ok((aggregate, release))
+            })
+            .map(|pairs| pairs.into_iter().unzip())
+        } else {
+            self.drive_active(&active, parts, |synth, part| synth.step(&part))
+                .map(|releases| (Vec::new(), releases))
+        };
+        clock.lap_finalize();
+        let result = driven.and_then(|(aggregates, releases)| {
+            self.end_round(&active, aggregates, releases, None, clock)
+        });
         self.active = active;
         result
     }
@@ -940,77 +856,56 @@ where
         clock.lap_sink();
     }
 
-    /// Complete a round on already-split parts: step the active cohorts
-    /// (pooled when possible), aggregate per the policy, notify the sink,
-    /// and advance the global clock.
-    fn scheduled_round(
+    /// The tail every raw-data round ends in, once its cohorts ran: fold
+    /// the cohort `aggregates` into the lifetime views and apply the
+    /// retirements due at this boundary, produce the population release,
+    /// verify the budget cap, notify the sink, commit the observation and
+    /// advance the round clock. Under shared noise the population
+    /// synthesizer privatizes `summed` — or, when `None`, the aggregates'
+    /// sum on the global clock; under per-shard noise the cohort
+    /// `releases` concatenate in cohort order.
+    fn end_round(
         &mut self,
         active: &[usize],
-        parts: Vec<S::Input>,
+        aggregates: Vec<S::Aggregate>,
+        mut releases: Vec<S::Release>,
+        summed: Option<S::Aggregate>,
         mut clock: PhaseClock,
     ) -> Result<S::Release, EngineError> {
         let round = self.rounds_fed;
         let merged = if self.population.is_some() {
-            // Shared noise: every cohort prepares + finalizes its own
-            // release; the sum of the *active* cohorts' aggregates —
-            // aligned to the global clock — is privatized once by the
-            // population synthesizer. On a rotating schedule the windowed
-            // population slot first forgets any cohort the schedule
-            // sealed at this round boundary, so its statistics keep
-            // describing the current active set.
-            self.process_retirements(round)?;
-            clock.lap_prepare();
-            let (aggregates, releases) = self.prepare_finalize_active(active, parts)?;
-            clock.lap_finalize();
+            // On a rotating schedule the windowed population slot forgets
+            // any cohort the schedule sealed at this round boundary, so its
+            // statistics keep describing the current active set.
             self.absorb_lifetimes(active, &aggregates)?;
-            let merged_aggregate = merge_at_round(aggregates, round + 1)?;
+            self.process_retirements(round)?;
+            let summed = match summed {
+                Some(summed) => summed,
+                None => merge_at_round(aggregates, round + 1)?,
+            };
             clock.lap_merge();
             let population = self.population.as_mut().expect("checked population above");
-            let merged = population.finalize(merged_aggregate)?;
+            let merged = population.finalize(summed)?;
             clock.lap_noise();
-            // Verify the budget cap BEFORE any sink observes the round:
-            // an over-budget release must not reach downstream stores.
-            self.verify_budget_invariant_at(round)?;
-            self.notify_sink(active, &releases, &merged, &mut clock);
+            merged
+        } else if self.sink.is_none() {
+            // Merge consumes the releases; only a live sink pays for
+            // keeping them one call longer.
+            let merged = S::Release::merge(std::mem::take(&mut releases))?;
+            clock.lap_merge();
             merged
         } else {
-            // Per-shard noise over the active set: the live cohorts'
-            // releases concatenate in cohort order. Merge consumes them;
-            // only a live sink pays for keeping them one call longer.
-            let releases = self.drive_active(active, parts, |synth, part| synth.step(part))?;
-            clock.lap_finalize();
-            self.verify_budget_invariant_at(round)?;
-            if self.sink.is_none() {
-                let merged = S::Release::merge(releases)?;
-                clock.lap_merge();
-                merged
-            } else {
-                let merged = S::Release::merge_borrowed(&releases)?;
-                clock.lap_merge();
-                self.notify_sink(active, &releases, &merged, &mut clock);
-                merged
-            }
+            let merged = S::Release::merge_borrowed(&releases)?;
+            clock.lap_merge();
+            merged
         };
+        // Verify the budget cap BEFORE any sink observes the round: an
+        // over-budget release must not reach downstream stores.
+        self.verify_budget_invariant_at(round)?;
+        self.notify_sink(active, &releases, &merged, &mut clock);
         self.commit_round_observation(clock);
         self.rounds_fed += 1;
         Ok(merged)
-    }
-
-    /// The shared-noise round's cohort step: each active cohort runs
-    /// `prepare` (unnoised aggregate) and `finalize` (its own cohort
-    /// release), returning both in active order.
-    #[allow(clippy::type_complexity)]
-    fn prepare_finalize_active(
-        &mut self,
-        active: &[usize],
-        parts: Vec<S::Input>,
-    ) -> Result<(Vec<S::Aggregate>, Vec<S::Release>), EngineError> {
-        let pairs = self.drive_active(active, parts, |synth, part| {
-            let aggregate = synth.prepare(part)?;
-            let release = synth.finalize(aggregate.clone())?;
-            Ok((aggregate, release))
-        })?;
-        Ok(pairs.into_iter().unzip())
     }
 
     /// The one scatter/gather skeleton behind every round: run
@@ -1022,16 +917,16 @@ where
     /// is driven even when an earlier one fails, so the survivors stay in
     /// lockstep; the first error is reported, and a panic is re-raised
     /// only after every synthesizer is back in place.
-    fn drive_active<T: Send + 'static>(
+    fn drive_active<P: Send + 'static, T: Send + 'static>(
         &mut self,
         active: &[usize],
-        parts: Vec<S::Input>,
-        op: impl Fn(&mut S, &S::Input) -> Result<T, SynthError> + Copy + Send + Sync + 'static,
+        parts: Vec<P>,
+        op: impl Fn(&mut S, P) -> Result<T, SynthError> + Copy + Send + Sync + 'static,
     ) -> Result<Vec<T>, EngineError> {
         let mut outputs = Vec::with_capacity(active.len());
         let mut first_error = None;
         if self.pool.is_none() || active.len() == 1 {
-            for (&c, part) in active.iter().zip(&parts) {
+            for (&c, part) in active.iter().zip(parts) {
                 match op(&mut self.shards[c], part) {
                     Ok(output) => outputs.push(output),
                     Err(source) if first_error.is_none() => {
@@ -1058,7 +953,7 @@ where
             .map(|(&c, part)| {
                 let mut synth = slots[c].take().expect("active cohort exists once");
                 move || {
-                    let result = catch_unwind(AssertUnwindSafe(|| op(&mut synth, &part)));
+                    let result = catch_unwind(AssertUnwindSafe(|| op(&mut synth, part)));
                     (c, synth, result)
                 }
             })
@@ -1241,7 +1136,7 @@ where
         }
         let round = self.rounds_fed;
         let (active, parts) = self.begin_scheduled_round(column)?;
-        let aggregates = self.drive_active(&active, parts, |synth, part| synth.prepare(part))?;
+        let aggregates = self.drive_active(&active, parts, |synth, part| synth.prepare(&part))?;
         // The merged (population-level) aggregate lives on the global
         // clock; the pending per-cohort aggregates stay local — each
         // cohort's own finalize expects its local shape.
@@ -1313,69 +1208,23 @@ where
             self.rounds_fed += 1;
             return Ok(merged);
         };
-        // Finalize *every* participating cohort before reporting the first
-        // error: each cohort must consume its pending aggregate to stay in
-        // phase for the next round (only a cohort whose own finalize failed
-        // remains out of phase — its synthesizer rejected the round and a
-        // custom implementation owns its recovery).
-        //
-        // Lifetime views absorb only after every cohort finalize succeeded
-        // (below) — matching the step path's ordering, so a failed round
-        // never poisons the retirement bookkeeping.
-        let pending_absorb = matches!(self.population, Some(PopulationSlot::Windowed(_)))
-            .then(|| aggregates.clone());
-        let mut releases = Vec::with_capacity(aggregates.len());
-        let mut first_error = None;
-        for (&index, part) in active.iter().zip(aggregates) {
-            match self.shards[index].finalize(part) {
-                Ok(release) => releases.push(release),
-                Err(source) if first_error.is_none() => {
-                    first_error = Some(EngineError::Shard {
-                        shard: index,
-                        source,
-                    });
-                }
-                Err(_) => {}
-            }
-        }
-        if let Some(error) = first_error {
-            return Err(error);
-        }
-        clock.lap_finalize();
-        if let Some(aggregates) = &pending_absorb {
-            self.absorb_lifetimes(&active, aggregates)?;
-        }
-        let round = self.rounds_fed;
-        if self.population.is_some() {
-            // Shared round: apply any retirements due at this round
-            // boundary before the population-level finalize.
-            self.process_retirements(round)?;
-        }
-        let merged = match &mut self.population {
-            Some(population) => {
-                let merged = population.finalize(aggregate)?;
-                clock.lap_noise();
-                merged
-            }
-            None if self.sink.is_some() => {
-                let merged = S::Release::merge_borrowed(&releases)?;
-                clock.lap_merge();
-                merged
-            }
-            None => {
-                let merged = S::Release::merge(std::mem::take(&mut releases))?;
-                clock.lap_merge();
-                merged
-            }
+        // Every participating cohort consumes its pending aggregate, even
+        // when an earlier one fails or panics, to stay in phase for the
+        // next round (only a cohort whose own finalize failed remains out
+        // of phase — its synthesizer rejected the round and a custom
+        // implementation owns its recovery). Lifetime views absorb in the
+        // round tail, after every cohort finalize succeeded, so a failed
+        // round never poisons the retirement bookkeeping.
+        let absorb = match self.population {
+            Some(PopulationSlot::Windowed(_)) => aggregates.clone(),
+            _ => Vec::new(),
         };
-        // Verify the budget cap BEFORE any sink observes the round: an
-        // over-budget release must not reach downstream stores.
-        self.verify_budget_invariant_at(round)?;
-        self.notify_sink(&active, &releases, &merged, &mut clock);
-        self.commit_round_observation(clock);
-        self.rounds_fed += 1;
+        let driven = self.drive_active(&active, aggregates, |synth, part| synth.finalize(part));
+        clock.lap_finalize();
+        let result = driven
+            .and_then(|releases| self.end_round(&active, absorb, releases, Some(aggregate), clock));
         self.active = active;
-        Ok(merged)
+        result
     }
 }
 
@@ -1475,11 +1324,11 @@ where
         ShardedEngine::horizon(self)
     }
 
-    fn budget_spent(&self) -> longsynth_dp::budget::Rho {
+    fn budget_spent(&self) -> Rho {
         self.budget().spent()
     }
 
-    fn budget_total(&self) -> longsynth_dp::budget::Rho {
+    fn budget_total(&self) -> Rho {
         self.budget().total()
     }
 }
@@ -1518,11 +1367,20 @@ mod tests {
         horizon: usize,
         seed: u64,
     ) -> ShardedEngine<CumulativeSynthesizer> {
-        let plan = ShardPlan::new(population, shards).unwrap();
         let fork = RngFork::new(seed);
-        ShardedEngine::with_aggregation(plan, AggregationPolicy::shared(), |slot| {
-            let rho = Rho::new(0.5 * slot.budget_share).unwrap();
-            let config = CumulativeConfig::new(horizon, rho).unwrap();
+        let policy = AggregationPolicy::shared();
+        let (cohort_share, _) = policy.budget_shares(shards);
+        let rho = |v| Rho::new(v).unwrap();
+        let schedule = PanelSchedule::uniform(
+            population,
+            shards,
+            horizon,
+            rho(0.5 * cohort_share),
+            rho(0.5),
+        )
+        .unwrap();
+        ShardedEngine::with_schedule(schedule, policy, |slot| {
+            let config = CumulativeConfig::new(horizon, slot.budget).unwrap();
             let stream = match slot.role {
                 SlotRole::Shard(s) => s as u64,
                 SlotRole::Population => 0xB0B,
@@ -1598,21 +1456,28 @@ mod tests {
         let horizon = 4;
         let rho = 0.04;
         let data = iid_bernoulli(&mut rng_from_seed(0xC0), n, horizon, 0.3);
-        let outer_plan = ShardPlan::new(n, 2).unwrap();
-        let mut outer =
-            ShardedEngine::with_aggregation(outer_plan, AggregationPolicy::shared(), |slot| {
-                let slot_rho = Rho::new(rho * slot.budget_share).unwrap();
-                let config = CumulativeConfig::new(horizon, slot_rho).unwrap();
-                let stream = match slot.role {
-                    SlotRole::Shard(s) => 1 + s as u64,
-                    SlotRole::Population => 0,
-                };
-                ShardedEngine::new(ShardPlan::new(slot.size, 1).unwrap(), |_, _| {
-                    CumulativeSynthesizer::new(config, RngFork::new(stream), rng_from_seed(stream))
-                })
-                .unwrap()
+        let policy = AggregationPolicy::shared();
+        let (cohort_share, _) = policy.budget_shares(2);
+        let schedule = PanelSchedule::uniform(
+            n,
+            2,
+            horizon,
+            Rho::new(rho * cohort_share).unwrap(),
+            Rho::new(rho).unwrap(),
+        )
+        .unwrap();
+        let mut outer = ShardedEngine::with_schedule(schedule, policy, |slot| {
+            let config = CumulativeConfig::new(horizon, slot.budget).unwrap();
+            let stream = match slot.role {
+                SlotRole::Shard(s) => 1 + s as u64,
+                SlotRole::Population => 0,
+            };
+            ShardedEngine::new(ShardPlan::new(slot.size, 1).unwrap(), |_, _| {
+                CumulativeSynthesizer::new(config, RngFork::new(stream), rng_from_seed(stream))
             })
-            .unwrap();
+            .unwrap()
+        })
+        .unwrap();
         for (_, col) in data.stream() {
             let release = outer.step(col).unwrap();
             assert_eq!(release.len(), n);
@@ -1789,29 +1654,44 @@ mod tests {
         assert_eq!(engine.rounds_fed(), 2);
     }
 
+    /// A population slot whose synthesizer ignores `slot.budget` is
+    /// named as the population (`cohort: None`) budget mismatch.
     #[test]
-    fn population_budget_split_is_verified() {
-        let plan = ShardPlan::new(40, 2).unwrap();
+    fn population_slot_budget_is_verified() {
+        let policy = AggregationPolicy::shared();
+        let (cohort_share, _) = policy.budget_shares(2);
+        let rho = |v| Rho::new(v).unwrap();
+        let schedule = PanelSchedule::uniform(40, 2, 4, rho(0.5 * cohort_share), rho(0.5)).unwrap();
         let fork = RngFork::new(1);
-        // A factory that ignores the slot's budget share entirely.
-        let err = ShardedEngine::with_aggregation(plan, AggregationPolicy::shared(), |slot| {
-            let config = CumulativeConfig::new(4, Rho::new(0.5).unwrap()).unwrap();
-            let stream = match slot.role {
-                SlotRole::Shard(s) => s as u64,
-                SlotRole::Population => 99,
+        let err = ShardedEngine::with_schedule(schedule, policy, |slot| {
+            let (stream, rho) = match slot.role {
+                SlotRole::Shard(s) => (s as u64, slot.budget),
+                SlotRole::Population => (99, rho(0.5)),
             };
+            let config = CumulativeConfig::new(4, rho).unwrap();
             CumulativeSynthesizer::new(config, fork.subfork(stream), rng_from_seed(stream))
         })
         .unwrap_err();
-        assert!(matches!(err, EngineError::InvalidPolicy(_)));
-        assert!(err.to_string().contains("budget split"), "{err}");
+        assert!(
+            matches!(
+                err,
+                EngineError::ScheduleMismatch {
+                    cohort: None,
+                    field: "total budget",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]
     fn degenerate_policy_shares_are_rejected() {
-        let plan = ShardPlan::new(40, 2).unwrap();
-        let err = ShardedEngine::<CumulativeSynthesizer>::with_aggregation(
-            plan,
+        let schedule =
+            PanelSchedule::uniform(40, 2, 4, Rho::new(0.1).unwrap(), Rho::new(0.5).unwrap())
+                .unwrap();
+        let err = ShardedEngine::<CumulativeSynthesizer>::with_schedule(
+            schedule,
             AggregationPolicy::SharedNoise {
                 population_share: 1.5,
             },
@@ -2046,6 +1926,37 @@ mod tests {
         assert_eq!(engine.shard(1).round(), 1); // its step never completed
         let release = engine.step(&column).unwrap();
         assert_eq!(release.len(), 30);
+    }
+
+    /// The two-phase path contains a cohort panic the way `step` does:
+    /// the cohorts after the panicking one still finalize their pending
+    /// aggregates, so only the panicked cohort misses the round.
+    #[test]
+    fn prepared_finalize_survives_a_panicking_shard_like_step() {
+        let rounds = |two_phase: bool| {
+            let mut engine =
+                ShardedEngine::new(ShardPlan::new(30, 3).unwrap(), |s, _| FragileSynth {
+                    panic_at_round: (s == 1).then_some(1),
+                    round: 0,
+                })
+                .unwrap();
+            let column = BitColumn::ones(30);
+            let round = |engine: &mut ShardedEngine<FragileSynth>| {
+                if two_phase {
+                    let aggregate = engine.prepare(&column)?;
+                    engine.finalize(aggregate)
+                } else {
+                    engine.step(&column)
+                }
+            };
+            round(&mut engine).unwrap();
+            let unwound =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| round(&mut engine)));
+            assert!(unwound.is_err(), "shard panic propagates to the caller");
+            (0..3).map(|s| engine.shard(s).round()).collect::<Vec<_>>()
+        };
+        assert_eq!(rounds(false), vec![2, 1, 2]);
+        assert_eq!(rounds(true), vec![2, 1, 2]);
     }
 
     #[test]

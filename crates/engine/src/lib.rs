@@ -84,9 +84,7 @@ pub use driver::{IngestDriver, ShardedEngine};
 pub use merge::{MergeAggregate, MergeRelease};
 pub use obs::EngineObserver;
 pub use policy::{AggregationPolicy, PolicyTag};
-pub use shard::{
-    CohortSchedule, PanelSchedule, PanelSlot, ShardPlan, ShardableInput, SlotRole, SynthSlot,
-};
+pub use shard::{CohortSchedule, PanelSchedule, PanelSlot, ShardPlan, ShardableInput, SlotRole};
 pub use sink::ReleaseSink;
 pub use window::WindowedPopulationSynthesizer;
 
@@ -113,14 +111,13 @@ pub enum EngineError {
         /// The underlying synthesizer error.
         source: SynthError,
     },
-    /// The shard factory produced differently-configured synthesizers for
-    /// a plan-based engine. Those constructors derive a static schedule
-    /// from shard 0's horizon and budget, with every cohort running that
-    /// one configuration, so the engine names the first shard that
-    /// disagrees instead of mis-merging later. To actually
-    /// run a heterogeneous panel (per-cohort horizons or budgets), build a
-    /// [`PanelSchedule`] and construct with
-    /// [`ShardedEngine::with_schedule`](crate::ShardedEngine::with_schedule).
+    /// The `(shard, size)` factory of [`ShardedEngine::new`] or
+    /// [`ShardedEngine::with_pool`] produced differently-configured
+    /// synthesizers. Those constructors derive the static schedule from
+    /// shard 0's horizon and budget, so the engine names the first shard
+    /// that disagrees. To run a heterogeneous panel (per-cohort horizons
+    /// or budgets), build a [`PanelSchedule`] and construct with
+    /// [`ShardedEngine::with_schedule`].
     HeterogeneousShards {
         /// First shard whose configuration disagrees with shard 0.
         shard: usize,

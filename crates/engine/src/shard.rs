@@ -433,35 +433,13 @@ pub enum SlotRole {
 }
 
 /// One synthesizer slot an engine factory must fill: who it is, how many
-/// individuals it covers, and what fraction of the caller's total privacy
-/// budget it must be configured with.
+/// individuals it covers, when it streams, and the absolute zCDP budget it
+/// must be configured with.
 ///
-/// The engine derives `budget_share` from the
-/// [`AggregationPolicy`](crate::AggregationPolicy) — per-shard noise gives
-/// every shard the full budget (parallel composition over disjoint
-/// cohorts); shared noise splits it between the cohort level and the
-/// population level — and verifies after construction that the factory
-/// honored the split.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SynthSlot {
-    /// Which synthesizer this slot is.
-    pub role: SlotRole,
-    /// Individuals this synthesizer covers (cohort size, or the whole
-    /// population for [`SlotRole::Population`]).
-    pub size: usize,
-    /// Fraction of the run's total zCDP budget this synthesizer must be
-    /// configured with (multiply your total ρ by this).
-    pub budget_share: f64,
-}
-
-/// One synthesizer slot of a **scheduled** (dynamic-panel) engine: who it
-/// is, how many individuals it covers, when it streams, and the absolute
-/// zCDP budget it must be configured with.
-///
-/// Unlike [`SynthSlot`] (whose `budget_share` is a fraction of one shared
-/// total), a schedule assigns each cohort its *own* budget, so the slot
-/// carries the absolute [`Rho`]. Configure the synthesizer with exactly
-/// `horizon` and `budget`; construction verifies both were honored.
+/// A schedule assigns each cohort its *own* budget; the population slot
+/// (shared noise) carries the policy's share of the schedule's cap.
+/// Configure the synthesizer with exactly `horizon` and `budget`;
+/// construction verifies both were honored.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PanelSlot {
     /// Which synthesizer this slot is ([`SlotRole::Population`] only under

@@ -25,7 +25,8 @@ use longsynth_data::LongitudinalDataset;
 use longsynth_dp::budget::Rho;
 use longsynth_dp::rng::{rng_from_seed, RngFork};
 use longsynth_engine::{
-    AggregationPolicy, MergeRelease, ShardPlan, ShardableInput, ShardedEngine, SlotRole,
+    AggregationPolicy, MergeRelease, PanelSchedule, ShardPlan, ShardableInput, ShardedEngine,
+    SlotRole,
 };
 use longsynth_queries::window::quarterly_battery;
 use longsynth_queries::{AccuracyComparison, ErrorSummary};
@@ -42,11 +43,18 @@ fn fixed_window_engine(
     policy: AggregationPolicy,
     seed: u64,
 ) -> ShardedEngine<FixedWindowSynthesizer> {
-    let plan = ShardPlan::new(n, shards).unwrap();
+    let (cohort_share, _) = policy.budget_shares(shards);
+    let schedule = PanelSchedule::uniform(
+        n,
+        shards,
+        horizon,
+        Rho::new(rho * cohort_share).unwrap(),
+        Rho::new(rho).unwrap(),
+    )
+    .unwrap();
     let fork = RngFork::new(seed);
-    ShardedEngine::with_aggregation(plan, policy, |slot| {
-        let slot_rho = Rho::new(rho * slot.budget_share).unwrap();
-        let config = FixedWindowConfig::new(horizon, window, slot_rho).unwrap();
+    ShardedEngine::with_schedule(schedule, policy, |slot| {
+        let config = FixedWindowConfig::new(horizon, window, slot.budget).unwrap();
         let stream = match slot.role {
             SlotRole::Shard(s) => s as u64,
             SlotRole::Population => 0xA110,
@@ -78,14 +86,15 @@ proptest! {
             FixedWindowSynthesizer::new(config, fork.child(s as u64))
         })
         .unwrap();
-        let mut policy_engine = ShardedEngine::with_aggregation(
-            plan.clone(),
+        let rho = Rho::new(POLICY_RHO).unwrap();
+        let mut policy_engine = ShardedEngine::with_schedule(
+            PanelSchedule::uniform(n, shards, horizon, rho, rho).unwrap(),
             AggregationPolicy::PerShardNoise,
             |slot| {
                 let SlotRole::Shard(s) = slot.role else {
                     panic!("per-shard noise must not request a population synthesizer");
                 };
-                assert_eq!(slot.budget_share, 1.0);
+                assert_eq!(slot.budget, rho);
                 FixedWindowSynthesizer::new(config, fork.child(s as u64))
             },
         )
@@ -145,10 +154,11 @@ proptest! {
         horizon in 2usize..8,
     ) {
         let data = iid_bernoulli(&mut rng_from_seed(seed ^ 0xA3), n, horizon, 0.35);
-        let plan = ShardPlan::new(n, 1).unwrap();
-        let config = CumulativeConfig::new(horizon, Rho::new(POLICY_RHO).unwrap()).unwrap();
-        let mut engine = ShardedEngine::with_aggregation(plan, AggregationPolicy::shared(), |slot| {
-            assert_eq!(slot.budget_share, 1.0);
+        let rho = Rho::new(POLICY_RHO).unwrap();
+        let config = CumulativeConfig::new(horizon, rho).unwrap();
+        let schedule = PanelSchedule::uniform(n, 1, horizon, rho, rho).unwrap();
+        let mut engine = ShardedEngine::with_schedule(schedule, AggregationPolicy::shared(), |slot| {
+            assert_eq!(slot.budget, rho);
             CumulativeSynthesizer::new(config, RngFork::new(seed), rng_from_seed(seed))
         })
         .unwrap();

@@ -101,19 +101,24 @@ fn static_shared_engine(
     seed: u64,
 ) -> ShardedEngine<CumulativeSynthesizer> {
     let fork = RngFork::new(seed);
-    ShardedEngine::with_aggregation(
-        ShardPlan::new(n, shards).unwrap(),
-        AggregationPolicy::shared(),
-        |slot| {
-            let slot_rho = Rho::new(RHO * slot.budget_share).unwrap();
-            let config = CumulativeConfig::new(horizon, slot_rho).unwrap();
-            let stream = match slot.role {
-                SlotRole::Shard(s) => 1 + s as u64,
-                SlotRole::Population => 0,
-            };
-            CumulativeSynthesizer::new(config, fork.subfork(stream), rng_from_seed(seed ^ stream))
-        },
+    let policy = AggregationPolicy::shared();
+    let (cohort_share, _) = policy.budget_shares(shards);
+    let schedule = PanelSchedule::uniform(
+        n,
+        shards,
+        horizon,
+        Rho::new(RHO * cohort_share).unwrap(),
+        Rho::new(RHO).unwrap(),
     )
+    .unwrap();
+    ShardedEngine::with_schedule(schedule, policy, |slot| {
+        let config = CumulativeConfig::new(horizon, slot.budget).unwrap();
+        let stream = match slot.role {
+            SlotRole::Shard(s) => 1 + s as u64,
+            SlotRole::Population => 0,
+        };
+        CumulativeSynthesizer::new(config, fork.subfork(stream), rng_from_seed(seed ^ stream))
+    })
     .unwrap()
 }
 

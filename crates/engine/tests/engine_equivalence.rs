@@ -17,20 +17,22 @@ use longsynth_data::{BitColumn, LongitudinalDataset};
 use longsynth_dp::budget::Rho;
 use longsynth_dp::rng::{rng_from_seed, RngFork};
 use longsynth_engine::{
-    AggregationPolicy, MergeAggregate, MergeRelease, ShardPlan, ShardableInput, ShardedEngine,
-    SlotRole,
+    AggregationPolicy, MergeAggregate, MergeRelease, PanelSchedule, ShardPlan, ShardableInput,
+    ShardedEngine, SlotRole,
 };
 use proptest::prelude::*;
 
-/// Drive a `with_aggregation(…, shared())` engine and a hand composition of
-/// the same synthesizers side by side, asserting bit-identical releases.
-/// The hand composition runs, per round: each shard's `prepare` then
-/// `finalize(aggregate.clone())` on its cohort split, `MergeAggregate::merge`
-/// of the aggregates in shard order, then the population synthesizer's
-/// `finalize` of the sum. `make(role, budget_share)` builds one slot.
+/// Drive a shared-noise engine over the uniform schedule of `plan` (cap
+/// `rho`) and a hand composition of the same synthesizers side by side,
+/// asserting bit-identical releases. The hand composition runs, per
+/// round: each shard's `prepare` then `finalize(aggregate.clone())` on its
+/// cohort split, `MergeAggregate::merge` of the aggregates in shard order,
+/// then the population synthesizer's `finalize` of the sum.
+/// `make(role, budget_share)` builds one slot at `rho * budget_share`.
 fn assert_shared_engine_matches_hand<S>(
     data: &LongitudinalDataset,
     plan: &ShardPlan,
+    rho: f64,
     make: impl Fn(SlotRole, f64) -> S,
 ) where
     S: ContinualSynthesizer<Input = BitColumn> + Send + 'static,
@@ -40,8 +42,17 @@ fn assert_shared_engine_matches_hand<S>(
     let policy = AggregationPolicy::shared();
     let (shard_share, population_share) = policy.budget_shares(plan.shards());
     let population_share = population_share.expect("multi-shard shared noise");
-    let mut engine = ShardedEngine::with_aggregation(plan.clone(), policy, |slot| {
-        make(slot.role, slot.budget_share)
+    let schedule = PanelSchedule::uniform(
+        plan.population(),
+        plan.shards(),
+        data.rounds(),
+        Rho::new(rho * shard_share).unwrap(),
+        Rho::new(rho).unwrap(),
+    )
+    .unwrap();
+    let mut engine = ShardedEngine::with_schedule(schedule, policy, |slot| match slot.role {
+        SlotRole::Shard(_) => make(slot.role, shard_share),
+        SlotRole::Population => make(slot.role, population_share),
     })
     .unwrap();
     let mut shards: Vec<S> = (0..plan.shards())
@@ -174,12 +185,12 @@ proptest! {
             SlotRole::Shard(s) => s as u64,
             SlotRole::Population => 0x5EED,
         };
-        assert_shared_engine_matches_hand(&data, &plan, |role, share| {
+        assert_shared_engine_matches_hand(&data, &plan, 0.05, |role, share| {
             let rho = Rho::new(0.05 * share).unwrap();
             let config = FixedWindowConfig::new(horizon, 2, rho).unwrap();
             FixedWindowSynthesizer::new(config, fork.child(stream(role)))
         });
-        assert_shared_engine_matches_hand(&data, &plan, |role, share| {
+        assert_shared_engine_matches_hand(&data, &plan, 0.05, |role, share| {
             let rho = Rho::new(0.05 * share).unwrap();
             let config = CumulativeConfig::new(horizon, rho).unwrap();
             let s = stream(role);

@@ -131,9 +131,18 @@ fn static_engine(
     let fork = RngFork::new(seed);
     let plan = ShardPlan::new(n, shards).unwrap();
     if shared {
-        ShardedEngine::with_aggregation(plan, AggregationPolicy::shared(), move |slot| {
-            let slot_rho = Rho::new(RHO * slot.budget_share).unwrap();
-            let config = CumulativeConfig::new(horizon, slot_rho).unwrap();
+        let policy = AggregationPolicy::shared();
+        let (cohort_share, _) = policy.budget_shares(shards);
+        let schedule = PanelSchedule::uniform(
+            n,
+            shards,
+            horizon,
+            Rho::new(RHO * cohort_share).unwrap(),
+            Rho::new(RHO).unwrap(),
+        )
+        .unwrap();
+        ShardedEngine::with_schedule(schedule, policy, move |slot| {
+            let config = CumulativeConfig::new(horizon, slot.budget).unwrap();
             let stream = match slot.role {
                 SlotRole::Shard(s) => 1 + s as u64,
                 SlotRole::Population => 0,

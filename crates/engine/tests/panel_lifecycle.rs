@@ -113,48 +113,6 @@ fn static_schedule_matches_plan_engine_per_shard() {
     assert!(scheduled.budget().exhausted());
 }
 
-/// Degenerate schedule ≡ PR 3 engine under **shared noise** too: same
-/// budget split, same single population draw.
-#[test]
-fn static_schedule_matches_plan_engine_shared() {
-    let (n, shards, horizon, seed) = (120, 3, 5, 11u64);
-    let data = iid_bernoulli(&mut rng_from_seed(2), n, horizon, 0.35);
-    let fork = RngFork::new(seed);
-    let stream_of = |role: SlotRole| match role {
-        SlotRole::Shard(s) => s as u64,
-        SlotRole::Population => 0xB0B,
-    };
-    let mut legacy = ShardedEngine::with_aggregation(
-        ShardPlan::new(n, shards).unwrap(),
-        AggregationPolicy::shared(),
-        |slot| {
-            let rho = Rho::new(RHO * slot.budget_share).unwrap();
-            let config = CumulativeConfig::new(horizon, rho).unwrap();
-            let stream = stream_of(slot.role);
-            CumulativeSynthesizer::new(config, fork.subfork(stream), rng_from_seed(seed ^ stream))
-        },
-    )
-    .unwrap();
-    let cohort_rho = RHO * (1.0 - AggregationPolicy::DEFAULT_POPULATION_SHARE);
-    let schedule = uniform_schedule(n, shards, horizon, cohort_rho);
-    let mut scheduled =
-        ShardedEngine::with_schedule(schedule, AggregationPolicy::shared(), |slot| {
-            let config = CumulativeConfig::new(slot.horizon, slot.budget).unwrap();
-            let stream = stream_of(slot.role);
-            CumulativeSynthesizer::new(config, fork.subfork(stream), rng_from_seed(seed ^ stream))
-        })
-        .unwrap();
-    assert!(scheduled.population_synthesizer().is_some());
-    for (_, col) in data.stream() {
-        let a = legacy.step(col).unwrap();
-        let b = scheduled.step(col).unwrap();
-        assert_eq!(a, b);
-    }
-    let (a, b) = (legacy.budget(), scheduled.budget());
-    assert_eq!(a.spent().value(), b.spent().value());
-    assert_eq!(a.population_spent().value(), b.population_spent().value());
-}
-
 /// Fixed-window family: the degenerate schedule is a pass-through as well.
 #[test]
 fn static_schedule_matches_plan_engine_fixed_window() {

@@ -97,8 +97,7 @@ pub trait RoundAssembler {
     /// Sealed per-round input handed to the engine.
     type Round;
 
-    /// A fresh, empty accumulator for the given round. Most assemblers
-    /// ignore `round`; schedule-aware ones use it to shape the round's
+    /// A fresh, empty accumulator for `round`, which may shape the round's
     /// input (a rotating panel's active set varies per round).
     fn begin(&self, round: u64) -> Self::Acc;
     /// Folds one event into the accumulator. Errors reject the event
@@ -114,23 +113,47 @@ pub trait RoundAssembler {
     fn seal(&self, acc: Self::Acc) -> Self::Round;
 }
 
-/// Assembles boolean events into the engine's `BitColumn` round input:
-/// individual `i` reporting `payload` sets bit `i`. Re-reports within one
-/// window overwrite (last write wins); unreported individuals stay 0.
-#[derive(Debug, Clone)]
-pub struct BitRoundAssembler {
-    population: usize,
+/// Round `r`'s column length: one size for every round, or a per-round
+/// table whose rounds past the end are empty (the engine rejects them).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RoundSizes {
+    /// Every round has this population (a static panel).
+    Constant(usize),
+    /// `sizes[r]` is round `r`'s active-set size (a rotating panel).
+    PerRound(Vec<usize>),
 }
 
-impl BitRoundAssembler {
-    /// `population` is the column length every sealed round will have.
-    pub fn new(population: usize) -> Self {
-        Self { population }
+impl From<usize> for RoundSizes {
+    fn from(population: usize) -> Self {
+        RoundSizes::Constant(population)
     }
+}
 
-    /// Column length of every sealed round.
-    pub fn population(&self) -> usize {
-        self.population
+impl From<Vec<usize>> for RoundSizes {
+    fn from(sizes: Vec<usize>) -> Self {
+        RoundSizes::PerRound(sizes)
+    }
+}
+
+/// Assembles boolean events into the engine's `BitColumn` round input:
+/// individual `i` reporting `payload` sets bit `i` of a column sized by
+/// the [`RoundSizes`] rule. Re-reports within one window overwrite (last
+/// write wins); unreported individuals stay 0. On a rotating panel an
+/// event's `individual` is its position in the round's active layout
+/// (`PanelSchedule::active_layout`).
+#[derive(Debug, Clone)]
+pub struct BitRoundAssembler {
+    rule: RoundSizes,
+}
+
+/// [`BitRoundAssembler`] over a per-round size table (rotating panels).
+pub type ScheduledBitRoundAssembler = BitRoundAssembler;
+
+impl BitRoundAssembler {
+    /// One column length for every round (a `usize`) or a per-round table
+    /// (a `Vec<usize>`).
+    pub fn new(sizes: impl Into<RoundSizes>) -> Self {
+        Self { rule: sizes.into() }
     }
 }
 
@@ -139,61 +162,12 @@ impl RoundAssembler for BitRoundAssembler {
     type Acc = BitColumn;
     type Round = BitColumn;
 
-    fn begin(&self, _round: u64) -> BitColumn {
-        BitColumn::zeros(self.population)
-    }
-
-    fn absorb(
-        &self,
-        acc: &mut BitColumn,
-        individual: u32,
-        payload: &bool,
-    ) -> Result<(), IngestError> {
-        let idx = individual as usize;
-        if idx >= self.population {
-            return Err(IngestError::IndividualOutOfRange {
-                individual,
-                population: self.population,
-            });
-        }
-        acc.set(idx, *payload);
-        Ok(())
-    }
-
-    fn seal(&self, acc: BitColumn) -> BitColumn {
-        acc
-    }
-}
-
-/// Schedule-aware variant of [`BitRoundAssembler`] for rotating panels:
-/// round `r`'s column length is the schedule's active-set size at `r`
-/// (`PanelSchedule::active_population`), and an event's `individual` is
-/// its position within that round's active layout
-/// (`PanelSchedule::active_layout`). Rounds past the schedule's horizon
-/// assemble as empty columns — the engine rejects them anyway.
-#[derive(Debug, Clone)]
-pub struct ScheduledBitRoundAssembler {
-    sizes: Vec<usize>,
-}
-
-impl ScheduledBitRoundAssembler {
-    /// `sizes[r]` is the active-set column length of round `r`.
-    pub fn new(sizes: Vec<usize>) -> Self {
-        Self { sizes }
-    }
-}
-
-impl RoundAssembler for ScheduledBitRoundAssembler {
-    type Payload = bool;
-    type Acc = BitColumn;
-    type Round = BitColumn;
-
     fn begin(&self, round: u64) -> BitColumn {
-        let size = usize::try_from(round)
-            .ok()
-            .and_then(|r| self.sizes.get(r).copied())
-            .unwrap_or(0);
-        BitColumn::zeros(size)
+        let size = match &self.rule {
+            RoundSizes::Constant(population) => Some(population),
+            RoundSizes::PerRound(sizes) => usize::try_from(round).ok().and_then(|r| sizes.get(r)),
+        };
+        BitColumn::zeros(size.copied().unwrap_or(0))
     }
 
     fn absorb(
@@ -585,6 +559,18 @@ mod tests {
         assert_eq!(out[0].events, 0, "round 0 cannot hold individual 1");
         assert_eq!(out[1].events, 1);
         assert_eq!(bits(&out[1]), vec![false, true]);
+    }
+
+    #[test]
+    fn round_sizes_are_constant_or_a_table_empty_past_its_end() {
+        let constant = BitRoundAssembler::new(3);
+        assert_eq!(constant.begin(0).len(), 3);
+        assert_eq!(constant.begin(u64::MAX).len(), 3);
+        let table = ScheduledBitRoundAssembler::new(vec![1, 2]);
+        assert_eq!(table.begin(0).len(), 1);
+        assert_eq!(table.begin(1).len(), 2);
+        assert_eq!(table.begin(2).len(), 0);
+        assert_eq!(table.begin(u64::MAX).len(), 0);
     }
 
     #[test]

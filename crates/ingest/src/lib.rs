@@ -41,8 +41,8 @@ mod watermark;
 mod window;
 
 pub use binner::{
-    BitRoundAssembler, LatePolicy, RoundAssembler, ScheduledBitRoundAssembler, SealedRound,
-    WindowBinner,
+    BitRoundAssembler, LatePolicy, RoundAssembler, RoundSizes, ScheduledBitRoundAssembler,
+    SealedRound, WindowBinner,
 };
 pub use queue::{bounded, Consumer, Producer, RecvResult, SendError, TrySendError};
 pub use tier::{Event, EventProducer, IngestConfig, IngestStats, IngestTier, SealedRounds};

@@ -111,19 +111,24 @@ fn shared_noise_engine_feeds_store_with_the_shared_tag() {
     let window = 3;
     let panel = iid_bernoulli(&mut rng_from_seed(51), n, horizon, 0.3);
     let fork = RngFork::new(9);
-    let mut engine = ShardedEngine::with_aggregation(
-        ShardPlan::new(n, 4).unwrap(),
-        AggregationPolicy::shared(),
-        |slot| {
-            let rho = Rho::new(0.1 * slot.budget_share).unwrap();
-            let config = FixedWindowConfig::new(horizon, window, rho).unwrap();
-            let stream = match slot.role {
-                SlotRole::Shard(s) => s as u64,
-                SlotRole::Population => 0xA110,
-            };
-            FixedWindowSynthesizer::new(config, fork.child(stream))
-        },
+    let policy = AggregationPolicy::shared();
+    let (cohort_share, _) = policy.budget_shares(4);
+    let schedule = PanelSchedule::uniform(
+        n,
+        4,
+        horizon,
+        Rho::new(0.1 * cohort_share).unwrap(),
+        Rho::new(0.1).unwrap(),
     )
+    .unwrap();
+    let mut engine = ShardedEngine::with_schedule(schedule, policy, |slot| {
+        let config = FixedWindowConfig::new(horizon, window, slot.budget).unwrap();
+        let stream = match slot.role {
+            SlotRole::Shard(s) => s as u64,
+            SlotRole::Population => 0xA110,
+        };
+        FixedWindowSynthesizer::new(config, fork.child(stream))
+    })
     .unwrap();
 
     let service = QueryService::new();
