@@ -18,11 +18,12 @@
 use crate::error::SynthError;
 use crate::fixed_window::{FixedWindowConfig, FixedWindowSynthesizer};
 use crate::padding::PaddingPolicy;
-use crate::synthetic::SyntheticDataset;
+use crate::SyntheticDataset;
 use longsynth_data::{BitColumn, LongitudinalDataset};
 use longsynth_dp::budget::Rho;
 use longsynth_dp::rng::RngFork;
 use longsynth_queries::pattern::Pattern;
+use longsynth_queries::window::window_histogram;
 
 /// Per-round recompute baseline. See module docs.
 pub struct RecomputeBaseline {
@@ -179,7 +180,7 @@ impl RecomputeBaseline {
     pub fn ever_run_count(&self, t: usize, run: usize) -> Result<usize, SynthError> {
         Ok(self
             .release(t)?
-            .iter()
+            .rows()
             .filter(|r| r.has_ones_run(run))
             .count())
     }
@@ -194,8 +195,9 @@ impl RecomputeBaseline {
         let last = self.rounds_fed;
         let mut violation = 0.0;
         for t in first..last.saturating_sub(1) {
-            let now = self.ever_run_count(t, run)? as f64 / self.release(t)?.len() as f64;
-            let next = self.ever_run_count(t + 1, run)? as f64 / self.release(t + 1)?.len() as f64;
+            let now = self.ever_run_count(t, run)? as f64 / self.release(t)?.individuals() as f64;
+            let next =
+                self.ever_run_count(t + 1, run)? as f64 / self.release(t + 1)?.individuals() as f64;
             violation += (now - next).max(0.0);
         }
         Ok(violation)
@@ -204,8 +206,7 @@ impl RecomputeBaseline {
     /// Debiased estimate of a single width-`k` pattern fraction from the
     /// release at round `t` (for error comparisons against Algorithm 1).
     pub fn estimate_debiased_pattern(&self, t: usize, pattern: Pattern) -> Result<f64, SynthError> {
-        let release = self.release(t)?;
-        let histogram = release.window_histogram(t, self.window);
+        let histogram = window_histogram(self.release(t)?, t, self.window);
         let npad = self.padding.resolve(self.horizon, self.window, self.rho) as f64;
         let n = self.observed.individuals() as f64;
         Ok((histogram[pattern.code() as usize] as f64 - npad) / n)
@@ -264,7 +265,7 @@ mod tests {
         let data = markov(200, 10, 3);
         let baseline = run(&data, 3, 0.05, 4);
         let sizes: Vec<usize> = (2..10)
-            .map(|t| baseline.release(t).unwrap().len())
+            .map(|t| baseline.release(t).unwrap().individuals())
             .collect();
         let distinct: std::collections::HashSet<_> = sizes.iter().collect();
         assert!(distinct.len() > 1, "sizes all equal: {sizes:?}");

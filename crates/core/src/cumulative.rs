@@ -26,7 +26,7 @@
 use crate::aggregate::CumulativeAggregate;
 use crate::arena::GroupArena;
 use crate::error::SynthError;
-use crate::synthetic::SyntheticDataset;
+use crate::SyntheticDataset;
 use longsynth_counters::{CounterKind, StreamCounter};
 use longsynth_data::BitColumn;
 use longsynth_data::LongitudinalDataset;
@@ -483,11 +483,9 @@ impl<R: Rng> CumulativeSynthesizer<R> {
             }
         }
         self.weight_groups.commit();
-        self.synthetic.append_round(&self.scratch_bits);
         self.s_history.push(s_now.clone());
         self.s_prev = s_now;
-
-        Ok(self.synthetic.column(self.synthetic.rounds() - 1))
+        Ok(self.append_round())
     }
 
     // ------------------------------------------------------------------
@@ -794,10 +792,19 @@ impl<R: Rng> CumulativeSynthesizer<R> {
         let mut row = vec![0i64; window + 1];
         row[0] = n as i64;
         row[1..=window].copy_from_slice(&realized[1..=window]);
-        self.synthetic.append_round(&self.scratch_bits);
         self.s_history.push(row.clone());
         self.s_prev = row;
-        Ok(self.synthetic.column(self.synthetic.rounds() - 1))
+        Ok(self.append_round())
+    }
+
+    /// Append the round built in `scratch_bits` to the synthetic
+    /// population and return it as the release.
+    fn append_round(&mut self) -> BitColumn {
+        let column = BitColumn::from_bools(&self.scratch_bits);
+        self.synthetic
+            .push_column(column.clone())
+            .expect("the round covers every synthetic record");
+        column
     }
 
     /// A-priori worst-case error bound (in counts) across all thresholds
@@ -839,10 +846,10 @@ mod tests {
         let synth = run(&data, config, 2);
         for t in 0..10 {
             let estimates = synth.threshold_estimates(t).unwrap();
-            let from_records = synth.synthetic().cumulative_counts(t);
+            let from_records = cumulative_counts(synth.synthetic(), t);
             for b in 0..=(t + 1) {
                 assert_eq!(
-                    from_records.get(b).copied().unwrap_or(0),
+                    from_records.get(b).copied().unwrap_or(0) as i64,
                     estimates[b],
                     "t={t}, b={b}"
                 );
@@ -909,7 +916,7 @@ mod tests {
         let data = iid_bernoulli(&mut rng_from_seed(8), 200, 10, 0.5);
         let config = CumulativeConfig::new(10, Rho::new(0.02).unwrap()).unwrap();
         let synth = run(&data, config, 9);
-        for record in synth.synthetic().iter() {
+        for record in synth.synthetic().rows() {
             let mut prev_weight = 0;
             for t in 0..record.len() {
                 let w = record.prefix_weight(t + 1);
@@ -1172,7 +1179,7 @@ mod tests {
             released.push(synth.step(col).unwrap());
         }
         for (t, col) in released.iter().enumerate() {
-            assert_eq!(col, &synth.synthetic().column(t), "round {t}");
+            assert_eq!(col, synth.synthetic().column(t), "round {t}");
         }
     }
 }

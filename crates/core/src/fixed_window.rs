@@ -23,7 +23,7 @@ use crate::aggregate::HistogramAggregate;
 use crate::arena::GroupArena;
 use crate::error::SynthError;
 use crate::padding::PaddingPolicy;
-use crate::synthetic::SyntheticDataset;
+use crate::SyntheticDataset;
 use longsynth_data::BitColumn;
 use longsynth_dp::budget::{Rho, SpendTracker};
 use longsynth_dp::fastrange::RangePool;
@@ -239,6 +239,30 @@ fn shuffle_span<R: Rng>(
     }
 }
 
+/// Algorithm 1's initialization, "output any dataset such that the number
+/// of people with string s equals Ĉ_s": for each pattern `s`, `counts[s]`
+/// records whose first `k` bits spell `s`. Records are laid out in
+/// pattern-code order, so ids are contiguous per pattern (the overlap
+/// grouping in `initialize` relies on this).
+///
+/// # Panics
+/// Panics if `counts.len() != 2^k` or any count is negative.
+fn seed_population(counts: &[i64], k: usize) -> SyntheticDataset {
+    assert_eq!(counts.len(), Pattern::count(k), "counts size mismatch");
+    for &count in counts {
+        assert!(count >= 0, "negative pattern count {count}");
+    }
+    let columns = (0..k)
+        .map(|i| {
+            BitColumn::from_iter_bits(counts.iter().enumerate().flat_map(|(code, &count)| {
+                let bit = Pattern::new(code as u32, k).bit(i);
+                std::iter::repeat_n(bit, count as usize)
+            }))
+        })
+        .collect();
+    SyntheticDataset::from_columns(columns).expect("every seeded column covers all records")
+}
+
 impl<R: Rng> FixedWindowSynthesizer<R> {
     /// Create a synthesizer drawing all randomness from `rng`.
     pub fn new(config: FixedWindowConfig, rng: R) -> Self {
@@ -440,7 +464,7 @@ impl<R: Rng> FixedWindowSynthesizer<R> {
             }
         }
         let k = self.config.window;
-        self.synthetic = SyntheticDataset::from_pattern_counts(&noisy, k);
+        self.synthetic = seed_population(&noisy, k);
 
         // Group record ids by overlap (records were created in pattern-code
         // order, so ids are contiguous per pattern). The first
@@ -473,7 +497,7 @@ impl<R: Rng> FixedWindowSynthesizer<R> {
         self.p_history
             .reserve(self.config.update_steps() * Pattern::count(k));
         self.p_history.extend_from_slice(&noisy);
-        let columns = (0..k).map(|t| self.synthetic.column(t)).collect();
+        let columns = (0..k).map(|t| self.synthetic.column(t).clone()).collect();
         Release::Initial(columns)
     }
 
@@ -495,7 +519,7 @@ impl<R: Rng> FixedWindowSynthesizer<R> {
         let bins = Pattern::count(k);
         let half = bins >> 1;
         let overlap_mask = half.wrapping_sub(1); // 2^(k-1) − 1
-        let m = self.synthetic.len();
+        let m = self.synthetic.individuals();
 
         // This round's targets live at the tail of the flat history
         // (reserved in full at initialization — no reallocation here).
@@ -639,8 +663,10 @@ impl<R: Rng> FixedWindowSynthesizer<R> {
             histogram.observe(start.elapsed().as_secs_f64() * 1e3);
         }
 
-        self.synthetic.append_round_column(round);
-        Release::Update(self.synthetic.column(self.synthetic.rounds() - 1))
+        self.synthetic
+            .push_column(round.clone())
+            .expect("the round covers every synthetic record");
+        Release::Update(round)
     }
 
     // ------------------------------------------------------------------
@@ -659,7 +685,7 @@ impl<R: Rng> FixedWindowSynthesizer<R> {
 
     /// Size of the synthetic population `n*` (0 before the first release).
     pub fn n_star(&self) -> usize {
-        self.synthetic.len()
+        self.synthetic.individuals()
     }
 
     /// True population size `n` (known after the first round).
@@ -777,7 +803,7 @@ impl<R: Rng> FixedWindowSynthesizer<R> {
             }
             let weights = query.weights();
             let mut total = 0.0;
-            for i in 0..self.synthetic.len() {
+            for i in 0..self.synthetic.individuals() {
                 total += weights[self.synthetic.suffix_pattern(i, t, query.width()) as usize];
             }
             Ok(total)
@@ -810,6 +836,23 @@ mod tests {
             .unwrap()
             .with_padding(PaddingPolicy::None)
             .with_noise_override(NoiseDistribution::None)
+    }
+
+    #[test]
+    fn seed_population_lays_records_out_in_pattern_code_order() {
+        // Width-2 counts: 00→1, 01→2, 10→0, 11→3.
+        let population = seed_population(&[1, 2, 0, 3], 2);
+        assert_eq!(population.individuals(), 6);
+        assert_eq!(population.rounds(), 2);
+        let codes: Vec<u32> = (0..6).map(|i| population.suffix_pattern(i, 1, 2)).collect();
+        assert_eq!(codes, vec![0b00, 0b01, 0b01, 0b11, 0b11, 0b11]);
+        assert_eq!(window_histogram(&population, 1, 2), vec![1, 2, 0, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "negative pattern count")]
+    fn seed_population_rejects_negative_counts() {
+        seed_population(&[1, -1], 1);
     }
 
     #[test]
@@ -846,7 +889,10 @@ mod tests {
         let data = iid_bernoulli(&mut rng_from_seed(5), 300, 8, 0.5);
         let synth = run_synth(&data, noiseless_config(8, 3), 6);
         for t in 2..8 {
-            let from_records = synth.synthetic().window_histogram(t, 3);
+            let from_records: Vec<i64> = window_histogram(synth.synthetic(), t, 3)
+                .iter()
+                .map(|&c| c as i64)
+                .collect();
             let bookkept = synth.histogram_estimate(t).unwrap();
             assert_eq!(from_records.as_slice(), bookkept, "t={t}");
         }

@@ -64,7 +64,6 @@
 //! | [`arena`]        | [`GroupArena`] — double-buffered flat id-group storage behind every update-step regrouping |
 //! | [`fixed_window`] | Algorithm 1 and its consistency arithmetic |
 //! | [`cumulative`]   | Algorithm 2 over pluggable stream counters |
-//! | [`synthetic`]    | the persistent synthetic population |
 //! | [`padding`]      | `npad` policies and the Theorem 3.2 / Cor. 3.3 bounds |
 //! | [`baseline`]     | the recompute-from-scratch strawman (§1) |
 //! | [`reduction`]    | cumulative-via-`k=T` reduction (§2.1) |
@@ -91,7 +90,6 @@ pub mod fixed_window;
 pub mod padding;
 pub mod pure_dp;
 pub mod reduction;
-pub mod synthetic;
 pub mod traits;
 
 pub use aggregate::{CumulativeAggregate, HistogramAggregate};
@@ -100,5 +98,10 @@ pub use cumulative::{BudgetSplit, CumulativeConfig, CumulativeSynthesizer};
 pub use error::SynthError;
 pub use fixed_window::{FixedWindowConfig, FixedWindowSynthesizer, Release, SelectionStrategy};
 pub use padding::PaddingPolicy;
-pub use synthetic::SyntheticDataset;
 pub use traits::{ContinualSynthesizer, LifecycleStage};
+
+/// The persistent synthetic population: a panel of the same form as the
+/// input, whose released prefix is never rewritten. Each round appends one
+/// column (one new bit per synthetic individual) through
+/// [`LongitudinalDataset::push_column`](longsynth_data::LongitudinalDataset::push_column).
+pub type SyntheticDataset = longsynth_data::LongitudinalDataset;

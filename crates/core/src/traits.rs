@@ -542,7 +542,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(population.true_n(), Some(100));
-        assert_eq!(population.synthetic().len(), 100);
+        assert_eq!(population.synthetic().individuals(), 100);
     }
 
     /// The derived lifecycle walks fresh → streaming → sealed, and a

@@ -18,6 +18,10 @@ pub struct BitColumn {
 }
 
 impl BitColumn {
+    /// The widest pattern [`pattern_counts`](Self::pattern_counts) bins:
+    /// `2^24` bins, 128 MiB of counts. Window queries share this limit.
+    pub const MAX_PATTERN_WIDTH: usize = 24;
+
     /// An all-zero column for `len` individuals.
     pub fn zeros(len: usize) -> Self {
         Self {
@@ -216,12 +220,17 @@ impl BitColumn {
     /// (`k` per row) is already below the sliced cost (`2^k/64` per row).
     ///
     /// # Panics
-    /// Panics if `cols` is empty, `k > 16` (65 536 bins — far past any
-    /// window this system releases), or the columns disagree on length.
+    /// Panics if `cols` is empty, `k >`
+    /// [`MAX_PATTERN_WIDTH`](Self::MAX_PATTERN_WIDTH), or the columns
+    /// disagree on length.
     pub fn pattern_counts(cols: &[&Self]) -> Vec<u64> {
         let k = cols.len();
         assert!(k >= 1, "pattern_counts over zero columns");
-        assert!(k <= 16, "pattern width {k} out of range (max 16)");
+        assert!(
+            k <= Self::MAX_PATTERN_WIDTH,
+            "pattern width {k} out of range (max {})",
+            Self::MAX_PATTERN_WIDTH
+        );
         let n = cols[0].len();
         for (j, col) in cols.iter().enumerate() {
             assert_eq!(col.len(), n, "column {j} length mismatch");

@@ -129,6 +129,12 @@ impl LongitudinalDataset {
         (0..=upto).map(|t| self.value(i, t)).collect()
     }
 
+    /// Every individual's full history, each materialized as an owned row
+    /// (for analyst-side estimators that follow individuals across rounds).
+    pub fn rows(&self) -> impl Iterator<Item = BitStream> + '_ {
+        (0..self.individuals).map(move |i| self.columns.iter().map(|c| c.get(i)).collect())
+    }
+
     /// The `k`-wide suffix pattern of individual `i` at round `t`
     /// (`(x_{t-k+1}, …, x_t)` as an integer, oldest bit most significant).
     pub fn suffix_pattern(&self, i: usize, t: usize, k: usize) -> u32 {
@@ -297,6 +303,23 @@ mod tests {
                 assert_eq!(d.suffix_pattern(i, t, 3), row.suffix_pattern(t, 3));
             }
         }
+    }
+
+    #[test]
+    fn rows_keep_their_prefixes_across_pushes() {
+        let mut d = sample();
+        let before: Vec<BitStream> = d.rows().collect();
+        assert_eq!(before, (0..3).map(|i| d.row(i, 3)).collect::<Vec<_>>());
+        d.push_column(BitColumn::from_bools(&[true, false, true]))
+            .unwrap();
+        d.push_column(BitColumn::from_bools(&[false, true, true]))
+            .unwrap();
+        for (i, row) in d.rows().enumerate() {
+            assert_eq!(row.len(), 6);
+            let prefix: BitStream = row.iter().take(4).collect();
+            assert_eq!(prefix, before[i], "record {i} prefix changed");
+        }
+        assert_eq!(LongitudinalDataset::empty(2).rows().count(), 2);
     }
 
     #[test]

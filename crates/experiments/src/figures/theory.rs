@@ -275,14 +275,14 @@ pub fn baseline_inconsistency(
         let mut prev = 0.0f64;
         for t in k..=records.rounds() {
             let frac = records
-                .iter()
+                .rows()
                 .filter(|r| {
                     // "ever had a 2-run" within the first t rounds.
                     let prefix: longsynth_data::BitStream = r.iter().take(t).collect();
                     prefix.has_ones_run(2)
                 })
                 .count() as f64
-                / records.len() as f64;
+                / records.individuals() as f64;
             if t > k {
                 alg1_violation += (prev - frac).max(0.0);
             }

@@ -7,25 +7,30 @@
 
 use longsynth_data::LongitudinalDataset;
 
-/// All threshold counts `(S_0^t, …, S_t^t)` at round `t` (0-based round:
-/// `t` rounds have elapsed after index `t`, so `b` ranges to `t + 1` bits of
-/// history — we report `b = 0..=t+1` exclusive upper `t+1`).
-///
-/// Returned vector has length `t + 2`: entry `b` is `S_b`, with `S_0 = n`
-/// always and `S_{t+1} = #{all-ones histories}` included for convenience.
+/// The threshold counts `S_b^t` at 0-based round `t`, which closes `t + 1`
+/// rounds of history: entry `b` of the returned `t + 2` counts is `S_b^t`
+/// for `b = 0..=t+1`, so entry 0 is always `n` and entry `t + 1` counts the
+/// all-ones histories. Each individual's weight is accumulated from the
+/// set bits of the packed columns, one 64-record word at a time.
 pub fn cumulative_counts(data: &LongitudinalDataset, t: usize) -> Vec<u64> {
     assert!(t < data.rounds(), "round {t} not yet recorded");
-    let rounds_elapsed = t + 1;
-    let mut by_weight = vec![0u64; rounds_elapsed + 1];
-    for i in 0..data.individuals() {
-        by_weight[data.prefix_weight(i, t)] += 1;
+    let mut weights = vec![0u32; data.individuals()];
+    for round in 0..=t {
+        for (w, &word) in data.column(round).as_words().iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                weights[(w << 6) | bits.trailing_zeros() as usize] += 1;
+                bits &= bits - 1;
+            }
+        }
     }
-    // Suffix-sum: S_b = Σ_{w ≥ b} #{weight = w}.
-    let mut counts = vec![0u64; rounds_elapsed + 1];
-    let mut acc = 0u64;
-    for b in (0..=rounds_elapsed).rev() {
-        acc += by_weight[b];
-        counts[b] = acc;
+    let mut counts = vec![0u64; t + 2];
+    for &weight in &weights {
+        counts[weight as usize] += 1;
+    }
+    // Suffix-sum in place: S_b = Σ_{w ≥ b} #{weight = w}.
+    for b in (0..=t).rev() {
+        counts[b] += counts[b + 1];
     }
     counts
 }

@@ -10,6 +10,7 @@
 //! * appending the new round's bit `c` ("`zc`"): `2·z + c`;
 //! * prepending a bit `c` ("`cz`"): `c·2^(k-1) + z`.
 
+use longsynth_data::BitColumn;
 use std::fmt;
 
 /// A window pattern `s ∈ {0,1}^width`. `width = 0` (the empty pattern) is
@@ -21,8 +22,9 @@ pub struct Pattern {
 }
 
 impl Pattern {
-    /// Maximum supported width (histogram sizes are `2^width`).
-    pub const MAX_WIDTH: usize = 24;
+    /// Maximum supported width (histogram sizes are `2^width`): the
+    /// histogram kernel's limit, [`BitColumn::MAX_PATTERN_WIDTH`].
+    pub const MAX_WIDTH: usize = BitColumn::MAX_PATTERN_WIDTH;
 
     /// Construct from an integer code and width.
     ///

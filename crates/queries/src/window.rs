@@ -8,22 +8,17 @@
 //! property §5 demonstrates with the four quarterly poverty queries.
 
 use crate::pattern::Pattern;
-use longsynth_data::LongitudinalDataset;
+use longsynth_data::{BitColumn, LongitudinalDataset};
 
 /// The exact window histogram `(C_s^t)_{s ∈ {0,1}^k}` of `data` at round
-/// `t` (0-based; requires `t + 1 ≥ k`), indexed by pattern code.
+/// `t` (0-based; requires `t + 1 ≥ k`), indexed by pattern code. Runs
+/// word-sliced through [`BitColumn::pattern_counts`], which bounds `k` to
+/// `1..=`[`Pattern::MAX_WIDTH`].
 pub fn window_histogram(data: &LongitudinalDataset, t: usize, k: usize) -> Vec<u64> {
-    assert!(
-        (1..=Pattern::MAX_WIDTH).contains(&k),
-        "invalid window width {k}"
-    );
     assert!(t < data.rounds(), "round {t} not yet recorded");
     assert!(t + 1 >= k, "window underflows at t={t}, k={k}");
-    let mut histogram = vec![0u64; Pattern::count(k)];
-    for i in 0..data.individuals() {
-        histogram[data.suffix_pattern(i, t, k) as usize] += 1;
-    }
-    histogram
+    let columns: Vec<&BitColumn> = (t + 1 - k..=t).map(|r| data.column(r)).collect();
+    BitColumn::pattern_counts(&columns)
 }
 
 /// A linear query over width-`k'` window patterns:

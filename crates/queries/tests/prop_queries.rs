@@ -1,6 +1,7 @@
 //! Property-based tests for the query classes.
 
 use longsynth_data::generators::{iid_bernoulli, two_state_markov, MarkovParams};
+use longsynth_data::LongitudinalDataset;
 use longsynth_dp::rng::rng_from_seed;
 use longsynth_queries::cumulative::{
     cumulative_counts, exact_weight_counts, is_valid_threshold_matrix, threshold_increment,
@@ -9,8 +10,72 @@ use longsynth_queries::pattern::Pattern;
 use longsynth_queries::window::{quarterly_battery, window_histogram, WindowQuery};
 use proptest::prelude::*;
 
-fn random_panel(seed: u64, n: usize, t: usize) -> longsynth_data::LongitudinalDataset {
+fn random_panel(seed: u64, n: usize, t: usize) -> LongitudinalDataset {
     iid_bernoulli(&mut rng_from_seed(seed), n, t, 0.4)
+}
+
+/// Oracle for [`window_histogram`]: the per-individual loop it replaced.
+fn window_histogram_oracle(d: &LongitudinalDataset, t: usize, k: usize) -> Vec<u64> {
+    let mut histogram = vec![0u64; Pattern::count(k)];
+    for i in 0..d.individuals() {
+        histogram[d.suffix_pattern(i, t, k) as usize] += 1;
+    }
+    histogram
+}
+
+/// Oracle for [`cumulative_counts`]: the per-individual loop it replaced.
+fn cumulative_counts_oracle(d: &LongitudinalDataset, t: usize) -> Vec<u64> {
+    let rounds_elapsed = t + 1;
+    let mut by_weight = vec![0u64; rounds_elapsed + 1];
+    for i in 0..d.individuals() {
+        by_weight[d.prefix_weight(i, t)] += 1;
+    }
+    let mut counts = vec![0u64; rounds_elapsed + 1];
+    let mut acc = 0u64;
+    for b in (0..=rounds_elapsed).rev() {
+        acc += by_weight[b];
+        counts[b] = acc;
+    }
+    counts
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The word-sliced window histogram equals the per-individual loop.
+    /// Panel sizes up to 200 records hit empty panels and partial final
+    /// words; widths 1 to 17 cross both the ≤ 64-bin sliced branch (k ≤ 6)
+    /// and the old width cap of 16.
+    #[test]
+    fn window_histogram_matches_per_individual_oracle(
+        seed in any::<u64>(), n in 0usize..=200, p in 0.0f64..1.0,
+    ) {
+        let d = iid_bernoulli(&mut rng_from_seed(seed), n, 18, p);
+        for k in 1..=17 {
+            for round in [k - 1, 17] {
+                prop_assert_eq!(
+                    window_histogram(&d, round, k),
+                    window_histogram_oracle(&d, round, k),
+                    "n={} k={} round={}", n, k, round
+                );
+            }
+        }
+    }
+
+    /// The word-walk threshold counts equal the per-individual loop.
+    #[test]
+    fn cumulative_counts_match_per_individual_oracle(
+        seed in any::<u64>(), n in 0usize..=200, t in 1usize..20, p in 0.0f64..1.0,
+    ) {
+        let d = iid_bernoulli(&mut rng_from_seed(seed), n, t, p);
+        for round in 0..t {
+            prop_assert_eq!(
+                cumulative_counts(&d, round),
+                cumulative_counts_oracle(&d, round),
+                "n={} round={}", n, round
+            );
+        }
+    }
 }
 
 proptest! {

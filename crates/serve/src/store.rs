@@ -147,6 +147,18 @@ pub enum ServeError {
         /// The query's window width.
         width: usize,
     },
+    /// A window or pattern query of width 0 was asked: it names no
+    /// rounds, so it has no answer.
+    ZeroWidthQuery,
+    /// The records the query reads number zero (a cohort or merged release
+    /// of zero-length columns, or a ragged merged round whose observing
+    /// cohorts are all empty), so no fraction of them is defined.
+    EmptyScope {
+        /// The scope queried.
+        scope: StoreScope,
+        /// The 0-based round asked for.
+        round: usize,
+    },
     /// A dynamic store was asked for a rectangular panel it cannot
     /// provide (the ragged merged release of a rotating panel).
     ScopeNotRectangular(StoreScope),
@@ -190,6 +202,10 @@ impl fmt::Display for ServeError {
                 f,
                 "no cohort observed the full width-{width} window ending at round {round}"
             ),
+            ServeError::ZeroWidthQuery => write!(f, "width-0 window queries have no answer"),
+            ServeError::EmptyScope { scope, round } => {
+                write!(f, "scope {scope} holds no records at round {round}")
+            }
             ServeError::ScopeNotRectangular(scope) => write!(
                 f,
                 "scope {scope} of a dynamic store is ragged (active set changes per \
@@ -655,6 +671,9 @@ impl ReleaseStore {
             QueryKind::Pattern { pattern, .. } => pattern.width(),
             QueryKind::CumulativeFraction { .. } => 1,
         };
+        if width == 0 {
+            return Err(ServeError::ZeroWidthQuery);
+        }
         // The panel to evaluate (none for a ragged merged scope) and the
         // global rounds it covers.
         let (panel, covered) = match scope {
@@ -683,20 +702,33 @@ impl ReleaseStore {
         if t + 1 < covered.start + width {
             return Err(ServeError::WindowUnderflow { round: t, width });
         }
+        let empty = ServeError::EmptyScope { scope, round: t };
         if let Some(panel) = panel {
+            if panel.individuals() == 0 {
+                return Err(empty);
+            }
             return Ok(evaluate(&query.kind, panel, t - covered.start));
         }
+        // An empty cohort has no fraction of its own and weighs nothing in
+        // the mean, so only non-empty observing cohorts are evaluated.
+        let mut observed = false;
         let parts = self.cohorts.iter().enumerate().filter_map(|(c, cohort)| {
             let covered = self.cohort_window(c)?;
             let panel = cohort.panel()?;
-            (covered.contains(&t) && covered.start + width <= t + 1).then(|| {
+            let observes = covered.contains(&t) && covered.start + width <= t + 1;
+            observed |= observes;
+            (observes && panel.individuals() > 0).then(|| {
                 (
                     evaluate(&query.kind, panel, t - covered.start),
                     panel.individuals(),
                 )
             })
         });
-        active_weighted_mean(parts).ok_or(ServeError::WindowNotCovered { round: t, width })
+        active_weighted_mean(parts).ok_or(if observed {
+            empty
+        } else {
+            ServeError::WindowNotCovered { round: t, width }
+        })
     }
 
     fn unreleased(&self, scope: StoreScope, round: usize) -> ServeError {

@@ -62,7 +62,7 @@ fn main() {
     let mut prev = 0usize;
     for t in (5..horizon).step_by(3) {
         let count = records
-            .iter()
+            .rows()
             .filter(|r| {
                 let prefix: longsynth_data::BitStream = r.iter().take(t + 1).collect();
                 prefix.has_ones_run(6)

@@ -100,7 +100,7 @@ fn recompute_baseline_breaks_monotone_statistics_alg1_does_not() {
     for t in 3..=12 {
         let count = alg1
             .synthetic()
-            .iter()
+            .rows()
             .filter(|r| {
                 let prefix: longsynth_data::BitStream = r.iter().take(t).collect();
                 prefix.has_ones_run(2)

@@ -65,10 +65,10 @@ fn synthetic_records_realise_the_estimates_exactly() {
     let (synth, _) = sipp_run(5_000, 0.01, 5);
     for t in 0..12 {
         let estimates = synth.threshold_estimates(t).unwrap();
-        let realised = synth.synthetic().cumulative_counts(t);
+        let realised = cumulative_counts(synth.synthetic(), t);
         for b in 0..=(t + 1) {
             assert_eq!(
-                realised.get(b).copied().unwrap_or(0),
+                realised.get(b).copied().unwrap_or(0) as i64,
                 estimates[b],
                 "t={t}, b={b}"
             );

@@ -90,7 +90,7 @@ fn stratified_selection_near_pins_padding_histogram() {
     let npad = synth.npad() as i64;
     let pad_deviation = |synth: &FixedWindowSynthesizer, t: usize| -> i64 {
         let mut pad_hist = [0i64; 8];
-        for (record, &is_pad) in synth.synthetic().iter().zip(synth.padding_flags()) {
+        for (record, &is_pad) in synth.synthetic().rows().zip(synth.padding_flags()) {
             if is_pad {
                 pad_hist[record.suffix_pattern(t, 3) as usize] += 1;
             }
@@ -145,7 +145,7 @@ fn uniform_selection_lets_padding_drift() {
     let mut total_drift = 0i64;
     let t = 11;
     let mut pad_hist = vec![0i64; 8];
-    for (record, &is_pad) in synth.synthetic().iter().zip(synth.padding_flags()) {
+    for (record, &is_pad) in synth.synthetic().rows().zip(synth.padding_flags()) {
         if is_pad {
             pad_hist[record.suffix_pattern(t, 3) as usize] += 1;
         }

@@ -68,7 +68,7 @@ fn continual_releases_are_prefix_consistent() {
     }
     assert_eq!(released_columns.len(), 12);
     for (t, col) in released_columns.iter().enumerate() {
-        assert_eq!(col, &synth.synthetic().column(t), "round {t} was rewritten");
+        assert_eq!(col, synth.synthetic().column(t), "round {t} was rewritten");
     }
 }
 
@@ -99,7 +99,7 @@ fn monotone_statistics_never_regress_on_persistent_records() {
     let mut prev = 0usize;
     for t in 3..=records.rounds() {
         let count = records
-            .iter()
+            .rows()
             .filter(|r| {
                 let prefix: longsynth_data::BitStream = r.iter().take(t).collect();
                 prefix.has_ones_run(2)

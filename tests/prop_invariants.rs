@@ -12,8 +12,9 @@ use longsynth_data::generators::iid_bernoulli;
 use longsynth_dp::budget::Rho;
 use longsynth_dp::mechanisms::NoiseDistribution;
 use longsynth_dp::rng::{rng_from_seed, RngFork};
-use longsynth_queries::cumulative::is_valid_threshold_matrix;
+use longsynth_queries::cumulative::{cumulative_counts, is_valid_threshold_matrix};
 use longsynth_queries::pattern::Pattern;
+use longsynth_queries::window::window_histogram;
 use proptest::prelude::*;
 
 proptest! {
@@ -51,7 +52,8 @@ proptest! {
             prop_assert!(now.iter().all(|&v| v >= 0));
             prop_assert_eq!(now.iter().sum::<i64>(), n_star);
             // Bookkeeping matches the records.
-            let realised = synth.synthetic().window_histogram(t, k);
+            let realised: Vec<i64> =
+                window_histogram(synth.synthetic(), t, k).iter().map(|&c| c as i64).collect();
             prop_assert_eq!(now, realised.as_slice());
             if t >= k {
                 let prev = synth.histogram_estimate(t - 1).unwrap();
@@ -91,12 +93,12 @@ proptest! {
             .collect();
         prop_assert!(is_valid_threshold_matrix(&matrix));
         for t in 0..horizon {
-            let realised = synth.synthetic().cumulative_counts(t);
+            let realised = cumulative_counts(synth.synthetic(), t);
             for b in 0..=(t + 1) {
-                prop_assert_eq!(realised.get(b).copied().unwrap_or(0), matrix[t][b]);
+                prop_assert_eq!(realised.get(b).copied().unwrap_or(0) as i64, matrix[t][b]);
             }
         }
-        for record in synth.synthetic().iter() {
+        for record in synth.synthetic().rows() {
             let mut prev = 0usize;
             for t in 1..=record.len() {
                 let w = record.prefix_weight(t);
@@ -127,7 +129,7 @@ proptest! {
             synth.step(col).unwrap();
         }
         for t in (k - 1)..horizon {
-            let truth = longsynth_queries::window::window_histogram(&data, t, k);
+            let truth = window_histogram(&data, t, k);
             let est = synth.histogram_estimate(t).unwrap();
             for (s, (&c, &e)) in truth.iter().zip(est).enumerate() {
                 prop_assert_eq!(c as i64, e, "t={}, s={}", t, s);
