@@ -905,8 +905,7 @@ fn run_scheduled<F: Family>(
         budget.population_spent(),
         budget.spent_sequential()
     );
-    if let Some(windowed) = engine.windowed_population() {
-        let retired = windowed.retired_cohorts();
+    if let Some(retired) = engine.retired_cohorts() {
         eprintln!("windowed population synthesizer: {retired} cohorts retired from the window");
     }
 

@@ -567,12 +567,6 @@ impl<R: Rng> CumulativeSynthesizer<R> {
     // Windowed release mode (cohort retirement under rotating panels)
     // ------------------------------------------------------------------
 
-    /// True when this synthesizer runs in windowed release mode and can
-    /// therefore [`forget_cohort`](Self::forget_cohort).
-    pub fn supports_cohort_retirement(&self) -> bool {
-        self.config.window.is_some()
-    }
-
     /// Remove a retired cohort's **exact** lifetime contribution from the
     /// windowed active-set counts — the windowed population synthesizer's
     /// retirement operation (windowed mode only).
@@ -1049,7 +1043,10 @@ mod tests {
     fn windowed_mode_tracks_the_active_set_and_spends_over_the_window() {
         let (horizon, window, n) = (6, 2, 200);
         let mut synth = windowed(horizon, window, 0.4, 21);
-        assert!(synth.supports_cohort_retirement());
+        assert_eq!(
+            crate::ContinualSynthesizer::cohort_retirement_window(&synth),
+            Some(window)
+        );
         for t in 1..=horizon {
             let release = synth.finalize(aligned(n, t, window, 10)).unwrap();
             assert_eq!(release.len(), n);
@@ -1115,7 +1112,10 @@ mod tests {
         // Persistent mode refuses: forgetting after noising is unsound.
         let config = CumulativeConfig::new(4, Rho::new(0.1).unwrap()).unwrap();
         let mut persistent = CumulativeSynthesizer::new(config, RngFork::new(1), rng_from_seed(1));
-        assert!(!persistent.supports_cohort_retirement());
+        assert_eq!(
+            crate::ContinualSynthesizer::cohort_retirement_window(&persistent),
+            None
+        );
         let err = persistent
             .forget_cohort(CumulativeAggregate {
                 n: 5,

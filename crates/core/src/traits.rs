@@ -163,22 +163,16 @@ pub trait ContinualSynthesizer {
         self.lifecycle() == LifecycleStage::Sealed
     }
 
-    /// True when this synthesizer can act as a **windowed** population
-    /// synthesizer: its sufficient statistics can *forget* a retired
-    /// cohort's contribution ([`forget_cohort`](Self::forget_cohort)).
-    /// The default is `false`; the cumulative family's windowed release
-    /// mode (`CumulativeConfig::with_window`) opts in.
-    fn supports_cohort_retirement(&self) -> bool {
-        false
-    }
-
-    /// The membership-window bound `W` this synthesizer's retirement
-    /// support was configured with — the longest cohort lifetime its
-    /// windowed statistics can represent. `None` when
-    /// [`supports_cohort_retirement`](Self::supports_cohort_retirement)
-    /// is false. Engines validate it against the schedule's longest
-    /// cohort horizon at construction, so a too-small window fails fast
-    /// instead of mid-run.
+    /// The membership-window bound `W` of this synthesizer's **cohort
+    /// retirement** support — the longest cohort lifetime its windowed
+    /// statistics can represent. `Some(W)` is the one capability signal:
+    /// the synthesizer can *forget* a retired cohort's contribution
+    /// ([`forget_cohort`](Self::forget_cohort)) and so serve as a rotating
+    /// panel's population synthesizer. The default is `None`; the
+    /// cumulative family's windowed release mode
+    /// (`CumulativeConfig::with_window`) opts in. Engines validate `W`
+    /// against the schedule's longest cohort horizon at construction, so
+    /// a too-small window fails fast instead of mid-run.
     fn cohort_retirement_window(&self) -> Option<usize> {
         None
     }
@@ -270,10 +264,6 @@ impl<R: Rng> ContinualSynthesizer for CumulativeSynthesizer<R> {
 
     fn step(&mut self, input: &BitColumn) -> Result<BitColumn, SynthError> {
         CumulativeSynthesizer::step(self, input)
-    }
-
-    fn supports_cohort_retirement(&self) -> bool {
-        CumulativeSynthesizer::supports_cohort_retirement(self)
     }
 
     fn cohort_retirement_window(&self) -> Option<usize> {

@@ -51,12 +51,22 @@
 //! round in every build; a violation is an
 //! [`EngineError::BudgetCapExceeded`].
 //!
-//! Shared noise runs on rotating schedules too: the population slot is a
-//! [`WindowedPopulationSynthesizer`] whose statistics are scoped to the
-//! current active set — each cohort the schedule seals is *forgotten*
-//! (its DP-safe retirement view is subtracted), so the single per-round
-//! population noise draw keeps describing the live panel instead of
-//! saturating. See the [`crate::window`] module docs.
+//! Shared noise runs on rotating schedules too, provided the population
+//! synthesizer can forget retiring cohorts: its
+//! [`cohort_retirement_window`](ContinualSynthesizer::cohort_retirement_window)
+//! is `Some(W)` with `W` at least the longest cohort horizon (the
+//! cumulative family's windowed release mode). The engine sums each
+//! cohort's per-round phase-1 aggregates into a lifetime view and hands
+//! it to the population synthesizer's
+//! [`forget_cohort`](ContinualSynthesizer::forget_cohort) when the
+//! schedule seals the cohort, so the single per-round population noise
+//! draw keeps describing the live panel instead of saturating. The views
+//! are raw pre-noise statistics that flow only into the privatization
+//! barrier: the subtraction happens before any noise is drawn, so a
+//! retired individual's terms cancel exactly, and since no one is active
+//! for more than `W` rounds the windowed mode's `ρ/W` per round composes
+//! to `ρ` over any lifetime. On a static schedule nothing retires, and
+//! the same population path runs without lifetime views.
 
 use longsynth::{ContinualSynthesizer, SynthError};
 use longsynth_dp::budget::Rho;
@@ -71,42 +81,7 @@ use crate::obs::{EngineObserver, PhaseClock};
 use crate::policy::{AggregationPolicy, PolicyTag};
 use crate::shard::{CohortSchedule, PanelSchedule, PanelSlot, ShardPlan, ShardableInput, SlotRole};
 use crate::sink::ReleaseSink;
-use crate::window::WindowedPopulationSynthesizer;
 use crate::EngineError;
-
-/// The engine's population-level synthesizer slot (shared-noise policy).
-///
-/// A static panel keeps the bare **persistent** synthesizer — exactly the
-/// PR 3 pipeline, pinned bit-identical. A rotating schedule instead wraps
-/// it as a [`WindowedPopulationSynthesizer`], whose statistics forget each
-/// cohort the schedule seals (see the [`crate::window`] module docs).
-enum PopulationSlot<S: ContinualSynthesizer> {
-    /// Static panels: the PR 3 persistent population pipeline.
-    Persistent(S),
-    /// Rotating schedules: active-set-scoped (windowed) statistics.
-    Windowed(WindowedPopulationSynthesizer<S>),
-}
-
-impl<S: ContinualSynthesizer> PopulationSlot<S> {
-    /// The underlying synthesizer, whichever way it is driven.
-    fn synth(&self) -> &S {
-        match self {
-            PopulationSlot::Persistent(synth) => synth,
-            PopulationSlot::Windowed(windowed) => windowed.inner(),
-        }
-    }
-
-    /// Privatize one round's summed active-set aggregate.
-    fn finalize(&mut self, aggregate: S::Aggregate) -> Result<S::Release, EngineError> {
-        let result = match self {
-            PopulationSlot::Persistent(synth) => synth.finalize(aggregate),
-            PopulationSlot::Windowed(windowed) => {
-                ContinualSynthesizer::finalize(windowed, aggregate)
-            }
-        };
-        result.map_err(|source| EngineError::Population { source })
-    }
-}
 
 /// Whether an engine consumes raw data (stepped) or only summed
 /// aggregates (finalize-only, the population slot of an outer engine).
@@ -163,18 +138,20 @@ pub struct ShardedEngine<S: ContinualSynthesizer> {
     active: Vec<usize>,
     layout: ShardPlan,
     /// The finalize-only population synthesizer (shared-noise policy with
-    /// more than one shard): persistent for static panels, windowed for
-    /// rotating schedules.
-    population: Option<PopulationSlot<S>>,
-    /// Rounds whose cohort retirements have been applied to the windowed
+    /// more than one shard), on static and rotating schedules alike.
+    population: Option<S>,
+    /// Rounds whose cohort retirements have been applied to the
     /// population synthesizer (`0..retired_through`) — keeps retirement
     /// idempotent if a failed round is retried.
     retired_through: usize,
-    /// Per-cohort **lifetime aggregates** (windowed shared noise only):
-    /// the element-wise running sum of each cohort's per-round phase-1
-    /// aggregates, handed to the windowed population synthesizer when the
-    /// schedule seals the cohort. Raw pre-noise statistics, like every
-    /// aggregate — they only ever flow into `finalize`/`forget_cohort`.
+    /// Cohorts the population synthesizer has forgotten so far.
+    retired: usize,
+    /// Per-cohort **lifetime aggregates** (shared noise on a rotating
+    /// schedule only): the element-wise running sum of each cohort's
+    /// per-round phase-1 aggregates, handed to the population
+    /// synthesizer's `forget_cohort` when the schedule seals the cohort.
+    /// Raw pre-noise statistics, like every aggregate — they only ever
+    /// flow into `finalize`/`forget_cohort`.
     lifetime: Vec<Option<S::Aggregate>>,
     /// The round started via the two-phase [`prepare`](Self::prepare) and
     /// awaiting [`finalize`](Self::finalize), if any.
@@ -327,14 +304,10 @@ where
         if let Some(rho_pop) = population_budget {
             // The population synthesizer's size is pinned at round 0, so a
             // rotating schedule must keep the active population constant
-            // (make the wave sizes divide evenly). Under churn the
-            // statistics additionally need a *windowed* pipeline — a
-            // retiring cohort's crossings leave the active set — so the
-            // population slot is wrapped as a
-            // `WindowedPopulationSynthesizer`, which requires the family
-            // to support cohort retirement (checked below, after the
-            // factory runs). Static schedules keep the bare persistent
-            // synthesizer, bit-identical to the PR 3/PR 4 engines.
+            // (make the wave sizes divide evenly). Under churn its
+            // statistics must also forget each retiring cohort, which the
+            // family has to support (checked below, after the factory
+            // runs).
             if !schedule.is_static() && !schedule.constant_active_population() {
                 return Err(EngineError::InvalidSchedule(
                     "the shared-noise policy needs a constant active population (its \
@@ -384,35 +357,10 @@ where
                     budget,
                 });
                 validate_slot(&synth, None, schedule.global_horizon(), budget)?;
-                // Static panels keep the persistent PR 3 pipeline; a
-                // rotating schedule needs the windowed wrapper, whose
-                // constructor verifies the family can forget retiring
-                // cohorts.
-                if schedule.is_static() {
-                    Ok::<_, EngineError>(PopulationSlot::Persistent(synth))
-                } else {
-                    // Fail fast on a too-small window bound: a cohort
-                    // living longer than the population synthesizer can
-                    // represent would otherwise die mid-run (after budget
-                    // was spent) on its first above-window crossing.
-                    let longest = (0..schedule.cohorts())
-                        .map(|c| schedule.cohort(c).horizon)
-                        .max()
-                        .expect("schedules have cohorts");
-                    if let Some(window) = synth.cohort_retirement_window() {
-                        if window < longest {
-                            return Err(EngineError::InvalidSchedule(format!(
-                                "the population synthesizer's membership-window bound \
-                                 {window} is smaller than the schedule's longest cohort \
-                                 horizon {longest}; configure it with a window of at \
-                                 least {longest}"
-                            )));
-                        }
-                    }
-                    Ok(PopulationSlot::Windowed(
-                        WindowedPopulationSynthesizer::new(synth)?,
-                    ))
+                if !schedule.is_static() {
+                    validate_retirement(&synth, &schedule)?;
                 }
+                Ok::<_, EngineError>(synth)
             })
             .transpose()?;
         let plan = ShardPlan::from_sizes(
@@ -424,21 +372,22 @@ where
     }
 
     /// The constructor tail every engine shares: the round-0 active set
-    /// and layout, the lifetime views a windowed population slot needs,
-    /// and the engine's own pool when none was passed in.
+    /// and layout, the lifetime views a retiring population synthesizer
+    /// needs, and the engine's own pool when none was passed in.
     fn assemble(
         plan: ShardPlan,
         schedule: PanelSchedule,
         policy: AggregationPolicy,
         shards: Vec<S>,
-        population: Option<PopulationSlot<S>>,
+        population: Option<S>,
         pool: Option<Arc<WorkerPool>>,
     ) -> Result<Self, EngineError> {
         let active = schedule.active(0);
         let layout = schedule.active_layout(0)?;
-        let lifetime = match &population {
-            Some(PopulationSlot::Windowed(_)) => (0..schedule.cohorts()).map(|_| None).collect(),
-            _ => Vec::new(),
+        let lifetime = if population.is_some() && !schedule.is_static() {
+            (0..schedule.cohorts()).map(|_| None).collect()
+        } else {
+            Vec::new()
         };
         let pool = pool.or_else(|| Self::own_schedule_pool(&schedule));
         Ok(Self {
@@ -452,6 +401,7 @@ where
             layout,
             population,
             retired_through: 0,
+            retired: 0,
             lifetime,
             pending: None,
             mode: None,
@@ -501,21 +451,22 @@ where
 
     /// Borrow the population-level synthesizer, when the engine runs one
     /// (shared-noise policy with more than one shard). Its estimates are
-    /// the population-accuracy product the policy exists for. On a
-    /// rotating schedule this is the inner synthesizer of the windowed
-    /// population slot, whose estimates are scoped to the current active
-    /// set.
+    /// the population-accuracy product the policy exists for; on a
+    /// rotating schedule they are scoped to the current active set.
     pub fn population_synthesizer(&self) -> Option<&S> {
-        self.population.as_ref().map(PopulationSlot::synth)
+        self.population.as_ref()
     }
 
-    /// Borrow the **windowed** population synthesizer — present exactly
-    /// when the engine runs shared noise on a rotating schedule.
-    pub fn windowed_population(&self) -> Option<&WindowedPopulationSynthesizer<S>> {
-        match &self.population {
-            Some(PopulationSlot::Windowed(windowed)) => Some(windowed),
-            _ => None,
-        }
+    /// Whether the population synthesizer forgets retiring cohorts:
+    /// shared noise on a rotating schedule.
+    fn retires_cohorts(&self) -> bool {
+        self.population.is_some() && !self.static_panel
+    }
+
+    /// Cohorts forgotten by the population synthesizer so far — `Some`
+    /// exactly when the engine runs shared noise on a rotating schedule.
+    pub fn retired_cohorts(&self) -> Option<usize> {
+        self.retires_cohorts().then_some(self.retired)
     }
 
     /// Rounds fed so far.
@@ -579,10 +530,7 @@ where
             .iter()
             .map(|s| s.budget_spent().value())
             .collect();
-        let population = self
-            .population
-            .as_ref()
-            .map(|p| p.synth().budget_spent().value());
+        let population = self.population.as_ref().map(|p| p.budget_spent().value());
         self.obs.as_mut().expect("checked above").commit_round(
             round,
             clock,
@@ -600,7 +548,6 @@ where
                 .map(|s| (s.budget_spent(), s.budget_total())),
             self.population
                 .as_ref()
-                .map(PopulationSlot::synth)
                 .map(|p| (p.budget_spent(), p.budget_total())),
         )
     }
@@ -681,6 +628,38 @@ fn validate_slot<S: ContinualSynthesizer>(
         });
     }
     Ok(())
+}
+
+/// A rotating schedule's population synthesizer must forget each cohort
+/// the schedule seals, over a membership window as long as the schedule's
+/// longest cohort horizon. Checked at construction, so a family without
+/// retirement support, or a too-small window, fails fast instead of dying
+/// mid-run (after budget was spent) on its first retirement or
+/// above-window crossing.
+fn validate_retirement<S: ContinualSynthesizer>(
+    synth: &S,
+    schedule: &PanelSchedule,
+) -> Result<(), EngineError> {
+    let longest = (0..schedule.cohorts())
+        .map(|c| schedule.cohort(c).horizon)
+        .max()
+        .expect("schedules have cohorts");
+    match synth.cohort_retirement_window() {
+        None => Err(EngineError::InvalidSchedule(
+            "this synthesizer cannot forget retiring cohorts, so it cannot serve \
+             as a windowed population synthesizer; run rotating panels under \
+             per-shard noise, or configure a family with cohort-retirement \
+             support (the cumulative family's windowed release mode, \
+             CumulativeConfig::with_window)"
+                .to_string(),
+        )),
+        Some(window) if window < longest => Err(EngineError::InvalidSchedule(format!(
+            "the population synthesizer's membership-window bound {window} is smaller \
+             than the schedule's longest cohort horizon {longest}; configure it with a \
+             window of at least {longest}"
+        ))),
+        Some(_) => Ok(()),
+    }
 }
 
 /// Sum per-cohort aggregates on the global clock, in cohort order: each
@@ -874,18 +853,22 @@ where
     ) -> Result<S::Release, EngineError> {
         let round = self.rounds_fed;
         let merged = if self.population.is_some() {
-            // On a rotating schedule the windowed population slot forgets
-            // any cohort the schedule sealed at this round boundary, so its
-            // statistics keep describing the current active set.
-            self.absorb_lifetimes(active, &aggregates)?;
-            self.process_retirements(round)?;
+            // On a rotating schedule the population synthesizer forgets
+            // any cohort the schedule sealed at this round boundary, so
+            // its statistics keep describing the current active set.
+            if self.retires_cohorts() {
+                self.absorb_lifetimes(active, &aggregates)?;
+                self.process_retirements(round)?;
+            }
             let summed = match summed {
                 Some(summed) => summed,
                 None => merge_at_round(aggregates, round + 1)?,
             };
             clock.lap_merge();
             let population = self.population.as_mut().expect("checked population above");
-            let merged = population.finalize(summed)?;
+            let merged = population
+                .finalize(summed)
+                .map_err(|source| EngineError::Population { source })?;
             clock.lap_noise();
             merged
         } else if self.sink.is_none() {
@@ -988,17 +971,13 @@ where
     }
 
     /// Fold this round's per-cohort phase-1 aggregates into the
-    /// per-cohort lifetime views — the exact sums the windowed population
-    /// synthesizer subtracts at retirement. A no-op unless the engine
-    /// runs a windowed population slot.
+    /// per-cohort lifetime views — the exact sums the population
+    /// synthesizer forgets at retirement.
     fn absorb_lifetimes(
         &mut self,
         active: &[usize],
         aggregates: &[S::Aggregate],
     ) -> Result<(), EngineError> {
-        if !matches!(self.population, Some(PopulationSlot::Windowed(_))) {
-            return Ok(());
-        }
         for (&c, aggregate) in active.iter().zip(aggregates) {
             match &mut self.lifetime[c] {
                 slot @ None => *slot = Some(aggregate.clone()),
@@ -1008,24 +987,19 @@ where
         Ok(())
     }
 
-    /// Retire from the windowed population synthesizer every cohort the
-    /// schedule seals at the `round` boundary (its window ended exactly
-    /// there): the cohort's accumulated lifetime aggregate is handed to
-    /// the window's `forget_cohort`. Idempotent across retries — a
-    /// cohort's lifetime view is consumed (and `retired_through`
-    /// advanced) only **after** its retirement succeeded, so a failed
-    /// round re-attempts exactly the retirements that did not apply and
-    /// never double-subtracts one that did. A no-op for static panels
-    /// and per-shard engines.
+    /// Have the population synthesizer forget every cohort the schedule
+    /// seals at the `round` boundary (its window ended exactly there),
+    /// handing its accumulated lifetime aggregate to `forget_cohort`.
+    /// Idempotent across retries — a cohort's lifetime view is consumed
+    /// (and counted, and `retired_through` advanced) only **after** its
+    /// retirement succeeded, so a failed round re-attempts exactly the
+    /// retirements that did not apply and never double-subtracts one
+    /// that did.
     fn process_retirements(&mut self, round: usize) -> Result<(), EngineError> {
         if round < self.retired_through {
             return Ok(());
         }
         let start = self.retired_through;
-        if !matches!(self.population, Some(PopulationSlot::Windowed(_))) {
-            self.retired_through = round + 1;
-            return Ok(());
-        }
         let schedule = &self.schedule;
         let due: Vec<usize> = (0..schedule.cohorts())
             .filter(|&c| {
@@ -1034,6 +1008,7 @@ where
                 (start.max(1)..=round).contains(&seal)
             })
             .collect();
+        let population = self.population.as_mut().expect("retiring engines have one");
         for c in due {
             // Already-applied retirements (a partially failed earlier
             // attempt) have no lifetime view left — skip them; every
@@ -1042,11 +1017,11 @@ where
             let Some(view) = self.lifetime[c].clone() else {
                 continue;
             };
-            let Some(PopulationSlot::Windowed(windowed)) = &mut self.population else {
-                unreachable!("checked windowed above");
-            };
-            windowed.retire_cohort(view)?;
+            population
+                .forget_cohort(view)
+                .map_err(|source| EngineError::Population { source })?;
             self.lifetime[c] = None;
+            self.retired += 1;
         }
         self.retired_through = round + 1;
         Ok(())
@@ -1071,7 +1046,7 @@ where
             .max_by(|a, b| a.value().total_cmp(&b.value()))
             .expect("engines have shards");
         let spent = match &self.population {
-            Some(population) => cohort.compose(population.synth().budget_spent()),
+            Some(population) => cohort.compose(population.budget_spent()),
             None => cohort,
         };
         let cap = self.schedule.total_budget();
@@ -1187,7 +1162,9 @@ where
                 ));
             }
             let merged = match (&mut self.population, self.shards.len()) {
-                (Some(population), _) => population.finalize(aggregate)?,
+                (Some(population), _) => population
+                    .finalize(aggregate)
+                    .map_err(|source| EngineError::Population { source })?,
                 (None, 1) => self.shards[0]
                     .finalize(aggregate)
                     .map_err(|source| EngineError::Shard { shard: 0, source })?,
@@ -1215,9 +1192,10 @@ where
         // implementation owns its recovery). Lifetime views absorb in the
         // round tail, after every cohort finalize succeeded, so a failed
         // round never poisons the retirement bookkeeping.
-        let absorb = match self.population {
-            Some(PopulationSlot::Windowed(_)) => aggregates.clone(),
-            _ => Vec::new(),
+        let absorb = if self.retires_cohorts() {
+            aggregates.clone()
+        } else {
+            Vec::new()
         };
         let driven = self.drive_active(&active, aggregates, |synth, part| synth.finalize(part));
         clock.lap_finalize();

@@ -77,7 +77,6 @@ pub mod obs;
 pub mod policy;
 pub mod shard;
 pub mod sink;
-pub mod window;
 
 pub use budget::EngineBudget;
 pub use driver::{IngestDriver, ShardedEngine};
@@ -86,7 +85,6 @@ pub use obs::EngineObserver;
 pub use policy::{AggregationPolicy, PolicyTag};
 pub use shard::{CohortSchedule, PanelSchedule, PanelSlot, ShardPlan, ShardableInput, SlotRole};
 pub use sink::ReleaseSink;
-pub use window::WindowedPopulationSynthesizer;
 
 use longsynth::SynthError;
 use std::fmt;

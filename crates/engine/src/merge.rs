@@ -190,32 +190,16 @@ pub trait MergeAggregate: Sized {
         self
     }
 
-    /// Remove one cohort's contribution from a merged view — the
-    /// **windowed** half of the aggregate algebra: when a cohort retires
-    /// from a rotating panel, its statistics leave the active set, and
-    /// `merge(all).subtract(retiree) ≡ merge(survivors)` (pinned by the
-    /// windowed-population property tests). `part` must fit inside `self`
-    /// (populations and element-wise counts); a part that does not is a
-    /// [`EngineError::MergeMismatch`].
-    ///
-    /// The default errors: concatenation-shaped aggregates (raw columns)
-    /// have no meaningful subtraction.
-    fn subtract(self, part: &Self) -> Result<Self, EngineError> {
-        let _ = part;
-        Err(EngineError::MergeMismatch(
-            "this aggregate family does not support cohort subtraction".to_string(),
-        ))
-    }
-
     /// Fold a **later round of the same cohort** into `self`, turning a
-    /// running total into the cohort's lifetime view — what a scheduled
-    /// shared-noise engine accumulates per cohort so the windowed
-    /// population synthesizer can [`subtract`](Self::subtract) it at
-    /// retirement. Unlike [`merge`](Self::merge) (which sums *disjoint*
+    /// running total into the cohort's lifetime view — what a rotating
+    /// shared-noise engine accumulates per cohort so the population
+    /// synthesizer can
+    /// [`forget_cohort`](longsynth::ContinualSynthesizer::forget_cohort) it
+    /// at retirement. Unlike [`merge`](Self::merge) (which sums *disjoint*
     /// populations), the population stays the cohort's own.
     ///
-    /// The default errors — only families with a windowed population
-    /// story need it.
+    /// The default errors — only families with cohort-retirement support
+    /// need it.
     fn absorb_round(&mut self, later: &Self) -> Result<(), EngineError> {
         let _ = later;
         Err(EngineError::MergeMismatch(
@@ -257,54 +241,6 @@ impl MergeAggregate for HistogramAggregate {
             )),
         }
     }
-
-    fn subtract(self, part: &Self) -> Result<Self, EngineError> {
-        match (self, part) {
-            (HistogramAggregate::Buffered { n }, HistogramAggregate::Buffered { n: part_n }) => {
-                if *part_n > n {
-                    return Err(EngineError::MergeMismatch(format!(
-                        "cannot subtract a {part_n}-individual cohort from a {n}-individual view"
-                    )));
-                }
-                Ok(HistogramAggregate::Buffered { n: n - part_n })
-            }
-            (
-                HistogramAggregate::Counts { n, mut counts },
-                HistogramAggregate::Counts {
-                    n: part_n,
-                    counts: part_counts,
-                },
-            ) => {
-                if *part_n > n {
-                    return Err(EngineError::MergeMismatch(format!(
-                        "cannot subtract a {part_n}-individual cohort from a {n}-individual view"
-                    )));
-                }
-                if part_counts.len() != counts.len() {
-                    return Err(EngineError::MergeMismatch(format!(
-                        "histogram widths disagree: {} vs {} bins",
-                        counts.len(),
-                        part_counts.len()
-                    )));
-                }
-                for (total, part) in counts.iter_mut().zip(part_counts) {
-                    if *part > *total {
-                        return Err(EngineError::MergeMismatch(format!(
-                            "cohort bin count {part} exceeds the merged view's {total}"
-                        )));
-                    }
-                    *total -= part;
-                }
-                Ok(HistogramAggregate::Counts {
-                    n: n - part_n,
-                    counts,
-                })
-            }
-            _ => Err(EngineError::MergeMismatch(
-                "mixed buffered/histogram aggregates cannot subtract".to_string(),
-            )),
-        }
-    }
 }
 
 /// Threshold increments of disjoint cohorts add element-wise: each
@@ -334,35 +270,6 @@ impl MergeAggregate for CumulativeAggregate {
             self.increments.resize(round, 0);
         }
         self
-    }
-
-    /// Element-wise checked subtraction: a retiring cohort's increments
-    /// leave the merged stream (thresholds beyond the cohort's window are
-    /// untouched — it never contributed there).
-    fn subtract(mut self, part: &Self) -> Result<Self, EngineError> {
-        if part.n > self.n {
-            return Err(EngineError::MergeMismatch(format!(
-                "cannot subtract a {}-individual cohort from a {}-individual view",
-                part.n, self.n
-            )));
-        }
-        if part.increments.len() > self.increments.len() {
-            return Err(EngineError::MergeMismatch(format!(
-                "cohort spans {} thresholds, merged view only {}",
-                part.increments.len(),
-                self.increments.len()
-            )));
-        }
-        for (total, part) in self.increments.iter_mut().zip(&part.increments) {
-            if *part > *total {
-                return Err(EngineError::MergeMismatch(format!(
-                    "cohort increment {part} exceeds the merged view's {total}"
-                )));
-            }
-            *total -= part;
-        }
-        self.n -= part.n;
-        Ok(self)
     }
 
     /// Lifetime accumulation for one cohort: the increment vectors add

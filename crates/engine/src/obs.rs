@@ -17,9 +17,9 @@
 //! | metric | span |
 //! |---|---|
 //! | `engine_round_ms` | the whole round, entry to release |
-//! | `engine_prepare_ms` | input split (+ scheduled retirements) |
+//! | `engine_prepare_ms` | input split |
 //! | `engine_finalize_ms` | driving the shard synthesizers (per-shard noise draws happen in here) |
-//! | `engine_merge_ms` | release concatenation / aggregate summation + alignment |
+//! | `engine_merge_ms` | release concatenation / aggregate summation + alignment (+ lifetime views and scheduled retirements under rotating shared noise) |
 //! | `engine_noise_ms` | the population-level privatization — the round's single shared-noise draw |
 //! | `engine_sink_ms` | the attached [`ReleaseSink`](crate::ReleaseSink) callback |
 //!

@@ -30,15 +30,12 @@
 //!
 //! ## Shared noise under rotating schedules
 //!
-//! On a static schedule the population synthesizer is the persistent
-//! PR 3 pipeline. On a **rotating** schedule it is the
-//! [`WindowedPopulationSynthesizer`](crate::WindowedPopulationSynthesizer):
-//! its statistics are scoped to the current active set (each sealed
-//! cohort's lifetime aggregate is forgotten before noise), which requires
-//! a constant active population and a synthesizer family with
+//! One population synthesizer serves every schedule. On a **rotating**
+//! schedule its statistics are scoped to the current active set (each
+//! sealed cohort's lifetime aggregate is forgotten before noise), which
+//! requires a constant active population and a synthesizer family with
 //! cohort-retirement support — the cumulative family's windowed release
-//! mode. See the [`crate::window`] module docs for the accuracy and
-//! privacy story.
+//! mode. See the [`crate::driver`] module docs for the privacy story.
 
 use longsynth_dp::budget::Rho;
 use std::fmt;

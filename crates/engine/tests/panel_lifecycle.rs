@@ -216,7 +216,9 @@ fn rotating_panel_runs_end_to_end_with_budget_invariant() {
 /// synthesizer with cohort-retirement support (the cumulative family's
 /// windowed release mode — behavior is pinned in
 /// `tests/windowed_population.rs`), and refused — with a message naming
-/// the missing capability — when it does not.
+/// the missing capability — when it does not: a persistent-mode
+/// cumulative synthesizer, or the fixed-window family, which has no
+/// retirement story at all.
 #[test]
 fn rotating_shared_noise_needs_cohort_retirement_support() {
     let (horizon, waves) = (6, 2);
@@ -238,18 +240,32 @@ fn rotating_shared_noise_needs_cohort_retirement_support() {
         })
         .unwrap();
     assert!(engine.population_synthesizer().is_some());
-    assert!(engine.windowed_population().is_some());
+    assert_eq!(engine.retired_cohorts(), Some(0));
     // A persistent-mode population slot cannot forget retiring cohorts:
     // refused with a capability-naming error (after the factory ran — the
     // capability is a property of the built synthesizer).
     let fork = RngFork::new(10);
-    let err = ShardedEngine::with_schedule(schedule, AggregationPolicy::shared(), |slot| {
+    let err = ShardedEngine::with_schedule(schedule.clone(), AggregationPolicy::shared(), |slot| {
         let config = CumulativeConfig::new(slot.horizon, slot.budget).unwrap();
         let stream = match slot.role {
             SlotRole::Shard(s) => 1 + s as u64,
             SlotRole::Population => 0,
         };
         CumulativeSynthesizer::new(config, fork.subfork(stream), rng_from_seed(stream))
+    })
+    .unwrap_err();
+    assert!(matches!(err, EngineError::InvalidSchedule(_)));
+    assert!(err.to_string().contains("forget"), "{err}");
+    assert!(err.to_string().contains("per-shard"), "{err}");
+    // The fixed-window family cannot forget a cohort either (k = 1 fits
+    // the one-round edge cohorts, so only the capability is at fault).
+    let err = ShardedEngine::with_schedule(schedule, AggregationPolicy::shared(), |slot| {
+        let config = FixedWindowConfig::new(slot.horizon, 1, slot.budget).unwrap();
+        let stream = match slot.role {
+            SlotRole::Shard(s) => 1 + s as u64,
+            SlotRole::Population => 0,
+        };
+        FixedWindowSynthesizer::new(config, rng_from_seed(stream))
     })
     .unwrap_err();
     assert!(matches!(err, EngineError::InvalidSchedule(_)));

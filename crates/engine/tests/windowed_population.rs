@@ -1,139 +1,38 @@
-//! Windowed population synthesizer acceptance tests: shared noise under
-//! rotating panels.
+//! Shared noise under rotating panels: acceptance tests.
 //!
 //! The load-bearing trio:
 //!
-//! * **Aggregate algebra** — `forget_cohort ∘ merge ≡ merge(survivors)`
-//!   (`MergeAggregate::subtract`), property-tested over random cohort
-//!   sets.
-//! * **Static bit-identity** — a full-horizon static schedule through the
-//!   windowed population synthesizer releases bit-identically to the PR 3
-//!   persistent one (nothing ever retires, so the wrapper must be a
-//!   transparent pass-through).
+//! * **One population path** — a full-horizon static schedule runs the
+//!   same population synthesizer with nothing to retire
+//!   (`retired_cohorts()` is `None`); bit-identity against a hand
+//!   composition is pinned by `shared_noise_engine_equals_manual_composition`.
+//! * **Retirement bookkeeping** — each sealed cohort is forgotten once,
+//!   step and two-phase rounds agree, and a failed retirement is an
+//!   `EngineError::Population` that is not counted.
 //! * **Rotating accuracy** — windowed-shared active-set population
 //!   estimates beat (or at worst match) the per-shard-noise pooled
 //!   estimates at 25–50% per-round churn, while the two-level budget
 //!   invariant holds every round.
 
-use longsynth::{CumulativeConfig, CumulativeSynthesizer};
+use longsynth::{
+    ContinualSynthesizer, CumulativeAggregate, CumulativeConfig, CumulativeSynthesizer, SynthError,
+};
 use longsynth_data::generators::iid_bernoulli;
 use longsynth_data::{BitColumn, LongitudinalDataset};
 use longsynth_dp::budget::Rho;
 use longsynth_dp::rng::{rng_from_seed, RngFork};
-use longsynth_engine::{
-    AggregationPolicy, EngineError, MergeAggregate, PanelSchedule, ShardedEngine, SlotRole,
-};
+use longsynth_engine::{AggregationPolicy, EngineError, PanelSchedule, ShardedEngine, SlotRole};
 use longsynth_queries::cumulative::cumulative_counts;
 use longsynth_queries::{active_weighted_mean, ErrorSummary};
-use proptest::prelude::*;
 
-use longsynth::CumulativeAggregate;
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Forgetting one cohort from a merged cumulative view equals merging
-    /// the survivors directly — the algebra the windowed population
-    /// synthesizer's retirement path is built on.
-    #[test]
-    fn forget_compose_merge_equals_merging_survivors(
-        seed in any::<u64>(),
-        cohorts in 2usize..6,
-        round in 1usize..8,
-        retiree in 0usize..6,
-    ) {
-        let retiree = retiree % cohorts;
-        let mut rng = rng_from_seed(seed);
-        use rand::Rng as _;
-        let parts: Vec<CumulativeAggregate> = (0..cohorts)
-            .map(|_| {
-                let local = 1 + rng.gen_range(0..round);
-                let n = 5 + rng.gen_range(0..40usize);
-                let increments = (0..local).map(|_| rng.gen_range(0..n as u64)).collect();
-                CumulativeAggregate { n, increments }
-            })
-            .collect();
-        let aligned = |part: &CumulativeAggregate| part.clone().align_to_round(round);
-        let all = MergeAggregate::merge(parts.iter().map(aligned).collect()).unwrap();
-        let survivors: Vec<CumulativeAggregate> = parts
-            .iter()
-            .enumerate()
-            .filter(|(c, _)| *c != retiree)
-            .map(|(_, part)| aligned(part))
-            .collect();
-        let direct = MergeAggregate::merge(survivors).unwrap();
-        let via_subtract = all.subtract(&aligned(&parts[retiree])).unwrap();
-        prop_assert_eq!(via_subtract, direct);
-    }
-
-    /// Histogram views subtract bin-wise the same way.
-    #[test]
-    fn histogram_forget_equals_merging_survivors(
-        seed in any::<u64>(),
-        cohorts in 2usize..5,
-        bins in 1usize..6,
-    ) {
-        use longsynth::HistogramAggregate;
-        let mut rng = rng_from_seed(seed ^ 0x415);
-        use rand::Rng as _;
-        let parts: Vec<HistogramAggregate> = (0..cohorts)
-            .map(|_| {
-                let counts: Vec<i64> = (0..bins).map(|_| rng.gen_range(0..30) as i64).collect();
-                let n = counts.iter().sum::<i64>() as usize;
-                HistogramAggregate::Counts { n: n.max(1), counts }
-            })
-            .collect();
-        let all = MergeAggregate::merge(parts.clone()).unwrap();
-        let direct = MergeAggregate::merge(parts[1..].to_vec()).unwrap();
-        prop_assert_eq!(all.subtract(&parts[0]).unwrap(), direct);
-    }
-}
-
+/// A full-horizon **static** shared schedule runs the one population
+/// path with nothing to retire: `retired_cohorts()` is `None` before and
+/// after the run.
 #[test]
-fn subtract_validates_fit() {
-    let view = CumulativeAggregate {
-        n: 10,
-        increments: vec![5, 2],
-    };
-    // A part larger than the view, or with counts the view cannot cover,
-    // or spanning more thresholds, is a merge mismatch.
-    for part in [
-        CumulativeAggregate {
-            n: 11,
-            increments: vec![1],
-        },
-        CumulativeAggregate {
-            n: 2,
-            increments: vec![6],
-        },
-        CumulativeAggregate {
-            n: 2,
-            increments: vec![1, 1, 1],
-        },
-    ] {
-        assert!(matches!(
-            view.clone().subtract(&part),
-            Err(EngineError::MergeMismatch(_))
-        ));
-    }
-    // The raw-column family has no subtraction.
-    let col = BitColumn::ones(4);
-    assert!(MergeAggregate::subtract(col.clone(), &col).is_err());
-}
-
-/// A full-horizon **static** schedule through the windowed-population
-/// engine path keeps the PR 3 persistent engine: nothing ever retires, so
-/// the population slot *is* the persistent synthesizer (structurally —
-/// `windowed_population()` is `None`).
-#[test]
-fn static_full_horizon_windowed_path_equals_persistent_engine() {
+fn static_shared_engine_retires_no_cohorts() {
     let (n, shards, horizon, rho, seed) = (96, 3, 6, 0.2, 41u64);
     let data = iid_bernoulli(&mut rng_from_seed(4), n, horizon, 0.3);
     let fork = RngFork::new(seed);
-    let stream_of = |role: SlotRole| match role {
-        SlotRole::Shard(s) => 1 + s as u64,
-        SlotRole::Population => 0,
-    };
     let cohort_rho = rho * (1.0 - AggregationPolicy::DEFAULT_POPULATION_SHARE);
     let schedule = PanelSchedule::uniform(
         n,
@@ -143,41 +42,22 @@ fn static_full_horizon_windowed_path_equals_persistent_engine() {
         Rho::new(rho).unwrap(),
     )
     .unwrap();
-    let mut scheduled =
-        ShardedEngine::with_schedule(schedule, AggregationPolicy::shared(), |slot| {
-            let config = CumulativeConfig::new(slot.horizon, slot.budget).unwrap();
-            let stream = stream_of(slot.role);
-            CumulativeSynthesizer::new(config, fork.subfork(stream), rng_from_seed(seed ^ stream))
-        })
-        .unwrap();
-    // The static case keeps the persistent population pipeline.
-    assert!(scheduled.windowed_population().is_none());
-    assert!(scheduled.population_synthesizer().is_some());
-    for (_, col) in data.stream() {
-        assert_eq!(scheduled.step(col).unwrap().len(), n);
-    }
-    assert!(scheduled.budget().exhausted());
-}
-
-/// A static **scheduled** shared engine keeps the bare persistent slot
-/// (no windowed wrapper), so the PR 4 bit-identity pin is structural.
-#[test]
-fn static_scheduled_shared_engine_keeps_the_persistent_slot() {
-    let rho = Rho::new(0.2).unwrap();
-    let cohort_rho = Rho::new(0.2 * 0.2).unwrap();
-    let schedule = PanelSchedule::uniform(60, 3, 4, cohort_rho, rho).unwrap();
-    let fork = RngFork::new(3);
-    let engine = ShardedEngine::with_schedule(schedule, AggregationPolicy::shared(), |slot| {
+    let mut engine = ShardedEngine::with_schedule(schedule, AggregationPolicy::shared(), |slot| {
         let config = CumulativeConfig::new(slot.horizon, slot.budget).unwrap();
         let stream = match slot.role {
             SlotRole::Shard(s) => 1 + s as u64,
             SlotRole::Population => 0,
         };
-        CumulativeSynthesizer::new(config, fork.subfork(stream), rng_from_seed(stream))
+        CumulativeSynthesizer::new(config, fork.subfork(stream), rng_from_seed(seed ^ stream))
     })
     .unwrap();
     assert!(engine.population_synthesizer().is_some());
-    assert!(engine.windowed_population().is_none());
+    assert_eq!(engine.retired_cohorts(), None);
+    for (_, col) in data.stream() {
+        assert_eq!(engine.step(col).unwrap().len(), n);
+    }
+    assert!(engine.budget().exhausted());
+    assert_eq!(engine.retired_cohorts(), None);
 }
 
 /// Build a rotating shared-noise engine over `schedule` (cohort budgets
@@ -285,7 +165,7 @@ fn rotating_shared_noise_runs_end_to_end() {
     let active = schedule.active_population(0);
     let panels = cohort_panels(&schedule, 5, 0.3);
     let mut engine = rotating_shared_engine(&schedule, 17);
-    assert!(engine.windowed_population().is_some());
+    assert_eq!(engine.retired_cohorts(), Some(0));
     for round in 0..horizon {
         let column = active_column(&schedule, &panels, round);
         let release = engine.step(&column).unwrap();
@@ -299,10 +179,7 @@ fn rotating_shared_noise_runs_end_to_end() {
             cohort.entry_round + cohort.horizon < horizon
         })
         .count();
-    assert_eq!(
-        engine.windowed_population().unwrap().retired_cohorts(),
-        sealed_before_end
-    );
+    assert_eq!(engine.retired_cohorts(), Some(sealed_before_end));
     let budget = engine.budget();
     assert!(budget.has_population_level());
     assert!((budget.population_total().value() - 0.8 * rho).abs() < 1e-9);
@@ -352,10 +229,86 @@ fn rotating_shared_step_equals_prepare_then_finalize() {
         let via_phases = phased.finalize(aggregate).unwrap();
         assert_eq!(via_step, via_phases, "round {round}");
     }
-    assert_eq!(
-        stepped.windowed_population().unwrap().retired_cohorts(),
-        phased.windowed_population().unwrap().retired_cohorts()
-    );
+    assert_eq!(stepped.retired_cohorts(), phased.retired_cohorts());
+}
+
+/// A windowed cumulative synthesizer whose `forget_cohort` always fails.
+struct ForgetFails(CumulativeSynthesizer);
+
+impl ContinualSynthesizer for ForgetFails {
+    type Input = BitColumn;
+    type Release = BitColumn;
+    type Aggregate = CumulativeAggregate;
+
+    fn prepare(&mut self, input: &BitColumn) -> Result<CumulativeAggregate, SynthError> {
+        self.0.prepare(input)
+    }
+
+    fn finalize(&mut self, aggregate: CumulativeAggregate) -> Result<BitColumn, SynthError> {
+        self.0.finalize(aggregate)
+    }
+
+    fn round(&self) -> usize {
+        ContinualSynthesizer::round(&self.0)
+    }
+
+    fn horizon(&self) -> usize {
+        ContinualSynthesizer::horizon(&self.0)
+    }
+
+    fn cohort_retirement_window(&self) -> Option<usize> {
+        ContinualSynthesizer::cohort_retirement_window(&self.0)
+    }
+
+    fn forget_cohort(&mut self, _view: CumulativeAggregate) -> Result<(), SynthError> {
+        Err(SynthError::InvalidConfig("forget refused".to_string()))
+    }
+
+    fn budget_spent(&self) -> Rho {
+        ContinualSynthesizer::budget_spent(&self.0)
+    }
+
+    fn budget_total(&self) -> Rho {
+        ContinualSynthesizer::budget_total(&self.0)
+    }
+}
+
+/// A retirement the population synthesizer refuses fails the round with
+/// `EngineError::Population` and is not counted.
+#[test]
+fn a_failed_retirement_is_not_counted() {
+    let (horizon, waves) = (6, 2);
+    let schedule = rotating_shared_schedule(48, horizon, waves, 0.3);
+    let panels = cohort_panels(&schedule, 13, 0.3);
+    let fork = RngFork::new(3);
+    let mut engine =
+        ShardedEngine::with_schedule(schedule.clone(), AggregationPolicy::shared(), |slot| {
+            let config = CumulativeConfig::new(slot.horizon, slot.budget).unwrap();
+            let (config, stream) = match slot.role {
+                SlotRole::Shard(s) => (config, 1 + s as u64),
+                SlotRole::Population => (config.with_window(waves).unwrap(), 0),
+            };
+            ForgetFails(CumulativeSynthesizer::new(
+                config,
+                fork.subfork(stream),
+                rng_from_seed(stream),
+            ))
+        })
+        .unwrap();
+    assert_eq!(engine.retired_cohorts(), Some(0));
+    // The first edge cohort lives one round, so its retirement is due at
+    // the round-1 boundary.
+    let first_due = (0..schedule.cohorts())
+        .map(|c| schedule.cohort(c).entry_round + schedule.cohort(c).horizon)
+        .min()
+        .unwrap();
+    assert_eq!(first_due, 1);
+    engine.step(&active_column(&schedule, &panels, 0)).unwrap();
+    let err = engine
+        .step(&active_column(&schedule, &panels, first_due))
+        .unwrap_err();
+    assert!(matches!(err, EngineError::Population { .. }), "{err}");
+    assert_eq!(engine.retired_cohorts(), Some(0));
 }
 
 /// Active-set population cumulative MAE of an engine's estimates against
