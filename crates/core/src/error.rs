@@ -42,7 +42,7 @@ pub enum SynthError {
     },
     /// Two-phase misuse: `prepare`/`finalize` were called out of order
     /// (e.g. a second `prepare` while a round's aggregate still awaits
-    /// `finalize`, or an engine `finalize` with no prepared round).
+    /// `finalize`).
     OutOfPhase(String),
 }
 

@@ -167,16 +167,6 @@ pub fn sample_discrete_gaussian<R: Rng + ?Sized>(rng: &mut R, sigma2: f64) -> i6
     DiscreteGaussianSampler::new(sigma2).sample(rng)
 }
 
-/// Fill `out` with independent `N_Z(0, σ²)` draws, bit-stream-identical to
-/// looping [`sample_discrete_gaussian`] but with the per-σ² constants
-/// derived once.
-pub fn sample_discrete_gaussian_vec<R: Rng + ?Sized>(rng: &mut R, sigma2: f64, out: &mut [i64]) {
-    let sampler = DiscreteGaussianSampler::new(sigma2);
-    for slot in out.iter_mut() {
-        *slot = sampler.sample(rng);
-    }
-}
-
 /// An upper bound on the variance of `N_Z(0, σ²)`.
 ///
 /// CKS 2020 (Corollary 9) show `Var[N_Z(0, σ²)] ≤ σ²`, which is the fact
@@ -307,18 +297,6 @@ mod tests {
     fn zero_variance_panics() {
         let mut rng = rng_from_seed(23);
         sample_discrete_gaussian(&mut rng, 0.0);
-    }
-
-    #[test]
-    fn vec_fill_matches_sequential() {
-        let mut rng1 = rng_from_seed(24);
-        let mut rng2 = rng_from_seed(24);
-        let mut buf = [0i64; 32];
-        sample_discrete_gaussian_vec(&mut rng1, 2.0, &mut buf);
-        let seq: Vec<i64> = (0..32)
-            .map(|_| sample_discrete_gaussian(&mut rng2, 2.0))
-            .collect();
-        assert_eq!(buf.to_vec(), seq);
     }
 
     /// The cached sampler must consume the identical RNG stream as the

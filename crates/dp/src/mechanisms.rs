@@ -158,20 +158,6 @@ impl NoiseSampler {
     }
 }
 
-/// Release a vector of sensitivity-`1` counts under independent noise: the
-/// DP histogram primitive of Algorithm 1 stage 1.
-///
-/// Returns `counts[i] + noiseᵢ` with independent draws. The sampler is
-/// constructed once for the whole vector.
-pub fn noisy_counts<R: Rng + ?Sized>(
-    rng: &mut R,
-    counts: &[i64],
-    noise: NoiseDistribution,
-) -> Vec<i64> {
-    let sampler = noise.sampler();
-    counts.iter().map(|&c| c + sampler.sample(rng)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,24 +187,11 @@ mod tests {
     #[test]
     fn none_is_identity() {
         let mut rng = rng_from_seed(1);
-        let counts = vec![5, -3, 0, 100];
-        let out = noisy_counts(&mut rng, &counts, NoiseDistribution::None);
-        assert_eq!(out, counts);
+        let sampler = NoiseDistribution::None.sampler();
+        assert!((0..100).all(|_| sampler.sample(&mut rng) == 0));
         assert_eq!(NoiseDistribution::None.variance(), 0.0);
         assert_eq!(NoiseDistribution::None.tail_quantile(0.1), 0.0);
         assert!(NoiseDistribution::None.is_none());
-    }
-
-    #[test]
-    fn noisy_counts_perturb_each_entry_independently() {
-        let mut rng = rng_from_seed(2);
-        let counts = vec![0i64; 1000];
-        let noise = NoiseDistribution::DiscreteGaussian { sigma2: 100.0 };
-        let out = noisy_counts(&mut rng, &counts, noise);
-        let mean: f64 = out.iter().map(|&x| x as f64).sum::<f64>() / 1000.0;
-        let var: f64 = out.iter().map(|&x| (x as f64 - mean).powi(2)).sum::<f64>() / 1000.0;
-        assert!(mean.abs() < 1.5, "mean {mean}");
-        assert!((var - 100.0).abs() < 20.0, "var {var}");
     }
 
     #[test]

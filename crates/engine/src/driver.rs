@@ -2,7 +2,9 @@
 //!
 //! [`ShardedEngine`] holds one [`ContinualSynthesizer`] per shard — plus,
 //! under the shared-noise aggregation policy, one **population-level**
-//! synthesizer — and, on every [`step`](ShardedEngine::step):
+//! synthesizer — and, on every [`step`](ShardedEngine::step), the
+//! engine's one round entry ([`run`](ShardedEngine::run) and the
+//! [`IngestDriver`] both feed it):
 //!
 //! 1. splits the population-level input column into per-shard cohort
 //!    columns ([`ShardableInput`] — a word-level splice),
@@ -83,25 +85,6 @@ use crate::shard::{CohortSchedule, PanelSchedule, PanelSlot, ShardPlan, Shardabl
 use crate::sink::ReleaseSink;
 use crate::EngineError;
 
-/// Whether an engine consumes raw data (stepped) or only summed
-/// aggregates (finalize-only, the population slot of an outer engine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DriveMode {
-    /// `step`/`prepare` rounds: shards advance on raw cohort data.
-    Stepped,
-    /// Standalone `finalize` rounds: only the population route advances.
-    FinalizeOnly,
-}
-
-/// A round started via the two-phase [`ShardedEngine::prepare`] and
-/// awaiting [`ShardedEngine::finalize`].
-struct PendingRound<A> {
-    /// Active cohort indices of the round.
-    active: Vec<usize>,
-    /// Per-participating-cohort aggregates, in the same order.
-    aggregates: Vec<A>,
-}
-
 /// A sharded multi-cohort streaming engine over any synthesizer family.
 ///
 /// Every engine runs a [`PanelSchedule`], and every constructor ends in
@@ -124,8 +107,7 @@ pub struct ShardedEngine<S: ContinualSynthesizer> {
     /// [`with_schedule`](Self::with_schedule).
     schedule: PanelSchedule,
     /// Cached `schedule.is_static()`: a static panel emits plain lockstep
-    /// sink rounds and may serve as a finalize-only population
-    /// synthesizer.
+    /// sink rounds and retires no cohorts.
     static_panel: bool,
     policy: AggregationPolicy,
     shards: Vec<S>,
@@ -153,15 +135,6 @@ pub struct ShardedEngine<S: ContinualSynthesizer> {
     /// Raw pre-noise statistics, like every aggregate — they only ever
     /// flow into `finalize`/`forget_cohort`.
     lifetime: Vec<Option<S::Aggregate>>,
-    /// The round started via the two-phase [`prepare`](Self::prepare) and
-    /// awaiting [`finalize`](Self::finalize), if any.
-    pending: Option<PendingRound<S::Aggregate>>,
-    /// How this engine has been driven so far. `step`/`prepare` (raw-data
-    /// rounds advancing the shards) and standalone `finalize` (population
-    /// rounds that never touch the shards) are mutually exclusive over an
-    /// engine's lifetime — mixing them would desynchronize the population
-    /// synthesizer from the shards, so the first use pins the mode.
-    mode: Option<DriveMode>,
     rounds_fed: usize,
     pool: Option<Arc<WorkerPool>>,
     sink: Option<Box<dyn ReleaseSink<S::Release>>>,
@@ -403,8 +376,6 @@ where
             retired_through: 0,
             retired: 0,
             lifetime,
-            pending: None,
-            mode: None,
             rounds_fed: 0,
             pool,
             sink: None,
@@ -668,16 +639,7 @@ fn merge_at_round<A: MergeAggregate>(
     aggregates: impl IntoIterator<Item = A>,
     round: usize,
 ) -> Result<A, EngineError> {
-    let mut aligned = aggregates.into_iter().map(|a| a.align_to_round(round));
-    let Some(mut merged) = aligned.next() else {
-        return Err(EngineError::MergeMismatch(
-            "no shard aggregates to merge".to_string(),
-        ));
-    };
-    for aggregate in aligned {
-        merged.merge_into(&aggregate)?;
-    }
-    Ok(merged)
+    A::merge(aggregates.into_iter().map(|a| a.align_to_round(round)))
 }
 
 impl<S> ShardedEngine<S>
@@ -697,11 +659,6 @@ where
     /// [`PanelSchedule::active_layout`](crate::PanelSchedule::active_layout)
     /// — and the release likewise covers the active population.
     pub fn step(&mut self, column: &S::Input) -> Result<S::Release, EngineError> {
-        if self.pending.is_some() {
-            return Err(EngineError::OutOfPhase(
-                "step during a prepared round awaiting finalize".to_string(),
-            ));
-        }
         let mut clock = PhaseClock::new(self.obs.is_some());
         let (active, parts) = self.begin_scheduled_round(column)?;
         clock.lap_prepare();
@@ -721,31 +678,10 @@ where
         };
         clock.lap_finalize();
         let result = driven.and_then(|(aggregates, releases)| {
-            self.end_round(&active, aggregates, releases, None, clock)
+            self.end_round(&active, aggregates, releases, clock)
         });
         self.active = active;
         result
-    }
-
-    /// Pin the engine as a raw-data (stepped) engine: stepped rounds and
-    /// standalone finalize-only rounds must not mix on one instance — a
-    /// standalone finalize advances only the population route, so a later
-    /// raw-data round would feed the population synthesizer an aggregate
-    /// one round out of phase (and burn shard budget before failing).
-    /// Pinned *before* shards run, because even a failed round may have
-    /// advanced shard state.
-    fn enter_stepped_mode(&mut self) -> Result<(), EngineError> {
-        match self.mode {
-            Some(DriveMode::FinalizeOnly) => Err(EngineError::OutOfPhase(
-                "raw-data round on an engine driven finalize-only (the two modes \
-                 must not mix: the shards never saw the finalized rounds)"
-                    .to_string(),
-            )),
-            _ => {
-                self.mode = Some(DriveMode::Stepped);
-                Ok(())
-            }
-        }
     }
 
     /// The tag describing what this engine's merged releases *actually*
@@ -763,12 +699,12 @@ where
 
     /// Validate a round and split its column: global-horizon check,
     /// active-set lookup, active-population check, word-level split into
-    /// per-active-cohort parts. Pins stepped mode. Returns the active set,
-    /// taken out of the engine's scratch; the caller puts it back once
-    /// the round is done. Debug builds also assert that no active cohort
-    /// lags the global clock (cohort `c`'s local round is at least
-    /// `round − entry`; a failed round may leave survivors ahead) and that
-    /// no sealed synthesizer is about to be stepped.
+    /// per-active-cohort parts. Returns the active set, taken out of the
+    /// engine's scratch; the caller puts it back once the round is done.
+    /// Debug builds also assert that no active cohort lags the global
+    /// clock (cohort `c`'s local round is at least `round − entry`; a
+    /// failed round may leave survivors ahead) and that no sealed
+    /// synthesizer is about to be stepped.
     fn begin_scheduled_round(
         &mut self,
         column: &S::Input,
@@ -794,7 +730,6 @@ where
                 actual: column.population(),
             });
         }
-        self.enter_stepped_mode()?;
         #[cfg(debug_assertions)]
         for &c in &self.active {
             let local = round - self.schedule.cohort(c).entry_round;
@@ -835,20 +770,19 @@ where
         clock.lap_sink();
     }
 
-    /// The tail every raw-data round ends in, once its cohorts ran: fold
+    /// The tail of every [`step`](Self::step), once its cohorts ran: fold
     /// the cohort `aggregates` into the lifetime views and apply the
     /// retirements due at this boundary, produce the population release,
     /// verify the budget cap, notify the sink, commit the observation and
     /// advance the round clock. Under shared noise the population
-    /// synthesizer privatizes `summed` — or, when `None`, the aggregates'
-    /// sum on the global clock; under per-shard noise the cohort
-    /// `releases` concatenate in cohort order.
+    /// synthesizer privatizes the aggregates' sum on the global clock;
+    /// under per-shard noise the cohort `releases` concatenate in cohort
+    /// order.
     fn end_round(
         &mut self,
         active: &[usize],
         aggregates: Vec<S::Aggregate>,
-        mut releases: Vec<S::Release>,
-        summed: Option<S::Aggregate>,
+        releases: Vec<S::Release>,
         mut clock: PhaseClock,
     ) -> Result<S::Release, EngineError> {
         let round = self.rounds_fed;
@@ -860,10 +794,7 @@ where
                 self.absorb_lifetimes(active, &aggregates)?;
                 self.process_retirements(round)?;
             }
-            let summed = match summed {
-                Some(summed) => summed,
-                None => merge_at_round(aggregates, round + 1)?,
-            };
+            let summed = merge_at_round(aggregates, round + 1)?;
             clock.lap_merge();
             let population = self.population.as_mut().expect("checked population above");
             let merged = population
@@ -871,14 +802,8 @@ where
                 .map_err(|source| EngineError::Population { source })?;
             clock.lap_noise();
             merged
-        } else if self.sink.is_none() {
-            // Merge consumes the releases; only a live sink pays for
-            // keeping them one call longer.
-            let merged = S::Release::merge(std::mem::take(&mut releases))?;
-            clock.lap_merge();
-            merged
         } else {
-            let merged = S::Release::merge_borrowed(&releases)?;
+            let merged = S::Release::merge(&releases)?;
             clock.lap_merge();
             merged
         };
@@ -1096,114 +1021,6 @@ where
         }
         Ok(releases)
     }
-
-    /// Phase 1 of the engine as a two-phase synthesizer: split the column,
-    /// run every active cohort's `prepare`, stash the per-cohort
-    /// aggregates for [`finalize`](Self::finalize), and return their
-    /// population-level sum. (The hot path is [`step`](Self::step); this
-    /// explicit path exists so engines compose as synthesizers — e.g. as
-    /// a shard of a larger engine.)
-    pub fn prepare(&mut self, column: &S::Input) -> Result<S::Aggregate, EngineError> {
-        if self.pending.is_some() {
-            return Err(EngineError::OutOfPhase(
-                "prepare during a prepared round awaiting finalize".to_string(),
-            ));
-        }
-        let round = self.rounds_fed;
-        let (active, parts) = self.begin_scheduled_round(column)?;
-        let aggregates = self.drive_active(&active, parts, |synth, part| synth.prepare(&part))?;
-        // The merged (population-level) aggregate lives on the global
-        // clock; the pending per-cohort aggregates stay local — each
-        // cohort's own finalize expects its local shape.
-        let merged = merge_at_round(aggregates.iter().cloned(), round + 1)?;
-        self.pending = Some(PendingRound { active, aggregates });
-        Ok(merged)
-    }
-
-    /// Phase 2 of the engine as a two-phase synthesizer.
-    ///
-    /// After a [`prepare`](Self::prepare): finalizes every shard's pending
-    /// aggregate into cohort releases and produces the population release
-    /// per the policy. Under per-shard noise the passed population
-    /// aggregate is not consumed (privatization happens inside each
-    /// shard); under shared noise it is privatized by the population
-    /// synthesizer — exactly what [`step`](Self::step) does in one call.
-    ///
-    /// **Standalone** (no prior `prepare` — the finalize-only population
-    /// role of an *outer* engine): the engine never saw raw data this
-    /// round, so there are no cohort releases. The aggregate is privatized
-    /// by the population synthesizer (shared noise) or, for a 1-shard
-    /// engine, by the single shard it is the aggregate of. A multi-shard
-    /// per-shard-noise engine cannot privatize a population aggregate
-    /// standalone (it cannot be un-summed into cohorts) and errors.
-    /// Standalone rounds are not forwarded to this engine's sink — there
-    /// is no cohort level to observe; attach sinks to the outer engine.
-    /// Only a static panel has the role: a rotating schedule's raw
-    /// population aggregate carries no active-set information.
-    pub fn finalize(&mut self, aggregate: S::Aggregate) -> Result<S::Release, EngineError> {
-        // Two-phase rounds are timed from finalize entry (the `prepare`
-        // half ran in an earlier call); the prepare span is a step-path
-        // metric.
-        let mut clock = PhaseClock::new(self.obs.is_some());
-        let Some(PendingRound { active, aggregates }) = self.pending.take() else {
-            if !self.static_panel {
-                return Err(EngineError::OutOfPhase(
-                    "standalone finalize on a dynamic-panel engine: a raw population \
-                     aggregate carries no active-set information, so rotating-schedule \
-                     engines only finalize rounds they prepared"
-                        .to_string(),
-                ));
-            }
-            if self.mode == Some(DriveMode::Stepped) {
-                return Err(EngineError::OutOfPhase(
-                    "standalone finalize on an engine that has stepped raw data (the \
-                     two modes must not mix: the shards would fall out of phase)"
-                        .to_string(),
-                ));
-            }
-            let merged = match (&mut self.population, self.shards.len()) {
-                (Some(population), _) => population
-                    .finalize(aggregate)
-                    .map_err(|source| EngineError::Population { source })?,
-                (None, 1) => self.shards[0]
-                    .finalize(aggregate)
-                    .map_err(|source| EngineError::Shard { shard: 0, source })?,
-                (None, _) => {
-                    return Err(EngineError::OutOfPhase(
-                        "finalize without a prepared round: a multi-shard per-shard-noise \
-                         engine cannot privatize a population aggregate standalone"
-                            .to_string(),
-                    ))
-                }
-            };
-            clock.lap_noise();
-            self.verify_budget_invariant_at(self.rounds_fed)?;
-            // Pin finalize-only mode only after a *successful* standalone
-            // round (a rejected aggregate changed nothing).
-            self.mode = Some(DriveMode::FinalizeOnly);
-            self.commit_round_observation(clock);
-            self.rounds_fed += 1;
-            return Ok(merged);
-        };
-        // Every participating cohort consumes its pending aggregate, even
-        // when an earlier one fails or panics, to stay in phase for the
-        // next round (only a cohort whose own finalize failed remains out
-        // of phase — its synthesizer rejected the round and a custom
-        // implementation owns its recovery). Lifetime views absorb in the
-        // round tail, after every cohort finalize succeeded, so a failed
-        // round never poisons the retirement bookkeeping.
-        let absorb = if self.retires_cohorts() {
-            aggregates.clone()
-        } else {
-            Vec::new()
-        };
-        let driven = self.drive_active(&active, aggregates, |synth, part| synth.finalize(part));
-        clock.lap_finalize();
-        let result = driven
-            .and_then(|releases| self.end_round(&active, absorb, releases, Some(aggregate), clock));
-        self.active = active;
-        result
-    }
 }
 
 /// Incremental event-time driver: validates and steps one watermark-sealed
@@ -1266,55 +1083,10 @@ where
     }
 }
 
-/// The engine is itself a [`ContinualSynthesizer`] — including the
-/// two-phase path: population-level input in, population release out,
-/// two-level budget accounting. This is what makes the layer compose — an
-/// engine can sit anywhere a plain synthesizer can (including, in
-/// principle, as a shard of a larger engine).
-impl<S> ContinualSynthesizer for ShardedEngine<S>
-where
-    S: ContinualSynthesizer + Send + 'static,
-    S::Input: ShardableInput + Send + 'static,
-    S::Release: MergeRelease + Clone + Send + 'static,
-    S::Aggregate: MergeAggregate + Clone + Send + 'static,
-{
-    type Input = S::Input;
-    type Release = S::Release;
-    type Aggregate = S::Aggregate;
-
-    fn prepare(&mut self, input: &S::Input) -> Result<S::Aggregate, SynthError> {
-        ShardedEngine::prepare(self, input).map_err(SynthError::from)
-    }
-
-    fn finalize(&mut self, aggregate: S::Aggregate) -> Result<S::Release, SynthError> {
-        ShardedEngine::finalize(self, aggregate).map_err(SynthError::from)
-    }
-
-    fn step(&mut self, input: &S::Input) -> Result<S::Release, SynthError> {
-        ShardedEngine::step(self, input).map_err(SynthError::from)
-    }
-
-    fn round(&self) -> usize {
-        self.rounds_fed
-    }
-
-    fn horizon(&self) -> usize {
-        ShardedEngine::horizon(self)
-    }
-
-    fn budget_spent(&self) -> Rho {
-        self.budget().spent()
-    }
-
-    fn budget_total(&self) -> Rho {
-        self.budget().total()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use longsynth::{CumulativeAggregate, CumulativeConfig, CumulativeSynthesizer};
+    use longsynth::{CumulativeConfig, CumulativeSynthesizer};
     use longsynth_data::generators::iid_bernoulli;
     use longsynth_data::BitColumn;
     use longsynth_dp::budget::Rho;
@@ -1424,126 +1196,6 @@ mod tests {
         assert_eq!(*seen.lock().unwrap(), vec![PolicyTag::PerShard; 4]);
     }
 
-    /// Engines compose hierarchically: an outer shared-noise engine whose
-    /// slots are themselves engines works end to end — in particular the
-    /// population slot is driven **finalize-only** (it never sees raw
-    /// data), which the standalone-finalize path supports.
-    #[test]
-    fn engines_compose_as_finalize_only_population_synthesizers() {
-        let n = 80;
-        let horizon = 4;
-        let rho = 0.04;
-        let data = iid_bernoulli(&mut rng_from_seed(0xC0), n, horizon, 0.3);
-        let policy = AggregationPolicy::shared();
-        let (cohort_share, _) = policy.budget_shares(2);
-        let schedule = PanelSchedule::uniform(
-            n,
-            2,
-            horizon,
-            Rho::new(rho * cohort_share).unwrap(),
-            Rho::new(rho).unwrap(),
-        )
-        .unwrap();
-        let mut outer = ShardedEngine::with_schedule(schedule, policy, |slot| {
-            let config = CumulativeConfig::new(horizon, slot.budget).unwrap();
-            let stream = match slot.role {
-                SlotRole::Shard(s) => 1 + s as u64,
-                SlotRole::Population => 0,
-            };
-            ShardedEngine::new(ShardPlan::new(slot.size, 1).unwrap(), |_, _| {
-                CumulativeSynthesizer::new(config, RngFork::new(stream), rng_from_seed(stream))
-            })
-            .unwrap()
-        })
-        .unwrap();
-        for (_, col) in data.stream() {
-            let release = outer.step(col).unwrap();
-            assert_eq!(release.len(), n);
-        }
-        assert_eq!(outer.rounds_fed(), horizon);
-        let inner_population = outer.population_synthesizer().unwrap();
-        assert_eq!(inner_population.rounds_fed(), horizon);
-        let budget = outer.budget();
-        assert!(budget.exhausted());
-        assert!((budget.total().value() - rho).abs() < 1e-9);
-    }
-
-    /// Raw-data (stepped) rounds and standalone finalize-only rounds must
-    /// not mix on one engine: the first use pins the mode, and the other
-    /// mode is refused before any budget is spent.
-    #[test]
-    fn stepped_and_finalize_only_modes_do_not_mix() {
-        let data = iid_bernoulli(&mut rng_from_seed(19), 60, 3, 0.3);
-        // Stepped first: a later standalone finalize is refused with the
-        // shards' budget untouched.
-        let mut engine = shared_cumulative_engine(60, 3, 3, 41);
-        engine.step(data.column(0)).unwrap();
-        let spent_before = engine.budget().spent().value();
-        let err = engine
-            .finalize(CumulativeAggregate {
-                n: 60,
-                increments: vec![1, 2],
-            })
-            .unwrap_err();
-        assert!(matches!(err, EngineError::OutOfPhase(_)));
-        assert!((engine.budget().spent().value() - spent_before).abs() < 1e-15);
-        engine.step(data.column(1)).unwrap(); // stepping still works
-
-        // Finalize-only first: a later raw-data round is refused.
-        let mut population = shared_cumulative_engine(60, 3, 3, 42);
-        population
-            .finalize(CumulativeAggregate {
-                n: 60,
-                increments: vec![4],
-            })
-            .unwrap();
-        let spent_before = population.budget().spent().value();
-        assert!(matches!(
-            population.step(data.column(1)),
-            Err(EngineError::OutOfPhase(_))
-        ));
-        assert!(matches!(
-            population.prepare(data.column(1)),
-            Err(EngineError::OutOfPhase(_))
-        ));
-        assert!((population.budget().spent().value() - spent_before).abs() < 1e-15);
-        // Finalize-only driving continues fine.
-        population
-            .finalize(CumulativeAggregate {
-                n: 60,
-                increments: vec![3, 1],
-            })
-            .unwrap();
-        assert_eq!(population.rounds_fed(), 2);
-    }
-
-    #[test]
-    fn standalone_finalize_requires_a_population_route() {
-        // Multi-shard per-shard-noise: a population aggregate cannot be
-        // un-summed, so standalone finalize is refused.
-        let mut engine = cumulative_engine(40, 2, 4, 21);
-        assert!(matches!(
-            engine.finalize(CumulativeAggregate {
-                n: 40,
-                increments: vec![3],
-            }),
-            Err(EngineError::OutOfPhase(_))
-        ));
-        // A 1-shard engine routes the aggregate to its single shard:
-        // finalize-only drive matches a stepped run bit for bit.
-        let data = iid_bernoulli(&mut rng_from_seed(23), 40, 4, 0.4);
-        let mut stepped = cumulative_engine(40, 1, 4, 22);
-        let mut finalize_only = cumulative_engine(40, 1, 4, 22);
-        let mut preparer = cumulative_engine(40, 1, 4, 77);
-        for (_, col) in data.stream() {
-            let via_step = stepped.step(col).unwrap();
-            let aggregate = preparer.prepare(col).unwrap();
-            let _ = preparer.finalize(aggregate.clone()).unwrap();
-            let via_finalize = finalize_only.finalize(aggregate).unwrap();
-            assert_eq!(via_step, via_finalize);
-        }
-    }
-
     #[test]
     fn engine_rejects_wrong_population() {
         let mut engine = cumulative_engine(50, 2, 4, 1);
@@ -1555,81 +1207,6 @@ mod tests {
                 actual: 49
             })
         ));
-        // Through the trait, it surfaces as the uniform column-size error.
-        assert!(matches!(
-            ContinualSynthesizer::step(&mut engine, &wrong),
-            Err(SynthError::ColumnSizeMismatch {
-                expected: 50,
-                actual: 49
-            })
-        ));
-    }
-
-    #[test]
-    fn engine_implements_continual_synthesizer() {
-        let data = iid_bernoulli(&mut rng_from_seed(2), 64, 5, 0.5);
-        let mut engine = cumulative_engine(64, 2, 5, 9);
-        let synth: &mut dyn ContinualSynthesizer<
-            Input = BitColumn,
-            Release = BitColumn,
-            Aggregate = CumulativeAggregate,
-        > = &mut engine;
-        for (t, col) in data.stream() {
-            synth.step(col).unwrap();
-            assert_eq!(synth.round(), t + 1);
-        }
-        assert_eq!(synth.rounds_remaining(), 0);
-        assert!(synth.budget_spent().value() > 0.0);
-    }
-
-    /// The engine's own two-phase path matches its `step` exactly, for
-    /// both policies.
-    #[test]
-    fn engine_step_equals_prepare_then_finalize() {
-        let data = iid_bernoulli(&mut rng_from_seed(5), 80, 5, 0.4);
-        for shared in [false, true] {
-            let build = |seed| {
-                if shared {
-                    shared_cumulative_engine(80, 3, 5, seed)
-                } else {
-                    cumulative_engine(80, 3, 5, seed)
-                }
-            };
-            let mut stepped = build(41);
-            let mut phased = build(41);
-            for (_, col) in data.stream() {
-                let via_step = stepped.step(col).unwrap();
-                let aggregate = phased.prepare(col).unwrap();
-                let via_phases = phased.finalize(aggregate).unwrap();
-                assert_eq!(via_step, via_phases, "shared={shared}");
-            }
-            assert_eq!(stepped.rounds_fed(), phased.rounds_fed());
-        }
-    }
-
-    #[test]
-    fn engine_two_phase_misuse_is_caught() {
-        let mut engine = cumulative_engine(40, 2, 4, 11);
-        let column = BitColumn::ones(40);
-        assert!(matches!(
-            engine.finalize(CumulativeAggregate {
-                n: 40,
-                increments: vec![0],
-            }),
-            Err(EngineError::OutOfPhase(_))
-        ));
-        let aggregate = engine.prepare(&column).unwrap();
-        assert!(matches!(
-            engine.prepare(&column),
-            Err(EngineError::OutOfPhase(_))
-        ));
-        assert!(matches!(
-            engine.step(&column),
-            Err(EngineError::OutOfPhase(_))
-        ));
-        engine.finalize(aggregate).unwrap();
-        engine.step(&column).unwrap();
-        assert_eq!(engine.rounds_fed(), 2);
     }
 
     /// A population slot whose synthesizer ignores `slot.budget` is
@@ -1902,39 +1479,9 @@ mod tests {
         assert_eq!(engine.horizon(), 10);
         assert_eq!(engine.shard(0).round(), 2);
         assert_eq!(engine.shard(1).round(), 1); // its step never completed
+        assert_eq!(engine.shard(2).round(), 2); // later cohorts still ran
         let release = engine.step(&column).unwrap();
         assert_eq!(release.len(), 30);
-    }
-
-    /// The two-phase path contains a cohort panic the way `step` does:
-    /// the cohorts after the panicking one still finalize their pending
-    /// aggregates, so only the panicked cohort misses the round.
-    #[test]
-    fn prepared_finalize_survives_a_panicking_shard_like_step() {
-        let rounds = |two_phase: bool| {
-            let mut engine =
-                ShardedEngine::new(ShardPlan::new(30, 3).unwrap(), |s, _| FragileSynth {
-                    panic_at_round: (s == 1).then_some(1),
-                    round: 0,
-                })
-                .unwrap();
-            let column = BitColumn::ones(30);
-            let round = |engine: &mut ShardedEngine<FragileSynth>| {
-                if two_phase {
-                    let aggregate = engine.prepare(&column)?;
-                    engine.finalize(aggregate)
-                } else {
-                    engine.step(&column)
-                }
-            };
-            round(&mut engine).unwrap();
-            let unwound =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| round(&mut engine)));
-            assert!(unwound.is_err(), "shard panic propagates to the caller");
-            (0..3).map(|s| engine.shard(s).round()).collect::<Vec<_>>()
-        };
-        assert_eq!(rounds(false), vec![2, 1, 2]);
-        assert_eq!(rounds(true), vec![2, 1, 2]);
     }
 
     #[test]

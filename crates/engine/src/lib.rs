@@ -13,8 +13,9 @@
 //! * [`shard::ShardPlan`] — partitions `n` individuals into contiguous,
 //!   balanced per-shard cohorts;
 //! * [`driver::ShardedEngine`] — one synthesizer per shard, driven in
-//!   lockstep (pooled workers when `shards > 1`), aggregated into a
-//!   population-level release;
+//!   lockstep (pooled workers when `shards > 1`) by
+//!   [`step`](driver::ShardedEngine::step), the engine's one round entry,
+//!   and aggregated into a population-level release;
 //! * [`policy::AggregationPolicy`] — **where the noise goes**: per-shard
 //!   noise (cohort releases concatenate; the pre-policy semantics, still
 //!   the default and bit-exact) or shared noise (unnoised per-shard
@@ -45,7 +46,7 @@
 //! `engine_scaling` measures latency.
 //!
 //! ```
-//! use longsynth::{ContinualSynthesizer, CumulativeConfig, CumulativeSynthesizer};
+//! use longsynth::{CumulativeConfig, CumulativeSynthesizer};
 //! use longsynth_data::generators::iid_bernoulli;
 //! use longsynth_dp::budget::Rho;
 //! use longsynth_dp::rng::{rng_from_seed, RngFork};
@@ -173,9 +174,6 @@ pub enum EngineError {
         /// The underlying synthesizer error.
         source: SynthError,
     },
-    /// Two-phase misuse at the engine level (`prepare`/`finalize`/`step`
-    /// interleaved out of order).
-    OutOfPhase(String),
     /// An ingest-sealed round arrived out of order: the engine's round
     /// clock is strictly contiguous, and the ingest tier's watermark
     /// sealing guarantees in-order rounds, so a gap means the sealed
@@ -240,7 +238,6 @@ impl fmt::Display for EngineError {
             EngineError::Population { source } => {
                 write!(f, "population-level synthesizer: {source}")
             }
-            EngineError::OutOfPhase(msg) => write!(f, "two-phase step out of order: {msg}"),
             EngineError::IngestOutOfOrder { expected, actual } => write!(
                 f,
                 "ingest stream sealed round {actual} but the engine expected round \
@@ -251,17 +248,3 @@ impl fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
-
-impl From<EngineError> for SynthError {
-    fn from(err: EngineError) -> Self {
-        match err {
-            EngineError::Shard { source, .. } | EngineError::Population { source } => source,
-            EngineError::PopulationMismatch { expected, actual } => {
-                SynthError::ColumnSizeMismatch { expected, actual }
-            }
-            EngineError::OutOfPhase(msg) => SynthError::OutOfPhase(msg),
-            EngineError::HorizonExhausted { horizon } => SynthError::HorizonExceeded { horizon },
-            other => SynthError::InvalidConfig(other.to_string()),
-        }
-    }
-}

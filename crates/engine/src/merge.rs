@@ -16,6 +16,10 @@
 //! add element-wise — so the shared-noise aggregation policy can combine
 //! them into one population aggregate and privatize it with a single
 //! noise draw.
+//!
+//! Each trait has one way to combine parts: [`MergeRelease::merge`]
+//! borrows the releases, and [`MergeAggregate::merge`] consumes the
+//! aggregates.
 
 use longsynth::{CumulativeAggregate, HistogramAggregate, Release};
 use longsynth_data::BitColumn;
@@ -24,43 +28,26 @@ use crate::EngineError;
 
 /// A per-shard release that can be merged across shards.
 pub trait MergeRelease: Sized {
-    /// Merge borrowed per-shard parts (in shard order) into one
-    /// population-level release, leaving the parts in place.
-    ///
-    /// This is the per-round hot path when a release sink is attached: the
-    /// per-shard releases stay owned by the engine (they are handed back to
-    /// the caller) while the merged copy goes to the sink, so the merge
-    /// must not consume — and must not clone — the parts.
-    fn merge_borrowed(parts: &[Self]) -> Result<Self, EngineError>;
-
     /// Merge per-shard parts (in shard order) into one population-level
-    /// release, consuming them.
-    ///
-    /// Bit-identical to [`merge_borrowed`](Self::merge_borrowed) on the
-    /// same parts (pinned by property tests).
-    fn merge(parts: Vec<Self>) -> Result<Self, EngineError> {
-        Self::merge_borrowed(&parts)
-    }
-}
-
-/// Concatenate bit columns in shard order (word-level — 64 bits at a time).
-fn concat_columns<'a, I: IntoIterator<Item = &'a BitColumn>>(parts: I) -> BitColumn {
-    BitColumn::concat(parts)
+    /// release, leaving the parts in place: the engine still hands them
+    /// to the release sink, so the merge borrows — and never clones — the
+    /// parts.
+    fn merge(parts: &[Self]) -> Result<Self, EngineError>;
 }
 
 impl MergeRelease for BitColumn {
-    fn merge_borrowed(parts: &[Self]) -> Result<Self, EngineError> {
+    fn merge(parts: &[Self]) -> Result<Self, EngineError> {
         if parts.is_empty() {
             return Err(EngineError::MergeMismatch(
                 "no shard releases to merge".to_string(),
             ));
         }
-        Ok(concat_columns(parts))
+        Ok(BitColumn::concat(parts))
     }
 }
 
 impl MergeRelease for Release {
-    fn merge_borrowed(parts: &[Self]) -> Result<Self, EngineError> {
+    fn merge(parts: &[Self]) -> Result<Self, EngineError> {
         // All shards run in lockstep, so the variants must agree; validate
         // against the first part, then concatenate borrowed columns in
         // shard order — one output allocation per merged column, no
@@ -99,7 +86,7 @@ impl MergeRelease for Release {
                 }
                 Ok(Release::Initial(
                     (0..k)
-                        .map(|t| concat_columns(per_part.iter().map(|columns| &columns[t])))
+                        .map(|t| BitColumn::concat(per_part.iter().map(|columns| &columns[t])))
                         .collect(),
                 ))
             }
@@ -113,14 +100,14 @@ impl MergeRelease for Release {
                     };
                     columns.push(column);
                 }
-                Ok(Release::Update(concat_columns(columns)))
+                Ok(Release::Update(BitColumn::concat(columns)))
             }
         }
     }
 }
 
 impl MergeRelease for () {
-    fn merge_borrowed(parts: &[Self]) -> Result<Self, EngineError> {
+    fn merge(parts: &[Self]) -> Result<Self, EngineError> {
         if parts.is_empty() {
             return Err(EngineError::MergeMismatch(
                 "no shard releases to merge".to_string(),
@@ -136,14 +123,13 @@ impl MergeRelease for () {
 /// population-level `finalize`.
 pub trait MergeAggregate: Sized {
     /// Fold one disjoint-cohort part into `self` in place — the primitive
-    /// the merge forms below are built from. Folding parts in shard order
-    /// is bit-identical to [`merge`](Self::merge) on the same sequence
-    /// (pinned by property tests).
+    /// [`merge`](Self::merge) is built from.
     fn merge_into(&mut self, part: &Self) -> Result<(), EngineError>;
 
     /// Combine per-shard aggregates (in shard order) into one
-    /// population-level aggregate, consuming them.
-    fn merge(parts: Vec<Self>) -> Result<Self, EngineError> {
+    /// population-level aggregate, consuming them: the first part folds
+    /// in every later one with [`merge_into`](Self::merge_into).
+    fn merge(parts: impl IntoIterator<Item = Self>) -> Result<Self, EngineError> {
         let mut parts = parts.into_iter();
         let Some(mut merged) = parts.next() else {
             return Err(EngineError::MergeMismatch(
@@ -152,25 +138,6 @@ pub trait MergeAggregate: Sized {
         };
         for part in parts {
             merged.merge_into(&part)?;
-        }
-        Ok(merged)
-    }
-
-    /// Combine borrowed per-shard aggregates (in shard order), cloning
-    /// only the first part — the per-round form when the engine keeps the
-    /// per-shard aggregates alive alongside the merged view.
-    fn merge_borrowed(parts: &[Self]) -> Result<Self, EngineError>
-    where
-        Self: Clone,
-    {
-        let Some((first, rest)) = parts.split_first() else {
-            return Err(EngineError::MergeMismatch(
-                "no shard aggregates to merge".to_string(),
-            ));
-        };
-        let mut merged = first.clone();
-        for part in rest {
-            merged.merge_into(part)?;
         }
         Ok(merged)
     }
@@ -304,21 +271,6 @@ impl MergeAggregate for BitColumn {
         self.extend_bits(part);
         Ok(())
     }
-
-    /// Override: concatenation knows the total width up front, so one
-    /// sized allocation beats the fold's repeated extension.
-    fn merge_borrowed(parts: &[Self]) -> Result<Self, EngineError> {
-        if parts.is_empty() {
-            return Err(EngineError::MergeMismatch(
-                "no shard aggregates to merge".to_string(),
-            ));
-        }
-        Ok(concat_columns(parts))
-    }
-
-    fn merge(parts: Vec<Self>) -> Result<Self, EngineError> {
-        <Self as MergeAggregate>::merge_borrowed(&parts)
-    }
 }
 
 #[cfg(test)]
@@ -332,17 +284,17 @@ mod tests {
     #[test]
     fn bit_columns_concatenate_in_shard_order() {
         let merged: BitColumn =
-            MergeRelease::merge(vec![col(&[true, false]), col(&[false]), col(&[true])]).unwrap();
+            MergeRelease::merge(&[col(&[true, false]), col(&[false]), col(&[true])]).unwrap();
         let bits: Vec<bool> = merged.iter().collect();
         assert_eq!(bits, vec![true, false, false, true]);
     }
 
     #[test]
     fn release_variants_must_align() {
-        let buffered = Release::merge(vec![Release::Buffered, Release::Buffered]).unwrap();
+        let buffered = Release::merge(&[Release::Buffered, Release::Buffered]).unwrap();
         assert!(matches!(buffered, Release::Buffered));
 
-        let mixed = Release::merge(vec![Release::Buffered, Release::Update(col(&[true]))]);
+        let mixed = Release::merge(&[Release::Buffered, Release::Update(col(&[true]))]);
         assert!(mixed.is_err());
     }
 
@@ -350,7 +302,7 @@ mod tests {
     fn initial_releases_merge_per_round() {
         let a = Release::Initial(vec![col(&[true]), col(&[false])]);
         let b = Release::Initial(vec![col(&[false, false]), col(&[true, true])]);
-        let Release::Initial(columns) = Release::merge(vec![a, b]).unwrap() else {
+        let Release::Initial(columns) = Release::merge(&[a, b]).unwrap() else {
             panic!("expected Initial");
         };
         assert_eq!(columns.len(), 2);
@@ -366,8 +318,8 @@ mod tests {
 
     #[test]
     fn empty_merge_rejected() {
-        assert!(MergeRelease::merge(Vec::<BitColumn>::new()).is_err());
-        assert!(MergeRelease::merge(Vec::<()>::new()).is_err());
+        assert!(MergeRelease::merge(&[] as &[BitColumn]).is_err());
+        assert!(MergeRelease::merge(&[] as &[()]).is_err());
         assert!(MergeAggregate::merge(Vec::<HistogramAggregate>::new()).is_err());
         assert!(MergeAggregate::merge(Vec::<CumulativeAggregate>::new()).is_err());
         assert!(MergeAggregate::merge(Vec::<BitColumn>::new()).is_err());

@@ -111,7 +111,7 @@ proptest! {
                 .zip(&parts)
                 .map(|(synth, part)| synth.step(part).unwrap())
                 .collect();
-            let hand_merged = Release::merge(hand).unwrap();
+            let hand_merged = Release::merge(&hand).unwrap();
             prop_assert_eq!(&by_default, &by_policy);
             prop_assert_eq!(&by_policy, &hand_merged);
         }

@@ -353,20 +353,3 @@ fn observer_does_not_perturb_releases() {
         Some(horizon as u64)
     );
 }
-
-/// The two-phase prepare/finalize path commits rounds to the ledger the
-/// same as `step` does.
-#[test]
-fn two_phase_rounds_commit_to_the_ledger() {
-    let (n, horizon, seed) = (50, 4, 9u64);
-    let data = iid_bernoulli(&mut rng_from_seed(5), n, horizon, 0.3);
-    let mut engine = static_per_shard_engine(n, 2, horizon, seed);
-    observe(&mut engine);
-    let cap = Rho::new(RHO).unwrap();
-    for (round, column) in data.stream().enumerate() {
-        let aggregate = engine.prepare(column.1).unwrap();
-        engine.finalize(aggregate).unwrap();
-        assert_replay_exact(&engine, cap, round);
-    }
-    assert_eq!(engine.observer().unwrap().ledger().len(), 2 * horizon);
-}

@@ -159,7 +159,7 @@ proptest! {
                 .zip(&parts)
                 .map(|(synth, part)| synth.step(part).unwrap())
                 .collect();
-            let hand_merged = Release::merge(hand).unwrap();
+            let hand_merged = Release::merge(&hand).unwrap();
             prop_assert_eq!(&merged, &hand_merged);
         }
         // Per-shard populations also agree with the engine's shards.

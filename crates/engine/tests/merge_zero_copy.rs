@@ -1,53 +1,17 @@
-//! Zero-copy merge equivalence pins.
+//! Merge pins.
 //!
-//! The borrowing (`merge_borrowed`) and fold-in-place (`merge_into`) merge
-//! APIs exist purely as allocation/clone-avoidance refactors of the owned
-//! `merge(Vec<_>)` path; these property tests pin that all three forms are
-//! **bit-identical** — same merged value on success, an error on exactly
-//! the same (ragged, mixed-variant, or empty) inputs — so the engine's
-//! per-round hot path can pick whichever form avoids work without any
-//! behavioral risk.
+//! Each merge trait has one way to combine parts: `MergeRelease::merge`
+//! borrows a slice of per-shard releases, and `MergeAggregate::merge`
+//! folds owned per-shard aggregates with `merge_into`. These properties
+//! pin what that one form does on arbitrary parts: it sums (aggregates) or
+//! concatenates (releases) in shard order when the parts line up, and it
+//! is an error on exactly the parts no lockstep round can produce —
+//! ragged widths, mixed variants, or no parts at all.
 
 use longsynth::{CumulativeAggregate, HistogramAggregate, Release};
 use longsynth_data::BitColumn;
 use longsynth_engine::{MergeAggregate, MergeRelease};
 use proptest::prelude::*;
-
-/// Assert the three merge forms of a `MergeAggregate` family agree:
-/// owned `merge`, `merge_borrowed`, and a manual first-clone +
-/// `merge_into` fold.
-fn assert_aggregate_forms_agree<A>(parts: Vec<A>)
-where
-    A: MergeAggregate + Clone + PartialEq + std::fmt::Debug,
-{
-    let owned = A::merge(parts.clone());
-    let borrowed = A::merge_borrowed(&parts);
-    let folded: Option<Result<A, longsynth_engine::EngineError>> =
-        parts.split_first().map(|(first, rest)| {
-            let mut merged = first.clone();
-            for part in rest {
-                merged.merge_into(part)?;
-            }
-            Ok(merged)
-        });
-    match owned {
-        Ok(merged) => {
-            assert_eq!(borrowed.as_ref().ok(), Some(&merged), "borrowed diverged");
-            assert_eq!(
-                folded.and_then(Result::ok).as_ref(),
-                Some(&merged),
-                "merge_into fold diverged"
-            );
-        }
-        Err(_) => {
-            assert!(borrowed.is_err(), "borrowed accepted what owned rejected");
-            assert!(
-                folded.is_none() || folded.unwrap().is_err(),
-                "merge_into fold accepted what owned rejected"
-            );
-        }
-    }
-}
 
 /// Histogram part from raw generated data; `kind` mixes Buffered vs
 /// Counts so ragged widths AND mixed phases exercise the error paths.
@@ -63,11 +27,26 @@ fn histogram_part(kind: u8, n: usize, counts: &[i64]) -> HistogramAggregate {
     }
 }
 
+/// A histogram part's population and its bins (`None` while buffering).
+fn histogram_shape(part: &HistogramAggregate) -> (usize, Option<&[i64]>) {
+    match part {
+        HistogramAggregate::Buffered { n } => (*n, None),
+        HistogramAggregate::Counts { n, counts } => (*n, Some(counts)),
+    }
+}
+
+/// The concatenation of `parts` in order, as bools.
+fn concat_bits<'a>(parts: impl IntoIterator<Item = &'a Vec<bool>>) -> Vec<bool> {
+    parts.into_iter().flatten().copied().collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// Histograms sum bin-wise when every part is in the same phase with
+    /// the same width, and are rejected otherwise.
     #[test]
-    fn histogram_merge_forms_agree(
+    fn histogram_merge_sums_aligned_parts_and_rejects_the_rest(
         kinds in collection::vec(any::<u8>(), 0..6),
         ns in collection::vec(0usize..1000, 6..7),
         counts in collection::vec(-50i64..5000, 8..9),
@@ -77,11 +56,24 @@ proptest! {
             .enumerate()
             .map(|(i, &kind)| histogram_part(kind, ns[i], &counts))
             .collect();
-        assert_aggregate_forms_agree(parts);
+        let width = |part| histogram_shape(part).1.map(<[i64]>::len);
+        let aligned = !parts.is_empty() && parts.iter().all(|p| width(p) == width(&parts[0]));
+        let merged = HistogramAggregate::merge(parts.clone());
+        prop_assert_eq!(merged.is_ok(), aligned);
+        if let Ok(merged) = merged {
+            let (n, bins) = histogram_shape(&merged);
+            prop_assert_eq!(n, parts.iter().map(|p| histogram_shape(p).0).sum::<usize>());
+            for (b, &bin) in bins.unwrap_or_default().iter().enumerate() {
+                let sum: i64 = parts.iter().map(|p| histogram_shape(p).1.unwrap()[b]).sum();
+                prop_assert_eq!(bin, sum);
+            }
+        }
     }
 
+    /// Threshold increments sum element-wise when every part has the same
+    /// width, and ragged widths are rejected.
     #[test]
-    fn cumulative_merge_forms_agree(
+    fn cumulative_merge_sums_aligned_parts_and_rejects_the_rest(
         ns in collection::vec(0usize..1000, 0..6),
         widths in collection::vec(1usize..9, 6..7),
         increments in collection::vec(0u64..5000, 8..9),
@@ -94,26 +86,36 @@ proptest! {
                 increments: increments[..widths[i]].to_vec(),
             })
             .collect();
-        assert_aggregate_forms_agree(parts);
+        let aligned = !parts.is_empty()
+            && parts.iter().all(|p| p.increments.len() == parts[0].increments.len());
+        let merged = CumulativeAggregate::merge(parts.clone());
+        prop_assert_eq!(merged.is_ok(), aligned);
+        if let Ok(merged) = merged {
+            prop_assert_eq!(merged.n, ns.iter().sum::<usize>());
+            for (b, &total) in merged.increments.iter().enumerate() {
+                prop_assert_eq!(total, parts.iter().map(|p| p.increments[b]).sum::<u64>());
+            }
+        }
     }
 
+    /// The recompute baseline's raw-column aggregates concatenate.
     #[test]
-    fn bit_column_aggregate_merge_forms_agree(
+    fn bit_column_aggregate_merge_concatenates(
         parts_bits in collection::vec(collection::vec(any::<bool>(), 0..150), 0..6)
     ) {
-        let parts: Vec<BitColumn> = parts_bits
-            .iter()
-            .map(|bits| BitColumn::from_bools(bits))
-            .collect();
-        assert_aggregate_forms_agree(parts);
+        let parts = parts_bits.iter().map(|bits| BitColumn::from_bools(bits));
+        match <BitColumn as MergeAggregate>::merge(parts) {
+            Ok(merged) => prop_assert_eq!(merged.iter().collect::<Vec<_>>(), concat_bits(&parts_bits)),
+            Err(_) => prop_assert!(parts_bits.is_empty()),
+        }
     }
 
-    /// `Release::merge` vs `merge_borrowed` on ragged per-shard initial
-    /// releases: per-round windows of different populations per shard
-    /// (the common case — shard cohorts never split evenly), including
-    /// shards that disagree on the window width `k` (the error path).
+    /// Ragged per-shard initial releases: per-round windows of different
+    /// populations per shard (the common case — shard cohorts never split
+    /// evenly) concatenate round by round, and shards that disagree on
+    /// the window width `k` are rejected.
     #[test]
-    fn initial_release_merge_forms_agree(
+    fn initial_release_merge_concatenates_per_round(
         per_shard in collection::vec(
             collection::vec(collection::vec(any::<bool>(), 0..80), 1..5),
             1..5
@@ -125,45 +127,52 @@ proptest! {
                 Release::Initial(columns.iter().map(|b| BitColumn::from_bools(b)).collect())
             })
             .collect();
-        let owned = Release::merge(parts.clone());
-        let borrowed = Release::merge_borrowed(&parts);
-        match owned {
-            Ok(merged) => prop_assert_eq!(borrowed.unwrap(), merged),
-            Err(_) => prop_assert!(borrowed.is_err()),
+        let k = per_shard[0].len();
+        let aligned = per_shard.iter().all(|columns| columns.len() == k);
+        let merged = Release::merge(&parts);
+        prop_assert_eq!(merged.is_ok(), aligned);
+        if let Ok(merged) = merged {
+            let Release::Initial(columns) = merged else {
+                panic!("initial parts merge into an initial release");
+            };
+            prop_assert_eq!(columns.len(), k);
+            for (t, column) in columns.iter().enumerate() {
+                let expected = concat_bits(per_shard.iter().map(|shard| &shard[t]));
+                prop_assert_eq!(column.iter().collect::<Vec<_>>(), expected);
+            }
         }
     }
 
     #[test]
-    fn update_release_merge_forms_agree(
+    fn update_release_merge_concatenates(
         columns in collection::vec(collection::vec(any::<bool>(), 0..200), 1..6)
     ) {
         let parts: Vec<Release> = columns
             .iter()
             .map(|b| Release::Update(BitColumn::from_bools(b)))
             .collect();
-        let merged = Release::merge(parts.clone()).unwrap();
-        prop_assert_eq!(Release::merge_borrowed(&parts).unwrap(), merged);
+        let Release::Update(merged) = Release::merge(&parts).unwrap() else {
+            panic!("update parts merge into an update release");
+        };
+        prop_assert_eq!(merged.iter().collect::<Vec<_>>(), concat_bits(&columns));
     }
 
-    /// Mixed-variant shard releases error identically through both forms.
+    /// Mixed-variant shard releases are rejected.
     #[test]
-    fn mixed_release_variants_rejected_by_both_forms(
+    fn mixed_release_variants_are_rejected(
         bits in collection::vec(any::<bool>(), 0..40)
     ) {
         let parts = vec![Release::Buffered, Release::Update(BitColumn::from_bools(&bits))];
-        prop_assert!(Release::merge(parts.clone()).is_err());
-        prop_assert!(Release::merge_borrowed(&parts).is_err());
+        prop_assert!(Release::merge(&parts).is_err());
     }
 }
 
 #[test]
-fn empty_merges_error_through_every_form() {
-    assert!(Release::merge(Vec::new()).is_err());
-    assert!(Release::merge_borrowed(&[]).is_err());
-    assert!(<BitColumn as MergeRelease>::merge_borrowed(&[]).is_err());
-    assert!(<() as MergeRelease>::merge_borrowed(&[]).is_err());
+fn empty_merges_are_rejected_for_every_type() {
+    assert!(Release::merge(&[]).is_err());
+    assert!(<BitColumn as MergeRelease>::merge(&[]).is_err());
+    assert!(<() as MergeRelease>::merge(&[]).is_err());
     assert!(HistogramAggregate::merge(Vec::new()).is_err());
-    assert!(HistogramAggregate::merge_borrowed(&[]).is_err());
-    assert!(CumulativeAggregate::merge_borrowed(&[]).is_err());
-    assert!(<BitColumn as MergeAggregate>::merge_borrowed(&[]).is_err());
+    assert!(CumulativeAggregate::merge(Vec::new()).is_err());
+    assert!(<BitColumn as MergeAggregate>::merge(Vec::new()).is_err());
 }

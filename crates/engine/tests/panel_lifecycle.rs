@@ -332,48 +332,6 @@ fn shared_noise_supports_static_heterogeneous_budgets() {
     assert!(matches!(err, EngineError::HeterogeneousShards { .. }));
 }
 
-/// The engine's two-phase path under a schedule mirrors `step` exactly.
-#[test]
-fn scheduled_step_equals_prepare_then_finalize() {
-    let schedule =
-        PanelSchedule::rotating(60, 5, 2, Rho::new(0.1).unwrap(), Rho::new(0.1).unwrap()).unwrap();
-    let build = |seed: u64| {
-        let fork = RngFork::new(seed);
-        ShardedEngine::with_schedule(
-            schedule.clone(),
-            AggregationPolicy::PerShardNoise,
-            move |slot| {
-                let config = CumulativeConfig::new(slot.horizon, slot.budget).unwrap();
-                let SlotRole::Shard(s) = slot.role else {
-                    unreachable!("per-shard noise never builds a population slot");
-                };
-                CumulativeSynthesizer::new(config, fork.subfork(s as u64), rng_from_seed(s as u64))
-            },
-        )
-        .unwrap()
-    };
-    let mut stepped = build(31);
-    let mut phased = build(31);
-    let panels = cohort_panels(&schedule, 8, 0.4);
-    for round in 0..5 {
-        let column = active_column(&schedule, &panels, round);
-        let via_step = stepped.step(&column).unwrap();
-        let aggregate = phased.prepare(&column).unwrap();
-        let via_phases = phased.finalize(aggregate).unwrap();
-        assert_eq!(via_step, via_phases, "round {round}");
-    }
-    // Standalone finalize stays refused on scheduled engines.
-    let mut fresh = build(32);
-    let err = fresh
-        .finalize(longsynth::CumulativeAggregate {
-            n: 24,
-            increments: vec![1],
-        })
-        .unwrap_err();
-    assert!(matches!(err, EngineError::OutOfPhase(_)));
-    assert!(err.to_string().contains("active-set"), "{err}");
-}
-
 /// A factory that does not honor its slot's schedule is named precisely.
 #[test]
 fn schedule_mismatches_are_descriptive() {
@@ -584,7 +542,7 @@ fn scheduled_rounds_reject_wrong_active_population() {
         }
         other => panic!("expected PopulationMismatch, got {other:?}"),
     }
-    // Through the trait, the engine reports the schedule's global horizon.
-    assert_eq!(ContinualSynthesizer::horizon(&engine), 5);
-    assert_eq!(ContinualSynthesizer::rounds_remaining(&engine), 5);
+    // The rejected round consumed nothing of the schedule's global horizon.
+    assert_eq!(engine.horizon(), 5);
+    assert_eq!(engine.rounds_fed(), 0);
 }

@@ -7,8 +7,9 @@
 //!   (`retired_cohorts()` is `None`); bit-identity against a hand
 //!   composition is pinned by `shared_noise_engine_equals_manual_composition`.
 //! * **Retirement bookkeeping** — each sealed cohort is forgotten once,
-//!   step and two-phase rounds agree, and a failed retirement is an
-//!   `EngineError::Population` that is not counted.
+//!   rotating `step` equals a hand composition of the same synthesizers,
+//!   and a failed retirement is an `EngineError::Population` that is not
+//!   counted.
 //! * **Rotating accuracy** — windowed-shared active-set population
 //!   estimates beat (or at worst match) the per-shard-noise pooled
 //!   estimates at 25–50% per-round churn, while the two-level budget
@@ -21,7 +22,10 @@ use longsynth_data::generators::iid_bernoulli;
 use longsynth_data::{BitColumn, LongitudinalDataset};
 use longsynth_dp::budget::Rho;
 use longsynth_dp::rng::{rng_from_seed, RngFork};
-use longsynth_engine::{AggregationPolicy, EngineError, PanelSchedule, ShardedEngine, SlotRole};
+use longsynth_engine::{
+    AggregationPolicy, EngineError, MergeAggregate, PanelSchedule, PanelSlot, ShardableInput,
+    ShardedEngine, SlotRole,
+};
 use longsynth_queries::cumulative::cumulative_counts;
 use longsynth_queries::{active_weighted_mean, ErrorSummary};
 
@@ -60,27 +64,41 @@ fn static_shared_engine_retires_no_cohorts() {
     assert_eq!(engine.retired_cohorts(), None);
 }
 
+/// The slot factory of a rotating engine over `schedule`: cohort slots
+/// run plain cumulative synthesizers, and the population slot (shared
+/// noise only) runs windowed release mode, bounded by the longest
+/// membership window. Calling it twice on one slot builds identical
+/// synthesizers, so hand compositions can mirror an engine.
+fn rotating_slot_factory(
+    schedule: &PanelSchedule,
+    seed: u64,
+) -> impl Fn(PanelSlot) -> CumulativeSynthesizer {
+    let fork = RngFork::new(seed);
+    let window = (0..schedule.cohorts())
+        .map(|c| schedule.cohort(c).horizon)
+        .max()
+        .expect("schedules have cohorts");
+    move |slot| {
+        let config = CumulativeConfig::new(slot.horizon, slot.budget).unwrap();
+        let (config, stream) = match slot.role {
+            SlotRole::Shard(s) => (config, 1 + s as u64),
+            SlotRole::Population => (config.with_window(window).unwrap(), 0),
+        };
+        CumulativeSynthesizer::new(config, fork.subfork(stream), rng_from_seed(seed ^ stream))
+    }
+}
+
 /// Build a rotating shared-noise engine over `schedule` (cohort budgets
 /// already carry the cohort share; the population slot gets the rest).
 fn rotating_shared_engine(
     schedule: &PanelSchedule,
     seed: u64,
 ) -> ShardedEngine<CumulativeSynthesizer> {
-    let fork = RngFork::new(seed);
-    let window = (0..schedule.cohorts())
-        .map(|c| schedule.cohort(c).horizon)
-        .max()
-        .expect("schedules have cohorts");
-    ShardedEngine::with_schedule(schedule.clone(), AggregationPolicy::shared(), |slot| {
-        let config = CumulativeConfig::new(slot.horizon, slot.budget).unwrap();
-        let (config, stream) = match slot.role {
-            SlotRole::Shard(s) => (config, 1 + s as u64),
-            // The population slot runs windowed release mode, bounded by
-            // the longest membership window.
-            SlotRole::Population => (config.with_window(window).unwrap(), 0),
-        };
-        CumulativeSynthesizer::new(config, fork.subfork(stream), rng_from_seed(seed ^ stream))
-    })
+    ShardedEngine::with_schedule(
+        schedule.clone(),
+        AggregationPolicy::shared(),
+        rotating_slot_factory(schedule, seed),
+    )
     .unwrap()
 }
 
@@ -215,21 +233,91 @@ fn rotating_shared_noise_is_deterministic() {
     assert_ne!(run(21), run(22));
 }
 
-/// The two-phase engine path applies retirements exactly like `step`.
+/// A rotating engine's `step` equals a hand composition of the same
+/// synthesizers, round by round, under both policies. Each round's
+/// active column splits by `schedule.active_layout(round)`. Per-shard
+/// noise: the active cohorts step and their releases concatenate. Shared
+/// noise: each active cohort prepares and finalizes its own release, its
+/// aggregate joins the cohort's lifetime view, every cohort sealed at
+/// this round boundary is forgotten by the population synthesizer, and
+/// the population synthesizer finalizes the aligned sum.
 #[test]
-fn rotating_shared_step_equals_prepare_then_finalize() {
-    let schedule = rotating_shared_schedule(48, 6, 2, 0.3);
+fn rotating_step_equals_hand_composition() {
+    let horizon = 6;
+    let schedule = rotating_shared_schedule(48, horizon, 2, 0.3);
     let panels = cohort_panels(&schedule, 13, 0.3);
-    let mut stepped = rotating_shared_engine(&schedule, 33);
-    let mut phased = rotating_shared_engine(&schedule, 33);
-    for round in 0..6 {
-        let column = active_column(&schedule, &panels, round);
-        let via_step = stepped.step(&column).unwrap();
-        let aggregate = phased.prepare(&column).unwrap();
-        let via_phases = phased.finalize(aggregate).unwrap();
-        assert_eq!(via_step, via_phases, "round {round}");
+    for policy in [
+        AggregationPolicy::PerShardNoise,
+        AggregationPolicy::shared(),
+    ] {
+        let make = rotating_slot_factory(&schedule, 33);
+        let mut engine = ShardedEngine::with_schedule(schedule.clone(), policy, &make).unwrap();
+        let mut cohorts: Vec<CumulativeSynthesizer> = (0..schedule.cohorts())
+            .map(|c| {
+                make(PanelSlot {
+                    role: SlotRole::Shard(c),
+                    size: schedule.cohort_size(c),
+                    entry_round: schedule.cohort(c).entry_round,
+                    horizon: schedule.cohort(c).horizon,
+                    budget: schedule.cohort(c).budget,
+                })
+            })
+            .collect();
+        let mut population = policy
+            .population_budget(schedule.cohorts(), schedule.total_budget())
+            .map(|budget| {
+                make(PanelSlot {
+                    role: SlotRole::Population,
+                    size: schedule.active_population(0),
+                    entry_round: 0,
+                    horizon,
+                    budget,
+                })
+            });
+        let mut lifetime: Vec<Option<CumulativeAggregate>> = vec![None; schedule.cohorts()];
+        let mut retired = 0;
+        for round in 0..horizon {
+            let column = active_column(&schedule, &panels, round);
+            let via_engine = engine.step(&column).unwrap();
+            let active = schedule.active(round);
+            let parts = column.split(&schedule.active_layout(round).unwrap());
+            let by_hand = match &mut population {
+                None => BitColumn::concat(
+                    active
+                        .iter()
+                        .zip(&parts)
+                        .map(|(&c, part)| cohorts[c].step(part).unwrap())
+                        .collect::<Vec<_>>()
+                        .iter(),
+                ),
+                Some(population) => {
+                    let mut aggregates = Vec::new();
+                    for (&c, part) in active.iter().zip(&parts) {
+                        let aggregate = cohorts[c].prepare(part).unwrap();
+                        cohorts[c].finalize(aggregate.clone()).unwrap();
+                        match &mut lifetime[c] {
+                            slot @ None => *slot = Some(aggregate.clone()),
+                            Some(view) => view.absorb_round(&aggregate).unwrap(),
+                        }
+                        aggregates.push(aggregate.align_to_round(round + 1));
+                    }
+                    for (c, view) in lifetime.iter_mut().enumerate() {
+                        let cohort = schedule.cohort(c);
+                        if cohort.entry_round + cohort.horizon == round {
+                            population.forget_cohort(view.take().unwrap()).unwrap();
+                            retired += 1;
+                        }
+                    }
+                    population
+                        .finalize(CumulativeAggregate::merge(aggregates).unwrap())
+                        .unwrap()
+                }
+            };
+            assert_eq!(via_engine, by_hand, "{policy}, round {round}");
+        }
+        let expected_retired = population.is_some().then_some(retired);
+        assert_eq!(engine.retired_cohorts(), expected_retired, "{policy}");
     }
-    assert_eq!(stepped.retired_cohorts(), phased.retired_cohorts());
 }
 
 /// A windowed cumulative synthesizer whose `forget_cohort` always fails.

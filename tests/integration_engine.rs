@@ -1,16 +1,15 @@
 //! End-to-end sharded-engine runs on the paper's SIPP-like panel: accuracy
 //! survives sharding, cohort boundaries respect record identity, and the
-//! engine composes through the `ContinualSynthesizer` trait object surface.
+//! engine keeps a synthesizer's round and budget bookkeeping.
 
 use longsynth::{
-    ContinualSynthesizer, CumulativeConfig, CumulativeSynthesizer, FixedWindowConfig,
-    FixedWindowSynthesizer, Release,
+    CumulativeConfig, CumulativeSynthesizer, FixedWindowConfig, FixedWindowSynthesizer,
 };
 use longsynth_data::sipp::SippConfig;
 use longsynth_data::BitColumn;
 use longsynth_dp::budget::Rho;
 use longsynth_dp::rng::{rng_from_seed, RngFork};
-use longsynth_engine::{ShardPlan, ShardedEngine};
+use longsynth_engine::{EngineError, ShardPlan, ShardedEngine};
 use longsynth_queries::window::quarterly_battery;
 
 #[test]
@@ -83,9 +82,10 @@ fn sharded_release_equals_cohort_release_rowwise() {
 }
 
 #[test]
-fn engine_behind_trait_object() {
-    // The engine is consumable wherever a synthesizer is: through a trait
-    // object with uniform bookkeeping.
+fn engine_bookkeeping_over_a_full_run() {
+    // The engine keeps the bookkeeping a synthesizer does: its horizon,
+    // the rounds fed so far, the budget spent, and a clean refusal once
+    // the horizon is exhausted.
     let n = 400;
     let panel = SippConfig::small(n).simulate(&mut rng_from_seed(9));
     let horizon = panel.rounds();
@@ -95,20 +95,15 @@ fn engine_behind_trait_object() {
         FixedWindowSynthesizer::new(config, fork.child(s as u64))
     })
     .unwrap();
-    let synth: &mut dyn ContinualSynthesizer<
-        Input = BitColumn,
-        Release = Release,
-        Aggregate = longsynth::HistogramAggregate,
-    > = &mut engine;
-    assert_eq!(synth.horizon(), horizon);
+    assert_eq!(engine.horizon(), horizon);
     for (t, col) in panel.stream() {
-        synth.step(col).unwrap();
-        assert_eq!(synth.round(), t + 1);
-        assert_eq!(synth.rounds_remaining(), horizon - t - 1);
+        engine.step(col).unwrap();
+        assert_eq!(engine.rounds_fed(), t + 1);
+        assert_eq!(engine.horizon() - engine.rounds_fed(), horizon - t - 1);
     }
-    assert!((synth.budget_spent().value() - 0.1).abs() < 1e-9);
+    assert!((engine.budget().spent().value() - 0.1).abs() < 1e-9);
     assert!(matches!(
-        synth.step(&BitColumn::zeros(n)),
-        Err(longsynth::SynthError::HorizonExceeded { .. })
+        engine.step(&BitColumn::zeros(n)),
+        Err(EngineError::HorizonExhausted { horizon: h }) if h == horizon
     ));
 }
