@@ -3,7 +3,7 @@
 //! `run_experiments ablations`), plus raw counter throughput.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use longsynth::{BudgetSplit, CumulativeConfig, CumulativeSynthesizer};
+use longsynth::{BudgetSplit, ContinualSynthesizer, CumulativeConfig, CumulativeSynthesizer};
 use longsynth_bench::bench_panel;
 use longsynth_counters::CounterKind;
 use longsynth_dp::budget::Rho;

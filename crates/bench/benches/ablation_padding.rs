@@ -3,7 +3,10 @@
 //! `run_experiments ablations` and the integration tests).
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use longsynth::{FixedWindowConfig, FixedWindowSynthesizer, PaddingPolicy, SelectionStrategy};
+use longsynth::{
+    ContinualSynthesizer, FixedWindowConfig, FixedWindowSynthesizer, PaddingPolicy,
+    SelectionStrategy,
+};
 use longsynth_bench::bench_panel;
 use longsynth_dp::budget::Rho;
 use longsynth_dp::rng::rng_from_seed;

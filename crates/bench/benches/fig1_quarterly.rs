@@ -3,7 +3,7 @@
 //! the repeated-experiment harness at reduced reps.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use longsynth::{FixedWindowConfig, FixedWindowSynthesizer};
+use longsynth::{ContinualSynthesizer, FixedWindowConfig, FixedWindowSynthesizer};
 use longsynth_bench::{bench_panel, BENCH_REPS};
 use longsynth_dp::budget::Rho;
 use longsynth_dp::rng::rng_from_seed;

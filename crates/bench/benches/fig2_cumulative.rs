@@ -2,7 +2,7 @@
 //! ρ = 0.005) — Algorithm 2 at paper scale.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use longsynth::{CumulativeConfig, CumulativeSynthesizer};
+use longsynth::{ContinualSynthesizer, CumulativeConfig, CumulativeSynthesizer};
 use longsynth_bench::{bench_panel, BENCH_REPS};
 use longsynth_dp::budget::Rho;
 use longsynth_dp::rng::{rng_from_seed, RngFork};

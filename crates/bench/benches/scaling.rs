@@ -3,7 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use longsynth::{
-    CumulativeConfig, CumulativeSynthesizer, FixedWindowConfig, FixedWindowSynthesizer,
+    ContinualSynthesizer, CumulativeConfig, CumulativeSynthesizer, FixedWindowConfig,
+    FixedWindowSynthesizer,
 };
 use longsynth_bench::bench_panel;
 use longsynth_dp::budget::Rho;

@@ -397,7 +397,7 @@ type ReleaseOf<F> = <<F as Family>::Synth as ContinualSynthesizer>::Release;
 trait Family: Sized {
     type Synth: ContinualSynthesizer<
             Input = BitColumn,
-            Release: MergeRelease + Clone + Send,
+            Release: MergeRelease + Send,
             Aggregate: MergeAggregate + Clone + Send,
         > + Send
         + 'static;

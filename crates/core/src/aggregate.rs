@@ -22,6 +22,8 @@
 //! never be released. Only [`finalize`](crate::ContinualSynthesizer::finalize)
 //! outputs (which charge the privacy ledger) are publishable.
 
+use crate::error::SynthError;
+
 /// Phase-1 output of the histogram-family synthesizers
 /// ([`FixedWindowSynthesizer`](crate::FixedWindowSynthesizer) over `2^k`
 /// bins, [`CategoricalSynthesizer`](crate::categorical::CategoricalSynthesizer)
@@ -51,6 +53,26 @@ impl HistogramAggregate {
         match self {
             HistogramAggregate::Buffered { n } | HistogramAggregate::Counts { n, .. } => *n,
         }
+    }
+
+    /// Check that this aggregate fits 1-based round `t` of a width-`k`
+    /// synthesis over `bins` bins: buffered before round `k`, a
+    /// `bins`-bin histogram from round `k` on.
+    pub(crate) fn check_shape(&self, t: usize, k: usize, bins: usize) -> Result<(), SynthError> {
+        let problem = match self {
+            HistogramAggregate::Buffered { .. } if t >= k => {
+                format!("buffered aggregate at round {t}, but releases start at round {k}")
+            }
+            HistogramAggregate::Counts { .. } if t < k => {
+                format!("histogram aggregate at buffering round {t} (< k = {k})")
+            }
+            HistogramAggregate::Counts { counts, .. } if counts.len() != bins => format!(
+                "aggregate has {} bins, width-{k} synthesis needs {bins}",
+                counts.len()
+            ),
+            _ => return Ok(()),
+        };
+        Err(SynthError::OutOfPhase(problem))
     }
 }
 

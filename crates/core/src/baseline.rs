@@ -17,7 +17,9 @@
 
 use crate::error::SynthError;
 use crate::fixed_window::{FixedWindowConfig, FixedWindowSynthesizer};
+use crate::gate::RoundGate;
 use crate::padding::PaddingPolicy;
+use crate::traits::ContinualSynthesizer;
 use crate::SyntheticDataset;
 use longsynth_data::{BitColumn, LongitudinalDataset};
 use longsynth_dp::budget::Rho;
@@ -27,7 +29,6 @@ use longsynth_queries::window::window_histogram;
 
 /// Per-round recompute baseline. See module docs.
 pub struct RecomputeBaseline {
-    horizon: usize,
     window: usize,
     rho: Rho,
     padding: PaddingPolicy,
@@ -35,10 +36,7 @@ pub struct RecomputeBaseline {
     /// One released population per round `t ≥ k−1`, in round order.
     releases: Vec<SyntheticDataset>,
     seeds: RngFork,
-    /// Completed (finalized) rounds so far.
-    rounds_fed: usize,
-    /// Rounds consumed by `prepare` (the two-phase bookkeeping).
-    rounds_prepared: usize,
+    gate: RoundGate,
 }
 
 impl RecomputeBaseline {
@@ -53,91 +51,14 @@ impl RecomputeBaseline {
         // Validate through the real config.
         FixedWindowConfig::new(horizon, window, rho)?;
         Ok(Self {
-            horizon,
             window,
             rho,
             padding,
             observed: LongitudinalDataset::empty(0),
             releases: Vec::new(),
             seeds,
-            rounds_fed: 0,
-            rounds_prepared: 0,
+            gate: RoundGate::new(horizon),
         })
-    }
-
-    /// Feed the next true column; recomputes a fresh synthetic dataset from
-    /// scratch when at least one full window is available.
-    ///
-    /// Exactly [`prepare`](Self::prepare) followed by
-    /// [`finalize`](Self::finalize).
-    pub fn step(&mut self, column: &BitColumn) -> Result<(), SynthError> {
-        let aggregate = self.prepare(column)?;
-        self.finalize(aggregate)
-    }
-
-    /// Phase 1 of the two-phase path. The strawman has no compact
-    /// sufficient statistic — it recomputes from the raw prefix — so its
-    /// "aggregate" is the validated input column itself (which is exactly
-    /// what an unsharded recompute over concatenated cohorts consumes).
-    pub fn prepare(&mut self, column: &BitColumn) -> Result<BitColumn, SynthError> {
-        if self.rounds_prepared > self.rounds_fed {
-            return Err(SynthError::OutOfPhase(format!(
-                "round {} awaits finalize before the next prepare",
-                self.rounds_prepared
-            )));
-        }
-        if self.rounds_prepared >= self.horizon {
-            return Err(SynthError::HorizonExceeded {
-                horizon: self.horizon,
-            });
-        }
-        if self.rounds_prepared > 0 && column.len() != self.observed.individuals() {
-            return Err(SynthError::ColumnSizeMismatch {
-                expected: self.observed.individuals(),
-                actual: column.len(),
-            });
-        }
-        self.rounds_prepared += 1;
-        Ok(column.clone())
-    }
-
-    /// Phase 2: observe the (possibly cross-cohort concatenated) column
-    /// and recompute the round's release under the budget share.
-    pub fn finalize(&mut self, column: BitColumn) -> Result<(), SynthError> {
-        let column = &column;
-        if self.rounds_fed >= self.horizon {
-            return Err(SynthError::HorizonExceeded {
-                horizon: self.horizon,
-            });
-        }
-        if self.rounds_fed == 0 {
-            self.observed = LongitudinalDataset::empty(column.len());
-        }
-        self.observed
-            .push_column(column.clone())
-            .map_err(|_| SynthError::ColumnSizeMismatch {
-                expected: self.observed.individuals(),
-                actual: column.len(),
-            })?;
-        self.rounds_fed += 1;
-        let t = self.rounds_fed;
-        if t < self.window {
-            return Ok(());
-        }
-
-        // Composition: each of the R = T−k+1 recomputes gets ρ/R. The
-        // single-shot generator is Algorithm 1 replayed over the prefix
-        // under that share (its own internal split then costs the second
-        // factor — the √T hit the paper describes).
-        let releases_total = self.horizon - self.window + 1;
-        let share = Rho::new(self.rho.value() / releases_total as f64).expect("validated rho");
-        let config = FixedWindowConfig::new(t, self.window, share)?.with_padding(self.padding);
-        let mut single_shot = FixedWindowSynthesizer::new(config, self.seeds.child(t as u64));
-        for round in 0..t {
-            single_shot.step(self.observed.column(round))?;
-        }
-        self.releases.push(single_shot.synthetic().clone());
-        Ok(())
     }
 
     /// The fresh population released at 0-based round `t` (first at
@@ -153,25 +74,17 @@ impl RecomputeBaseline {
 
     /// Rounds fed so far.
     pub fn rounds_fed(&self) -> usize {
-        self.rounds_fed
+        self.gate.rounds_fed()
     }
 
-    /// The configured time horizon `T`.
-    pub fn horizon(&self) -> usize {
-        self.horizon
+    /// True population size `n` (known after the first round).
+    pub fn true_n(&self) -> Option<usize> {
+        self.gate.n()
     }
 
-    /// zCDP budget consumed so far: each recompute charges its `ρ/R` share
-    /// when it runs (user-level composition across the `R` releases).
-    pub fn budget_spent(&self) -> Rho {
-        let releases_total = self.horizon - self.window + 1;
-        let share = self.rho.value() / releases_total as f64;
-        Rho::new(share * self.releases.len() as f64).expect("non-negative spend")
-    }
-
-    /// The total zCDP budget configured for the whole run.
-    pub fn budget_total(&self) -> Rho {
-        self.rho
+    /// The budget share `ρ/R` each of the `R = T−k+1` recomputes gets.
+    fn share(&self) -> f64 {
+        self.rho.value() / (self.gate.horizon() - self.window + 1) as f64
     }
 
     /// The monotone statistic the paper's intro singles out: how many
@@ -192,7 +105,7 @@ impl RecomputeBaseline {
     /// failure mode.
     pub fn monotonicity_violation(&self, run: usize) -> Result<f64, SynthError> {
         let first = self.window - 1;
-        let last = self.rounds_fed;
+        let last = self.gate.rounds_fed();
         let mut violation = 0.0;
         for t in first..last.saturating_sub(1) {
             let now = self.ever_run_count(t, run)? as f64 / self.release(t)?.individuals() as f64;
@@ -207,9 +120,73 @@ impl RecomputeBaseline {
     /// release at round `t` (for error comparisons against Algorithm 1).
     pub fn estimate_debiased_pattern(&self, t: usize, pattern: Pattern) -> Result<f64, SynthError> {
         let histogram = window_histogram(self.release(t)?, t, self.window);
-        let npad = self.padding.resolve(self.horizon, self.window, self.rho) as f64;
+        let npad = self
+            .padding
+            .resolve(self.gate.horizon(), self.window, self.rho) as f64;
         let n = self.observed.individuals() as f64;
         Ok((histogram[pattern.code() as usize] as f64 - npad) / n)
+    }
+}
+
+impl ContinualSynthesizer for RecomputeBaseline {
+    type Input = BitColumn;
+    type Release = ();
+    type Aggregate = BitColumn;
+
+    /// The strawman has no compact sufficient statistic — it recomputes
+    /// from the raw prefix — so its "aggregate" is the validated input
+    /// column itself (exactly what an unsharded recompute over
+    /// concatenated cohorts consumes).
+    fn prepare(&mut self, column: &BitColumn) -> Result<BitColumn, SynthError> {
+        self.gate.prepare(column.len())?;
+        Ok(column.clone())
+    }
+
+    /// Observes the (possibly cross-cohort concatenated) column and
+    /// recomputes the round's release under its budget share.
+    fn finalize(&mut self, column: BitColumn) -> Result<(), SynthError> {
+        let t = self.gate.next_round()?;
+        self.gate.finalize(column.len())?;
+        if t == 1 {
+            self.observed = LongitudinalDataset::empty(column.len());
+        }
+        self.observed
+            .push_column(column)
+            .expect("the gate pinned the column length");
+        if t < self.window {
+            return Ok(());
+        }
+
+        // Composition: each of the R = T−k+1 recomputes gets ρ/R. The
+        // single-shot generator is Algorithm 1 replayed over the prefix
+        // under that share (its own internal split then costs the second
+        // factor — the √T hit the paper describes).
+        let share = Rho::new(self.share()).expect("validated rho");
+        let config = FixedWindowConfig::new(t, self.window, share)?.with_padding(self.padding);
+        let mut single_shot = FixedWindowSynthesizer::new(config, self.seeds.child(t as u64));
+        for round in 0..t {
+            single_shot.step(self.observed.column(round))?;
+        }
+        self.releases.push(single_shot.synthetic().clone());
+        Ok(())
+    }
+
+    fn round(&self) -> usize {
+        self.gate.rounds_fed()
+    }
+
+    fn horizon(&self) -> usize {
+        self.gate.horizon()
+    }
+
+    /// zCDP budget consumed so far: each recompute charges its `ρ/R` share
+    /// when it runs (user-level composition across the `R` releases).
+    fn budget_spent(&self) -> Rho {
+        Rho::new(self.share() * self.releases.len() as f64).expect("non-negative spend")
+    }
+
+    fn budget_total(&self) -> Rho {
+        self.rho
     }
 }
 

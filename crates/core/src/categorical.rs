@@ -21,6 +21,8 @@
 use crate::aggregate::HistogramAggregate;
 use crate::arena::GroupArena;
 use crate::error::SynthError;
+use crate::gate::RoundGate;
+use crate::traits::ContinualSynthesizer;
 use longsynth_data::categorical::CategoricalColumn;
 use longsynth_dp::budget::{Rho, SpendTracker};
 use longsynth_dp::fastrange::RangePool;
@@ -141,17 +143,12 @@ pub struct CategoricalSynthesizer<R: Rng = StdDpRng> {
     npad: u64,
     ledger: SpendTracker,
     per_step_rho: Rho,
-    n: Option<usize>,
+    gate: RoundGate,
     /// Rolling base-`V` window code per true record — the last
-    /// `min(rounds_prepared, k)` observed values, big-endian. Maintained
+    /// `min(t, k)` observed values after round `t`, big-endian. Maintained
     /// incrementally by `prepare` (one O(n) pass per round) instead of
     /// re-encoding a buffered k-wide window per record.
     window_codes: Vec<u32>,
-    /// Completed (finalized) rounds so far.
-    rounds_fed: usize,
-    /// Rounds consumed by `prepare` (see the fixed-window synthesizer's
-    /// field of the same name).
-    rounds_prepared: usize,
     /// Synthetic record values, column-major: `released_values[t][id]` is
     /// record `id`'s base-`V` category at round `t`. Column-major so the
     /// update step can bulk-write shuffled group segments.
@@ -187,10 +184,8 @@ impl<R: Rng> CategoricalSynthesizer<R> {
             npad: config.npad(),
             ledger: SpendTracker::new(config.rho),
             per_step_rho,
-            n: None,
+            gate: RoundGate::new(config.horizon),
             window_codes: Vec::new(),
-            rounds_fed: 0,
-            rounds_prepared: 0,
             released_values: Vec::new(),
             groups: GroupArena::new(),
             p_history: Vec::new(),
@@ -200,139 +195,6 @@ impl<R: Rng> CategoricalSynthesizer<R> {
             rng,
             config,
         }
-    }
-
-    /// Feed the next true column.
-    ///
-    /// Exactly [`prepare`](Self::prepare) followed by
-    /// [`finalize`](Self::finalize).
-    pub fn step(&mut self, column: &CategoricalColumn) -> Result<(), SynthError> {
-        let aggregate = self.prepare(column)?;
-        self.finalize(aggregate)
-    }
-
-    /// Phase 1: consume the next true column and return the round's
-    /// **unnoised** `V^k`-bin window histogram (no padding, no noise, no
-    /// budget charged).
-    pub fn prepare(
-        &mut self,
-        column: &CategoricalColumn,
-    ) -> Result<HistogramAggregate, SynthError> {
-        if self.rounds_prepared > self.rounds_fed {
-            return Err(SynthError::OutOfPhase(format!(
-                "round {} awaits finalize before the next prepare",
-                self.rounds_prepared
-            )));
-        }
-        if self.rounds_prepared >= self.config.horizon {
-            return Err(SynthError::HorizonExceeded {
-                horizon: self.config.horizon,
-            });
-        }
-        if column.categories() != self.config.categories {
-            return Err(SynthError::InvalidConfig(format!(
-                "column has {} categories, config says {}",
-                column.categories(),
-                self.config.categories
-            )));
-        }
-        match self.n {
-            Some(n) if n != column.len() => {
-                return Err(SynthError::ColumnSizeMismatch {
-                    expected: n,
-                    actual: column.len(),
-                })
-            }
-            None => self.n = Some(column.len()),
-            _ => {}
-        }
-        // Roll the window codes forward in one O(n) pass: append the new
-        // digit, dropping the oldest once the window is full (`code mod
-        // V^(k−1)` strips the big-endian leading digit).
-        let v = u32::from(self.config.categories);
-        let overlaps = self.config.overlaps() as u32;
-        if self.rounds_prepared == 0 {
-            self.window_codes = column.iter().map(u32::from).collect();
-        } else if self.rounds_prepared < self.config.window {
-            for (code, c) in self.window_codes.iter_mut().zip(column.iter()) {
-                *code = *code * v + u32::from(c);
-            }
-        } else {
-            for (code, c) in self.window_codes.iter_mut().zip(column.iter()) {
-                *code = (*code % overlaps) * v + u32::from(c);
-            }
-        }
-        self.rounds_prepared += 1;
-
-        let n = column.len();
-        if self.rounds_prepared < self.config.window {
-            return Ok(HistogramAggregate::Buffered { n });
-        }
-        let mut counts = vec![0i64; self.config.bins()];
-        for &code in &self.window_codes {
-            counts[code as usize] += 1;
-        }
-        Ok(HistogramAggregate::Counts { n, counts })
-    }
-
-    /// Phase 2: privatize an aggregate and extend the synthetic records;
-    /// works standalone on summed cross-cohort aggregates (shared-noise
-    /// population path).
-    pub fn finalize(&mut self, aggregate: HistogramAggregate) -> Result<(), SynthError> {
-        if self.rounds_fed >= self.config.horizon {
-            return Err(SynthError::HorizonExceeded {
-                horizon: self.config.horizon,
-            });
-        }
-        // Validate the aggregate's shape *before* touching any state (see
-        // the fixed-window finalize).
-        let t = self.rounds_fed + 1;
-        let k = self.config.window;
-        match &aggregate {
-            HistogramAggregate::Buffered { .. } => {
-                if t >= k {
-                    return Err(SynthError::OutOfPhase(format!(
-                        "buffered aggregate at round {t}, but releases start at round {k}"
-                    )));
-                }
-            }
-            HistogramAggregate::Counts { counts, .. } => {
-                if t < k {
-                    return Err(SynthError::OutOfPhase(format!(
-                        "histogram aggregate at buffering round {t} (< k = {k})"
-                    )));
-                }
-                if counts.len() != self.config.bins() {
-                    return Err(SynthError::OutOfPhase(format!(
-                        "aggregate has {} bins, V^k synthesis needs {}",
-                        counts.len(),
-                        self.config.bins()
-                    )));
-                }
-            }
-        }
-        match self.n {
-            Some(n) if n != aggregate.population() => {
-                return Err(SynthError::ColumnSizeMismatch {
-                    expected: n,
-                    actual: aggregate.population(),
-                })
-            }
-            None => self.n = Some(aggregate.population()),
-            _ => {}
-        }
-        self.rounds_fed += 1;
-        let counts = match aggregate {
-            HistogramAggregate::Buffered { .. } => return Ok(()),
-            HistogramAggregate::Counts { counts, .. } => counts,
-        };
-        let noisy = self.noisy_histogram(counts);
-        if self.rounds_fed == k {
-            self.initialize(noisy);
-        } else {
-            self.extend(noisy);
-        }
-        Ok(())
     }
 
     fn noisy_histogram(&mut self, mut counts: Vec<i64>) -> Vec<i64> {
@@ -524,7 +386,7 @@ impl<R: Rng> CategoricalSynthesizer<R> {
     /// `t = k−1`).
     pub fn histogram_estimate(&self, t: usize) -> Result<&[i64], SynthError> {
         let k = self.config.window;
-        if t + 1 < k || t >= self.rounds_fed {
+        if t + 1 < k || t >= self.gate.rounds_fed() {
             return Err(SynthError::RoundNotReleased { round: t });
         }
         let bins = self.config.bins();
@@ -535,7 +397,9 @@ impl<R: Rng> CategoricalSynthesizer<R> {
     /// Debiased fraction of a single width-`k` pattern (base-`V` code).
     pub fn estimate_debiased_bin(&self, t: usize, code: usize) -> Result<f64, SynthError> {
         let hist = self.histogram_estimate(t)?;
-        let n = self.n.ok_or(SynthError::RoundNotReleased { round: t })?;
+        let n = self
+            .true_n()
+            .ok_or(SynthError::RoundNotReleased { round: t })?;
         Ok((hist[code] as f64 - self.npad as f64) / n as f64)
     }
 
@@ -544,7 +408,9 @@ impl<R: Rng> CategoricalSynthesizer<R> {
     pub fn estimate_category_marginal(&self, t: usize, c: u8) -> Result<f64, SynthError> {
         let v = self.config.categories as usize;
         let hist = self.histogram_estimate(t)?;
-        let n = self.n.ok_or(SynthError::RoundNotReleased { round: t })? as f64;
+        let n = self
+            .true_n()
+            .ok_or(SynthError::RoundNotReleased { round: t })? as f64;
         let mut total = 0.0;
         let mut bins = 0usize;
         for (code, &count) in hist.iter().enumerate() {
@@ -563,7 +429,12 @@ impl<R: Rng> CategoricalSynthesizer<R> {
 
     /// Rounds fed so far.
     pub fn rounds_fed(&self) -> usize {
-        self.rounds_fed
+        self.gate.rounds_fed()
+    }
+
+    /// True population size `n` (known after the first round).
+    pub fn true_n(&self) -> Option<usize> {
+        self.gate.n()
     }
 
     /// Number of synthetic records `n*`.
@@ -594,6 +465,87 @@ impl<R: Rng> CategoricalSynthesizer<R> {
     /// The privacy ledger.
     pub fn ledger(&self) -> &SpendTracker {
         &self.ledger
+    }
+}
+
+impl<R: Rng> ContinualSynthesizer for CategoricalSynthesizer<R> {
+    type Input = CategoricalColumn;
+    type Release = ();
+    type Aggregate = HistogramAggregate;
+
+    /// The round's exact `V^k`-bin window histogram
+    /// ([`HistogramAggregate::Buffered`] while `t < k`).
+    fn prepare(&mut self, column: &CategoricalColumn) -> Result<HistogramAggregate, SynthError> {
+        if column.categories() != self.config.categories {
+            return Err(SynthError::InvalidConfig(format!(
+                "column has {} categories, config says {}",
+                column.categories(),
+                self.config.categories
+            )));
+        }
+        let t = self.gate.prepare(column.len())?;
+        // Roll the window codes forward in one O(n) pass: append the new
+        // digit, dropping the oldest once the window is full (`code mod
+        // V^(k−1)` strips the big-endian leading digit).
+        let v = u32::from(self.config.categories);
+        let overlaps = self.config.overlaps() as u32;
+        if t == 1 {
+            self.window_codes = column.iter().map(u32::from).collect();
+        } else if t <= self.config.window {
+            for (code, c) in self.window_codes.iter_mut().zip(column.iter()) {
+                *code = *code * v + u32::from(c);
+            }
+        } else {
+            for (code, c) in self.window_codes.iter_mut().zip(column.iter()) {
+                *code = (*code % overlaps) * v + u32::from(c);
+            }
+        }
+
+        let n = column.len();
+        if t < self.config.window {
+            return Ok(HistogramAggregate::Buffered { n });
+        }
+        let mut counts = vec![0i64; self.config.bins()];
+        for &code in &self.window_codes {
+            counts[code as usize] += 1;
+        }
+        Ok(HistogramAggregate::Counts { n, counts })
+    }
+
+    /// Ledger charge, padding and noise, then the first release (round
+    /// `k`) or one consistent extension of the synthetic records.
+    fn finalize(&mut self, aggregate: HistogramAggregate) -> Result<(), SynthError> {
+        let t = self.gate.next_round()?;
+        let k = self.config.window;
+        aggregate.check_shape(t, k, self.config.bins())?;
+        self.gate.finalize(aggregate.population())?;
+        let counts = match aggregate {
+            HistogramAggregate::Buffered { .. } => return Ok(()),
+            HistogramAggregate::Counts { counts, .. } => counts,
+        };
+        let noisy = self.noisy_histogram(counts);
+        if t == k {
+            self.initialize(noisy);
+        } else {
+            self.extend(noisy);
+        }
+        Ok(())
+    }
+
+    fn round(&self) -> usize {
+        self.gate.rounds_fed()
+    }
+
+    fn horizon(&self) -> usize {
+        self.config.horizon
+    }
+
+    fn budget_spent(&self) -> Rho {
+        self.ledger.spent()
+    }
+
+    fn budget_total(&self) -> Rho {
+        self.ledger.total()
     }
 }
 

@@ -26,6 +26,8 @@
 use crate::aggregate::CumulativeAggregate;
 use crate::arena::GroupArena;
 use crate::error::SynthError;
+use crate::gate::RoundGate;
+use crate::traits::ContinualSynthesizer;
 use crate::SyntheticDataset;
 use longsynth_counters::{CounterKind, StreamCounter};
 use longsynth_data::BitColumn;
@@ -62,7 +64,7 @@ pub struct CumulativeConfig {
     /// pipeline). `Some(W)` bounds every individual's membership window
     /// to `W` rounds (a rotating panel's wave length): the synthesizer
     /// then tracks only thresholds `1..=W`, maintains *exact* active-set
-    /// counts internally, supports [`CumulativeSynthesizer::forget_cohort`]
+    /// counts internally, supports [`forget_cohort`](ContinualSynthesizer::forget_cohort)
     /// (retiring cohorts subtract **before** noise), and privatizes each
     /// round's counts with fresh discrete-Gaussian draws at per-coordinate
     /// budget `2ρ/(W(W+1))`: an individual at local round `r` can have
@@ -148,7 +150,7 @@ impl CumulativeConfig {
 /// The Algorithm 2 synthesizer. See module docs.
 ///
 /// ```
-/// use longsynth::{CumulativeConfig, CumulativeSynthesizer};
+/// use longsynth::{ContinualSynthesizer, CumulativeConfig, CumulativeSynthesizer};
 /// use longsynth_data::generators::iid_bernoulli;
 /// use longsynth_dp::{budget::Rho, rng::{rng_from_seed, RngFork}};
 ///
@@ -169,7 +171,7 @@ pub struct CumulativeSynthesizer<R: Rng = longsynth_dp::rng::StdDpRng> {
     counters: Vec<Box<dyn StreamCounter>>,
     per_counter_rho: Vec<Rho>,
     ledger: SpendTracker,
-    n: Option<usize>,
+    gate: RoundGate,
     /// Previous round's monotone estimates `Ŝ_b^{t−1}` for `b = 0..=T`.
     s_prev: Vec<i64>,
     /// Windowed-mode state ([`CumulativeConfig::with_window`]): the
@@ -177,7 +179,7 @@ pub struct CumulativeSynthesizer<R: Rng = longsynth_dp::rng::StdDpRng> {
     /// ones inside their membership window}` for `b = 0..=W`, maintained
     /// by adding each round's summed increments and subtracting retired
     /// cohorts' exact lifetime totals
-    /// ([`forget_cohort`](Self::forget_cohort)). Raw pre-noise
+    /// ([`forget_cohort`](ContinualSynthesizer::forget_cohort)). Raw pre-noise
     /// bookkeeping — privatized only at release, which is what makes the
     /// exact subtraction sound (a retired individual's terms cancel
     /// before any noise is drawn). Empty in persistent mode.
@@ -214,11 +216,6 @@ pub struct CumulativeSynthesizer<R: Rng = longsynth_dp::rng::StdDpRng> {
     scratch_bits: Vec<bool>,
     /// True data consumed so far (needed to compute increments `z_b^t`).
     observed: LongitudinalDataset,
-    /// Completed (finalized) rounds so far.
-    rounds_fed: usize,
-    /// Rounds consumed by `prepare` (see the fixed-window synthesizer's
-    /// field of the same name).
-    rounds_prepared: usize,
     rng: R,
 }
 
@@ -281,7 +278,7 @@ impl<R: Rng> CumulativeSynthesizer<R> {
             counters,
             per_counter_rho,
             ledger: SpendTracker::new(config.rho),
-            n: None,
+            gate: RoundGate::new(config.horizon),
             s_prev: Vec::new(),
             exact_s,
             per_round_rho,
@@ -293,119 +290,20 @@ impl<R: Rng> CumulativeSynthesizer<R> {
             plan_counts: Vec::new(),
             scratch_bits: Vec::new(),
             observed: LongitudinalDataset::empty(0),
-            rounds_fed: 0,
-            rounds_prepared: 0,
             rng,
             config,
         }
     }
 
-    /// Feed the next true column; returns the released synthetic column.
-    ///
-    /// Exactly [`prepare`](Self::prepare) followed by
-    /// [`finalize`](Self::finalize).
-    pub fn step(&mut self, column: &BitColumn) -> Result<BitColumn, SynthError> {
-        let aggregate = self.prepare(column)?;
-        self.finalize(aggregate)
-    }
-
-    /// Phase 1: consume the next true column and return the round's
-    /// **unnoised** threshold increments `z_b^t` for `b = 1..=t` — the
-    /// exact statistics the stream counters would be fed, before any
-    /// counter noise or budget charge.
-    pub fn prepare(&mut self, column: &BitColumn) -> Result<CumulativeAggregate, SynthError> {
-        if self.rounds_prepared > self.rounds_fed {
-            return Err(SynthError::OutOfPhase(format!(
-                "round {} awaits finalize before the next prepare",
-                self.rounds_prepared
-            )));
-        }
-        if self.rounds_prepared >= self.config.horizon {
-            return Err(SynthError::HorizonExceeded {
-                horizon: self.config.horizon,
-            });
-        }
-        match self.n {
-            Some(n) if n != column.len() => {
-                return Err(SynthError::ColumnSizeMismatch {
-                    expected: n,
-                    actual: column.len(),
-                })
-            }
-            None => {
-                self.n = Some(column.len());
-                self.observed = LongitudinalDataset::empty(column.len());
-            }
-            _ => {}
-        }
-        self.observed
-            .push_column(column.clone())
-            .expect("column length validated above");
-        self.rounds_prepared += 1;
-        let t = self.rounds_prepared; // 1-based round
-        let increments = (1..=t)
-            .map(|b| threshold_increment(&self.observed, t - 1, b))
-            .collect();
-        Ok(CumulativeAggregate {
-            n: column.len(),
-            increments,
-        })
-    }
-
-    /// Phase 2: feed an aggregate's increments through the noisy stream
-    /// counters (charging the ledger), monotonize, and promote synthetic
-    /// records; returns the released synthetic column.
-    ///
-    /// Like the fixed-window synthesizer, this works standalone on summed
-    /// cross-cohort aggregates — the shared-noise population path.
-    pub fn finalize(&mut self, aggregate: CumulativeAggregate) -> Result<BitColumn, SynthError> {
-        if self.config.window.is_some() {
-            return self.finalize_windowed(aggregate);
-        }
-        if self.rounds_fed >= self.config.horizon {
-            return Err(SynthError::HorizonExceeded {
-                horizon: self.config.horizon,
-            });
-        }
-        // Validate the aggregate's shape *before* touching any state, so a
-        // rejected finalize leaves the synthesizer exactly as it was (in
-        // particular, a malformed first aggregate must not pin `n` or
-        // size the synthetic population).
-        if aggregate.increments.len() != self.rounds_fed + 1 {
-            return Err(SynthError::OutOfPhase(format!(
-                "aggregate carries {} increments, round {} needs exactly {}",
-                aggregate.increments.len(),
-                self.rounds_fed + 1,
-                self.rounds_fed + 1
-            )));
-        }
-        match self.n {
-            Some(n) if n != aggregate.n => {
-                return Err(SynthError::ColumnSizeMismatch {
-                    expected: n,
-                    actual: aggregate.n,
-                })
-            }
-            None => self.n = Some(aggregate.n),
-            _ => {}
-        }
-        if self.rounds_fed == 0 {
-            let n = aggregate.n;
-            self.synthetic = SyntheticDataset::empty(n);
-            // All records start at weight 0; Ŝ_0 ≡ n, Ŝ_b = 0 for b ≥ 1.
-            self.weight_groups.clear();
-            self.weight_groups.plan(std::iter::once(n));
-            for id in 0..n as u32 {
-                self.weight_groups.push(0, id);
-            }
-            self.weight_groups.commit();
-            self.s_prev = vec![0i64; self.config.horizon + 1];
-            self.s_prev[0] = n as i64;
-        }
-        self.rounds_fed += 1;
-        let t = self.rounds_fed; // 1-based round
-        let n = self.n.expect("set above");
-
+    /// Persistent-mode phase 2 of round `t`: feed the increments through
+    /// the noisy stream counters (charging the ledger), monotonize, and
+    /// promote synthetic records.
+    fn finalize_persistent(
+        &mut self,
+        t: usize,
+        n: usize,
+        aggregate: CumulativeAggregate,
+    ) -> BitColumn {
         // Phase 1 per threshold: counter update and monotonization.
         let mut s_now = self.s_prev.clone();
         let mut promotions = vec![0usize; t + 1]; // promotions[b] = ẑ_b^t
@@ -485,7 +383,7 @@ impl<R: Rng> CumulativeSynthesizer<R> {
         self.weight_groups.commit();
         self.s_history.push(s_now.clone());
         self.s_prev = s_now;
-        Ok(self.append_round())
+        self.append_round()
     }
 
     // ------------------------------------------------------------------
@@ -499,7 +397,7 @@ impl<R: Rng> CumulativeSynthesizer<R> {
 
     /// True population size `n` (known after the first round).
     pub fn true_n(&self) -> Option<usize> {
-        self.n
+        self.gate.n()
     }
 
     /// The persistent synthetic population (`m = n` records).
@@ -515,7 +413,7 @@ impl<R: Rng> CumulativeSynthesizer<R> {
 
     /// Rounds fed so far.
     pub fn rounds_fed(&self) -> usize {
-        self.rounds_fed
+        self.gate.rounds_fed()
     }
 
     /// The monotone threshold estimates `Ŝ_b` at 0-based round `t`,
@@ -531,7 +429,9 @@ impl<R: Rng> CumulativeSynthesizer<R> {
     /// least `b` ones through round `t` (0-based).
     pub fn estimate_fraction(&self, t: usize, b: usize) -> Result<f64, SynthError> {
         let row = self.threshold_estimates(t)?;
-        let n = self.n.ok_or(SynthError::RoundNotReleased { round: t })?;
+        let n = self
+            .true_n()
+            .ok_or(SynthError::RoundNotReleased { round: t })?;
         let count = row.get(b).copied().unwrap_or(0);
         Ok(count as f64 / n as f64)
     }
@@ -557,7 +457,9 @@ impl<R: Rng> CumulativeSynthesizer<R> {
         }
         let early = self.threshold_estimates(t1)?;
         let late = self.threshold_estimates(t2)?;
-        let n = self.n.ok_or(SynthError::RoundNotReleased { round: t2 })?;
+        let n = self
+            .true_n()
+            .ok_or(SynthError::RoundNotReleased { round: t2 })?;
         let diff = late.get(b).copied().unwrap_or(0) - early.get(b).copied().unwrap_or(0);
         debug_assert!(diff >= 0, "monotonization guarantees non-negativity");
         Ok(diff as f64 / n as f64)
@@ -567,127 +469,20 @@ impl<R: Rng> CumulativeSynthesizer<R> {
     // Windowed release mode (cohort retirement under rotating panels)
     // ------------------------------------------------------------------
 
-    /// Remove a retired cohort's **exact** lifetime contribution from the
-    /// windowed active-set counts — the windowed population synthesizer's
-    /// retirement operation (windowed mode only).
-    ///
-    /// `view.increments[b-1]` is the cohort's exact total count of
-    /// members with ≥ `b` ones over its membership window (the engine
-    /// accumulates it from the cohort's per-round phase-1 aggregates).
-    /// Like every aggregate, the view is raw pre-noise data and flows
-    /// only *into* the privatization barrier: the subtraction happens
-    /// before any noise is drawn, so a retired individual's terms cancel
-    /// exactly and later releases are independent of their data — that
-    /// cancellation is precisely why the per-round budget composes to
-    /// `ρ` over any individual's ≤ `W`-round membership window.
-    pub fn forget_cohort(&mut self, view: CumulativeAggregate) -> Result<(), SynthError> {
-        let Some(window) = self.config.window else {
-            return Err(SynthError::InvalidConfig(
-                "forget_cohort needs windowed release mode (CumulativeConfig::with_window); \
-                 the persistent pipeline cannot soundly forget a cohort after noising"
-                    .to_string(),
-            ));
-        };
-        if self.rounds_prepared > self.rounds_fed {
-            return Err(SynthError::OutOfPhase(
-                "forget_cohort during a prepared round awaiting finalize".to_string(),
-            ));
-        }
-        if view.increments.len() > window {
-            return Err(SynthError::OutOfPhase(format!(
-                "retirement view spans {} thresholds but the window bound is {window}",
-                view.increments.len()
-            )));
-        }
-        if let Some(n) = self.n {
-            if view.n > n {
-                return Err(SynthError::ColumnSizeMismatch {
-                    expected: n,
-                    actual: view.n,
-                });
-            }
-        }
-        // Validate before mutating: the view must fit inside the exact
-        // counts (it is a true sub-sum of them), so a rejected forget
-        // leaves the state untouched.
-        for (b, &count) in view.increments.iter().enumerate() {
-            if (count as i64) > self.exact_s[b + 1] {
-                return Err(SynthError::OutOfPhase(format!(
-                    "retirement view count {count} at threshold {} exceeds the window's \
-                     exact count {} (the view must be the cohort's true lifetime sum)",
-                    b + 1,
-                    self.exact_s[b + 1]
-                )));
-            }
-        }
-        for (b, &count) in view.increments.iter().enumerate() {
-            self.exact_s[b + 1] -= count as i64;
-        }
-        Ok(())
-    }
-
-    /// Windowed-mode phase 2: fold the round's summed active-set
-    /// increments into the exact counts, privatize thresholds `1..=W`
-    /// with fresh discrete-Gaussian draws (budget `ρ/W` for each of the
-    /// first `W` rounds — the per-individual lifetime cost is `ρ`), chain
-    /// the noisy counts into a monotone-in-`b` feasible target, and
+    /// Windowed-mode phase 2 of round `t`: fold the round's summed
+    /// active-set increments into the exact counts, privatize thresholds
+    /// `1..=W` with fresh discrete-Gaussian draws (budget `ρ/W` for each of
+    /// the first `W` rounds — the per-individual lifetime cost is `ρ`),
+    /// chain the noisy counts into a monotone-in-`b` feasible target, and
     /// reconcile the synthetic population (promotions, plus resets to
     /// weight 0 standing in for panel replacement).
     fn finalize_windowed(
         &mut self,
+        t: usize,
+        n: usize,
+        window: usize,
         aggregate: CumulativeAggregate,
-    ) -> Result<BitColumn, SynthError> {
-        let window = self.config.window.expect("windowed mode");
-        if self.rounds_fed >= self.config.horizon {
-            return Err(SynthError::HorizonExceeded {
-                horizon: self.config.horizon,
-            });
-        }
-        // Shape checks before any state changes (mirrors the persistent
-        // path): global-clock increments, pinned population size, and no
-        // mass above the window bound — an individual active for at most
-        // `W` rounds cannot cross a higher threshold.
-        if aggregate.increments.len() != self.rounds_fed + 1 {
-            return Err(SynthError::OutOfPhase(format!(
-                "aggregate carries {} increments, round {} needs exactly {}",
-                aggregate.increments.len(),
-                self.rounds_fed + 1,
-                self.rounds_fed + 1
-            )));
-        }
-        if let Some(&bad) = aggregate.increments.iter().skip(window).find(|&&z| z != 0) {
-            return Err(SynthError::OutOfPhase(format!(
-                "increment {bad} above threshold {window} violates the window bound \
-                 (no individual is active for more than {window} rounds)"
-            )));
-        }
-        match self.n {
-            Some(n) if n != aggregate.n => {
-                return Err(SynthError::ColumnSizeMismatch {
-                    expected: n,
-                    actual: aggregate.n,
-                })
-            }
-            None => self.n = Some(aggregate.n),
-            _ => {}
-        }
-        if self.rounds_fed == 0 {
-            let n = aggregate.n;
-            self.synthetic = SyntheticDataset::empty(n);
-            self.weight_groups.clear();
-            self.weight_groups
-                .plan(std::iter::once(n).chain(std::iter::repeat_n(0, window)));
-            for id in 0..n as u32 {
-                self.weight_groups.push(0, id);
-            }
-            self.weight_groups.commit();
-            self.s_prev = vec![0i64; window + 1];
-            self.s_prev[0] = n as i64;
-        }
-        self.rounds_fed += 1;
-        let t = self.rounds_fed;
-        let n = self.n.expect("set above");
-
+    ) -> BitColumn {
         // Exact bookkeeping, then one fresh draw per tracked threshold.
         for b in 1..=window.min(t) {
             self.exact_s[b] += aggregate.increments[b - 1] as i64;
@@ -788,7 +583,7 @@ impl<R: Rng> CumulativeSynthesizer<R> {
         row[1..=window].copy_from_slice(&realized[1..=window]);
         self.s_history.push(row.clone());
         self.s_prev = row;
-        Ok(self.append_round())
+        self.append_round()
     }
 
     /// Append the round built in `scratch_bits` to the synthetic
@@ -809,6 +604,144 @@ impl<R: Rng> CumulativeSynthesizer<R> {
             .iter()
             .map(|c| c.error_bound(beta))
             .fold(0.0, f64::max)
+    }
+}
+
+impl<R: Rng> ContinualSynthesizer for CumulativeSynthesizer<R> {
+    type Input = BitColumn;
+    type Release = BitColumn;
+    type Aggregate = CumulativeAggregate;
+
+    /// The round's exact threshold increments `z_b^t` for `b = 1..=t` —
+    /// what the stream counters would be fed, before any counter noise.
+    fn prepare(&mut self, column: &BitColumn) -> Result<CumulativeAggregate, SynthError> {
+        let t = self.gate.prepare(column.len())?;
+        if t == 1 {
+            self.observed = LongitudinalDataset::empty(column.len());
+        }
+        self.observed
+            .push_column(column.clone())
+            .expect("the gate pinned the column length");
+        let increments = (1..=t)
+            .map(|b| threshold_increment(&self.observed, t - 1, b))
+            .collect();
+        Ok(CumulativeAggregate {
+            n: column.len(),
+            increments,
+        })
+    }
+
+    /// Privatizes the increments through the persistent pipeline's noisy
+    /// stream counters or, in windowed mode, as fresh draws on the exact
+    /// active-set counts; returns the released synthetic column.
+    fn finalize(&mut self, aggregate: CumulativeAggregate) -> Result<BitColumn, SynthError> {
+        let t = self.gate.next_round()?;
+        // Shape checks before any state changes: global-clock increments
+        // and, in windowed mode, no mass above the window bound — an
+        // individual active for at most `W` rounds cannot cross a higher
+        // threshold.
+        if aggregate.increments.len() != t {
+            return Err(SynthError::OutOfPhase(format!(
+                "aggregate carries {} increments, round {t} needs exactly {t}",
+                aggregate.increments.len()
+            )));
+        }
+        if let Some(window) = self.config.window {
+            if let Some(&bad) = aggregate.increments.iter().skip(window).find(|&&z| z != 0) {
+                return Err(SynthError::OutOfPhase(format!(
+                    "increment {bad} above threshold {window} violates the window bound \
+                     (no individual is active for more than {window} rounds)"
+                )));
+            }
+        }
+        self.gate.finalize(aggregate.n)?;
+        let n = aggregate.n;
+        if t == 1 {
+            // All records start at weight 0; Ŝ_0 ≡ n, Ŝ_b = 0 for b ≥ 1.
+            let tracked = self.config.window.unwrap_or(self.config.horizon);
+            self.synthetic = SyntheticDataset::empty(n);
+            self.weight_groups.clear();
+            self.weight_groups
+                .plan(std::iter::once(n).chain(std::iter::repeat_n(0, tracked)));
+            for id in 0..n as u32 {
+                self.weight_groups.push(0, id);
+            }
+            self.weight_groups.commit();
+            self.s_prev = vec![0i64; tracked + 1];
+            self.s_prev[0] = n as i64;
+        }
+        Ok(match self.config.window {
+            None => self.finalize_persistent(t, n, aggregate),
+            Some(window) => self.finalize_windowed(t, n, window, aggregate),
+        })
+    }
+
+    fn cohort_retirement_window(&self) -> Option<usize> {
+        self.config.window
+    }
+
+    /// Windowed mode only: subtracts the cohort's **exact** lifetime view
+    /// from the active-set counts. `view.increments[b-1]` is the cohort's
+    /// total count of members with ≥ `b` ones over its membership window.
+    /// The subtraction happens before any noise is drawn, so a retired
+    /// individual's terms cancel exactly — which is why the per-round
+    /// budget composes to `ρ` over any ≤ `W`-round membership window.
+    fn forget_cohort(&mut self, view: CumulativeAggregate) -> Result<(), SynthError> {
+        let Some(window) = self.config.window else {
+            return Err(SynthError::InvalidConfig(
+                "forget_cohort needs windowed release mode (CumulativeConfig::with_window); \
+                 the persistent pipeline cannot soundly forget a cohort after noising"
+                    .to_string(),
+            ));
+        };
+        self.gate.ensure_idle("forget_cohort")?;
+        if view.increments.len() > window {
+            return Err(SynthError::OutOfPhase(format!(
+                "retirement view spans {} thresholds but the window bound is {window}",
+                view.increments.len()
+            )));
+        }
+        if let Some(n) = self.gate.n() {
+            if view.n > n {
+                return Err(SynthError::ColumnSizeMismatch {
+                    expected: n,
+                    actual: view.n,
+                });
+            }
+        }
+        // Validate before mutating: the view must fit inside the exact
+        // counts (it is a true sub-sum of them), so a rejected forget
+        // leaves the state untouched.
+        for (b, &count) in view.increments.iter().enumerate() {
+            if (count as i64) > self.exact_s[b + 1] {
+                return Err(SynthError::OutOfPhase(format!(
+                    "retirement view count {count} at threshold {} exceeds the window's \
+                     exact count {} (the view must be the cohort's true lifetime sum)",
+                    b + 1,
+                    self.exact_s[b + 1]
+                )));
+            }
+        }
+        for (b, &count) in view.increments.iter().enumerate() {
+            self.exact_s[b + 1] -= count as i64;
+        }
+        Ok(())
+    }
+
+    fn round(&self) -> usize {
+        self.gate.rounds_fed()
+    }
+
+    fn horizon(&self) -> usize {
+        self.config.horizon
+    }
+
+    fn budget_spent(&self) -> Rho {
+        self.ledger.spent()
+    }
+
+    fn budget_total(&self) -> Rho {
+        self.ledger.total()
     }
 }
 

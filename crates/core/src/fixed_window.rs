@@ -22,7 +22,9 @@
 use crate::aggregate::HistogramAggregate;
 use crate::arena::GroupArena;
 use crate::error::SynthError;
+use crate::gate::RoundGate;
 use crate::padding::PaddingPolicy;
+use crate::traits::ContinualSynthesizer;
 use crate::SyntheticDataset;
 use longsynth_data::BitColumn;
 use longsynth_dp::budget::{Rho, SpendTracker};
@@ -133,7 +135,7 @@ impl FixedWindowConfig {
     }
 }
 
-/// What a [`FixedWindowSynthesizer::step`] call released.
+/// What one round of a [`FixedWindowSynthesizer`] released.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Release {
     /// Rounds `t < k−1`: data buffered, nothing released yet.
@@ -173,17 +175,9 @@ pub struct FixedWindowSynthesizer<R: Rng = StdDpRng> {
     npad: u64,
     per_step_rho: Rho,
     ledger: SpendTracker,
-    /// True population size, fixed by the first column.
-    n: Option<usize>,
+    gate: RoundGate,
     /// Ring buffer of the last `k` true columns.
     buffer: VecDeque<BitColumn>,
-    /// Completed (finalized) rounds so far.
-    rounds_fed: usize,
-    /// Rounds whose input has been consumed by `prepare` (equals
-    /// `rounds_fed` between rounds, `rounds_fed + 1` while an aggregate
-    /// awaits `finalize`; stays 0 on a finalize-only population
-    /// synthesizer).
-    rounds_prepared: usize,
     synthetic: SyntheticDataset,
     /// Record ids grouped by current (k−1)-bit overlap code, stored flat
     /// and regrouped by planned segment moves each round (see [`GroupArena`]).
@@ -276,10 +270,8 @@ impl<R: Rng> FixedWindowSynthesizer<R> {
             npad,
             per_step_rho,
             ledger: SpendTracker::new(config.rho),
-            n: None,
+            gate: RoundGate::new(config.horizon),
             buffer: VecDeque::with_capacity(config.window),
-            rounds_fed: 0,
-            rounds_prepared: 0,
             synthetic: SyntheticDataset::empty(0),
             groups: GroupArena::new(),
             p_history: Vec::new(),
@@ -311,136 +303,6 @@ impl<R: Rng> FixedWindowSynthesizer<R> {
     pub fn attach_metrics(&mut self, registry: &MetricsRegistry) {
         self.shuffle_ms = Some(registry.latency_histogram("synth_shuffle_ms"));
         self.regroup_ms = Some(registry.latency_histogram("synth_regroup_ms"));
-    }
-
-    /// Feed the next true column; returns what was released.
-    ///
-    /// Exactly [`prepare`](Self::prepare) followed by
-    /// [`finalize`](Self::finalize) — the two-phase path split out so a
-    /// scaling layer can privatize summed cross-cohort aggregates with a
-    /// single noise draw.
-    pub fn step(&mut self, column: &BitColumn) -> Result<Release, SynthError> {
-        let aggregate = self.prepare(column)?;
-        self.finalize(aggregate)
-    }
-
-    /// Phase 1: consume the next true column and return the round's
-    /// **unnoised** sufficient statistics (the exact width-`k` window
-    /// histogram; [`HistogramAggregate::Buffered`] while `t < k`).
-    ///
-    /// No noise is drawn and no budget is charged — the aggregate is a raw
-    /// function of true data and must only ever flow into a
-    /// [`finalize`](Self::finalize) call (this synthesizer's, or a
-    /// population-level one fed the sum of cohort aggregates).
-    pub fn prepare(&mut self, column: &BitColumn) -> Result<HistogramAggregate, SynthError> {
-        if self.rounds_prepared > self.rounds_fed {
-            return Err(SynthError::OutOfPhase(format!(
-                "round {} awaits finalize before the next prepare",
-                self.rounds_prepared
-            )));
-        }
-        if self.rounds_prepared >= self.config.horizon {
-            return Err(SynthError::HorizonExceeded {
-                horizon: self.config.horizon,
-            });
-        }
-        match self.n {
-            Some(n) if n != column.len() => {
-                return Err(SynthError::ColumnSizeMismatch {
-                    expected: n,
-                    actual: column.len(),
-                })
-            }
-            None => self.n = Some(column.len()),
-            _ => {}
-        }
-
-        if self.buffer.len() == self.config.window {
-            self.buffer.pop_front();
-        }
-        self.buffer.push_back(column.clone());
-        self.rounds_prepared += 1;
-
-        let k = self.config.window;
-        let n = column.len();
-        if self.rounds_prepared < k {
-            return Ok(HistogramAggregate::Buffered { n });
-        }
-        debug_assert_eq!(self.buffer.len(), k);
-        // Word-sliced joint histogram: the front (oldest) column is the
-        // pattern's high bit, same fold as Pattern's encoding.
-        let cols: Vec<&BitColumn> = self.buffer.iter().collect();
-        let counts: Vec<i64> = BitColumn::pattern_counts(&cols)
-            .into_iter()
-            .map(|c| c as i64)
-            .collect();
-        debug_assert_eq!(counts.len(), Pattern::count(k));
-        Ok(HistogramAggregate::Counts { n, counts })
-    }
-
-    /// Phase 2: privatize an aggregate (ledger charge + padding + noise)
-    /// and extend the synthetic population; returns the round's release.
-    ///
-    /// Standalone use — an aggregate the synthesizer did not `prepare`
-    /// itself — is exactly how a population-level synthesizer works under
-    /// the engine's shared-noise policy: it is fed the *sum* of per-cohort
-    /// aggregates and never sees raw data.
-    pub fn finalize(&mut self, aggregate: HistogramAggregate) -> Result<Release, SynthError> {
-        if self.rounds_fed >= self.config.horizon {
-            return Err(SynthError::HorizonExceeded {
-                horizon: self.config.horizon,
-            });
-        }
-        // Validate the aggregate's shape *before* touching any state, so a
-        // rejected finalize leaves the synthesizer exactly as it was (in
-        // particular, a malformed first aggregate must not pin `n`).
-        let t = self.rounds_fed + 1; // 1-based round this finalize covers
-        let k = self.config.window;
-        match &aggregate {
-            HistogramAggregate::Buffered { .. } => {
-                if t >= k {
-                    return Err(SynthError::OutOfPhase(format!(
-                        "buffered aggregate at round {t}, but releases start at round {k}"
-                    )));
-                }
-            }
-            HistogramAggregate::Counts { counts, .. } => {
-                if t < k {
-                    return Err(SynthError::OutOfPhase(format!(
-                        "histogram aggregate at buffering round {t} (< k = {k})"
-                    )));
-                }
-                if counts.len() != Pattern::count(k) {
-                    return Err(SynthError::OutOfPhase(format!(
-                        "aggregate has {} bins, width-{k} synthesis needs {}",
-                        counts.len(),
-                        Pattern::count(k)
-                    )));
-                }
-            }
-        }
-        match self.n {
-            Some(n) if n != aggregate.population() => {
-                return Err(SynthError::ColumnSizeMismatch {
-                    expected: n,
-                    actual: aggregate.population(),
-                })
-            }
-            None => self.n = Some(aggregate.population()),
-            _ => {}
-        }
-        self.rounds_fed += 1;
-
-        let counts = match aggregate {
-            HistogramAggregate::Buffered { .. } => return Ok(Release::Buffered),
-            HistogramAggregate::Counts { counts, .. } => counts,
-        };
-        let noisy = self.noisy_histogram(counts);
-        if self.rounds_fed == k {
-            Ok(self.initialize(noisy))
-        } else {
-            Ok(self.extend(noisy))
-        }
     }
 
     /// `Ĉ_s = C_s + npad + noise`, charged to the ledger.
@@ -690,7 +552,7 @@ impl<R: Rng> FixedWindowSynthesizer<R> {
 
     /// True population size `n` (known after the first round).
     pub fn true_n(&self) -> Option<usize> {
-        self.n
+        self.gate.n()
     }
 
     /// The persistent synthetic population.
@@ -710,14 +572,14 @@ impl<R: Rng> FixedWindowSynthesizer<R> {
 
     /// Rounds fed so far.
     pub fn rounds_fed(&self) -> usize {
-        self.rounds_fed
+        self.gate.rounds_fed()
     }
 
     /// The released histogram targets `p_s^t` for data round `t` (0-based;
     /// first available at `t = k−1`).
     pub fn histogram_estimate(&self, t: usize) -> Result<&[i64], SynthError> {
         let k = self.config.window;
-        if t + 1 < k || t >= self.rounds_fed {
+        if t + 1 < k || t >= self.gate.rounds_fed() {
             return Err(SynthError::RoundNotReleased { round: t });
         }
         let bins = Pattern::count(k);
@@ -748,7 +610,9 @@ impl<R: Rng> FixedWindowSynthesizer<R> {
             self.npad as f64 * weight_sum * (Pattern::count(k) as f64)
                 / Pattern::count(query.width()) as f64
         };
-        let n = self.n.ok_or(SynthError::RoundNotReleased { round: t })?;
+        let n = self
+            .true_n()
+            .ok_or(SynthError::RoundNotReleased { round: t })?;
         Ok((raw - padding_contribution) / n as f64)
     }
 
@@ -764,7 +628,9 @@ impl<R: Rng> FixedWindowSynthesizer<R> {
         if t >= self.synthetic.rounds() || t + 1 < query.width() {
             return Err(SynthError::RoundNotReleased { round: t });
         }
-        let n = self.n.ok_or(SynthError::RoundNotReleased { round: t })?;
+        let n = self
+            .true_n()
+            .ok_or(SynthError::RoundNotReleased { round: t })?;
         let weights = query.weights();
         // q(all records) − q(padding records) = q over non-padding records.
         let mut total = 0.0;
@@ -808,6 +674,74 @@ impl<R: Rng> FixedWindowSynthesizer<R> {
             }
             Ok(total)
         }
+    }
+}
+
+impl<R: Rng> ContinualSynthesizer for FixedWindowSynthesizer<R> {
+    type Input = BitColumn;
+    type Release = Release;
+    type Aggregate = HistogramAggregate;
+
+    /// The exact width-`k` window histogram of the last `k` columns
+    /// ([`HistogramAggregate::Buffered`] while `t < k`).
+    fn prepare(&mut self, column: &BitColumn) -> Result<HistogramAggregate, SynthError> {
+        let t = self.gate.prepare(column.len())?;
+        let k = self.config.window;
+        if self.buffer.len() == k {
+            self.buffer.pop_front();
+        }
+        self.buffer.push_back(column.clone());
+
+        let n = column.len();
+        if t < k {
+            return Ok(HistogramAggregate::Buffered { n });
+        }
+        debug_assert_eq!(self.buffer.len(), k);
+        // Word-sliced joint histogram: the front (oldest) column is the
+        // pattern's high bit, same fold as Pattern's encoding.
+        let cols: Vec<&BitColumn> = self.buffer.iter().collect();
+        let counts: Vec<i64> = BitColumn::pattern_counts(&cols)
+            .into_iter()
+            .map(|c| c as i64)
+            .collect();
+        debug_assert_eq!(counts.len(), Pattern::count(k));
+        Ok(HistogramAggregate::Counts { n, counts })
+    }
+
+    /// Ledger charge, padding and noise, then the first release (round
+    /// `k`) or one consistent extension.
+    fn finalize(&mut self, aggregate: HistogramAggregate) -> Result<Release, SynthError> {
+        let t = self.gate.next_round()?;
+        let k = self.config.window;
+        aggregate.check_shape(t, k, Pattern::count(k))?;
+        self.gate.finalize(aggregate.population())?;
+
+        let counts = match aggregate {
+            HistogramAggregate::Buffered { .. } => return Ok(Release::Buffered),
+            HistogramAggregate::Counts { counts, .. } => counts,
+        };
+        let noisy = self.noisy_histogram(counts);
+        if t == k {
+            Ok(self.initialize(noisy))
+        } else {
+            Ok(self.extend(noisy))
+        }
+    }
+
+    fn round(&self) -> usize {
+        self.gate.rounds_fed()
+    }
+
+    fn horizon(&self) -> usize {
+        self.config.horizon
+    }
+
+    fn budget_spent(&self) -> Rho {
+        self.ledger.spent()
+    }
+
+    fn budget_total(&self) -> Rho {
+        self.ledger.total()
     }
 }
 

@@ -29,7 +29,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use longsynth::{FixedWindowConfig, FixedWindowSynthesizer, PaddingPolicy};
+//! use longsynth::{ContinualSynthesizer, FixedWindowConfig, FixedWindowSynthesizer, PaddingPolicy};
 //! use longsynth_data::generators::{two_state_markov, MarkovParams};
 //! use longsynth_dp::budget::Rho;
 //! use longsynth_dp::rng::rng_from_seed;
@@ -87,6 +87,7 @@ pub mod categorical;
 pub mod cumulative;
 pub mod error;
 pub mod fixed_window;
+mod gate;
 pub mod padding;
 pub mod pure_dp;
 pub mod reduction;

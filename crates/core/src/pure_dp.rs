@@ -58,6 +58,7 @@ pub fn fixed_window_pure_dp(
 mod tests {
     use super::*;
     use crate::fixed_window::FixedWindowSynthesizer;
+    use crate::traits::ContinualSynthesizer;
     use longsynth_data::generators::{two_state_markov, MarkovParams};
     use longsynth_dp::rng::rng_from_seed;
     use longsynth_queries::window::quarterly_battery;

@@ -20,6 +20,7 @@
 use crate::error::SynthError;
 use crate::fixed_window::{FixedWindowConfig, FixedWindowSynthesizer};
 use crate::padding::PaddingPolicy;
+use crate::traits::ContinualSynthesizer;
 use longsynth_data::BitColumn;
 use longsynth_dp::budget::Rho;
 use longsynth_dp::rng::StdDpRng;

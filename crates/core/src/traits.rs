@@ -13,10 +13,13 @@
 //! future scaling layer (async serving, caching, multi-backend) programs
 //! against this interface rather than against concrete structs.
 //!
-//! Every implementation in this crate delegates to the pre-existing
-//! inherent methods of the same struct, so trait-dispatched and direct
-//! calls are **bit-identical** under the same RNG state — the
-//! `trait_equivalence` test suite pins that down per synthesizer.
+//! Each family implements the trait in its own module, and the trait is
+//! its only round API: `prepare` and `finalize` hold the family's round
+//! bodies, and every family uses the provided `step`. The round contract
+//! itself — pinned population size, phase order, horizon — is checked in
+//! one place, the crate-private `RoundGate`. The `release_digests` test
+//! suite pins each family's released bytes under fixed seeds, and
+//! `round_contract` checks every family's rejections.
 //!
 //! ## The two-phase path
 //!
@@ -40,16 +43,8 @@
 //! accuracy. A finalize-only synthesizer never sees raw data, only summed
 //! aggregates.
 
-use crate::aggregate::{CumulativeAggregate, HistogramAggregate};
-use crate::baseline::RecomputeBaseline;
-use crate::categorical::CategoricalSynthesizer;
-use crate::cumulative::CumulativeSynthesizer;
 use crate::error::SynthError;
-use crate::fixed_window::{FixedWindowSynthesizer, Release};
-use longsynth_data::categorical::CategoricalColumn;
-use longsynth_data::BitColumn;
 use longsynth_dp::budget::Rho;
-use rand::Rng;
 use std::fmt;
 
 /// Where a synthesizer stands in its continual-release lifetime.
@@ -94,11 +89,12 @@ impl fmt::Display for LifecycleStage {
 ///   accepted; further calls return [`SynthError::HorizonExceeded`];
 /// * released prefixes are never rewritten (persistent-record
 ///   implementations) or are explicitly labelled as recomputed
-///   ([`RecomputeBaseline`]);
+///   ([`RecomputeBaseline`](crate::baseline::RecomputeBaseline));
 /// * [`budget_spent`](Self::budget_spent) is monotone in the round and
 ///   reaches the configured total by the end of the run.
 pub trait ContinualSynthesizer {
-    /// One round of true reports (e.g. [`BitColumn`], [`CategoricalColumn`]).
+    /// One round of true reports (e.g. a `BitColumn` or a
+    /// `CategoricalColumn`).
     type Input;
     /// What one `step` call releases.
     type Release;
@@ -122,9 +118,8 @@ pub trait ContinualSynthesizer {
 
     /// Feed the next true column; returns this round's release.
     ///
-    /// Equivalent to [`prepare`](Self::prepare) followed by
-    /// [`finalize`](Self::finalize) (implementations that override it keep
-    /// that equivalence bit-exact).
+    /// Exactly [`prepare`](Self::prepare) followed by
+    /// [`finalize`](Self::finalize); no implementation overrides it.
     fn step(&mut self, input: &Self::Input) -> Result<Self::Release, SynthError> {
         let aggregate = self.prepare(input)?;
         self.finalize(aggregate)
@@ -215,156 +210,13 @@ pub trait ContinualSynthesizer {
     }
 }
 
-impl<R: Rng> ContinualSynthesizer for FixedWindowSynthesizer<R> {
-    type Input = BitColumn;
-    type Release = Release;
-    type Aggregate = HistogramAggregate;
-
-    fn prepare(&mut self, input: &BitColumn) -> Result<HistogramAggregate, SynthError> {
-        FixedWindowSynthesizer::prepare(self, input)
-    }
-
-    fn finalize(&mut self, aggregate: HistogramAggregate) -> Result<Release, SynthError> {
-        FixedWindowSynthesizer::finalize(self, aggregate)
-    }
-
-    fn step(&mut self, input: &BitColumn) -> Result<Release, SynthError> {
-        FixedWindowSynthesizer::step(self, input)
-    }
-
-    fn round(&self) -> usize {
-        self.rounds_fed()
-    }
-
-    fn horizon(&self) -> usize {
-        self.config().horizon
-    }
-
-    fn budget_spent(&self) -> Rho {
-        self.ledger().spent()
-    }
-
-    fn budget_total(&self) -> Rho {
-        self.ledger().total()
-    }
-}
-
-impl<R: Rng> ContinualSynthesizer for CumulativeSynthesizer<R> {
-    type Input = BitColumn;
-    type Release = BitColumn;
-    type Aggregate = CumulativeAggregate;
-
-    fn prepare(&mut self, input: &BitColumn) -> Result<CumulativeAggregate, SynthError> {
-        CumulativeSynthesizer::prepare(self, input)
-    }
-
-    fn finalize(&mut self, aggregate: CumulativeAggregate) -> Result<BitColumn, SynthError> {
-        CumulativeSynthesizer::finalize(self, aggregate)
-    }
-
-    fn step(&mut self, input: &BitColumn) -> Result<BitColumn, SynthError> {
-        CumulativeSynthesizer::step(self, input)
-    }
-
-    fn cohort_retirement_window(&self) -> Option<usize> {
-        self.config().window
-    }
-
-    fn forget_cohort(&mut self, view: CumulativeAggregate) -> Result<(), SynthError> {
-        CumulativeSynthesizer::forget_cohort(self, view)
-    }
-
-    fn round(&self) -> usize {
-        self.rounds_fed()
-    }
-
-    fn horizon(&self) -> usize {
-        self.config().horizon
-    }
-
-    fn budget_spent(&self) -> Rho {
-        self.ledger().spent()
-    }
-
-    fn budget_total(&self) -> Rho {
-        self.ledger().total()
-    }
-}
-
-impl ContinualSynthesizer for RecomputeBaseline {
-    type Input = BitColumn;
-    type Release = ();
-    type Aggregate = BitColumn;
-
-    fn prepare(&mut self, input: &BitColumn) -> Result<BitColumn, SynthError> {
-        RecomputeBaseline::prepare(self, input)
-    }
-
-    fn finalize(&mut self, aggregate: BitColumn) -> Result<(), SynthError> {
-        RecomputeBaseline::finalize(self, aggregate)
-    }
-
-    fn step(&mut self, input: &BitColumn) -> Result<(), SynthError> {
-        RecomputeBaseline::step(self, input)
-    }
-
-    fn round(&self) -> usize {
-        self.rounds_fed()
-    }
-
-    fn horizon(&self) -> usize {
-        RecomputeBaseline::horizon(self)
-    }
-
-    fn budget_spent(&self) -> Rho {
-        RecomputeBaseline::budget_spent(self)
-    }
-
-    fn budget_total(&self) -> Rho {
-        RecomputeBaseline::budget_total(self)
-    }
-}
-
-impl<R: Rng> ContinualSynthesizer for CategoricalSynthesizer<R> {
-    type Input = CategoricalColumn;
-    type Release = ();
-    type Aggregate = HistogramAggregate;
-
-    fn prepare(&mut self, input: &CategoricalColumn) -> Result<HistogramAggregate, SynthError> {
-        CategoricalSynthesizer::prepare(self, input)
-    }
-
-    fn finalize(&mut self, aggregate: HistogramAggregate) -> Result<(), SynthError> {
-        CategoricalSynthesizer::finalize(self, aggregate)
-    }
-
-    fn step(&mut self, input: &CategoricalColumn) -> Result<(), SynthError> {
-        CategoricalSynthesizer::step(self, input)
-    }
-
-    fn round(&self) -> usize {
-        self.rounds_fed()
-    }
-
-    fn horizon(&self) -> usize {
-        self.config().horizon
-    }
-
-    fn budget_spent(&self) -> Rho {
-        self.ledger().spent()
-    }
-
-    fn budget_total(&self) -> Rho {
-        self.ledger().total()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cumulative::CumulativeConfig;
-    use crate::fixed_window::FixedWindowConfig;
+    use crate::cumulative::{CumulativeConfig, CumulativeSynthesizer};
+    use crate::fixed_window::{FixedWindowConfig, FixedWindowSynthesizer};
     use longsynth_data::generators::iid_bernoulli;
+    use longsynth_data::BitColumn;
     use longsynth_dp::rng::{rng_from_seed, RngFork};
 
     #[test]

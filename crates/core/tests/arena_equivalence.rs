@@ -18,8 +18,8 @@
 
 use longsynth::categorical::{CategoricalConfig, CategoricalSynthesizer};
 use longsynth::{
-    FixedWindowConfig, FixedWindowSynthesizer, HistogramAggregate, PaddingPolicy, Release,
-    SelectionStrategy,
+    ContinualSynthesizer, FixedWindowConfig, FixedWindowSynthesizer, HistogramAggregate,
+    PaddingPolicy, Release, SelectionStrategy,
 };
 use longsynth_dp::budget::Rho;
 use longsynth_dp::fastrange::RangePool;

@@ -30,8 +30,9 @@
 
 use longsynth::categorical::{CategoricalConfig, CategoricalSynthesizer};
 use longsynth::{
-    CumulativeAggregate, CumulativeConfig, CumulativeSynthesizer, FixedWindowConfig,
-    FixedWindowSynthesizer, HistogramAggregate, PaddingPolicy, Release, SelectionStrategy,
+    ContinualSynthesizer, CumulativeAggregate, CumulativeConfig, CumulativeSynthesizer,
+    FixedWindowConfig, FixedWindowSynthesizer, HistogramAggregate, PaddingPolicy, Release,
+    SelectionStrategy,
 };
 use longsynth_data::generators::iid_bernoulli;
 use longsynth_dp::budget::Rho;

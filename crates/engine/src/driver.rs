@@ -646,7 +646,7 @@ impl<S> ShardedEngine<S>
 where
     S: ContinualSynthesizer + Send + 'static,
     S::Input: ShardableInput + Send + 'static,
-    S::Release: MergeRelease + Clone + Send + 'static,
+    S::Release: MergeRelease + Send + 'static,
     S::Aggregate: MergeAggregate + Clone + Send + 'static,
 {
     /// Feed one population-level column; returns the population-level
@@ -1040,7 +1040,7 @@ pub struct IngestDriver<'a, S>
 where
     S: ContinualSynthesizer + Send + 'static,
     S::Input: ShardableInput + Send + 'static,
-    S::Release: MergeRelease + Clone + Send + 'static,
+    S::Release: MergeRelease + Send + 'static,
     S::Aggregate: MergeAggregate + Clone + Send + 'static,
 {
     engine: &'a mut ShardedEngine<S>,
@@ -1051,7 +1051,7 @@ impl<'a, S> IngestDriver<'a, S>
 where
     S: ContinualSynthesizer + Send + 'static,
     S::Input: ShardableInput + Send + 'static,
-    S::Release: MergeRelease + Clone + Send + 'static,
+    S::Release: MergeRelease + Send + 'static,
     S::Aggregate: MergeAggregate + Clone + Send + 'static,
 {
     /// Wraps an engine. The engine may have already stepped rounds; the

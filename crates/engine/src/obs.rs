@@ -57,7 +57,8 @@ pub(crate) struct RoundTimings {
 
 /// A lap clock threaded through a round's phases. Disabled (no observer
 /// attached) it never reads the wall clock; enabled, each `lap_*` call
-/// accumulates the time since the previous lap into its phase.
+/// stores the time since the previous lap as its phase. A round laps each
+/// phase at most once.
 #[derive(Debug)]
 pub(crate) struct PhaseClock {
     started: Option<Instant>,
@@ -83,35 +84,24 @@ impl PhaseClock {
         Some(elapsed_ms)
     }
 
-    fn accumulate(slot: &mut Option<f64>, elapsed: Option<f64>) {
-        if let Some(ms) = elapsed {
-            *slot = Some(slot.unwrap_or(0.0) + ms);
-        }
-    }
-
     pub(crate) fn lap_prepare(&mut self) {
-        let elapsed = self.lap();
-        Self::accumulate(&mut self.timings.prepare_ms, elapsed);
+        self.timings.prepare_ms = self.lap();
     }
 
     pub(crate) fn lap_finalize(&mut self) {
-        let elapsed = self.lap();
-        Self::accumulate(&mut self.timings.finalize_ms, elapsed);
+        self.timings.finalize_ms = self.lap();
     }
 
     pub(crate) fn lap_merge(&mut self) {
-        let elapsed = self.lap();
-        Self::accumulate(&mut self.timings.merge_ms, elapsed);
+        self.timings.merge_ms = self.lap();
     }
 
     pub(crate) fn lap_noise(&mut self) {
-        let elapsed = self.lap();
-        Self::accumulate(&mut self.timings.noise_ms, elapsed);
+        self.timings.noise_ms = self.lap();
     }
 
     pub(crate) fn lap_sink(&mut self) {
-        let elapsed = self.lap();
-        Self::accumulate(&mut self.timings.sink_ms, elapsed);
+        self.timings.sink_ms = self.lap();
     }
 
     fn finish(self) -> (RoundTimings, Option<f64>) {

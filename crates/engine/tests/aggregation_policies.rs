@@ -18,7 +18,8 @@
 //!    `√shards ≈ 2×` degradation the policy exists to remove.
 
 use longsynth::{
-    CumulativeConfig, CumulativeSynthesizer, FixedWindowConfig, FixedWindowSynthesizer, Release,
+    ContinualSynthesizer, CumulativeConfig, CumulativeSynthesizer, FixedWindowConfig,
+    FixedWindowSynthesizer, Release,
 };
 use longsynth_data::generators::iid_bernoulli;
 use longsynth_data::LongitudinalDataset;

@@ -9,7 +9,7 @@
 use crate::report::Series;
 use crate::runner::RepetitionRunner;
 use crate::stats::summarise_series;
-use longsynth::{CumulativeConfig, CumulativeSynthesizer};
+use longsynth::{ContinualSynthesizer, CumulativeConfig, CumulativeSynthesizer};
 use longsynth_data::LongitudinalDataset;
 use longsynth_dp::budget::Rho;
 use longsynth_queries::cumulative::cumulative_counts;

@@ -14,7 +14,7 @@ use crate::report::Series;
 use crate::runner::RepetitionRunner;
 use crate::stats::summarise_series;
 use longsynth::padding::theorem_bound_debiased;
-use longsynth::{FixedWindowConfig, FixedWindowSynthesizer};
+use longsynth::{ContinualSynthesizer, FixedWindowConfig, FixedWindowSynthesizer};
 use longsynth_data::generators::all_ones;
 use longsynth_data::LongitudinalDataset;
 use longsynth_dp::budget::Rho;

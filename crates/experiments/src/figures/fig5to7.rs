@@ -7,7 +7,7 @@
 use crate::report::Series;
 use crate::runner::RepetitionRunner;
 use crate::stats::summarise_series;
-use longsynth::{FixedWindowConfig, FixedWindowSynthesizer};
+use longsynth::{ContinualSynthesizer, FixedWindowConfig, FixedWindowSynthesizer};
 use longsynth_data::LongitudinalDataset;
 use longsynth_dp::budget::Rho;
 use longsynth_queries::window::{quarterly_battery, WindowQuery};

@@ -20,7 +20,7 @@ use longsynth::baseline::RecomputeBaseline;
 use longsynth::padding::theorem_bound_counts;
 use longsynth::reduction::ReductionSynthesizer;
 use longsynth::{
-    BudgetSplit, CumulativeConfig, CumulativeSynthesizer, FixedWindowConfig,
+    BudgetSplit, ContinualSynthesizer, CumulativeConfig, CumulativeSynthesizer, FixedWindowConfig,
     FixedWindowSynthesizer, PaddingPolicy,
 };
 use longsynth_counters::CounterKind;

@@ -12,6 +12,7 @@
 //! ```
 
 use longsynth::categorical::{CategoricalConfig, CategoricalSynthesizer};
+use longsynth::ContinualSynthesizer;
 use longsynth_data::generators::categorical_markov;
 use longsynth_dp::budget::Rho;
 use longsynth_dp::rng::rng_from_seed;

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use longsynth::{FixedWindowConfig, FixedWindowSynthesizer};
+use longsynth::{ContinualSynthesizer, FixedWindowConfig, FixedWindowSynthesizer};
 use longsynth_data::generators::{two_state_markov, MarkovParams};
 use longsynth_dp::budget::Rho;
 use longsynth_dp::rng::rng_from_seed;

@@ -11,7 +11,7 @@
 //! SIPP_CSV=/data/pu2021.csv cargo run --release --example sipp_poverty_quarters
 //! ```
 
-use longsynth::{FixedWindowConfig, FixedWindowSynthesizer};
+use longsynth::{ContinualSynthesizer, FixedWindowConfig, FixedWindowSynthesizer};
 use longsynth_data::sipp::{load_sipp_csv, SippConfig};
 use longsynth_dp::budget::Rho;
 use longsynth_dp::rng::rng_from_seed;

@@ -11,7 +11,7 @@
 //! cargo run --release --example streaming_release
 //! ```
 
-use longsynth::{FixedWindowConfig, FixedWindowSynthesizer, Release};
+use longsynth::{ContinualSynthesizer, FixedWindowConfig, FixedWindowSynthesizer, Release};
 use longsynth_data::generators::{two_state_markov, MarkovParams};
 use longsynth_data::{BitColumn, BitStream};
 use longsynth_dp::budget::Rho;

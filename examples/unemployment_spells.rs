@@ -11,7 +11,7 @@
 //! cargo run --release --example unemployment_spells
 //! ```
 
-use longsynth::{CumulativeConfig, CumulativeSynthesizer};
+use longsynth::{ContinualSynthesizer, CumulativeConfig, CumulativeSynthesizer};
 use longsynth_data::generators::{two_state_markov, MarkovParams};
 use longsynth_dp::budget::Rho;
 use longsynth_dp::rng::{rng_from_seed, RngFork};

@@ -7,8 +7,8 @@
 use longsynth::baseline::RecomputeBaseline;
 use longsynth::reduction::ReductionSynthesizer;
 use longsynth::{
-    CumulativeConfig, CumulativeSynthesizer, FixedWindowConfig, FixedWindowSynthesizer,
-    PaddingPolicy,
+    ContinualSynthesizer, CumulativeConfig, CumulativeSynthesizer, FixedWindowConfig,
+    FixedWindowSynthesizer, PaddingPolicy,
 };
 use longsynth_data::generators::{two_state_markov, MarkovParams};
 use longsynth_dp::budget::Rho;

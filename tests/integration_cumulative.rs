@@ -4,7 +4,7 @@
 // Threshold loops index by `b`/`t` to mirror the paper's notation.
 #![allow(clippy::needless_range_loop)]
 
-use longsynth::{BudgetSplit, CumulativeConfig, CumulativeSynthesizer};
+use longsynth::{BudgetSplit, ContinualSynthesizer, CumulativeConfig, CumulativeSynthesizer};
 use longsynth_counters::CounterKind;
 use longsynth_data::sipp::SippConfig;
 use longsynth_data::LongitudinalDataset;

@@ -1,7 +1,9 @@
 //! Analyst-side estimation paths: biased vs debiased, scalar vs
 //! padding-record debiasing, sub-width and super-width queries.
 
-use longsynth::{FixedWindowConfig, FixedWindowSynthesizer, SelectionStrategy, SynthError};
+use longsynth::{
+    ContinualSynthesizer, FixedWindowConfig, FixedWindowSynthesizer, SelectionStrategy, SynthError,
+};
 use longsynth_data::sipp::SippConfig;
 use longsynth_dp::budget::Rho;
 use longsynth_dp::rng::rng_from_seed;

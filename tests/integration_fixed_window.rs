@@ -2,7 +2,9 @@
 //! continual synthesis → query answering, checking the paper's §3
 //! guarantees at realistic scales.
 
-use longsynth::{FixedWindowConfig, FixedWindowSynthesizer, PaddingPolicy, Release};
+use longsynth::{
+    ContinualSynthesizer, FixedWindowConfig, FixedWindowSynthesizer, PaddingPolicy, Release,
+};
 use longsynth_data::generators::{two_state_markov, MarkovParams};
 use longsynth_data::sipp::SippConfig;
 use longsynth_dp::budget::Rho;

@@ -4,7 +4,8 @@
 //! audit in the bench suite).
 
 use longsynth::{
-    BudgetSplit, CumulativeConfig, CumulativeSynthesizer, FixedWindowConfig, FixedWindowSynthesizer,
+    BudgetSplit, ContinualSynthesizer, CumulativeConfig, CumulativeSynthesizer, FixedWindowConfig,
+    FixedWindowSynthesizer,
 };
 use longsynth_data::generators::iid_bernoulli;
 use longsynth_dp::budget::Rho;

@@ -5,8 +5,8 @@
 #![allow(clippy::needless_range_loop)]
 
 use longsynth::{
-    CumulativeConfig, CumulativeSynthesizer, FixedWindowConfig, FixedWindowSynthesizer,
-    PaddingPolicy, SelectionStrategy,
+    ContinualSynthesizer, CumulativeConfig, CumulativeSynthesizer, FixedWindowConfig,
+    FixedWindowSynthesizer, PaddingPolicy, SelectionStrategy,
 };
 use longsynth_data::generators::iid_bernoulli;
 use longsynth_dp::budget::Rho;
