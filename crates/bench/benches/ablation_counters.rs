@@ -52,7 +52,7 @@ fn bench_counter_kinds(c: &mut Criterion) {
                     for (_, col) in panel.stream() {
                         synth.step(col).unwrap();
                     }
-                    synth.rounds_fed()
+                    synth.round()
                 },
                 BatchSize::LargeInput,
             )

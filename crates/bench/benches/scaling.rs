@@ -78,7 +78,7 @@ fn bench_scaling_horizon(c: &mut Criterion) {
                         for (_, col) in panel.stream() {
                             synth.step(col).unwrap();
                         }
-                        synth.rounds_fed()
+                        synth.round()
                     },
                     BatchSize::LargeInput,
                 )

@@ -72,11 +72,6 @@ impl RecomputeBaseline {
             .ok_or(SynthError::RoundNotReleased { round: t })
     }
 
-    /// Rounds fed so far.
-    pub fn rounds_fed(&self) -> usize {
-        self.gate.rounds_fed()
-    }
-
     /// True population size `n` (known after the first round).
     pub fn true_n(&self) -> Option<usize> {
         self.gate.n()

@@ -427,11 +427,6 @@ impl<R: Rng> CategoricalSynthesizer<R> {
         &self.config
     }
 
-    /// Rounds fed so far.
-    pub fn rounds_fed(&self) -> usize {
-        self.gate.rounds_fed()
-    }
-
     /// True population size `n` (known after the first round).
     pub fn true_n(&self) -> Option<usize> {
         self.gate.n()

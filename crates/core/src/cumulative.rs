@@ -411,11 +411,6 @@ impl<R: Rng> CumulativeSynthesizer<R> {
         &self.ledger
     }
 
-    /// Rounds fed so far.
-    pub fn rounds_fed(&self) -> usize {
-        self.gate.rounds_fed()
-    }
-
     /// The monotone threshold estimates `Ŝ_b` at 0-based round `t`,
     /// indexed by `b = 0..=T`.
     pub fn threshold_estimates(&self, t: usize) -> Result<&[i64], SynthError> {
@@ -1037,7 +1032,7 @@ mod tests {
             Err(SynthError::ColumnSizeMismatch { .. })
         ));
         synth.finalize(aligned(50, 3, 2, 5)).unwrap();
-        assert_eq!(synth.rounds_fed(), 3);
+        assert_eq!(synth.round(), 3);
     }
 
     #[test]

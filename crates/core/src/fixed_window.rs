@@ -570,11 +570,6 @@ impl<R: Rng> FixedWindowSynthesizer<R> {
         &self.ledger
     }
 
-    /// Rounds fed so far.
-    pub fn rounds_fed(&self) -> usize {
-        self.gate.rounds_fed()
-    }
-
     /// The released histogram targets `p_s^t` for data round `t` (0-based;
     /// first available at `t = k−1`).
     pub fn histogram_estimate(&self, t: usize) -> Result<&[i64], SynthError> {

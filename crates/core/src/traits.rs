@@ -299,7 +299,7 @@ mod tests {
             assert_eq!(via_step, via_finalize);
         }
         assert_eq!(stepped.synthetic(), population.synthetic());
-        assert_eq!(stepped.rounds_fed(), population.rounds_fed());
+        assert_eq!(stepped.round(), population.round());
         assert!((population.ledger().spent().value() - 0.05).abs() < 1e-12);
     }
 
@@ -328,9 +328,9 @@ mod tests {
             Err(SynthError::OutOfPhase(_))
         ));
         // The failed finalizes did not consume the round: stepping resumes.
-        assert_eq!(synth.rounds_fed(), 2);
+        assert_eq!(synth.round(), 2);
         synth.step(col).unwrap();
-        assert_eq!(synth.rounds_fed(), 3);
+        assert_eq!(synth.round(), 3);
     }
 
     /// A rejected finalize leaves a *fresh* synthesizer untouched — in
@@ -354,7 +354,7 @@ mod tests {
             Err(SynthError::OutOfPhase(_))
         ));
         assert!(population.true_n().is_none());
-        assert_eq!(population.rounds_fed(), 0);
+        assert_eq!(population.round(), 0);
         let data = iid_bernoulli(&mut rng_from_seed(62), 100, 5, 0.5);
         let mut preparer = FixedWindowSynthesizer::new(config, rng_from_seed(63));
         for (_, col) in data.stream() {
@@ -376,7 +376,7 @@ mod tests {
             }),
             Err(SynthError::OutOfPhase(_))
         ));
-        assert_eq!(population.rounds_fed(), 0);
+        assert_eq!(population.round(), 0);
         population
             .finalize(crate::aggregate::CumulativeAggregate {
                 n: 100,

@@ -3,11 +3,18 @@
 //!
 //! The binner keeps the CSPARQL-style *active-window map* — every window
 //! that has opened but not yet sealed — and absorbs each event into all
-//! covering windows (`WindowSpec::rounds_covering`). Because rounds seal
-//! strictly in order, the map is stored dense: a `VecDeque` of slots
-//! indexed by `round − next_seal`, so the per-event hot path is an index,
-//! not a tree lookup (this is what makes the ≥ 1M events/sec seal
-//! throughput in `BENCH_ingest.json` cheap on one core).
+//! covering windows. Because rounds seal strictly in order, the map is
+//! stored dense: a `VecDeque` of slots indexed by `round − next_seal`.
+//!
+//! The hot path is a cell hit plus a run. CSPARQL runs its `scope` step
+//! on every event; here [`WindowSpec::cover`] resolves the covering
+//! rounds together with the *cell* of event time that shares them, and
+//! the binner keeps the last cover. [`WindowBinner::push_batch`] splits
+//! each batch into maximal runs of consecutive events inside one cell:
+//! a run resolves its cover (one `u64` division, only on a cell miss)
+//! and its open slots once and adds its counters once, and each event in
+//! it costs two comparisons plus one `absorb` per covering round.
+//! [`WindowBinner::push`] is the same entry with one event.
 //!
 //! Sealing is watermark-driven: [`WindowBinner::advance`] seals every
 //! round whose window closes (plus any grace) at or below the watermark,
@@ -21,7 +28,7 @@ use std::time::Instant;
 use longsynth_data::BitColumn;
 use longsynth_obs::IngestMetrics;
 
-use crate::window::{WindowInstance, WindowSpec};
+use crate::window::{Cover, WindowInstance, WindowSpec};
 use crate::IngestError;
 
 /// What happens to events that arrive after their window sealed.
@@ -205,6 +212,8 @@ pub struct SealedRound<R> {
     pub input: R,
 }
 
+/// One open window. Its accumulator is begun by the first event absorbed
+/// into it, so rounds an early event skips over cost no allocation.
 struct Slot<Acc> {
     acc: Option<Acc>,
     events: u64,
@@ -226,6 +235,8 @@ pub struct WindowBinner<A: RoundAssembler> {
     spec: WindowSpec,
     policy: LatePolicy,
     assembler: A,
+    /// The last resolved cover; events inside its cell skip the division.
+    cover: Cover,
     /// Dense open-window slots; index `i` is round `next_seal + i`.
     slots: VecDeque<Slot<A::Acc>>,
     next_seal: u64,
@@ -243,6 +254,10 @@ impl<A: RoundAssembler> WindowBinner<A> {
             spec,
             policy,
             assembler,
+            cover: Cover {
+                rounds: None,
+                cell: None,
+            },
             slots: VecDeque::new(),
             next_seal: 0,
             max_round_touched: None,
@@ -259,67 +274,108 @@ impl<A: RoundAssembler> WindowBinner<A> {
         self
     }
 
-    /// Absorbs one event into every covering open window.
+    /// Absorbs one event into every covering open window: a one-event
+    /// [`WindowBinner::push_batch`].
     ///
     /// Returns `true` when the event was late — it missed at least one
     /// covering window that had already sealed (with overlapping windows
     /// it may still have been absorbed into the rest), arrived before the
     /// stream origin, or fell into an inter-window gap (`width < slide`).
     pub fn push(&mut self, time_ms: i64, individual: u32, payload: &A::Payload) -> bool {
-        self.events_total += 1;
-        if let Some(m) = &self.metrics {
-            m.events_total.inc();
+        self.push_batch([(time_ms, individual, payload)]) > 0
+    }
+
+    /// Absorbs `(time_ms, individual, payload)` events, in order, into
+    /// every covering open window, and returns how many were late (see
+    /// [`WindowBinner::push`]).
+    ///
+    /// The batch is split into maximal runs of consecutive events that
+    /// share one cover cell ([`WindowSpec::cover`]). Each run resolves its
+    /// cover and open slots once and adds its counts once; each event in
+    /// it costs two comparisons plus one `absorb` per covering round. A
+    /// late run counts every event late, and an event that some covering
+    /// round rejects counts once, however many covers refuse it.
+    pub fn push_batch<'p, I>(&mut self, events: I) -> u64
+    where
+        I: IntoIterator<Item = (i64, u32, &'p A::Payload)>,
+        A::Payload: 'p,
+    {
+        let mut events = events.into_iter().peekable();
+        let mut late_total = 0;
+        while let Some(&(time_ms, _, _)) = events.peek() {
+            if !self.cover.contains(time_ms) {
+                self.cover = self.spec.cover(time_ms);
+            }
+            let cover = self.cover;
+            // The run is the next event and every event after it inside
+            // the cell; a cover without a cell runs one event.
+            let mut first = true;
+            let mut run = std::iter::from_fn(|| {
+                events.next_if(|&(t, _, _)| std::mem::take(&mut first) || cover.contains(t))
+            });
+            let (absorbed, late) = match cover.rounds {
+                Some((lo, hi)) if hi >= self.next_seal => {
+                    (self.absorb_run(lo, hi, &mut run), lo < self.next_seal)
+                }
+                _ => (run.count() as u64, true),
+            };
+            self.events_total += absorbed;
+            if let Some(m) = &self.metrics {
+                m.events_total.add(absorbed);
+            }
+            if late {
+                late_total += absorbed;
+                self.late_events += absorbed;
+                if let Some(m) = &self.metrics {
+                    m.late_events_total.add(absorbed);
+                }
+            }
         }
-        let Some((lo, hi)) = self.spec.rounds_covering(time_ms) else {
-            return self.count_late();
-        };
-        if hi < self.next_seal {
-            return self.count_late();
-        }
-        let late = lo < self.next_seal;
-        if late {
-            self.count_late();
-        }
-        let lo = lo.max(self.next_seal);
+        late_total
+    }
+
+    /// Absorbs one run of events into the open slots of rounds
+    /// `max(lo, next_seal)..=hi`; returns the run's length.
+    fn absorb_run<'p>(
+        &mut self,
+        lo: u64,
+        hi: u64,
+        run: impl Iterator<Item = (i64, u32, &'p A::Payload)>,
+    ) -> u64
+    where
+        A::Payload: 'p,
+    {
         let base = self.next_seal;
         let need = (hi - base + 1) as usize;
         while self.slots.len() < need {
             self.slots.push_back(Slot::empty());
         }
-        let mut rejected = false;
-        for round in lo..=hi {
-            let slot = &mut self.slots[(round - base) as usize];
-            let acc = slot.acc.get_or_insert_with(|| self.assembler.begin(round));
-            match self.assembler.absorb(acc, individual, payload) {
-                Ok(()) => {
-                    slot.events += 1;
-                    if slot.first_seen.is_none() {
-                        slot.first_seen = Some(Instant::now());
+        let first = lo.max(base);
+        let covers = &mut self.slots.make_contiguous()[(first - base) as usize..need];
+        let mut count = 0;
+        for (_, individual, payload) in run {
+            count += 1;
+            let mut rejected = false;
+            for (round, slot) in (first..).zip(covers.iter_mut()) {
+                let acc = slot.acc.get_or_insert_with(|| self.assembler.begin(round));
+                match self.assembler.absorb(acc, individual, payload) {
+                    Ok(()) => {
+                        slot.events += 1;
+                        if slot.first_seen.is_none() {
+                            slot.first_seen = Some(Instant::now());
+                        }
                     }
-                }
-                // Keep offering the event to the remaining covers:
-                // schedule-aware assemblers size each round differently,
-                // so an individual out of range for one covering round
-                // can still be valid for a later one. One rejection is
-                // counted per event, however many covers refuse it.
-                Err(_) => {
-                    if !rejected {
-                        self.rejected_events += 1;
-                        rejected = true;
-                    }
+                    // Keep offering the event to the remaining covers:
+                    // schedule-aware assemblers size each round
+                    // differently, so an individual out of range for one
+                    // covering round can still be valid for a later one.
+                    Err(_) => rejected = true,
                 }
             }
+            self.rejected_events += u64::from(rejected);
         }
         self.max_round_touched = Some(self.max_round_touched.map_or(hi, |m| m.max(hi)));
-        late
-    }
-
-    fn count_late(&mut self) -> bool {
-        self.late_events += 1;
-        if let Some(m) = &self.metrics {
-            m.late_events_total.inc();
-        }
-        true
+        count
     }
 
     /// Seals every round whose window close (+ grace) is at or below
@@ -559,6 +615,23 @@ mod tests {
         assert_eq!(out[0].events, 0, "round 0 cannot hold individual 1");
         assert_eq!(out[1].events, 1);
         assert_eq!(bits(&out[1]), vec![false, true]);
+    }
+
+    #[test]
+    fn events_in_a_cell_past_i64_max_run_one_at_a_time() {
+        // Round 1 closes past i64::MAX, so its cell cannot be cached and
+        // every event must still be absorbed as a run of its own.
+        let spec = WindowSpec::tumbling(1_000, i64::MAX - 1_500).unwrap();
+        assert_eq!(spec.cover(i64::MAX).cell, None);
+        let mut binner = WindowBinner::new(spec, LatePolicy::Drop, BitRoundAssembler::new(3));
+        let late = binner.push_batch([
+            (i64::MAX - 2, 0, &true),
+            (i64::MAX - 1, 1, &true),
+            (i64::MAX, 2, &false),
+        ]);
+        assert_eq!((late, binner.events_total()), (0, 3));
+        assert_eq!(binner.slots[1].events, 3);
+        assert_eq!(binner.slots[1].acc.as_ref().unwrap().count_ones(), 2);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use binner::{
 pub use queue::{bounded, Consumer, Producer, RecvResult, SendError, TrySendError};
 pub use tier::{Event, EventProducer, IngestConfig, IngestStats, IngestTier, SealedRounds};
 pub use watermark::{IdlePolicy, WatermarkSlot, WatermarkTracker};
-pub use window::{WindowInstance, WindowSpec};
+pub use window::{Cover, WindowInstance, WindowSpec};
 
 use std::fmt;
 

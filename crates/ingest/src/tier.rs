@@ -274,15 +274,15 @@ impl<A: RoundAssembler> SealedRounds<A> {
         }
     }
 
-    /// Runs the drained batch through the binner, leaving `self.batch`
-    /// empty (its capacity retained) for the next drain.
+    /// Runs the drained batch through the binner's batch entry, leaving
+    /// `self.batch` empty (its capacity retained) for the next drain.
     fn absorb_batch(&mut self) {
-        let mut batch = std::mem::take(&mut self.batch);
-        for event in batch.drain(..) {
-            self.binner
-                .push(event.time_ms, event.individual, &event.payload);
-        }
-        self.batch = batch;
+        self.binner.push_batch(
+            self.batch
+                .iter()
+                .map(|e| (e.time_ms, e.individual, &e.payload)),
+        );
+        self.batch.clear();
     }
 
     /// Every producer dropped and the queue drained: the final watermark

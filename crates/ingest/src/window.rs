@@ -60,6 +60,31 @@ impl WindowInstance {
     }
 }
 
+/// The rounds covering one event time, and the *cell* of event times
+/// that share them ([`WindowSpec::cover`]).
+///
+/// Cells partition the time line: every event inside `cell` has the same
+/// [`WindowSpec::rounds_covering`] answer, so a consumer that keeps the
+/// last cover resolves a run of nearby events with two comparisons each
+/// instead of a division.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cover {
+    /// [`WindowSpec::rounds_covering`] of the event time.
+    pub rounds: Option<(u64, u64)>,
+    /// The largest half-open interval `[start, end)` of event time that
+    /// contains the event time and on which `rounds` stays the same, or
+    /// `None` when `end` would not fit in `i64` (then nothing may be
+    /// cached). The pre-origin cell starts at `i64::MIN`.
+    pub cell: Option<(i64, i64)>,
+}
+
+impl Cover {
+    /// Whether event time `t` falls inside the cell (`false` without one).
+    pub fn contains(&self, t: i64) -> bool {
+        self.cell.is_some_and(|(start, end)| start <= t && t < end)
+    }
+}
+
 impl WindowSpec {
     /// Builds a window family. `width` and `slide` must be positive;
     /// `t0` is the event-time origin of round 0 and may be any `i64`
@@ -120,7 +145,9 @@ impl WindowSpec {
     ///
     /// This is the CSPARQL `scope` step, integer-only: the last covering
     /// round is `⌊(t − t0) / slide⌋` and the first is
-    /// `⌊(t − t0 − width) / slide⌋ + 1`, both clamped to `≥ 0`.
+    /// `⌊(t − t0 − width) / slide⌋ + 1`, both clamped to `≥ 0`. The binner
+    /// resolves events through [`WindowSpec::cover`] instead; this
+    /// two-division form is the definition the tests check it against.
     pub fn rounds_covering(&self, t: i64) -> Option<(u64, u64)> {
         // Work in i128 so `t − t0` cannot overflow for any (t, t0) pair.
         let delta = i128::from(t) - i128::from(self.t0);
@@ -140,6 +167,54 @@ impl WindowSpec {
         let lo = (div_floor(delta - width, slide) + 1).max(0);
         // delta fits in i64 ⇒ hi ≤ delta/1 fits comfortably in u64.
         Some((lo as u64, hi as u64))
+    }
+
+    /// [`WindowSpec::rounds_covering`] of `t` plus the cell around `t` on
+    /// which that answer stays the same.
+    ///
+    /// With covers `(lo, hi)` the cell is
+    /// `[max(open(hi), close(lo − 1) if lo > 0), min(open(hi + 1), close(lo)))`:
+    /// `hi` changes at a window open and `lo` at a window close. An
+    /// uncovered `t` lies in `[i64::MIN, t0)` before the origin, or in the
+    /// gap `[close(hi), open(hi + 1))` when `width < slide`.
+    ///
+    /// This is the cell-miss path of the binner, so it takes one `u64`
+    /// division where `rounds_covering` takes two `i128` ones: `t − t0`
+    /// is exact in `u64` once `t ≥ t0`, and the covers before `hi` follow
+    /// from the offset of `t` into window `hi`. Boundaries are computed
+    /// in `i128` and never panic.
+    pub fn cover(&self, t: i64) -> Cover {
+        if t < self.t0 {
+            return Cover {
+                rounds: None,
+                cell: Some((i64::MIN, self.t0)),
+            };
+        }
+        let (slide, width) = (self.slide as u64, self.width as u64);
+        let delta = t.abs_diff(self.t0);
+        let (hi, into) = (delta / slide, delta % slide);
+        let open_hi = i128::from(t) - i128::from(into);
+        let (rounds, start, end) = if into >= width {
+            // In the gap after window `hi` closes.
+            (
+                None,
+                open_hi + i128::from(width),
+                open_hi + i128::from(slide),
+            )
+        } else {
+            // Window `hi − j` still holds `t` while `j·slide + into < width`.
+            let lo = hi.saturating_sub((width - into - 1) / slide);
+            let close_lo = open_hi - i128::from(hi - lo) * i128::from(slide) + i128::from(width);
+            let start = if lo > 0 {
+                open_hi.max(close_lo - i128::from(slide))
+            } else {
+                open_hi
+            };
+            let end = (open_hi + i128::from(slide)).min(close_lo);
+            (Some((lo, hi)), start, end)
+        };
+        let cell = i64::try_from(start).ok().zip(i64::try_from(end).ok());
+        Cover { rounds, cell }
     }
 
     /// The last round whose window closes at or before `watermark + 1`
@@ -223,6 +298,33 @@ mod tests {
                 assert!(r < lo || r > hi, "close must be excluded from round {r}");
             }
         }
+    }
+
+    #[test]
+    fn cover_cells_are_the_maximal_runs_of_one_answer() {
+        // width 700, slide 300: covers change at every open (t ≡ 0 mod 300)
+        // and every close (t ≡ 100 mod 300, from t = 700 on).
+        let spec = WindowSpec::new(700, 300, 0).unwrap();
+        assert_eq!(spec.cover(0).cell, Some((0, 300)));
+        assert_eq!(spec.cover(650).rounds, Some((0, 2)));
+        assert_eq!(spec.cover(650).cell, Some((600, 700)));
+        assert_eq!(spec.cover(700).rounds, Some((1, 2)));
+        assert_eq!(spec.cover(700).cell, Some((700, 900)));
+        // Before the origin, and in a gap of a sampling spec.
+        assert_eq!(spec.cover(-1).cell, Some((i64::MIN, 0)));
+        let gaps = WindowSpec::new(300, 1000, 0).unwrap();
+        assert_eq!(
+            gaps.cover(500),
+            Cover {
+                rounds: None,
+                cell: Some((300, 1000))
+            }
+        );
+        // A cell whose end passes i64::MAX is not cached.
+        let edge = WindowSpec::tumbling(1_000, i64::MAX - 1_500).unwrap();
+        assert_eq!(edge.cover(i64::MAX).rounds, Some((1, 1)));
+        assert_eq!(edge.cover(i64::MAX).cell, None);
+        assert!(!edge.cover(i64::MAX).contains(i64::MAX));
     }
 
     #[test]
