@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use longsynth_dp::bernoulli::sample_bernoulli_exp_neg;
 use longsynth_dp::discrete_gaussian::sample_discrete_gaussian;
-use longsynth_dp::geometric::{sample_discrete_laplace, sample_discrete_laplace_int};
+use longsynth_dp::geometric::sample_discrete_laplace_int;
 use longsynth_dp::rng::rng_from_seed;
 use longsynth_dp::DiscreteGaussianSampler;
 use std::hint::black_box;
@@ -82,10 +82,6 @@ fn bench_samplers(c: &mut Criterion) {
     group.bench_function("int_scale_10", |b| {
         let mut rng = rng_from_seed(2);
         b.iter(|| sample_discrete_laplace_int(&mut rng, black_box(10)))
-    });
-    group.bench_function("real_scale_2_5", |b| {
-        let mut rng = rng_from_seed(3);
-        b.iter(|| sample_discrete_laplace(&mut rng, black_box(2.5)))
     });
     group.finish();
 

@@ -74,9 +74,9 @@ pub struct FixedWindowConfig {
     /// Record selection strategy (default: [`SelectionStrategy::Uniform`]).
     pub selection: SelectionStrategy,
     /// Per-bin, per-step noise. `None` derives the paper's calibration
-    /// `N_Z(0, (T−k+1)/(2ρ))`; overriding it (e.g. with discrete Laplace
-    /// for a pure-DP run, or `NoiseDistribution::None` in tests) changes
-    /// the privacy guarantee accordingly — the caller owns that analysis.
+    /// `N_Z(0, (T−k+1)/(2ρ))`; overriding it (e.g. a different σ², or
+    /// `NoiseDistribution::None` in tests) changes the privacy guarantee
+    /// accordingly — the caller owns that analysis.
     pub noise_override: Option<NoiseDistribution>,
 }
 

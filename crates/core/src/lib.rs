@@ -89,7 +89,6 @@ pub mod error;
 pub mod fixed_window;
 mod gate;
 pub mod padding;
-pub mod pure_dp;
 pub mod reduction;
 pub mod traits;
 

@@ -70,22 +70,6 @@ impl<R: Rng> TreeCounter<R> {
         Self::new(horizon, crate::tree_node_noise(horizon, rho), rng)
     }
 
-    /// Pure ε-DP calibration with discrete Laplace node noise — the
-    /// original Dwork et al. / Chan et al. construction the paper's
-    /// Appendix A notes ("initially described using Laplace noise,
-    /// resulting \[in\] a pure (ε, 0)-DP algorithm"). Each element enters at
-    /// most `L` nodes, so per-node scale `L/ε` composes to ε-DP.
-    pub fn for_pure_dp(horizon: usize, epsilon: longsynth_dp::budget::Epsilon, rng: R) -> Self {
-        let levels = tree_levels(horizon) as f64;
-        Self::new(
-            horizon,
-            NoiseDistribution::DiscreteLaplace {
-                scale: levels / epsilon.value(),
-            },
-            rng,
-        )
-    }
-
     /// Number of register levels `L`.
     pub fn levels(&self) -> usize {
         self.levels
@@ -133,8 +117,7 @@ impl<R: Rng + Send> StreamCounter for TreeCounter<R> {
 
     fn error_bound(&self, beta: f64) -> f64 {
         // Each prefix sums ≤ L noisy nodes: variance ≤ L·σ². Union bound
-        // over the T prefixes (sub-Gaussian for discrete Gaussian noise;
-        // conservative for Laplace via its variance).
+        // over the T prefixes (the discrete Gaussian is sub-Gaussian).
         let variance = self.levels as f64 * self.noise.variance();
         (2.0 * variance * (2.0 * self.horizon as f64 / beta).ln()).sqrt()
     }
@@ -238,44 +221,6 @@ mod tests {
             late < 3.0 * early,
             "tree error grew like a walk: early {early}, late {late}"
         );
-    }
-
-    #[test]
-    fn pure_dp_constructor_calibrates_scale() {
-        use longsynth_dp::budget::Epsilon;
-        let c = TreeCounter::for_pure_dp(12, Epsilon::new(0.5).unwrap(), rng_from_seed(9));
-        // L = 4 at T = 12 → scale 8.
-        match c.noise {
-            NoiseDistribution::DiscreteLaplace { scale } => {
-                assert!((scale - 8.0).abs() < 1e-12)
-            }
-            _ => panic!("expected Laplace"),
-        }
-        // And it still counts correctly (statistically).
-        let mut c = TreeCounter::for_pure_dp(64, Epsilon::new(5.0).unwrap(), rng_from_seed(10));
-        let mut truth = 0i64;
-        let mut worst = 0i64;
-        for _ in 0..64 {
-            truth += 2;
-            worst = worst.max((c.feed(2) - truth).abs());
-        }
-        assert!(worst < 60, "pure-DP tree error implausibly large: {worst}");
-    }
-
-    #[test]
-    fn works_with_laplace_noise() {
-        // The original DNPR/CSS counters used Laplace noise; the register
-        // algebra is noise-agnostic.
-        let noise = NoiseDistribution::DiscreteLaplace { scale: 2.0 };
-        let mut c = TreeCounter::new(64, noise, rng_from_seed(5));
-        let mut truth = 0i64;
-        let mut worst = 0i64;
-        for _ in 0..64 {
-            truth += 1;
-            worst = worst.max((c.feed(1) - truth).abs());
-        }
-        // Sanity: error bounded by a generous multiple of scale·levels.
-        assert!(worst < 200, "implausible Laplace tree error {worst}");
     }
 
     #[test]

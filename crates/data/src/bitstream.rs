@@ -1,9 +1,12 @@
 //! [`BitStream`]: one individual's history, growing one bit per round.
 //!
 //! This is the object the model's consistency requirement is about: once a
-//! bit has been appended (released), it never changes. The synthesizers in
-//! `longsynth` hold one `BitStream` per synthetic individual and only ever
-//! call [`BitStream::push`].
+//! bit has been appended (released), it never changes. It is the row type
+//! of panel I/O: the CSV and SIPP loaders build one `BitStream` per
+//! individual and assemble them into a column-major
+//! [`LongitudinalDataset`](crate::LongitudinalDataset), and
+//! [`LongitudinalDataset::row`](crate::LongitudinalDataset::row) reads one
+//! back. The synthesizers work on columns and never hold one.
 
 use std::fmt;
 
@@ -14,8 +17,8 @@ const WORD_BITS: usize = 64;
 pub struct BitStream {
     words: Vec<u64>,
     len: usize,
-    /// Running Hamming weight, maintained incrementally because the
-    /// cumulative synthesizer classifies every record by weight every round.
+    /// Running Hamming weight, maintained incrementally so
+    /// [`weight`](Self::weight) is O(1).
     weight: usize,
 }
 

@@ -28,15 +28,6 @@ impl Rho {
         Ok(Self(rho))
     }
 
-    /// Construct a strictly positive budget (needed wherever noise scales as
-    /// `1/ρ`).
-    pub fn new_positive(rho: f64) -> Result<Self, BudgetError> {
-        if !rho.is_finite() || rho <= 0.0 {
-            return Err(BudgetError::InvalidRho(rho));
-        }
-        Ok(Self(rho))
-    }
-
     /// The raw ρ value.
     #[inline]
     pub fn value(self) -> f64 {
@@ -159,66 +150,6 @@ impl fmt::Display for BudgetError {
 
 impl std::error::Error for BudgetError {}
 
-/// A pure differential privacy budget ε > 0.
-///
-/// Provided for the pure-DP variants of the mechanisms (the original
-/// Dwork–Naor–Pitassi–Rothblum / Chan–Shi–Song counters used Laplace noise
-/// under ε-DP; see the paper's Appendix A note). Pure ε-DP composes
-/// additively and implies `ε²/2`-zCDP (Bun–Steinke 2016, Prop. 1.4), which
-/// is how the pure-DP configurations plug into the zCDP ledger.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
-pub struct Epsilon(f64);
-
-impl Epsilon {
-    /// Construct a strictly positive pure-DP budget.
-    pub fn new(epsilon: f64) -> Result<Self, BudgetError> {
-        if !epsilon.is_finite() || epsilon <= 0.0 {
-            return Err(BudgetError::InvalidRho(epsilon));
-        }
-        Ok(Self(epsilon))
-    }
-
-    /// The raw ε value.
-    #[inline]
-    pub fn value(self) -> f64 {
-        self.0
-    }
-
-    /// Basic composition: ε₁-DP then ε₂-DP is (ε₁+ε₂)-DP.
-    #[must_use]
-    pub fn compose(self, other: Epsilon) -> Epsilon {
-        Epsilon(self.0 + other.0)
-    }
-
-    /// Split into `parts` equal shares.
-    pub fn split_uniform(self, parts: usize) -> Result<Vec<Epsilon>, BudgetError> {
-        if parts == 0 {
-            return Err(BudgetError::EmptySplit);
-        }
-        Ok(vec![Epsilon(self.0 / parts as f64); parts])
-    }
-
-    /// The zCDP budget this pure-DP guarantee implies: `ρ = ε²/2`.
-    pub fn to_zcdp(self) -> Rho {
-        Rho(self.0 * self.0 / 2.0)
-    }
-
-    /// The discrete-Laplace scale for one release of a sensitivity-`Δ`
-    /// statistic under this budget: `scale = Δ/ε`.
-    pub fn laplace_scale(self, sensitivity: f64) -> Result<f64, BudgetError> {
-        if !sensitivity.is_finite() || sensitivity <= 0.0 {
-            return Err(BudgetError::InvalidSensitivity(sensitivity));
-        }
-        Ok(sensitivity / self.0)
-    }
-}
-
-impl fmt::Display for Epsilon {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ε={}", self.0)
-    }
-}
-
 /// A running zCDP spend tracker: how much of a total budget has been spent.
 ///
 /// The synthesizers use this to assert, at the end of a run, that the noise
@@ -281,7 +212,6 @@ mod tests {
         assert!(Rho::new(-0.1).is_err());
         assert!(Rho::new(f64::NAN).is_err());
         assert!(Rho::new(f64::INFINITY).is_err());
-        assert!(Rho::new_positive(0.0).is_err());
     }
 
     #[test]
@@ -379,26 +309,5 @@ mod tests {
         assert_eq!(format!("{rho}"), "ρ=0.25");
         let err = BudgetError::InvalidDelta(2.0);
         assert!(format!("{err}").contains("delta"));
-    }
-
-    #[test]
-    fn epsilon_budget_contract() {
-        assert!(Epsilon::new(0.0).is_err());
-        assert!(Epsilon::new(f64::NAN).is_err());
-        let e = Epsilon::new(1.0).unwrap();
-        assert_eq!(format!("{e}"), "ε=1");
-        // Composition and splitting.
-        let total = e.compose(Epsilon::new(0.5).unwrap());
-        assert!((total.value() - 1.5).abs() < 1e-15);
-        let parts = e.split_uniform(4).unwrap();
-        let sum: f64 = parts.iter().map(|p| p.value()).sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-        assert!(e.split_uniform(0).is_err());
-        // Conversion: ε-DP ⇒ ε²/2-zCDP.
-        assert!((e.to_zcdp().value() - 0.5).abs() < 1e-15);
-        // Laplace calibration.
-        assert!((e.laplace_scale(1.0).unwrap() - 1.0).abs() < 1e-15);
-        assert!((Epsilon::new(0.5).unwrap().laplace_scale(2.0).unwrap() - 4.0).abs() < 1e-15);
-        assert!(e.laplace_scale(0.0).is_err());
     }
 }

@@ -27,12 +27,13 @@
 //!   coin thresholds served from a precomputed table (the geometric tail
 //!   of every discrete-Laplace draw flips those same coins).
 //! * [`laplace_magnitude_pool`] — the one-sided discrete-Laplace magnitude
-//!   `Pr[X = x] ∝ exp(-x/t)` (CKS Algorithm 2), the shared proposal core
-//!   of both samplers' fill paths.
+//!   `Pr[X = x] ∝ exp(-x/t)` (CKS Algorithm 2), the proposal core of the
+//!   discrete Gaussian's fill path.
 //!
-//! Everything here is `pub(crate)`: the public API surface is the sampler
-//! types in [`crate::discrete_gaussian`] and [`crate::geometric`], whose
-//! `fill` paths route through this module. The scalar `sample` paths
+//! Everything here is `pub(crate)`: the public API surface is
+//! [`crate::discrete_gaussian::DiscreteGaussianSampler`], whose `fill` path
+//! routes through this module, and [`crate::fastrange::RangePool`], which
+//! draws its bounded uniforms from [`BitPool`]. The scalar `sample` paths
 //! intentionally do *not*: they stay bit-stream-identical to the historical
 //! per-call samplers so that every seeded synthesis output in the workspace
 //! is unchanged.
@@ -257,7 +258,7 @@ fn series_one_pool<R: RngCore + ?Sized>(rng: &mut R, pool: &mut BitPool) -> bool
 
 /// One-sided discrete-Laplace magnitude `Pr[X = x] ∝ exp(-x/t)` on
 /// `x ≥ 0` (CKS Algorithm 2 core) over the pooled primitives — the
-/// proposal both fill paths share. Same distribution as the scalar
+/// discrete Gaussian fill path's proposal. Same distribution as the scalar
 /// `gen_range` + `sample_bernoulli_exp_neg` construction.
 pub(crate) fn laplace_magnitude_pool<R: RngCore + ?Sized>(
     rng: &mut R,

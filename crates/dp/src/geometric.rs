@@ -1,26 +1,18 @@
 //! Exact discrete Laplace (two-sided geometric) sampling.
 //!
-//! The discrete Laplace distribution with scale `t > 0`, written `Lap_Z(t)`,
-//! is supported on the integers with `Pr[X = x] ∝ exp(-|x|/t)`. It is used
-//! in two roles here:
-//!
-//! 1. as the proposal distribution inside the discrete Gaussian rejection
-//!    sampler ([`crate::discrete_gaussian`]), following Canonne–Kamath–
-//!    Steinke (2020, Algorithm 2); and
-//! 2. as a pure-DP alternative noise distribution for the paper's
-//!    mechanisms (the original tree-based counter of Dwork et al. / Chan et
-//!    al. used Laplace noise; see Appendix A of the paper).
+//! The discrete Laplace distribution with integer scale `t ≥ 1`, written
+//! `Lap_Z(t)`, is supported on the integers with `Pr[X = x] ∝ exp(-|x|/t)`.
+//! It is the proposal distribution inside the discrete Gaussian rejection
+//! sampler ([`crate::discrete_gaussian`]), following Canonne–Kamath–Steinke
+//! (2020, Algorithm 2). It is not a release noise of its own: every
+//! guarantee in the paper, and every mechanism here, is stated in ρ-zCDP
+//! over discrete Gaussian noise.
 //!
 //! The sampler is exact given exact `Bernoulli(exp(-γ))` draws: it never
 //! evaluates the Laplace density against a floating-point uniform.
 
 use crate::bernoulli::{sample_bernoulli, sample_bernoulli_exp_neg};
-use crate::fastcoin::{laplace_magnitude_pool, uniform_bits, BitPool};
-use rand::{Rng, RngCore};
-
-/// Denominator used to represent a real Laplace scale as the rational
-/// `t / RESOLUTION` (see [`sample_discrete_laplace`]).
-const RESOLUTION: u64 = 1 << 16;
+use rand::Rng;
 
 /// Sample from the discrete Laplace distribution `Pr[X = x] ∝ exp(-|x| / t)`
 /// with integer denominator `t ≥ 1` (CKS 2020, Algorithm 2 with `s = 1`).
@@ -55,141 +47,16 @@ pub fn sample_discrete_laplace_int<R: Rng + ?Sized>(rng: &mut R, t: u64) -> i64 
     }
 }
 
-/// Sample discrete Laplace noise with *real* scale `b > 0`
-/// (`Pr[X = x] ∝ exp(-|x| / b)`).
-///
-/// Exactness requires a rational scale; we round `b` up to the nearest
-/// multiple of `1/RESOLUTION` which changes the distribution by a relative
-/// error below `1e-9` per point — far below any statistical resolution at
-/// the paper's scales. For integer scales the sampler is exact.
-pub fn sample_discrete_laplace<R: Rng + ?Sized>(rng: &mut R, scale: f64) -> i64 {
-    DiscreteLaplaceSampler::new(scale).sample(rng)
-}
-
-/// A reusable real-scale discrete Laplace sampler with the rational scale
-/// representation `t / RESOLUTION` derived once.
-///
-/// [`sample_discrete_laplace`] re-derives the denominator on every call;
-/// counters that add Laplace noise every round should hold one of these.
-/// The stream contract mirrors
-/// [`crate::discrete_gaussian::DiscreteGaussianSampler`]:
-/// [`sample`](Self::sample) is bit-stream-identical to the free function,
-/// [`fill`](Self::fill) is the entropy-lean exact fast path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiscreteLaplaceSampler {
-    scale: f64,
-    /// Numerator of the rational scale `t / RESOLUTION`.
-    t: u64,
-    /// Chunk width for the pooled uniform over `[0, t)`.
-    t_bits: u32,
-    t_f: f64,
-}
-
-impl DiscreteLaplaceSampler {
-    /// Precompute the rational-scale constants for real scale `scale`.
-    ///
-    /// # Panics
-    /// Panics if `scale` is not finite and strictly positive.
-    pub fn new(scale: f64) -> Self {
-        assert!(
-            scale.is_finite() && scale > 0.0,
-            "discrete Laplace scale must be positive and finite, got {scale}"
-        );
-        // Represent the scale as t / s with s = RESOLUTION. If X ≥ 0 has
-        // Pr[X = x] ∝ exp(-x/t), then Y = ⌊X/s⌋ sums s consecutive
-        // geometric masses and has exactly Pr[Y = y] ∝ exp(-y·s/t) — CKS
-        // Algorithm 2's divide step, exact with plain floor division.
-        let t = ((scale * RESOLUTION as f64).round() as u64).max(1);
-        DiscreteLaplaceSampler {
-            scale,
-            t,
-            t_bits: uniform_bits(t),
-            t_f: t as f64,
-        }
-    }
-
-    /// The real scale this sampler was built for.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-
-    /// Draw one value, bit-stream-identical to
-    /// [`sample_discrete_laplace`] at the same scale.
-    #[inline]
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> i64 {
-        loop {
-            let x = self.sample_magnitude(rng);
-            let y = x / RESOLUTION;
-            let negative = sample_bernoulli(rng, 0.5);
-            if negative && y == 0 {
-                continue;
-            }
-            let y = i64::try_from(y).expect("discrete Laplace magnitude overflow");
-            return if negative { -y } else { y };
-        }
-    }
-
-    /// Fill `out` with independent draws via the pooled fast path
-    /// (identical distribution, different RNG word consumption). One
-    /// `BitPool` is shared across the whole batch.
-    pub fn fill<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [i64]) {
-        let mut pool = BitPool::new();
-        for slot in out.iter_mut() {
-            *slot = self.sample_pooled(rng, &mut pool);
-        }
-    }
-
-    /// One-sided magnitude with `Pr[X = x] ∝ exp(-x/t)` on `x ≥ 0`.
-    fn sample_magnitude<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        loop {
-            let u = rng.gen_range(0..self.t);
-            if !sample_bernoulli_exp_neg(rng, u as f64 / self.t_f) {
-                continue;
-            }
-            let mut v: u64 = 0;
-            while sample_bernoulli_exp_neg(rng, 1.0) {
-                v += 1;
-                assert!(v < 4000, "geometric tail overflow");
-            }
-            return u + self.t * v;
-        }
-    }
-
-    /// One draw through the pooled-coin machinery
-    /// ([`Self::sample_magnitude`] over [`laplace_magnitude_pool`]).
-    #[inline]
-    fn sample_pooled<R: RngCore + ?Sized>(&self, rng: &mut R, pool: &mut BitPool) -> i64 {
-        loop {
-            let x = laplace_magnitude_pool(rng, pool, self.t, self.t_bits, self.t_f);
-            let y = x / RESOLUTION;
-            let negative = pool.take(rng, 1) == 1;
-            if negative && y == 0 {
-                continue;
-            }
-            let y = i64::try_from(y).expect("discrete Laplace magnitude overflow");
-            return if negative { -y } else { y };
-        }
-    }
-}
-
-/// Variance of `Lap_Z(t)` (integer scale): `2·exp(-1/t) / (1 - exp(-1/t))²`.
-pub fn discrete_laplace_variance(scale: f64) -> f64 {
-    assert!(scale > 0.0);
-    let a = (-1.0 / scale).exp();
-    2.0 * a / ((1.0 - a) * (1.0 - a))
-}
-
-/// The scale required for a sensitivity-`Δ` count released once per element
-/// to satisfy `ε`-DP: `b = Δ/ε` (in the exponent: `exp(-|x|·ε/Δ)`).
-pub fn laplace_scale_for_pure_dp(epsilon: f64, sensitivity: f64) -> f64 {
-    assert!(epsilon > 0.0 && sensitivity > 0.0);
-    sensitivity / epsilon
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::rng_from_seed;
+
+    /// Variance of `Lap_Z(t)`: `2·exp(-1/t) / (1 - exp(-1/t))²`.
+    fn discrete_laplace_variance(t: f64) -> f64 {
+        let a = (-1.0 / t).exp();
+        2.0 * a / ((1.0 - a) * (1.0 - a))
+    }
 
     fn moments(samples: &[i64]) -> (f64, f64) {
         let n = samples.len() as f64;
@@ -240,68 +107,9 @@ mod tests {
     }
 
     #[test]
-    fn real_scale_variance_close_to_theory() {
-        let mut rng = rng_from_seed(6);
-        let scale = 2.5;
-        let samples: Vec<i64> = (0..120_000)
-            .map(|_| sample_discrete_laplace(&mut rng, scale))
-            .collect();
-        let (mean, var) = moments(&samples);
-        let theory = discrete_laplace_variance(scale);
-        assert!(mean.abs() < 0.1, "mean {mean}");
-        // The rounding construction inflates variance slightly (< a few %).
-        assert!(
-            (var - theory).abs() / theory < 0.10,
-            "var {var} vs theory {theory}"
-        );
-    }
-
-    #[test]
-    fn pure_dp_scale_formula() {
-        assert!((laplace_scale_for_pure_dp(0.5, 1.0) - 2.0).abs() < 1e-12);
-        assert!((laplace_scale_for_pure_dp(2.0, 3.0) - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = ">= 1")]
     fn zero_denominator_panics() {
         let mut rng = rng_from_seed(7);
         sample_discrete_laplace_int(&mut rng, 0);
-    }
-
-    /// The cached sampler consumes the identical RNG stream as the scalar
-    /// free function, across a mix of scales sharing one RNG.
-    #[test]
-    fn laplace_sampler_is_stream_identical_to_scalar() {
-        let scales = [0.5, 1.0, 2.5, 40.0];
-        let samplers: Vec<DiscreteLaplaceSampler> = scales
-            .iter()
-            .map(|&s| DiscreteLaplaceSampler::new(s))
-            .collect();
-        let mut rng1 = rng_from_seed(8);
-        let mut rng2 = rng_from_seed(8);
-        for round in 0..200 {
-            let idx = round % scales.len();
-            let a = samplers[idx].sample(&mut rng1);
-            let b = sample_discrete_laplace(&mut rng2, scales[idx]);
-            assert_eq!(a, b, "round {round}, scale {}", scales[idx]);
-        }
-    }
-
-    #[test]
-    fn laplace_fill_moments_match_theory() {
-        let scale = 2.5;
-        let sampler = DiscreteLaplaceSampler::new(scale);
-        let mut rng = rng_from_seed(9);
-        let mut buf = vec![0i64; 120_000];
-        sampler.fill(&mut rng, &mut buf);
-        let (mean, var) = moments(&buf);
-        let theory = discrete_laplace_variance(scale);
-        assert!(mean.abs() < 0.1, "mean {mean}");
-        assert!(
-            (var - theory).abs() / theory < 0.10,
-            "var {var} vs theory {theory}"
-        );
-        assert!((sampler.scale() - scale).abs() < 1e-12);
     }
 }

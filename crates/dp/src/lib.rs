@@ -13,7 +13,8 @@
 //!   histogram bin, and stream counter draws from an independent stream.
 //! * [`bernoulli`] — exact `Bernoulli(exp(-γ))` sampling
 //!   (Canonne–Kamath–Steinke, NeurIPS 2020).
-//! * [`geometric`] — exact discrete Laplace (two-sided geometric) sampling.
+//! * [`geometric`] — exact integer-scale discrete Laplace sampling, the
+//!   discrete Gaussian's proposal.
 //! * [`discrete_gaussian`] — exact discrete Gaussian `N_Z(0, σ²)` sampling
 //!   by rejection from the discrete Laplace, plus moment/tail facts.
 //! * [`fastrange`] — pooled-entropy exact bounded sampling
@@ -60,6 +61,5 @@ pub mod tail;
 pub use budget::Rho;
 pub use discrete_gaussian::DiscreteGaussianSampler;
 pub use fastrange::RangePool;
-pub use geometric::DiscreteLaplaceSampler;
 pub use mechanisms::{NoiseDistribution, NoiseSampler};
 pub use rng::{rng_from_seed, RngFork};

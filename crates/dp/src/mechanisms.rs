@@ -1,16 +1,13 @@
 //! Noisy-count mechanisms: the "stage 1" building block of both algorithms.
 //!
-//! [`NoiseDistribution`] abstracts over the two integer noise families used
-//! in the continual-release literature — the discrete Gaussian (zCDP; what
-//! the paper uses everywhere) and the discrete Laplace (pure ε-DP; what the
-//! original Dwork et al. / Chan et al. tree counters used). Stream counters
-//! and synthesizers are generic over it, which is what makes the
-//! "swap in a different counter/noise" ablations of EXPERIMENTS.md possible
-//! without touching algorithm code.
+//! [`NoiseDistribution`] is the release noise of every mechanism: the
+//! discrete Gaussian the paper uses throughout (ρ-zCDP, §2.2), or `None`
+//! for noiseless test and baseline runs. Stream counters and synthesizers
+//! take it as a parameter, so a noiseless run swaps it in without touching
+//! algorithm code.
 
-use crate::budget::{BudgetError, Rho};
+use crate::budget::Rho;
 use crate::discrete_gaussian::{tail_quantile, DiscreteGaussianSampler};
-use crate::geometric::{discrete_laplace_variance, DiscreteLaplaceSampler};
 use rand::Rng;
 
 /// An integer-valued, symmetric, zero-mean noise distribution.
@@ -20,11 +17,6 @@ pub enum NoiseDistribution {
     DiscreteGaussian {
         /// Variance parameter σ².
         sigma2: f64,
-    },
-    /// Discrete Laplace with `Pr[X = x] ∝ exp(-|x|/scale)`.
-    DiscreteLaplace {
-        /// Scale parameter (larger = noisier).
-        scale: f64,
     },
     /// No noise: the identity mechanism. Used by tests and by non-private
     /// baseline runs; never by a private synthesizer.
@@ -39,22 +31,6 @@ impl NoiseDistribution {
             .gaussian_sigma2(sensitivity)
             .expect("calibration requires positive rho and sensitivity");
         NoiseDistribution::DiscreteGaussian { sigma2 }
-    }
-
-    /// Fallible variant of [`Self::gaussian_for_zcdp`].
-    pub fn try_gaussian_for_zcdp(rho: Rho, sensitivity: f64) -> Result<Self, BudgetError> {
-        Ok(NoiseDistribution::DiscreteGaussian {
-            sigma2: rho.gaussian_sigma2(sensitivity)?,
-        })
-    }
-
-    /// Discrete Laplace noise calibrated so one release of a
-    /// sensitivity-`Δ` statistic satisfies ε-DP: `scale = Δ/ε`.
-    pub fn laplace_for_pure_dp(epsilon: f64, sensitivity: f64) -> Self {
-        assert!(epsilon > 0.0 && sensitivity > 0.0);
-        NoiseDistribution::DiscreteLaplace {
-            scale: sensitivity / epsilon,
-        }
     }
 
     /// Draw one noise value.
@@ -76,9 +52,6 @@ impl NoiseDistribution {
             NoiseDistribution::DiscreteGaussian { sigma2 } => {
                 NoiseSampler::DiscreteGaussian(DiscreteGaussianSampler::new(sigma2))
             }
-            NoiseDistribution::DiscreteLaplace { scale } => {
-                NoiseSampler::DiscreteLaplace(DiscreteLaplaceSampler::new(scale))
-            }
             NoiseDistribution::None => NoiseSampler::None,
         }
     }
@@ -87,21 +60,17 @@ impl NoiseDistribution {
     pub fn variance(&self) -> f64 {
         match *self {
             NoiseDistribution::DiscreteGaussian { sigma2 } => sigma2,
-            NoiseDistribution::DiscreteLaplace { scale } => discrete_laplace_variance(scale),
             NoiseDistribution::None => 0.0,
         }
     }
 
     /// A deviation `λ` such that `Pr[|X| ≥ λ] ≤ β` for one draw.
     ///
-    /// Gaussian: the sub-Gaussian quantile; Laplace: the exponential-tail
-    /// quantile `scale·ln(1/β)` (up to the discrete +1 slack, absorbed by
-    /// using `ln(2/β)`); `None`: 0.
+    /// Gaussian: the sub-Gaussian quantile; `None`: 0.
     pub fn tail_quantile(&self, beta: f64) -> f64 {
         assert!(beta > 0.0 && beta < 1.0);
         match *self {
             NoiseDistribution::DiscreteGaussian { sigma2 } => tail_quantile(sigma2, beta),
-            NoiseDistribution::DiscreteLaplace { scale } => scale * (2.0 / beta).ln(),
             NoiseDistribution::None => 0.0,
         }
     }
@@ -124,8 +93,6 @@ impl NoiseDistribution {
 pub enum NoiseSampler {
     /// Cached discrete Gaussian sampler.
     DiscreteGaussian(DiscreteGaussianSampler),
-    /// Cached discrete Laplace sampler.
-    DiscreteLaplace(DiscreteLaplaceSampler),
     /// The identity mechanism: every draw is 0.
     None,
 }
@@ -137,7 +104,6 @@ impl NoiseSampler {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> i64 {
         match self {
             NoiseSampler::DiscreteGaussian(s) => s.sample(rng),
-            NoiseSampler::DiscreteLaplace(s) => s.sample(rng),
             NoiseSampler::None => 0,
         }
     }
@@ -147,7 +113,6 @@ impl NoiseSampler {
     pub fn fill<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [i64]) {
         match self {
             NoiseSampler::DiscreteGaussian(s) => s.fill(rng, out),
-            NoiseSampler::DiscreteLaplace(s) => s.fill(rng, out),
             NoiseSampler::None => out.fill(0),
         }
     }
@@ -176,15 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn laplace_calibration() {
-        let noise = NoiseDistribution::laplace_for_pure_dp(0.5, 1.0);
-        match noise {
-            NoiseDistribution::DiscreteLaplace { scale } => assert!((scale - 2.0).abs() < 1e-12),
-            _ => panic!("wrong variant"),
-        }
-    }
-
-    #[test]
     fn none_is_identity() {
         let mut rng = rng_from_seed(1);
         let sampler = NoiseDistribution::None.sampler();
@@ -198,7 +154,6 @@ mod tests {
     fn cached_sampler_is_stream_identical_to_distribution_sample() {
         let dists = [
             NoiseDistribution::DiscreteGaussian { sigma2: 9.0 },
-            NoiseDistribution::DiscreteLaplace { scale: 3.0 },
             NoiseDistribution::None,
         ];
         for d in dists {
@@ -226,33 +181,11 @@ mod tests {
         assert!(!g.is_none());
         g.fill(&mut rng, &mut buf);
         assert!(buf.iter().any(|&x| x != 0));
-        let l = NoiseDistribution::DiscreteLaplace { scale: 4.0 }.sampler();
-        l.fill(&mut rng, &mut buf);
-        assert!(buf.iter().any(|&x| x != 0));
     }
 
     #[test]
     fn tail_quantiles_are_monotone_in_beta() {
         let g = NoiseDistribution::DiscreteGaussian { sigma2: 4.0 };
-        let l = NoiseDistribution::DiscreteLaplace { scale: 2.0 };
-        for d in [g, l] {
-            assert!(d.tail_quantile(0.001) > d.tail_quantile(0.1));
-        }
-    }
-
-    #[test]
-    fn laplace_empirical_tail_within_quantile() {
-        let d = NoiseDistribution::DiscreteLaplace { scale: 3.0 };
-        let lambda = d.tail_quantile(0.05);
-        let mut rng = rng_from_seed(3);
-        let n = 50_000;
-        let exceed = (0..n)
-            .filter(|_| d.sample(&mut rng).unsigned_abs() as f64 >= lambda)
-            .count();
-        assert!(
-            (exceed as f64) / (n as f64) <= 0.055,
-            "rate {}",
-            exceed as f64 / n as f64
-        );
+        assert!(g.tail_quantile(0.001) > g.tail_quantile(0.1));
     }
 }

@@ -538,29 +538,6 @@ pub fn apply_delta_json(store: &mut ReleaseStore, json: &str) -> Result<(), Serv
     replay(store, policy, &doc, &plan)
 }
 
-impl ReleaseStore {
-    /// Render this store as a full JSON snapshot (see [`snapshot_json`]).
-    pub fn to_snapshot_json(&self) -> String {
-        snapshot_json(self)
-    }
-
-    /// Rebuild a store from a snapshot (see [`restore_json`]).
-    pub fn from_snapshot_json(json: &str) -> Result<Self, ServeError> {
-        restore_json(json)
-    }
-
-    /// Render the rounds after `base_rounds` as an incremental snapshot
-    /// (see [`snapshot_since_json`]).
-    pub fn to_delta_json(&self, base_rounds: usize) -> Result<String, ServeError> {
-        snapshot_since_json(self, base_rounds)
-    }
-
-    /// Append an incremental snapshot's rounds (see [`apply_delta_json`]).
-    pub fn apply_delta_json(&mut self, json: &str) -> Result<(), ServeError> {
-        apply_delta_json(self, json)
-    }
-}
-
 impl crate::QueryService {
     /// Snapshot the underlying store as JSON (read lock held briefly; the
     /// cache is derived data and deliberately not serialized). The
@@ -636,22 +613,22 @@ mod tests {
     #[test]
     fn snapshot_roundtrips_exactly() {
         let store = sample_store();
-        let json = store.to_snapshot_json();
+        let json = snapshot_json(&store);
         assert!(json.contains(FORMAT));
         assert!(json.contains("per-shard"));
-        let restored = ReleaseStore::from_snapshot_json(&json).unwrap();
+        let restored = restore_json(&json).unwrap();
         assert_eq!(restored, store);
         assert_eq!(restored.policy(), Some(PolicyTag::PerShard));
         // Snapshot of the restore is byte-identical (canonical form).
-        assert_eq!(restored.to_snapshot_json(), json);
+        assert_eq!(snapshot_json(&restored), json);
     }
 
     #[test]
     fn shared_store_snapshot_keeps_tag_and_shape() {
         let store = shared_store(4);
-        let json = store.to_snapshot_json();
+        let json = snapshot_json(&store);
         assert!(json.contains("\"shared\""));
-        let restored = ReleaseStore::from_snapshot_json(&json).unwrap();
+        let restored = restore_json(&json).unwrap();
         assert_eq!(restored, store);
         assert_eq!(restored.policy(), Some(PolicyTag::Shared));
         // The merged panel's independent record count survived the
@@ -662,7 +639,7 @@ mod tests {
     #[test]
     fn empty_store_roundtrips() {
         let store = ReleaseStore::new();
-        let restored = ReleaseStore::from_snapshot_json(&store.to_snapshot_json()).unwrap();
+        let restored = restore_json(&snapshot_json(&store)).unwrap();
         assert_eq!(restored, store);
         assert_eq!(restored.rounds(), 0);
         assert_eq!(restored.policy(), None);
@@ -681,7 +658,7 @@ mod tests {
   "cohorts": [ {{ "records": 2, "columns": ["0000000000000003"] }} ]
 }}"#
         );
-        let mut restored = ReleaseStore::from_snapshot_json(&json).unwrap();
+        let mut restored = restore_json(&json).unwrap();
         assert_eq!(restored.rounds(), 1);
         assert_eq!(restored.policy(), Some(PolicyTag::PerShard));
         let err = restored
@@ -706,23 +683,20 @@ mod tests {
     #[test]
     fn restore_rejects_corruption() {
         let store = sample_store();
-        let json = store.to_snapshot_json();
+        let json = snapshot_json(&store);
         // Unknown format tag.
         let bad = json.replace(FORMAT, "longsynth-release-store/v999");
-        assert!(matches!(
-            ReleaseStore::from_snapshot_json(&bad),
-            Err(ServeError::Snapshot(_))
-        ));
+        assert!(matches!(restore_json(&bad), Err(ServeError::Snapshot(_))));
         // Truncated document.
-        assert!(ReleaseStore::from_snapshot_json(&json[..json.len() / 2]).is_err());
+        assert!(restore_json(&json[..json.len() / 2]).is_err());
         // Non-hex column data.
         let bad = json.replacen("00", "zz", 1);
-        assert!(ReleaseStore::from_snapshot_json(&bad).is_err());
+        assert!(restore_json(&bad).is_err());
         // Unknown policy tag.
         let bad = json.replace("per-shard", "maximal");
-        assert!(ReleaseStore::from_snapshot_json(&bad).is_err());
+        assert!(restore_json(&bad).is_err());
         // Not JSON at all.
-        assert!(ReleaseStore::from_snapshot_json("hello").is_err());
+        assert!(restore_json("hello").is_err());
     }
 
     #[test]
@@ -737,12 +711,12 @@ mod tests {
   "cohorts": [ {{ "records": 1, "columns": ["0000000000000001"] }} ]
 }}"#
         );
-        let err = ReleaseStore::from_snapshot_json(&json).unwrap_err();
+        let err = restore_json(&json).unwrap_err();
         assert!(err.to_string().contains("sum"), "{err}");
         // The same shape is legal when tagged shared (independent merged
         // synthesis).
         let json = json.replace("per-shard", "shared");
-        let restored = ReleaseStore::from_snapshot_json(&json).unwrap();
+        let restored = restore_json(&json).unwrap();
         assert_eq!(restored.policy(), Some(PolicyTag::Shared));
     }
 
@@ -776,18 +750,12 @@ mod tests {
             let full = build(5);
             // Base snapshot at round 2, then deltas 2→4 and 4→5.
             let base = build(2);
-            let mut chained = ReleaseStore::from_snapshot_json(&base.to_snapshot_json()).unwrap();
-            chained
-                .apply_delta_json(&build(4).to_delta_json(2).unwrap())
-                .unwrap();
-            chained
-                .apply_delta_json(&full.to_delta_json(4).unwrap())
-                .unwrap();
+            let mut chained = restore_json(&snapshot_json(&base)).unwrap();
+            apply_delta_json(&mut chained, &snapshot_since_json(&build(4), 2).unwrap()).unwrap();
+            apply_delta_json(&mut chained, &snapshot_since_json(&full, 4).unwrap()).unwrap();
             assert_eq!(chained, full, "shared={shared}");
             // An empty delta is a no-op.
-            chained
-                .apply_delta_json(&full.to_delta_json(5).unwrap())
-                .unwrap();
+            apply_delta_json(&mut chained, &snapshot_since_json(&full, 5).unwrap()).unwrap();
             assert_eq!(chained, full, "shared={shared}");
         }
     }
@@ -824,16 +792,16 @@ mod tests {
     #[test]
     fn dynamic_store_snapshots_roundtrip_with_schedule() {
         let store = dynamic_store();
-        let json = store.to_snapshot_json();
+        let json = snapshot_json(&store);
         assert!(json.contains(FORMAT));
         assert!(json.contains("\"dynamic\": true") || json.contains("\"dynamic\":true"));
-        let restored = ReleaseStore::from_snapshot_json(&json).unwrap();
+        let restored = restore_json(&json).unwrap();
         assert_eq!(restored, store);
         assert!(restored.is_dynamic());
         assert_eq!(restored.cohort_window(0), Some(0..2));
         assert_eq!(restored.cohort_window(2), Some(1..3));
         // Canonical form: snapshot of the restore is byte-identical.
-        assert_eq!(restored.to_snapshot_json(), json);
+        assert_eq!(snapshot_json(&restored), json);
         // Merged-scope dynamic answers survive the round trip bit-exactly.
         let query = crate::ServeQuery {
             scope: crate::StoreScope::Merged,
@@ -850,28 +818,24 @@ mod tests {
         let full = dynamic_store();
         // Base at round 1, delta 1→3: the delta carries cohort 2's entry.
         let base = dynamic_store_rounds(1);
-        let mut chained = ReleaseStore::from_snapshot_json(&base.to_snapshot_json()).unwrap();
-        let delta = full.to_delta_json(1).unwrap();
+        let mut chained = restore_json(&snapshot_json(&base)).unwrap();
+        let delta = snapshot_since_json(&full, 1).unwrap();
         assert!(delta.contains(DELTA_FORMAT));
-        chained.apply_delta_json(&delta).unwrap();
+        apply_delta_json(&mut chained, &delta).unwrap();
         assert_eq!(chained, full);
         // Empty dynamic delta is a no-op.
-        chained
-            .apply_delta_json(&full.to_delta_json(3).unwrap())
-            .unwrap();
+        apply_delta_json(&mut chained, &snapshot_since_json(&full, 3).unwrap()).unwrap();
         assert_eq!(chained, full);
         // A delta also boots an empty store from base 0.
         let mut fresh = ReleaseStore::new();
-        fresh
-            .apply_delta_json(&full.to_delta_json(0).unwrap())
-            .unwrap();
+        apply_delta_json(&mut fresh, &snapshot_since_json(&full, 0).unwrap()).unwrap();
         assert_eq!(fresh, full);
     }
 
     #[test]
     fn dynamic_snapshot_coverage_is_validated() {
         let store = dynamic_store();
-        let json = store.to_snapshot_json();
+        let json = snapshot_json(&store);
         assert!(json.contains("\"coverage\""));
         // Tampered coverage that disagrees with the cohort windows is
         // refused (the v3-restore derivation path — no coverage recorded
@@ -880,24 +844,24 @@ mod tests {
         let row = "\"coverage\": [\n    [\n      0,\n      1\n    ],";
         assert!(json.contains(row), "{json}");
         let tampered = json.replace(row, "\"coverage\": [\n    [\n      1\n    ],");
-        let err = ReleaseStore::from_snapshot_json(&tampered).unwrap_err();
+        let err = restore_json(&tampered).unwrap_err();
         assert!(err.to_string().contains("coverage"), "{err}");
     }
 
     #[test]
     fn dynamic_snapshot_corruption_is_rejected() {
         let store = dynamic_store();
-        let json = store.to_snapshot_json();
+        let json = snapshot_json(&store);
         // A dynamic snapshot claiming a pre-schedule format is refused.
         let bad = json.replace(FORMAT, FORMAT_V2);
-        let err = ReleaseStore::from_snapshot_json(&bad).unwrap_err();
+        let err = restore_json(&bad).unwrap_err();
         assert!(err.to_string().contains("dynamic"), "{err}");
         // Dropping a cohort's entry round is caught.
         let bad = json.replace("\"entry\": 1", "\"entry\": null");
-        assert!(ReleaseStore::from_snapshot_json(&bad).is_err());
+        assert!(restore_json(&bad).is_err());
         // Cohort windows beyond the stored rounds are caught.
         let bad = json.replace("\"entry\": 1", "\"entry\": 2");
-        let err = ReleaseStore::from_snapshot_json(&bad).unwrap_err();
+        let err = restore_json(&bad).unwrap_err();
         assert!(err.to_string().contains("covers rounds"), "{err}");
     }
 
@@ -919,10 +883,7 @@ mod tests {
   ]
 }}"#
         );
-        assert!(matches!(
-            ReleaseStore::from_snapshot_json(&json),
-            Err(ServeError::Snapshot(_))
-        ));
+        assert!(matches!(restore_json(&json), Err(ServeError::Snapshot(_))));
         // A dynamic store with a round no cohort covers: live ingest
         // refuses an empty active set.
         let json = format!(
@@ -939,10 +900,7 @@ mod tests {
   "cohorts": [ {{ "records": 1, "entry": 0, "columns": ["0000000000000001"] }} ]
 }}"#
         );
-        assert!(matches!(
-            ReleaseStore::from_snapshot_json(&json),
-            Err(ServeError::Snapshot(_))
-        ));
+        assert!(matches!(restore_json(&json), Err(ServeError::Snapshot(_))));
     }
 
     #[test]
@@ -957,7 +915,7 @@ mod tests {
   "cohorts": [ {{ "records": 3, "columns": ["0000000000000007"] }} ]
 }}"#
         );
-        let err = ReleaseStore::from_snapshot_json(&json).unwrap_err();
+        let err = restore_json(&json).unwrap_err();
         assert!(err.to_string().contains("`records`"), "{err}");
         assert!(err.to_string().contains("negative"), "{err}");
         // A genuinely absent field still says so.
@@ -969,24 +927,24 @@ mod tests {
   "cohorts": [ {{ "records": 3, "columns": ["0000000000000007"] }} ]
 }}"#
         );
-        let err = ReleaseStore::from_snapshot_json(&json).unwrap_err();
+        let err = restore_json(&json).unwrap_err();
         assert!(err.to_string().contains("missing `records`"), "{err}");
 
-        let dynamic = dynamic_store().to_snapshot_json();
+        let dynamic = snapshot_json(&dynamic_store());
         // A fractional cohort entry round is named as fractional.
         let bad = dynamic.replace("\"entry\": 1", "\"entry\": 1.25");
-        let err = ReleaseStore::from_snapshot_json(&bad).unwrap_err();
+        let err = restore_json(&bad).unwrap_err();
         assert!(err.to_string().contains("`entry`"), "{err}");
         assert!(err.to_string().contains("fractional"), "{err}");
         // A negative ragged merged-round count is named as negative.
         let bad = dynamic.replacen("\"records\": 5", "\"records\": -5", 1);
-        let err = ReleaseStore::from_snapshot_json(&bad).unwrap_err();
+        let err = restore_json(&bad).unwrap_err();
         assert!(err.to_string().contains("merged round `records`"), "{err}");
         assert!(err.to_string().contains("negative"), "{err}");
         // A fractional coverage entry is named (the first bare "0," in the
         // document sits inside the coverage rows).
         let bad = dynamic.replacen("0,", "0.75,", 1);
-        let err = ReleaseStore::from_snapshot_json(&bad).unwrap_err();
+        let err = restore_json(&bad).unwrap_err();
         assert!(err.to_string().contains("coverage entry"), "{err}");
         assert!(err.to_string().contains("fractional"), "{err}");
     }
@@ -994,7 +952,7 @@ mod tests {
     #[test]
     fn delta_rejects_invalid_round_counts() {
         let full = sample_store();
-        let delta = full.to_delta_json(3).unwrap();
+        let delta = snapshot_since_json(&full, 3).unwrap();
         // `base_rounds` beyond what a 64-bit index can hold is reported as
         // overflow before any base comparison happens.
         let bad = delta.replace(
@@ -1002,16 +960,16 @@ mod tests {
             "\"base_rounds\": 1000000000000000000000000000000",
         );
         let mut store = sample_store_rounds(3);
-        let err = store.apply_delta_json(&bad).unwrap_err();
+        let err = apply_delta_json(&mut store, &bad).unwrap_err();
         assert!(err.to_string().contains("`base_rounds`"), "{err}");
         assert!(err.to_string().contains("overflows"), "{err}");
         // A negative `delta_rounds` is named as negative.
         let bad = delta.replace("\"delta_rounds\": 2", "\"delta_rounds\": -2");
-        let err = store.apply_delta_json(&bad).unwrap_err();
+        let err = apply_delta_json(&mut store, &bad).unwrap_err();
         assert!(err.to_string().contains("`delta_rounds`"), "{err}");
         assert!(err.to_string().contains("negative"), "{err}");
         // The untampered delta still applies cleanly afterwards.
-        store.apply_delta_json(&delta).unwrap();
+        apply_delta_json(&mut store, &delta).unwrap();
         assert_eq!(store, full);
     }
 
@@ -1019,15 +977,15 @@ mod tests {
     fn delta_validation_catches_mismatched_bases() {
         let full = sample_store();
         // Base beyond the store's rounds.
-        assert!(full.to_delta_json(9).is_err());
+        assert!(snapshot_since_json(&full, 9).is_err());
         // Applying a delta to the wrong base round count.
-        let delta = full.to_delta_json(3).unwrap();
-        let mut wrong_base = ReleaseStore::from_snapshot_json(&full.to_snapshot_json()).unwrap();
-        let err = wrong_base.apply_delta_json(&delta).unwrap_err();
+        let delta = snapshot_since_json(&full, 3).unwrap();
+        let mut wrong_base = restore_json(&snapshot_json(&full)).unwrap();
+        let err = apply_delta_json(&mut wrong_base, &delta).unwrap_err();
         assert!(err.to_string().contains("3 rounds"), "{err}");
         // A full snapshot is not a delta.
         let mut store = sample_store();
-        assert!(store.apply_delta_json(&full.to_snapshot_json()).is_err());
+        assert!(apply_delta_json(&mut store, &snapshot_json(&full)).is_err());
     }
 
     #[test]
@@ -1050,7 +1008,7 @@ mod tests {
     fn service_deltas_apply_under_a_warm_cache() {
         use crate::{QueryKind, QueryService, ServeQuery, StoreScope};
         let full = sample_store();
-        let base = QueryService::restore_json(&sample_store_rounds(3).to_snapshot_json()).unwrap();
+        let base = QueryService::restore_json(&snapshot_json(&sample_store_rounds(3))).unwrap();
         let query = |t| ServeQuery {
             scope: StoreScope::Merged,
             kind: QueryKind::CumulativeFraction { t, b: 1 },
@@ -1059,7 +1017,7 @@ mod tests {
         let warm = base.answer(&query(2)).unwrap();
         // Round 4 is not answerable yet.
         assert!(base.answer(&query(4)).is_err());
-        base.apply_delta_json(&full.to_delta_json(3).unwrap())
+        base.apply_delta_json(&snapshot_since_json(&full, 3).unwrap())
             .unwrap();
         // New round answerable; warm entry still bit-identical.
         assert!(base.answer(&query(4)).is_ok());

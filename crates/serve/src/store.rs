@@ -754,6 +754,7 @@ fn evaluate(kind: &QueryKind, panel: &LongitudinalDataset, local: usize) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{restore_json, snapshot_json};
     use longsynth_queries::Pattern;
 
     fn col(bits: &[bool]) -> BitColumn {
@@ -820,7 +821,7 @@ mod tests {
         let (parts, merged) = two_cohort_round(&[false, false], &[true, true]);
         store.ingest_columns(&parts, &merged).unwrap();
         assert_eq!(store.rounds(), 2);
-        let restored = ReleaseStore::from_snapshot_json(&store.to_snapshot_json()).unwrap();
+        let restored = restore_json(&snapshot_json(&store)).unwrap();
         assert_eq!(restored, store);
 
         // Same atomicity for a multi-column Initial release: one bad
@@ -1177,7 +1178,7 @@ mod tests {
             .unwrap();
         assert!((0.0..=1.0).contains(&value));
         // Coverage survives the snapshot round trip.
-        let restored = ReleaseStore::from_snapshot_json(&store.to_snapshot_json()).unwrap();
+        let restored = restore_json(&snapshot_json(&store)).unwrap();
         assert_eq!(restored, store);
         assert_eq!(restored.merged_coverage(2).unwrap(), &[2, 3]);
     }

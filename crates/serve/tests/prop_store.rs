@@ -12,6 +12,9 @@ use longsynth_dp::budget::Rho;
 use longsynth_engine::{PanelSchedule, PolicyTag};
 use longsynth_pool::WorkerPool;
 use longsynth_queries::{Pattern, WindowQuery};
+use longsynth_serve::snapshot::{
+    apply_delta_json, restore_json, snapshot_json, snapshot_since_json,
+};
 use longsynth_serve::{QueryKind, QueryService, ReleaseStore, ServeQuery, StoreScope};
 use proptest::prelude::*;
 
@@ -168,7 +171,7 @@ proptest! {
         rounds in 1usize..8,
     ) {
         let store = random_store(seed, &[cohort_a, cohort_b, cohort_c], rounds);
-        let restored = ReleaseStore::from_snapshot_json(&store.to_snapshot_json()).unwrap();
+        let restored = restore_json(&snapshot_json(&store)).unwrap();
         prop_assert_eq!(&restored, &store);
         for query in query_battery(&store) {
             let original = store.answer(&query).unwrap();
@@ -231,13 +234,13 @@ proptest! {
         let [cut_a, cut_b] = cuts;
         // Base = full snapshot of the prefix (same deterministic stream).
         let base = random_store(seed, &[cohort_a, cohort_b], cut_a);
-        let mut chained = ReleaseStore::from_snapshot_json(&base.to_snapshot_json()).unwrap();
+        let mut chained = restore_json(&snapshot_json(&base)).unwrap();
         // Two chained deltas: cut_a → cut_b → rounds.
         let middle = random_store(seed, &[cohort_a, cohort_b], cut_b);
-        chained.apply_delta_json(&middle.to_delta_json(cut_a).unwrap()).unwrap();
-        chained.apply_delta_json(&full.to_delta_json(cut_b).unwrap()).unwrap();
+        apply_delta_json(&mut chained, &snapshot_since_json(&middle, cut_a).unwrap()).unwrap();
+        apply_delta_json(&mut chained, &snapshot_since_json(&full, cut_b).unwrap()).unwrap();
 
-        let restored_full = ReleaseStore::from_snapshot_json(&full.to_snapshot_json()).unwrap();
+        let restored_full = restore_json(&snapshot_json(&full)).unwrap();
         prop_assert_eq!(&chained, &restored_full);
         prop_assert_eq!(&chained, &full);
         for query in query_battery(&full) {
@@ -269,12 +272,12 @@ proptest! {
         cuts.sort_unstable();
         let [cut_a, cut_b] = cuts;
         let base = random_rotating_store(seed, waves, horizon, cut_a);
-        let mut chained = ReleaseStore::from_snapshot_json(&base.to_snapshot_json()).unwrap();
+        let mut chained = restore_json(&snapshot_json(&base)).unwrap();
         let middle = random_rotating_store(seed, waves, horizon, cut_b);
-        chained.apply_delta_json(&middle.to_delta_json(cut_a).unwrap()).unwrap();
-        chained.apply_delta_json(&full.to_delta_json(cut_b).unwrap()).unwrap();
+        apply_delta_json(&mut chained, &snapshot_since_json(&middle, cut_a).unwrap()).unwrap();
+        apply_delta_json(&mut chained, &snapshot_since_json(&full, cut_b).unwrap()).unwrap();
 
-        let restored_full = ReleaseStore::from_snapshot_json(&full.to_snapshot_json()).unwrap();
+        let restored_full = restore_json(&snapshot_json(&full)).unwrap();
         prop_assert_eq!(&chained, &restored_full);
         prop_assert_eq!(&chained, &full);
         for query in dynamic_query_battery(&full) {
@@ -296,7 +299,7 @@ proptest! {
         horizon in 2usize..8,
     ) {
         let store = random_rotating_store(seed, waves, horizon, horizon);
-        let restored = ReleaseStore::from_snapshot_json(&store.to_snapshot_json()).unwrap();
+        let restored = restore_json(&snapshot_json(&store)).unwrap();
         prop_assert_eq!(&restored, &store);
         for query in dynamic_query_battery(&store) {
             prop_assert_eq!(
@@ -375,7 +378,7 @@ const V3_FIXTURE: &str = r#"{
 
 #[test]
 fn v3_fixture_restore_stays_pinned_and_derives_coverage() {
-    let store = ReleaseStore::from_snapshot_json(V3_FIXTURE).unwrap();
+    let store = restore_json(V3_FIXTURE).unwrap();
     assert!(store.is_dynamic());
     assert_eq!(store.rounds(), 3);
     assert_eq!(store.cohorts(), 3);
@@ -397,16 +400,16 @@ fn v3_fixture_restore_stays_pinned_and_derives_coverage() {
     assert_eq!(value, 2.0 / 3.0);
     // Re-snapshotting upgrades to the current format with recorded
     // coverage and identical contents.
-    let json = store.to_snapshot_json();
+    let json = snapshot_json(&store);
     assert!(json.contains("longsynth-release-store/v4"));
     assert!(json.contains("coverage"));
-    let upgraded = ReleaseStore::from_snapshot_json(&json).unwrap();
+    let upgraded = restore_json(&json).unwrap();
     assert_eq!(upgraded, store);
 }
 
 #[test]
 fn v1_fixture_restore_stays_pinned() {
-    let store = ReleaseStore::from_snapshot_json(V1_FIXTURE).unwrap();
+    let store = restore_json(V1_FIXTURE).unwrap();
     assert!(!store.is_dynamic());
     assert_eq!(store.rounds(), 2);
     assert_eq!(store.cohorts(), 2);
@@ -428,13 +431,13 @@ fn v1_fixture_restore_stays_pinned() {
     assert_eq!(answer(StoreScope::Cohort(0), 1, 2), 1.0);
     // Re-snapshotting a v1 restore produces the current (v3) format with
     // identical answers.
-    let upgraded = ReleaseStore::from_snapshot_json(&store.to_snapshot_json()).unwrap();
+    let upgraded = restore_json(&snapshot_json(&store)).unwrap();
     assert_eq!(upgraded, store);
 }
 
 #[test]
 fn v2_fixture_restore_stays_pinned() {
-    let store = ReleaseStore::from_snapshot_json(V2_FIXTURE).unwrap();
+    let store = restore_json(V2_FIXTURE).unwrap();
     assert!(!store.is_dynamic());
     assert_eq!(store.policy(), Some(PolicyTag::Shared));
     assert_eq!(store.rounds(), 2);
@@ -453,7 +456,7 @@ fn v2_fixture_restore_stays_pinned() {
     // Round 1 bits 00111: weights 2,2,1,0,1 → two records reach b = 2.
     assert_eq!(answer(StoreScope::Merged, 1, 2), 2.0 / 5.0);
     assert_eq!(answer(StoreScope::Cohort(1), 1, 1), 1.0);
-    let upgraded = ReleaseStore::from_snapshot_json(&store.to_snapshot_json()).unwrap();
+    let upgraded = restore_json(&snapshot_json(&store)).unwrap();
     assert_eq!(upgraded, store);
 }
 
@@ -713,7 +716,7 @@ const V2_ROTATING_DELTA_FIXTURE: &str = r#"{
 
 #[test]
 fn v4_static_fixture_restore_stays_pinned() {
-    let store = ReleaseStore::from_snapshot_json(V4_STATIC_FIXTURE).unwrap();
+    let store = restore_json(V4_STATIC_FIXTURE).unwrap();
     assert!(!store.is_dynamic());
     assert_eq!(store.policy(), Some(PolicyTag::Shared));
     assert_eq!(store.rounds(), 3);
@@ -736,13 +739,13 @@ fn v4_static_fixture_restore_stays_pinned() {
     // The same store built by live ingest renders byte for byte.
     let live = v4_static_store(3);
     assert_eq!(store, live);
-    assert_eq!(live.to_snapshot_json(), V4_STATIC_FIXTURE);
-    assert_eq!(store.to_snapshot_json(), V4_STATIC_FIXTURE);
+    assert_eq!(snapshot_json(&live), V4_STATIC_FIXTURE);
+    assert_eq!(snapshot_json(&store), V4_STATIC_FIXTURE);
 }
 
 #[test]
 fn v4_rotating_fixture_restore_stays_pinned() {
-    let store = ReleaseStore::from_snapshot_json(V4_ROTATING_FIXTURE).unwrap();
+    let store = restore_json(V4_ROTATING_FIXTURE).unwrap();
     assert!(store.is_dynamic());
     assert_eq!(store.policy(), Some(PolicyTag::Shared));
     assert_eq!(store.rounds(), 3);
@@ -767,8 +770,8 @@ fn v4_rotating_fixture_restore_stays_pinned() {
     assert_eq!(answer(StoreScope::Cohort(2), 2, 1), 1.0);
     let live = v4_rotating_store(3);
     assert_eq!(store, live);
-    assert_eq!(live.to_snapshot_json(), V4_ROTATING_FIXTURE);
-    assert_eq!(store.to_snapshot_json(), V4_ROTATING_FIXTURE);
+    assert_eq!(snapshot_json(&live), V4_ROTATING_FIXTURE);
+    assert_eq!(snapshot_json(&store), V4_ROTATING_FIXTURE);
 }
 
 #[test]
@@ -776,17 +779,17 @@ fn v2_delta_fixtures_apply_with_pinned_answers() {
     let static_case: (fn(usize) -> ReleaseStore, _) = (v4_static_store, V2_STATIC_DELTA_FIXTURE);
     for (build, fixture) in [static_case, (v4_rotating_store, V2_ROTATING_DELTA_FIXTURE)] {
         let full = build(3);
-        assert_eq!(full.to_delta_json(1).unwrap(), fixture);
+        assert_eq!(snapshot_since_json(&full, 1).unwrap(), fixture);
         // Onto a live base and onto a restored base alike.
         let mut live = build(1);
-        live.apply_delta_json(fixture).unwrap();
+        apply_delta_json(&mut live, fixture).unwrap();
         assert_eq!(live, full);
-        let mut restored = ReleaseStore::from_snapshot_json(&build(1).to_snapshot_json()).unwrap();
-        restored.apply_delta_json(fixture).unwrap();
+        let mut restored = restore_json(&snapshot_json(&build(1))).unwrap();
+        apply_delta_json(&mut restored, fixture).unwrap();
         assert_eq!(restored, full);
     }
     let mut store = v4_static_store(1);
-    store.apply_delta_json(V2_STATIC_DELTA_FIXTURE).unwrap();
+    apply_delta_json(&mut store, V2_STATIC_DELTA_FIXTURE).unwrap();
     let merged = store
         .answer(&ServeQuery {
             scope: StoreScope::Merged,
@@ -795,7 +798,7 @@ fn v2_delta_fixtures_apply_with_pinned_answers() {
         .unwrap();
     assert_eq!(merged, 1.0 / 4.0);
     let mut store = v4_rotating_store(1);
-    store.apply_delta_json(V2_ROTATING_DELTA_FIXTURE).unwrap();
+    apply_delta_json(&mut store, V2_ROTATING_DELTA_FIXTURE).unwrap();
     let merged = store
         .answer(&ServeQuery {
             scope: StoreScope::Merged,
