@@ -17,9 +17,6 @@ const WORD_BITS: usize = 64;
 pub struct BitStream {
     words: Vec<u64>,
     len: usize,
-    /// Running Hamming weight, maintained incrementally so
-    /// [`weight`](Self::weight) is O(1).
-    weight: usize,
 }
 
 impl BitStream {
@@ -33,7 +30,6 @@ impl BitStream {
         Self {
             words: Vec::with_capacity(horizon.div_ceil(WORD_BITS)),
             len: 0,
-            weight: 0,
         }
     }
 
@@ -58,7 +54,6 @@ impl BitStream {
         }
         if bit {
             self.words[word] |= 1u64 << (self.len % WORD_BITS);
-            self.weight += 1;
         }
         self.len += 1;
     }
@@ -71,12 +66,6 @@ impl BitStream {
     pub fn get(&self, t: usize) -> bool {
         assert!(t < self.len, "round {t} out of range {}", self.len);
         (self.words[t / WORD_BITS] >> (t % WORD_BITS)) & 1 == 1
-    }
-
-    /// Total Hamming weight (number of 1-rounds) so far.
-    #[inline]
-    pub fn weight(&self) -> usize {
-        self.weight
     }
 
     /// Hamming weight of the prefix of length `t` (first `t` rounds).
@@ -178,18 +167,17 @@ mod tests {
         assert!(s.get(0));
         assert!(!s.get(1));
         assert!(s.get(3));
-        assert_eq!(s.weight(), 3);
+        assert_eq!(s.prefix_weight(s.len()), 3);
     }
 
     #[test]
-    fn weight_tracks_incrementally_across_words() {
+    fn prefix_weight_spans_words() {
         let mut s = BitStream::with_capacity(200);
         for i in 0..200 {
             s.push(i % 3 == 0);
         }
         assert_eq!(s.len(), 200);
-        assert_eq!(s.weight(), 67); // ⌈200/3⌉
-        assert_eq!(s.prefix_weight(200), 67);
+        assert_eq!(s.prefix_weight(200), 67); // ⌈200/3⌉
         assert_eq!(s.prefix_weight(0), 0);
         assert_eq!(s.prefix_weight(64), 22); // ⌈64/3⌉
         assert_eq!(s.prefix_weight(65), 22);

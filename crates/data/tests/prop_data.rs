@@ -37,7 +37,6 @@ proptest! {
             let naive = bits[..t].iter().filter(|&&b| b).count();
             prop_assert_eq!(stream.prefix_weight(t), naive);
         }
-        prop_assert_eq!(stream.weight(), stream.prefix_weight(bits.len()));
     }
 
     /// suffix_pattern equals the hand-rolled big-endian encoding for every

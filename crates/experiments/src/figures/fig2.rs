@@ -12,7 +12,7 @@ use crate::stats::summarise_series;
 use longsynth::{ContinualSynthesizer, CumulativeConfig, CumulativeSynthesizer};
 use longsynth_data::LongitudinalDataset;
 use longsynth_dp::budget::Rho;
-use longsynth_queries::cumulative::cumulative_counts;
+use longsynth_queries::cumulative::ThresholdCounter;
 
 /// The paper's budget for Figures 2/8.
 pub const RHO: f64 = 0.005;
@@ -31,7 +31,6 @@ pub fn run(
     master_seed: u64,
 ) -> Series {
     let horizon = panel.rounds();
-    let n = panel.individuals();
     let runner = RepetitionRunner::new(reps, master_seed);
     let per_rep: Vec<Vec<f64>> = runner.run(|_r, fork| {
         let config = CumulativeConfig::new(horizon, Rho::new(rho).expect("positive rho"))
@@ -44,9 +43,8 @@ pub fn run(
             .map(|t| synth.estimate_fraction(t, b).expect("released round"))
             .collect()
     });
-    let truth: Vec<f64> = (0..horizon)
-        .map(|t| cumulative_counts(panel, t).get(b).copied().unwrap_or(0) as f64 / n as f64)
-        .collect();
+    let counts = ThresholdCounter::over(panel);
+    let truth: Vec<f64> = (0..horizon).map(|t| counts.fraction(t, b)).collect();
     Series {
         label: format!("≥{b} months"),
         x: (1..=horizon).map(|m| m.to_string()).collect(),

@@ -28,7 +28,7 @@ use longsynth_data::generators::{two_state_markov, MarkovParams};
 use longsynth_data::LongitudinalDataset;
 use longsynth_dp::budget::Rho;
 use longsynth_dp::rng::rng_from_seed;
-use longsynth_queries::cumulative::cumulative_counts;
+use longsynth_queries::cumulative::ThresholdCounter;
 use longsynth_queries::window::window_histogram;
 use serde::Serialize;
 use std::fmt::Write as _;
@@ -139,7 +139,7 @@ pub fn table_t2(
     master_seed: u64,
 ) -> Vec<BoundCheckRow> {
     let horizon = panel.rounds();
-    let truth: Vec<Vec<u64>> = (0..horizon).map(|t| cumulative_counts(panel, t)).collect();
+    let truth = ThresholdCounter::over(panel);
     let beta = 0.05 / horizon as f64; // per-counter share of a 5% budget
     let mut rows = Vec::new();
     for kind in CounterKind::all() {
@@ -158,7 +158,7 @@ pub fn table_t2(
                 for t in 0..horizon {
                     let est = synth.threshold_estimates(t).expect("released");
                     for b in 1..=(t + 1) {
-                        let tru = truth[t].get(b).copied().unwrap_or(0) as i64;
+                        let tru = truth.counts(t).get(b).copied().unwrap_or(0) as i64;
                         worst = worst.max((est[b] - tru).abs());
                     }
                 }
@@ -190,14 +190,13 @@ pub fn reduction_gap(
 ) -> Vec<BoundCheckRow> {
     let horizon = panel.rounds();
     assert!(horizon <= 16, "reduction capped at T <= 16");
-    let n = panel.individuals();
-    let truth: Vec<Vec<u64>> = (0..horizon).map(|t| cumulative_counts(panel, t)).collect();
+    let truth = ThresholdCounter::over(panel);
     let max_b = 4usize;
     let worst_over = |est: &dyn Fn(usize, usize) -> f64| -> f64 {
         let mut worst = 0.0f64;
         for t in 0..horizon {
             for b in 1..=max_b.min(t + 1) {
-                let tru = truth[t].get(b).copied().unwrap_or(0) as f64 / n as f64;
+                let tru = truth.fraction(t, b);
                 worst = worst.max((est(t, b) - tru).abs());
             }
         }

@@ -4,43 +4,150 @@
 //! `S_b^t = #{i : x_i^1 + … + x_i^t ≥ b}` for every `b = 0..=t` — e.g.
 //! "households in poverty for at least `b` of the first `t` months".
 //! Algorithm 2 preserves all of them simultaneously.
+//!
+//! One kernel computes them: each round's column moves every record with
+//! a set bit across one threshold. [`cumulative_counts`] runs it over a
+//! stored panel for one round; [`ThresholdCounter`] runs it as columns
+//! arrive and keeps every round's counts, so later reads are lookups.
 
-use longsynth_data::LongitudinalDataset;
+use longsynth_data::{BitColumn, LongitudinalDataset};
+
+/// The one threshold-count kernel: advance `row` by one round.
+///
+/// On entry `row` holds the previous round's counts `S_0..=S_t` followed by
+/// a 0 for the new top threshold (`[n, 0]` before the first round), and
+/// `weights` each record's Hamming weight so far. Every set bit of
+/// `column`, walked one 64-record word at a time, moves its record across
+/// one threshold: a record of weight `w` raises `S_{w+1}` by one (it is one
+/// of the `z_{w+1}` crossings of this round) and its weight to `w + 1`. On
+/// exit `row` holds this round's counts.
+fn advance(weights: &mut [u32], column: &BitColumn, row: &mut [u64]) {
+    for (w, &word) in column.as_words().iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let weight = &mut weights[(w << 6) | bits.trailing_zeros() as usize];
+            row[*weight as usize + 1] += 1;
+            *weight += 1;
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// `c_b^t` from the counts of round `t`: 0 past the last threshold.
+fn fraction(counts: &[u64], b: usize, individuals: usize) -> f64 {
+    let count = counts.get(b).copied().unwrap_or(0);
+    count as f64 / individuals as f64
+}
 
 /// The threshold counts `S_b^t` at 0-based round `t`, which closes `t + 1`
 /// rounds of history: entry `b` of the returned `t + 2` counts is `S_b^t`
 /// for `b = 0..=t+1`, so entry 0 is always `n` and entry `t + 1` counts the
-/// all-ones histories. Each individual's weight is accumulated from the
-/// set bits of the packed columns, one 64-record word at a time.
+/// all-ones histories. Feeds columns `0..=t` through the same kernel as
+/// [`ThresholdCounter`], keeping only the latest round's counts.
 pub fn cumulative_counts(data: &LongitudinalDataset, t: usize) -> Vec<u64> {
     assert!(t < data.rounds(), "round {t} not yet recorded");
     let mut weights = vec![0u32; data.individuals()];
+    let mut row = vec![data.individuals() as u64];
     for round in 0..=t {
-        for (w, &word) in data.column(round).as_words().iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                weights[(w << 6) | bits.trailing_zeros() as usize] += 1;
-                bits &= bits - 1;
-            }
-        }
+        row.push(0);
+        advance(&mut weights, data.column(round), &mut row);
     }
-    let mut counts = vec![0u64; t + 2];
-    for &weight in &weights {
-        counts[weight as usize] += 1;
-    }
-    // Suffix-sum in place: S_b = Σ_{w ≥ b} #{weight = w}.
-    for b in (0..=t).rev() {
-        counts[b] += counts[b + 1];
-    }
-    counts
+    row
 }
 
 /// The paper's query `c_b^t`: the *fraction* of individuals with Hamming
 /// weight at least `b` after round `t`.
 pub fn cumulative_fraction(data: &LongitudinalDataset, t: usize, b: usize) -> f64 {
-    let counts = cumulative_counts(data, t);
-    let count = counts.get(b).copied().unwrap_or(0);
-    count as f64 / data.individuals() as f64
+    fraction(&cumulative_counts(data, t), b, data.individuals())
+}
+
+/// Running threshold counts of a panel that grows one column at a time.
+///
+/// It holds one `u32` weight per record and, for every round pushed, that
+/// round's counts `S_0..=S_{t+1}`, appended to one flat vector (round `t`
+/// starts at offset `t(t+3)/2`). A push costs one walk over the column's
+/// set bits plus a copy of the previous round's `t + 1` counts, and every
+/// later [`counts`](Self::counts) or [`fraction`](Self::fraction) is a
+/// lookup. [`retire`](Self::retire) drops the weights of a panel that will
+/// never grow again and keeps its counts.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ThresholdCounter {
+    individuals: usize,
+    /// Each record's Hamming weight so far; empty once retired.
+    weights: Vec<u32>,
+    /// The counts of rounds `0..rounds`, back to back.
+    counts: Vec<u64>,
+    rounds: usize,
+}
+
+/// Where round `t`'s `t + 2` counts start in the flat vector.
+fn row_offset(t: usize) -> usize {
+    t * (t + 3) / 2
+}
+
+impl ThresholdCounter {
+    /// A counter over `individuals` records with no rounds yet.
+    pub fn new(individuals: usize) -> Self {
+        Self {
+            individuals,
+            weights: vec![0; individuals],
+            counts: Vec::new(),
+            rounds: 0,
+        }
+    }
+
+    /// A counter fed every column of `data`: one pass yields the threshold
+    /// counts of every round.
+    pub fn over(data: &LongitudinalDataset) -> Self {
+        let mut counter = Self::new(data.individuals());
+        for (_, column) in data.stream() {
+            counter.push(column);
+        }
+        counter
+    }
+
+    /// Append the next round's column.
+    ///
+    /// # Panics
+    /// Panics if the column's length is not the record count, and on a
+    /// retired counter of at least one record.
+    pub fn push(&mut self, column: &BitColumn) {
+        assert_eq!(
+            column.len(),
+            self.weights.len(),
+            "column length must match the counter's live records"
+        );
+        let start = self.counts.len();
+        match self.rounds {
+            0 => self.counts.push(self.individuals as u64),
+            t => self.counts.extend_from_within(row_offset(t - 1)..start),
+        }
+        self.counts.push(0);
+        advance(&mut self.weights, column, &mut self.counts[start..]);
+        self.rounds += 1;
+    }
+
+    /// Drop the per-record weights of a panel that receives no more
+    /// columns; every recorded round's counts stay readable.
+    pub fn retire(&mut self) {
+        self.weights = Vec::new();
+        self.counts.shrink_to_fit();
+    }
+
+    /// The `t + 2` counts `S_0^t..=S_{t+1}^t` of 0-based round `t`, as
+    /// [`cumulative_counts`] returns them.
+    ///
+    /// # Panics
+    /// Panics if round `t` has not been pushed.
+    pub fn counts(&self, t: usize) -> &[u64] {
+        assert!(t < self.rounds, "round {t} not yet recorded");
+        &self.counts[row_offset(t)..row_offset(t + 1)]
+    }
+
+    /// `c_b^t`, exactly as [`cumulative_fraction`] computes it.
+    pub fn fraction(&self, t: usize, b: usize) -> f64 {
+        fraction(self.counts(t), b, self.individuals)
+    }
 }
 
 /// Exact-weight counts `#{i : weight = b}` at round `t`, derived as
@@ -158,6 +265,44 @@ mod tests {
         assert_eq!(cumulative_counts(&d, 1), vec![4, 3, 1]);
         // t=2: weights (3,1,0,2) → S_0=4, S_1=3, S_2=2, S_3=1.
         assert_eq!(cumulative_counts(&d, 2), vec![4, 3, 2, 1]);
+    }
+
+    #[test]
+    fn counter_keeps_every_round_of_the_kernel() {
+        let d = sample();
+        let counter = ThresholdCounter::over(&d);
+        assert_eq!(counter.rounds, 3);
+        for t in 0..3 {
+            assert_eq!(counter.counts(t), cumulative_counts(&d, t), "t={t}");
+            for b in 0..=t + 2 {
+                assert_eq!(
+                    counter.fraction(t, b).to_bits(),
+                    cumulative_fraction(&d, t, b).to_bits()
+                );
+            }
+        }
+        // Round t's counts start at t(t+3)/2: 2 + 3 + 4 counts in all.
+        assert_eq!(counter.counts.len(), 9);
+    }
+
+    #[test]
+    fn retired_counter_drops_weights_and_keeps_counts() {
+        let d = sample();
+        let mut counter = ThresholdCounter::over(&d);
+        let before: Vec<Vec<u64>> = (0..3).map(|t| counter.counts(t).to_vec()).collect();
+        counter.retire();
+        assert!(counter.weights.is_empty());
+        for (t, counts) in before.iter().enumerate() {
+            assert_eq!(counter.counts(t), counts.as_slice());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "live records")]
+    fn retired_counter_rejects_columns() {
+        let mut counter = ThresholdCounter::over(&sample());
+        counter.retire();
+        counter.push(&BitColumn::zeros(4));
     }
 
     #[test]

@@ -71,11 +71,26 @@
 //! single-draw accuracy product; the store records the columns, and
 //! [`merged_coverage`](ReleaseStore::merged_coverage) names the cohorts
 //! each one stands for so consumers can interpret them.
+//!
+//! ## Cumulative queries are lookups
+//!
+//! Every stored panel (each cohort's, and the longitudinal merged panel)
+//! keeps its threshold counts `S_b^t` current as columns arrive, through
+//! a [`ThresholdCounter`] fed by the same push that stores the column. A
+//! `CumulativeFraction` miss then reads one count and divides by the
+//! record count, instead of walking the panel's history; a ragged merged
+//! scope pools the cohorts' looked-up answers. The counts add 4 bytes per
+//! record of a live panel (its running weights) and `8·(t+2)` bytes per
+//! panel at round `t` (that round's counts). A cohort that has entered but
+//! does not step in a scheduled round has retired, since it may never
+//! resume: its weights are dropped and its counts kept. Snapshot restore
+//! and delta replay run through the same ingest path, so they rebuild the
+//! counts too, and the snapshot format carries none of them.
 
 use longsynth::Release;
 use longsynth_data::{BitColumn, LongitudinalDataset};
 use longsynth_engine::PolicyTag;
-use longsynth_queries::cumulative::cumulative_fraction;
+use longsynth_queries::cumulative::ThresholdCounter;
 use longsynth_queries::{active_weighted_mean, WindowQuery};
 use std::fmt;
 use std::ops::Range;
@@ -219,35 +234,57 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// A synthetic panel that grows by appending released columns. The record
-/// count is pinned by the first column; callers validate later appends.
+/// A synthetic panel that grows by appending released columns, with the
+/// running threshold counts of its rounds. The record count is pinned by
+/// the first column; callers validate later appends.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct GrowingPanel {
-    panel: Option<LongitudinalDataset>,
+    stored: Option<(LongitudinalDataset, ThresholdCounter)>,
 }
 
 impl GrowingPanel {
     fn push(&mut self, column: &BitColumn) {
-        let panel = self
-            .panel
-            .get_or_insert_with(|| LongitudinalDataset::empty(column.len()));
+        let (panel, thresholds) = self.stored.get_or_insert_with(|| {
+            (
+                LongitudinalDataset::empty(column.len()),
+                ThresholdCounter::new(column.len()),
+            )
+        });
+        thresholds.push(column);
         panel
             .push_column(column.clone())
             .expect("validated against the panel's record count");
     }
 
+    /// The panel receives no more columns: keep its counts, drop the
+    /// per-record weights.
+    fn retire(&mut self) {
+        if let Some((_, thresholds)) = &mut self.stored {
+            thresholds.retire();
+        }
+    }
+
     pub(crate) fn rounds(&self) -> usize {
-        self.panel.as_ref().map_or(0, LongitudinalDataset::rounds)
+        self.panel().map_or(0, LongitudinalDataset::rounds)
     }
 
     pub(crate) fn records(&self) -> Option<usize> {
-        self.panel.as_ref().map(LongitudinalDataset::individuals)
+        self.panel().map(LongitudinalDataset::individuals)
     }
 
     pub(crate) fn panel(&self) -> Option<&LongitudinalDataset> {
-        self.panel.as_ref()
+        self.stored().map(|(panel, _)| panel)
+    }
+
+    fn stored(&self) -> Option<Stored<'_>> {
+        self.stored
+            .as_ref()
+            .map(|(panel, thresholds)| (panel, thresholds))
     }
 }
+
+/// A stored panel and its threshold counts, as queries read them.
+type Stored<'a> = (&'a LongitudinalDataset, &'a ThresholdCounter);
 
 /// The merged population-level release. Whether record `i` is the same
 /// individual in every round decides its shape: one rectangular panel for
@@ -555,6 +592,15 @@ impl ReleaseStore {
                 self.entries[c].get_or_insert(*round);
                 self.cohorts[c].push(column);
             }
+            if !longitudinal {
+                // An entered cohort missing from a scheduled round has
+                // retired: the validator refuses its resumption.
+                for ((c, cohort), entry) in self.cohorts.iter_mut().enumerate().zip(&self.entries) {
+                    if entry.is_some() && active.binary_search(&c).is_err() {
+                        cohort.retire();
+                    }
+                }
+            }
             match &mut self.merged {
                 MergedRelease::Longitudinal(panel) => panel.push(merged),
                 MergedRelease::Ragged(columns) => columns.push((*merged).clone()),
@@ -641,6 +687,11 @@ impl ReleaseStore {
     /// dynamic store's merged scope is ragged and has no rectangular panel
     /// ([`ServeError::ScopeNotRectangular`]).
     pub fn panel(&self, scope: StoreScope) -> Result<&LongitudinalDataset, ServeError> {
+        self.stored(scope).map(|(panel, _)| panel)
+    }
+
+    /// The stored panel for `scope` with its threshold counts.
+    fn stored(&self, scope: StoreScope) -> Result<Stored<'_>, ServeError> {
         let growing = match (scope, &self.merged) {
             (StoreScope::Merged, MergedRelease::Ragged(_)) => {
                 return Err(ServeError::ScopeNotRectangular(scope));
@@ -651,7 +702,7 @@ impl ReleaseStore {
                 cohorts: self.cohorts.len(),
             })?,
         };
-        growing.panel().ok_or(ServeError::NothingReleased(scope))
+        growing.stored().ok_or(ServeError::NothingReleased(scope))
     }
 
     /// Answer one query directly from stored releases — no synthesis, no
@@ -676,18 +727,18 @@ impl ReleaseStore {
         }
         // The panel to evaluate (none for a ragged merged scope) and the
         // global rounds it covers.
-        let (panel, covered) = match scope {
+        let (stored, covered) = match scope {
             StoreScope::Cohort(c) => {
-                let panel = self.panel(scope)?;
+                let stored = self.stored(scope)?;
                 let covered = self
                     .cohort_window(c)
                     .expect("a cohort with columns has entered");
-                (Some(panel), covered)
+                (Some(stored), covered)
             }
             StoreScope::Merged if self.rounds() == 0 => {
                 return Err(ServeError::NothingReleased(scope));
             }
-            StoreScope::Merged => (self.panel(scope).ok(), 0..self.rounds()),
+            StoreScope::Merged => (self.stored(scope).ok(), 0..self.rounds()),
         };
         if t >= self.rounds() {
             return Err(self.unreleased(scope, t));
@@ -703,23 +754,23 @@ impl ReleaseStore {
             return Err(ServeError::WindowUnderflow { round: t, width });
         }
         let empty = ServeError::EmptyScope { scope, round: t };
-        if let Some(panel) = panel {
-            if panel.individuals() == 0 {
+        if let Some(stored) = stored {
+            if stored.0.individuals() == 0 {
                 return Err(empty);
             }
-            return Ok(evaluate(&query.kind, panel, t - covered.start));
+            return Ok(evaluate(&query.kind, stored, t - covered.start));
         }
         // An empty cohort has no fraction of its own and weighs nothing in
         // the mean, so only non-empty observing cohorts are evaluated.
         let mut observed = false;
         let parts = self.cohorts.iter().enumerate().filter_map(|(c, cohort)| {
             let covered = self.cohort_window(c)?;
-            let panel = cohort.panel()?;
+            let stored @ (panel, _) = cohort.stored()?;
             let observes = covered.contains(&t) && covered.start + width <= t + 1;
             observed |= observes;
             (observes && panel.individuals() > 0).then(|| {
                 (
-                    evaluate(&query.kind, panel, t - covered.start),
+                    evaluate(&query.kind, stored, t - covered.start),
                     panel.individuals(),
                 )
             })
@@ -740,14 +791,16 @@ impl ReleaseStore {
     }
 }
 
-/// Evaluate `kind` on `panel` at the panel's local round `local`.
-fn evaluate(kind: &QueryKind, panel: &LongitudinalDataset, local: usize) -> f64 {
+/// Evaluate `kind` on a stored panel at its local round `local`: window
+/// and pattern queries read the columns, a cumulative query looks up the
+/// running threshold counts.
+fn evaluate(kind: &QueryKind, (panel, thresholds): Stored<'_>, local: usize) -> f64 {
     match kind {
         QueryKind::Window { query, .. } => query.evaluate_true(panel, local),
         QueryKind::Pattern { pattern, .. } => {
             WindowQuery::pattern(*pattern).evaluate_true(panel, local)
         }
-        QueryKind::CumulativeFraction { b, .. } => cumulative_fraction(panel, local, *b),
+        QueryKind::CumulativeFraction { b, .. } => thresholds.fraction(local, *b),
     }
 }
 
@@ -1047,6 +1100,42 @@ mod tests {
                 })
             ));
         }
+    }
+
+    #[test]
+    fn retired_cohorts_drop_weights_and_keep_answers() {
+        use longsynth_queries::cumulative::cumulative_fraction;
+        let store = rotating_store();
+        let counter = |c: usize| store.cohorts[c].stored().expect("entered").1;
+        // Cohort 0 stepped in rounds 0–1 and was absent from round 2: it
+        // has retired, so only its counts remain. Every other cohort
+        // stepped in the last round and keeps its weights.
+        for c in 0..4 {
+            let panel = store.panel(StoreScope::Cohort(c)).unwrap();
+            let mut expected = ThresholdCounter::over(panel);
+            if c == 0 {
+                expected.retire();
+            }
+            assert_eq!(counter(c), &expected, "cohort {c}");
+            let start = store.cohort_window(c).unwrap().start;
+            for t in store.cohort_window(c).unwrap() {
+                for b in 0..=t + 2 {
+                    let kind = QueryKind::CumulativeFraction { t, b };
+                    let got = store.answer(&ServeQuery {
+                        scope: StoreScope::Cohort(c),
+                        kind,
+                    });
+                    let want = cumulative_fraction(panel, t - start, b);
+                    assert_eq!(got.unwrap().to_bits(), want.to_bits(), "c={c} t={t} b={b}");
+                }
+            }
+        }
+        assert_ne!(
+            counter(0),
+            &ThresholdCounter::over(store.panel(StoreScope::Cohort(0)).unwrap())
+        );
+        // Restore replays the schedule, so the retirement is rebuilt.
+        assert_eq!(restore_json(&snapshot_json(&store)).unwrap(), store);
     }
 
     #[test]

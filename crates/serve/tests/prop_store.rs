@@ -11,7 +11,8 @@ use longsynth_data::BitColumn;
 use longsynth_dp::budget::Rho;
 use longsynth_engine::{PanelSchedule, PolicyTag};
 use longsynth_pool::WorkerPool;
-use longsynth_queries::{Pattern, WindowQuery};
+use longsynth_queries::cumulative::cumulative_fraction;
+use longsynth_queries::{active_weighted_mean, Pattern, WindowQuery};
 use longsynth_serve::snapshot::{
     apply_delta_json, restore_json, snapshot_json, snapshot_since_json,
 };
@@ -39,6 +40,30 @@ fn random_store(seed: u64, cohort_sizes: &[usize], rounds: usize) -> ReleaseStor
             .collect();
         let merged = BitColumn::concat(parts.iter());
         store.ingest_columns(&parts, &merged).unwrap();
+    }
+    store
+}
+
+/// A static **shared-noise** store: per-cohort columns as in
+/// [`random_store`], plus an independent population release of its own
+/// `population` records in every round (not the concatenation).
+fn random_shared_store(
+    seed: u64,
+    cohort_sizes: &[usize],
+    population: usize,
+    rounds: usize,
+) -> ReleaseStore {
+    let mut next_bit = bit_stream(seed);
+    let mut store = ReleaseStore::new();
+    for _ in 0..rounds {
+        let parts: Vec<BitColumn> = cohort_sizes
+            .iter()
+            .map(|&size| BitColumn::from_iter_bits((0..size).map(|_| next_bit())))
+            .collect();
+        let merged = BitColumn::from_iter_bits((0..population).map(|_| next_bit()));
+        store
+            .ingest_columns_with(PolicyTag::Shared, &parts, &merged)
+            .unwrap();
     }
     store
 }
@@ -157,8 +182,100 @@ fn query_battery(store: &ReleaseStore) -> Vec<ServeQuery> {
     queries
 }
 
+/// `c_b^t` in `scope` recomputed from the stored columns by
+/// [`cumulative_fraction`]: on the scope's panel at its local round, or,
+/// for a dynamic store's merged scope, as the size-weighted mean of the
+/// non-empty cohorts covering `t`.
+fn cumulative_oracle(store: &ReleaseStore, scope: StoreScope, t: usize, b: usize) -> f64 {
+    let local = |c: usize| {
+        let window = store.cohort_window(c)?;
+        let panel = store.panel(StoreScope::Cohort(c)).ok()?;
+        window.contains(&t).then(|| (panel, t - window.start))
+    };
+    match scope {
+        StoreScope::Cohort(c) => {
+            let (panel, local) = local(c).expect("round covered by the cohort");
+            cumulative_fraction(panel, local, b)
+        }
+        StoreScope::Merged if !store.is_dynamic() => {
+            cumulative_fraction(store.panel(scope).unwrap(), t, b)
+        }
+        StoreScope::Merged => active_weighted_mean((0..store.cohorts()).filter_map(|c| {
+            let (panel, local) = local(c)?;
+            (panel.individuals() > 0)
+                .then(|| (cumulative_fraction(panel, local, b), panel.individuals()))
+        }))
+        .expect("a covering cohort"),
+    }
+}
+
+/// Every `CumulativeFraction` answer of `store` — every scope, every round
+/// the scope covers, every `b` in `0..=t+2` — equals
+/// [`cumulative_oracle`] bit for bit.
+fn check_cumulative_answers(store: &ReleaseStore) {
+    let mut scopes = vec![StoreScope::Merged];
+    scopes.extend((0..store.cohorts()).map(StoreScope::Cohort));
+    for scope in scopes {
+        for t in 0..store.rounds() {
+            if let StoreScope::Cohort(c) = scope {
+                if !store.cohort_window(c).is_some_and(|w| w.contains(&t)) {
+                    continue;
+                }
+            }
+            for b in 0..=t + 2 {
+                let kind = QueryKind::CumulativeFraction { t, b };
+                let answer = store.answer(&ServeQuery { scope, kind }).unwrap();
+                let oracle = cumulative_oracle(store, scope, t, b);
+                assert_eq!(
+                    answer.to_bits(),
+                    oracle.to_bits(),
+                    "{scope} at t={t}, b={b}"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A cumulative answer is a lookup of the store's running threshold
+    /// counts; it must equal `cumulative_fraction` on the stored panel,
+    /// bit for bit, in static per-shard, static shared-noise and rotating
+    /// stores — live, after a full snapshot restore, and after a restored
+    /// prefix plus two chained deltas.
+    #[test]
+    fn cumulative_answers_equal_the_kernel_on_the_stored_panel(
+        seed in any::<u64>(),
+        cohort_a in 1usize..40,
+        cohort_b in 1usize..90,
+        population in 1usize..70,
+        waves in 1usize..5,
+        horizon in 2usize..9,
+        first_cut in 0usize..9,
+        second_cut in 0usize..9,
+    ) {
+        let sizes = [cohort_a, cohort_b];
+        let builders: [Box<dyn Fn(usize) -> ReleaseStore>; 3] = [
+            Box::new(|rounds| random_store(seed, &sizes, rounds)),
+            Box::new(|rounds| random_shared_store(seed, &sizes, population, rounds)),
+            Box::new(|rounds| random_rotating_store(seed, waves, horizon, rounds)),
+        ];
+        for build in &builders {
+            let full = build(horizon);
+            check_cumulative_answers(&full);
+            check_cumulative_answers(&restore_json(&snapshot_json(&full)).unwrap());
+            let mut cuts = [first_cut % (horizon + 1), second_cut % (horizon + 1)];
+            cuts.sort_unstable();
+            let [cut_a, cut_b] = cuts;
+            let mut chained = restore_json(&snapshot_json(&build(cut_a))).unwrap();
+            apply_delta_json(&mut chained, &snapshot_since_json(&build(cut_b), cut_a).unwrap())
+                .unwrap();
+            apply_delta_json(&mut chained, &snapshot_since_json(&full, cut_b).unwrap()).unwrap();
+            check_cumulative_answers(&chained);
+            prop_assert_eq!(&chained, &full);
+        }
+    }
 
     /// Snapshot → restore → identical query answers (bit-for-bit), over
     /// random release sequences of random shapes.
