@@ -9,9 +9,10 @@
 //!
 //! Each [`EventProducer`] owns a watermark slot; cloning a handle
 //! registers a new slot, so the low watermark is the minimum over every
-//! live handle. The consumer drains the queue in batches, re-evaluates
-//! the watermark, and seals every round the watermark has passed —
-//! producing the exact per-round inputs `ShardedEngine` steps on.
+//! live handle. The consumer takes the producers' batches off the queue
+//! whole, absorbs each one in place, re-evaluates the watermark, and
+//! seals every round the watermark has passed — producing the exact
+//! per-round inputs `ShardedEngine` steps on.
 
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -106,8 +107,9 @@ impl<P> EventProducer<P> {
         self.queue.try_send(event)
     }
 
-    /// Blocking batched send; two watermark updates and a few lock
-    /// acquisitions for the whole batch.
+    /// Blocking batched send; two watermark updates for the whole batch,
+    /// which the queue moves in whole when it fits (see
+    /// [`Producer::send_batch`]).
     ///
     /// The slot advances to the batch **minimum** before enqueueing and
     /// to the batch **maximum** only after the whole batch is in the
@@ -234,7 +236,7 @@ pub struct SealedRounds<A: RoundAssembler> {
     idle: IdlePolicy,
     poll: Duration,
     pending: VecDeque<SealedRound<A::Round>>,
-    batch: Vec<Event<A::Payload>>,
+    batch: Vec<Vec<Event<A::Payload>>>,
     min_rounds: Option<u64>,
     finished: bool,
     metrics: Option<IngestMetrics>,
@@ -274,15 +276,14 @@ impl<A: RoundAssembler> SealedRounds<A> {
         }
     }
 
-    /// Runs the drained batch through the binner's batch entry, leaving
-    /// `self.batch` empty (its capacity retained) for the next drain.
+    /// Feeds each received batch straight to the binner's batch entry
+    /// and drops it, leaving `self.batch` empty (its capacity retained)
+    /// for the next receive.
     fn absorb_batch(&mut self) {
-        self.binner.push_batch(
-            self.batch
-                .iter()
-                .map(|e| (e.time_ms, e.individual, &e.payload)),
-        );
-        self.batch.clear();
+        for batch in self.batch.drain(..) {
+            self.binner
+                .push_batch(batch.iter().map(|e| (e.time_ms, e.individual, &e.payload)));
+        }
     }
 
     /// Every producer dropped and the queue drained: the final watermark
@@ -310,7 +311,6 @@ impl<A: RoundAssembler> Iterator for SealedRounds<A> {
             if self.finished {
                 return None;
             }
-            self.batch.clear();
             // Snapshot the watermark BEFORE touching the queue, then
             // absorb every event that was already enqueued at snapshot
             // time before sealing with it. The two-sided safety argument:
@@ -325,10 +325,16 @@ impl<A: RoundAssembler> Iterator for SealedRounds<A> {
             //  * events enqueued BEFORE the snapshot may be arbitrarily
             //    older than it (their producer has since raced ahead
             //    inside the queue's capacity), so the whole backlog must
-            //    pass through the binner first. FIFO order makes "the
-            //    first `depth()` events" exactly that set; reading the
-            //    depth after the snapshot over-approximates it, which
-            //    only delays the seal, never corrupts it.
+            //    pass through the binner first. A batch's events are
+            //    counted in the queue depth under its lock before
+            //    `send_batch` returns, and so before the producer
+            //    advances its slot to the batch max. FIFO order then
+            //    makes "whole batches until at least `depth()` events"
+            //    a superset of that set. Reading the depth after the
+            //    snapshot, or draining a batch that straddles the count,
+            //    over-approximates it: events sent after the snapshot
+            //    are absorbed early, which only delays a seal, never
+            //    corrupts it.
             let watermark = self.tracker.low_watermark(self.idle);
             let mut backlog = self.consumer.depth();
             if backlog == 0 {

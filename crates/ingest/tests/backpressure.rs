@@ -135,6 +135,7 @@ fn batched_flood_honours_cap_too() {
 
     let stats = rounds.stats();
     assert_eq!(stats.events, 40 * 512);
+    assert_eq!(stats.late_events, 0);
     assert!(
         stats.peak_queue_depth <= CAP,
         "batched sends overshot the cap: {}",
