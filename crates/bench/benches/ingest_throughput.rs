@@ -4,9 +4,11 @@
 //! Two arms at n ∈ {100k, 1M} events (one event per (round, individual)
 //! over a 12-round horizon, tumbling 60 s windows at a Unix-ms origin):
 //!
-//! * `binner` — the pure seal path: events pushed straight into the
-//!   [`WindowBinner`] with a per-round watermark advance. No queue, no
-//!   threads; this is the upper bound the pipeline chases.
+//! * `binner` — the pure seal path: each round handed straight to
+//!   [`WindowBinner::push_batch`] in `SEND_BATCH` slices, as the tier
+//!   hands it each queued batch, with a per-round watermark advance. No
+//!   queue, no threads: the sealing side's own cost, which the
+//!   pipeline's consumer pays too.
 //! * `pipeline` — the full tier: a producer thread batching events
 //!   through the bounded queue (backpressure on), the consumer draining,
 //!   watermark-sealing, and yielding rounds. The acceptance bar
@@ -58,16 +60,17 @@ fn event_stream(total: usize) -> (usize, Vec<Vec<Event<bool>>>) {
     (population, rounds)
 }
 
-/// The pure seal path: push every event, advance the watermark round by
-/// round, drain sealed rounds. Returns rounds sealed (12).
+/// The pure seal path: push every round in `SEND_BATCH` slices, advance
+/// the watermark round by round, drain sealed rounds. Returns rounds
+/// sealed (12).
 fn run_binner(population: usize, rounds: &[Vec<Event<bool>>]) -> u64 {
     let spec = spec();
     let mut binner = WindowBinner::new(spec, LatePolicy::Drop, BitRoundAssembler::new(population));
     let mut out = VecDeque::new();
     let mut sealed = 0u64;
     for (round, events) in rounds.iter().enumerate() {
-        for event in events {
-            binner.push(event.time_ms, event.individual, &event.payload);
+        for chunk in events.chunks(SEND_BATCH) {
+            binner.push_batch(chunk);
         }
         binner.advance(spec.window(round as u64).close, &mut out);
         while let Some(s) = out.pop_front() {
@@ -154,6 +157,8 @@ struct IngestRunDto {
     events: usize,
     population: usize,
     total_ms: f64,
+    min_ms: f64,
+    max_ms: f64,
     events_per_s: f64,
 }
 
@@ -170,21 +175,24 @@ fn write_ingest_artifact() {
         let (population, rounds) = event_stream(total);
         let rounds = Arc::new(rounds);
         for config in ["binner", "pipeline"] {
-            let mut total_ms = 0.0f64;
-            for _ in 0..reps {
-                let start = Instant::now();
-                let sealed = match config {
-                    "binner" => run_binner(population, &rounds),
-                    _ => run_pipeline(population, Arc::clone(&rounds)),
-                };
-                total_ms += start.elapsed().as_secs_f64() * 1e3;
-                assert_eq!(sealed, HORIZON as u64);
-            }
-            total_ms /= reps as f64;
+            let rep_ms: Vec<f64> = (0..reps)
+                .map(|_| {
+                    let start = Instant::now();
+                    let sealed = match config {
+                        "binner" => run_binner(population, &rounds),
+                        _ => run_pipeline(population, Arc::clone(&rounds)),
+                    };
+                    assert_eq!(sealed, HORIZON as u64);
+                    start.elapsed().as_secs_f64() * 1e3
+                })
+                .collect();
+            let total_ms = rep_ms.iter().sum::<f64>() / reps as f64;
+            let min_ms = rep_ms.iter().copied().fold(f64::INFINITY, f64::min);
+            let max_ms = rep_ms.iter().copied().fold(0.0, f64::max);
             let events_per_s = total as f64 / (total_ms / 1e3);
             eprintln!(
                 "ingest_throughput: n={total} {config}: {total_ms:.1} ms \
-                 ({:.2}M events/sec)",
+                 (min {min_ms:.1}, max {max_ms:.1}; {:.2}M events/sec)",
                 events_per_s / 1e6
             );
             runs.push(IngestRunDto {
@@ -192,6 +200,8 @@ fn write_ingest_artifact() {
                 events: total,
                 population,
                 total_ms,
+                min_ms,
+                max_ms,
                 events_per_s,
             });
         }

@@ -93,12 +93,11 @@ impl BitColumn {
             "individual index {i} out of range {}",
             self.len
         );
-        let mask = 1u64 << (i % WORD_BITS);
-        if value {
-            self.words[i / WORD_BITS] |= mask;
-        } else {
-            self.words[i / WORD_BITS] &= !mask;
-        }
+        // Branch-free: random report bits would mispredict a branch on
+        // `value` about half the time.
+        let bit = i % WORD_BITS;
+        let word = &mut self.words[i / WORD_BITS];
+        *word = (*word & !(1u64 << bit)) | (u64::from(value) << bit);
     }
 
     /// Number of 1-bits (e.g. "households in poverty this month").

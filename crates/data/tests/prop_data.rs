@@ -8,14 +8,31 @@ use longsynth_dp::rng::rng_from_seed;
 use proptest::prelude::*;
 
 proptest! {
-    /// BitColumn round-trips any boolean vector.
+    /// BitColumn round-trips any boolean vector, and a script of `set`
+    /// overwrites (0→1, 1→0 and same-value writes) matches a `Vec<bool>`.
     #[test]
-    fn column_roundtrip(bits in proptest::collection::vec(any::<bool>(), 0..300)) {
-        let col = BitColumn::from_bools(&bits);
+    fn column_roundtrip(
+        bits in proptest::collection::vec(any::<bool>(), 0..300),
+        writes in proptest::collection::vec((any::<usize>(), any::<bool>()), 0..200),
+    ) {
+        let mut col = BitColumn::from_bools(&bits);
         prop_assert_eq!(col.len(), bits.len());
         let back: Vec<bool> = col.iter().collect();
         prop_assert_eq!(back, bits.clone());
         prop_assert_eq!(col.count_ones(), bits.iter().filter(|&&b| b).count());
+
+        let mut oracle = bits.clone();
+        if !oracle.is_empty() {
+            for &(at, value) in &writes {
+                let i = at % oracle.len();
+                col.set(i, value);
+                oracle[i] = value;
+            }
+        }
+        let back: Vec<bool> = col.iter().collect();
+        prop_assert_eq!(back, oracle.clone());
+        prop_assert_eq!(col.count_ones(), oracle.iter().filter(|&&b| b).count());
+        prop_assert_eq!(col, BitColumn::from_bools(&oracle));
     }
 
     /// BitStream: push-only construction preserves every prefix, and

@@ -6,15 +6,20 @@
 //! covering windows. Because rounds seal strictly in order, the map is
 //! stored dense: a `VecDeque` of slots indexed by `round − next_seal`.
 //!
-//! The hot path is a cell hit plus a run. CSPARQL runs its `scope` step
-//! on every event; here [`WindowSpec::cover`] resolves the covering
-//! rounds together with the *cell* of event time that shares them, and
-//! the binner keeps the last cover. [`WindowBinner::push_batch`] splits
-//! each batch into maximal runs of consecutive events inside one cell:
-//! a run resolves its cover (one `u64` division, only on a cell miss)
-//! and its open slots once and adds its counters once, and each event in
-//! it costs two comparisons plus one `absorb` per covering round.
-//! [`WindowBinner::push`] is the same entry with one event.
+//! The unit of work is a run, not an event. CSPARQL runs its `scope`
+//! step, and then a per-window update, on every event; here
+//! [`WindowSpec::cover`] resolves the covering rounds together with the
+//! *cell* of event time that shares them, and the binner keeps the last
+//! cover. [`WindowBinner::push_batch`] takes a batch as a slice and
+//! finds its maximal runs of consecutive events inside one cell by
+//! index. A run resolves its cover (one `u64` division, only on a cell
+//! miss) and its open slots once, then is absorbed cover by cover: each
+//! covering slot begins its accumulator at most once, absorbs the whole
+//! run in one tight loop, and adds the accepted count to its counter
+//! once. So there is one slot lookup and one counter update per run and
+//! cover, and each event costs two comparisons plus one `absorb` per
+//! covering round. [`WindowBinner::push`] is the same path with one
+//! event.
 //!
 //! Sealing is watermark-driven: [`WindowBinner::advance`] seals every
 //! round whose window closes (plus any grace) at or below the watermark,
@@ -89,6 +94,20 @@ impl std::fmt::Display for LatePolicy {
     }
 }
 
+/// One timestamped event from a producer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Event<P> {
+    /// Event time in milliseconds (the stream's clock — Unix ms in the
+    /// CLI; any i64 epoch works as long as it matches the window spec).
+    pub time_ms: i64,
+    /// The reporting individual's index in the engine's population
+    /// layout (for scheduled panels: position within the round's active
+    /// set).
+    pub individual: u32,
+    /// Assembler-specific payload (`bool` for [`BitRoundAssembler`]).
+    pub payload: P,
+}
+
 /// Folds the events of one window into the per-round input shape the
 /// synthesizers already take (`S::Input`).
 ///
@@ -97,7 +116,7 @@ impl std::fmt::Display for LatePolicy {
 /// the pre-binned lockstep path: a lockstep round whose column is all
 /// zeros and an ingest round that saw no events are the same input.
 pub trait RoundAssembler {
-    /// Per-event payload carried by [`crate::Event`].
+    /// Per-event payload carried by [`Event`].
     type Payload;
     /// In-progress accumulator for one open window.
     type Acc;
@@ -244,6 +263,9 @@ pub struct WindowBinner<A: RoundAssembler> {
     events_total: u64,
     late_events: u64,
     rejected_events: u64,
+    /// Run positions some cover refused, while a run with several covers
+    /// is absorbed; empty otherwise, and only touched on a rejection.
+    refused_at: Vec<usize>,
     metrics: Option<IngestMetrics>,
 }
 
@@ -264,6 +286,7 @@ impl<A: RoundAssembler> WindowBinner<A> {
             events_total: 0,
             late_events: 0,
             rejected_events: 0,
+            refused_at: Vec::new(),
             metrics: None,
         }
     }
@@ -274,51 +297,59 @@ impl<A: RoundAssembler> WindowBinner<A> {
         self
     }
 
-    /// Absorbs one event into every covering open window: a one-event
-    /// [`WindowBinner::push_batch`].
+    /// Absorbs one event into every covering open window: the one-event
+    /// form of [`WindowBinner::push_batch`].
     ///
     /// Returns `true` when the event was late — it missed at least one
     /// covering window that had already sealed (with overlapping windows
     /// it may still have been absorbed into the rest), arrived before the
     /// stream origin, or fell into an inter-window gap (`width < slide`).
     pub fn push(&mut self, time_ms: i64, individual: u32, payload: &A::Payload) -> bool {
-        self.push_batch([(time_ms, individual, payload)]) > 0
+        self.absorb(&[(time_ms, individual, payload)], |&(t, i, p)| (t, i, p)) > 0
     }
 
-    /// Absorbs `(time_ms, individual, payload)` events, in order, into
-    /// every covering open window, and returns how many were late (see
-    /// [`WindowBinner::push`]).
+    /// Absorbs `events`, in order, into every covering open window, and
+    /// returns how many were late (see [`WindowBinner::push`]).
     ///
-    /// The batch is split into maximal runs of consecutive events that
+    /// The slice is split into maximal runs of consecutive events that
     /// share one cover cell ([`WindowSpec::cover`]). Each run resolves its
-    /// cover and open slots once and adds its counts once; each event in
-    /// it costs two comparisons plus one `absorb` per covering round. A
-    /// late run counts every event late, and an event that some covering
-    /// round rejects counts once, however many covers refuse it.
-    pub fn push_batch<'p, I>(&mut self, events: I) -> u64
-    where
-        I: IntoIterator<Item = (i64, u32, &'p A::Payload)>,
-        A::Payload: 'p,
-    {
-        let mut events = events.into_iter().peekable();
+    /// cover and open slots once, then is absorbed cover by cover: one
+    /// slot lookup and one counter update per run and cover, one `absorb`
+    /// per event. A late run counts every event late, and an event that
+    /// some covering round rejects counts once, however many covers
+    /// refuse it.
+    pub fn push_batch(&mut self, events: &[Event<A::Payload>]) -> u64 {
+        self.absorb(events, |e| (e.time_ms, e.individual, &e.payload))
+    }
+
+    /// The one absorb path behind [`WindowBinner::push`] and
+    /// [`WindowBinner::push_batch`]; `parts` reads an event's time,
+    /// individual and payload.
+    fn absorb<E>(&mut self, events: &[E], parts: impl Fn(&E) -> (i64, u32, &A::Payload)) -> u64 {
         let mut late_total = 0;
-        while let Some(&(time_ms, _, _)) = events.peek() {
+        let mut rest = events;
+        while let Some((head, tail)) = rest.split_first() {
+            let time_ms = parts(head).0;
             if !self.cover.contains(time_ms) {
                 self.cover = self.spec.cover(time_ms);
             }
             let cover = self.cover;
-            // The run is the next event and every event after it inside
-            // the cell; a cover without a cell runs one event.
-            let mut first = true;
-            let mut run = std::iter::from_fn(|| {
-                events.next_if(|&(t, _, _)| std::mem::take(&mut first) || cover.contains(t))
-            });
-            let (absorbed, late) = match cover.rounds {
+            // The run is the head event plus every following event inside
+            // the cell; a cover without a cell is a run of one.
+            let len = 1 + tail
+                .iter()
+                .position(|e| !cover.contains(parts(e).0))
+                .unwrap_or(tail.len());
+            let (run, next) = rest.split_at(len);
+            rest = next;
+            let late = match cover.rounds {
                 Some((lo, hi)) if hi >= self.next_seal => {
-                    (self.absorb_run(lo, hi, &mut run), lo < self.next_seal)
+                    self.absorb_run(lo, hi, run, &parts);
+                    lo < self.next_seal
                 }
-                _ => (run.count() as u64, true),
+                _ => true,
             };
+            let absorbed = len as u64;
             self.events_total += absorbed;
             if let Some(m) = &self.metrics {
                 m.events_total.add(absorbed);
@@ -335,16 +366,14 @@ impl<A: RoundAssembler> WindowBinner<A> {
     }
 
     /// Absorbs one run of events into the open slots of rounds
-    /// `max(lo, next_seal)..=hi`; returns the run's length.
-    fn absorb_run<'p>(
+    /// `max(lo, next_seal)..=hi`, cover by cover.
+    fn absorb_run<E>(
         &mut self,
         lo: u64,
         hi: u64,
-        run: impl Iterator<Item = (i64, u32, &'p A::Payload)>,
-    ) -> u64
-    where
-        A::Payload: 'p,
-    {
+        run: &[E],
+        parts: &impl Fn(&E) -> (i64, u32, &A::Payload),
+    ) {
         let base = self.next_seal;
         let need = (hi - base + 1) as usize;
         while self.slots.len() < need {
@@ -352,30 +381,41 @@ impl<A: RoundAssembler> WindowBinner<A> {
         }
         let first = lo.max(base);
         let covers = &mut self.slots.make_contiguous()[(first - base) as usize..need];
-        let mut count = 0;
-        for (_, individual, payload) in run {
-            count += 1;
-            let mut rejected = false;
-            for (round, slot) in (first..).zip(covers.iter_mut()) {
-                let acc = slot.acc.get_or_insert_with(|| self.assembler.begin(round));
-                match self.assembler.absorb(acc, individual, payload) {
-                    Ok(()) => {
-                        slot.events += 1;
-                        if slot.first_seen.is_none() {
-                            slot.first_seen = Some(Instant::now());
-                        }
+        let shared = covers.len() > 1;
+        // The one cover's refusals, unless the run has several covers.
+        let mut rejected = 0;
+        for (round, slot) in (first..).zip(covers.iter_mut()) {
+            let acc = slot.acc.get_or_insert_with(|| self.assembler.begin(round));
+            let mut refused = 0;
+            for (at, event) in run.iter().enumerate() {
+                let (_, individual, payload) = parts(event);
+                // A refused event is still offered to the remaining covers:
+                // schedule-aware assemblers size each round differently,
+                // so an individual out of range for one covering round can
+                // still be valid for a later one.
+                if self.assembler.absorb(acc, individual, payload).is_err() {
+                    refused += 1;
+                    if shared {
+                        self.refused_at.push(at);
                     }
-                    // Keep offering the event to the remaining covers:
-                    // schedule-aware assemblers size each round
-                    // differently, so an individual out of range for one
-                    // covering round can still be valid for a later one.
-                    Err(_) => rejected = true,
                 }
             }
-            self.rejected_events += u64::from(rejected);
+            let accepted = run.len() as u64 - refused;
+            if accepted > 0 && slot.first_seen.is_none() {
+                slot.first_seen = Some(Instant::now());
+            }
+            slot.events += accepted;
+            rejected = refused;
         }
+        if shared {
+            // Several covers may refuse one event; it counts once.
+            self.refused_at.sort_unstable();
+            self.refused_at.dedup();
+            rejected = self.refused_at.len() as u64;
+            self.refused_at.clear();
+        }
+        self.rejected_events += rejected;
         self.max_round_touched = Some(self.max_round_touched.map_or(hi, |m| m.max(hi)));
-        count
     }
 
     /// Seals every round whose window close (+ grace) is at or below
@@ -470,6 +510,14 @@ impl<A: RoundAssembler> WindowBinner<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn event(time_ms: i64, individual: u32, payload: bool) -> Event<bool> {
+        Event {
+            time_ms,
+            individual,
+            payload,
+        }
+    }
 
     fn bits(sealed: &SealedRound<BitColumn>) -> Vec<bool> {
         (0..sealed.input.len())
@@ -618,16 +666,38 @@ mod tests {
     }
 
     #[test]
+    fn an_event_every_cover_refuses_counts_one_rejection() {
+        // width 300, slide 100: t=250 covers rounds 0, 1 and 2, each sized
+        // for 2 individuals, so individual 5 is refused three times. The
+        // run around it is absorbed by every cover.
+        let spec = WindowSpec::new(300, 100, 0).unwrap();
+        let mut binner = WindowBinner::new(spec, LatePolicy::Drop, BitRoundAssembler::new(2));
+        let mut out = VecDeque::new();
+        let late = binner.push_batch(&[
+            event(250, 0, true),
+            event(260, 5, true),
+            event(270, 1, true),
+        ]);
+        assert_eq!(late, 0);
+        assert_eq!(binner.events_total(), 3);
+        assert_eq!(binner.rejected_events(), 1, "three refusals, one event");
+        assert_eq!(binner.active_windows().len(), 3);
+        assert!(binner.active_windows().iter().all(|w| w.2 == 2));
+        binner.finish(&mut out);
+        assert!(out.iter().all(|r| bits(r) == vec![true, true]));
+    }
+
+    #[test]
     fn events_in_a_cell_past_i64_max_run_one_at_a_time() {
         // Round 1 closes past i64::MAX, so its cell cannot be cached and
         // every event must still be absorbed as a run of its own.
         let spec = WindowSpec::tumbling(1_000, i64::MAX - 1_500).unwrap();
         assert_eq!(spec.cover(i64::MAX).cell, None);
         let mut binner = WindowBinner::new(spec, LatePolicy::Drop, BitRoundAssembler::new(3));
-        let late = binner.push_batch([
-            (i64::MAX - 2, 0, &true),
-            (i64::MAX - 1, 1, &true),
-            (i64::MAX, 2, &false),
+        let late = binner.push_batch(&[
+            event(i64::MAX - 2, 0, true),
+            event(i64::MAX - 1, 1, true),
+            event(i64::MAX, 2, false),
         ]);
         assert_eq!((late, binner.events_total()), (0, 3));
         assert_eq!(binner.slots[1].events, 3);

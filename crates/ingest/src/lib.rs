@@ -41,11 +41,11 @@ mod watermark;
 mod window;
 
 pub use binner::{
-    BitRoundAssembler, LatePolicy, RoundAssembler, RoundSizes, ScheduledBitRoundAssembler,
+    BitRoundAssembler, Event, LatePolicy, RoundAssembler, RoundSizes, ScheduledBitRoundAssembler,
     SealedRound, WindowBinner,
 };
 pub use queue::{bounded, Consumer, Producer, RecvResult, SendError, TrySendError};
-pub use tier::{Event, EventProducer, IngestConfig, IngestStats, IngestTier, SealedRounds};
+pub use tier::{EventProducer, IngestConfig, IngestStats, IngestTier, SealedRounds};
 pub use watermark::{IdlePolicy, WatermarkSlot, WatermarkTracker};
 pub use window::{Cover, WindowInstance, WindowSpec};
 

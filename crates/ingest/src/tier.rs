@@ -19,24 +19,10 @@ use std::time::Duration;
 
 use longsynth_obs::{IngestMetrics, MetricsRegistry};
 
-use crate::binner::{LatePolicy, RoundAssembler, SealedRound, WindowBinner};
+use crate::binner::{Event, LatePolicy, RoundAssembler, SealedRound, WindowBinner};
 use crate::queue::{self, Consumer, Producer, RecvResult, SendError, TrySendError};
 use crate::watermark::{IdlePolicy, WatermarkSlot, WatermarkTracker};
 use crate::window::WindowSpec;
-
-/// One timestamped event from a producer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Event<P> {
-    /// Event time in milliseconds (the stream's clock — Unix ms in the
-    /// CLI; any i64 epoch works as long as it matches the window spec).
-    pub time_ms: i64,
-    /// The reporting individual's index in the engine's population
-    /// layout (for scheduled panels: position within the round's active
-    /// set).
-    pub individual: u32,
-    /// Assembler-specific payload (`bool` for [`crate::BitRoundAssembler`]).
-    pub payload: P,
-}
 
 /// Ingest tier configuration.
 #[derive(Debug, Clone, Copy)]
@@ -281,8 +267,7 @@ impl<A: RoundAssembler> SealedRounds<A> {
     /// for the next receive.
     fn absorb_batch(&mut self) {
         for batch in self.batch.drain(..) {
-            self.binner
-                .push_batch(batch.iter().map(|e| (e.time_ms, e.individual, &e.payload)));
+            self.binner.push_batch(&batch);
         }
     }
 

@@ -12,7 +12,7 @@
 //! "unknown" and stalls sealing forever; [`IdlePolicy`] decides how long
 //! the sealer tolerates that before excluding the silent slot.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How the sealer treats producers that have stopped (or never started)
@@ -68,10 +68,21 @@ impl WatermarkTracker {
         }
     }
 
+    /// Locks the shared state, recovering it if a thread panicked while
+    /// holding the lock. Recovery is sound because every critical section
+    /// is a read, one `push` of a fresh slot, or an update of one slot's
+    /// fields, each of which is valid on its own: no panic can leave the
+    /// slots out of step with each other. It also keeps
+    /// [`WatermarkSlot`]'s `Drop` from panicking during an unwind, which
+    /// would abort the process.
+    fn lock(&self) -> MutexGuard<'_, TrackerState> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Registers a new producer slot. Called by `EventProducer::clone`,
     /// so every concurrent handle advances its own maximum.
     pub fn register(&self) -> WatermarkSlot {
-        let mut state = self.inner.lock().expect("watermark tracker poisoned");
+        let mut state = self.lock();
         state.slots.push(SlotState {
             max_ts: None,
             open: true,
@@ -88,7 +99,7 @@ impl WatermarkTracker {
     /// yet (nothing may seal), falling back to the global maximum when
     /// every open slot is idle-excluded or closed.
     pub fn low_watermark(&self, policy: IdlePolicy) -> Option<i64> {
-        let state = self.inner.lock().expect("watermark tracker poisoned");
+        let state = self.lock();
         let now = Instant::now();
         let mut min_open: Option<i64> = None;
         let mut any_counted = false;
@@ -128,7 +139,7 @@ impl WatermarkTracker {
 
     /// Maximum event time reported by any slot, ever.
     pub fn max_seen(&self) -> Option<i64> {
-        let state = self.inner.lock().expect("watermark tracker poisoned");
+        let state = self.lock();
         state.slots.iter().filter_map(|s| s.max_ts).max()
     }
 }
@@ -142,11 +153,7 @@ impl WatermarkSlot {
     /// in-order traffic (see `EventProducer` in `tier.rs` for the
     /// per-path argument).
     pub fn advance(&self, ts: i64) {
-        let mut state = self
-            .tracker
-            .inner
-            .lock()
-            .expect("watermark tracker poisoned");
+        let mut state = self.tracker.lock();
         let slot = &mut state.slots[self.index];
         slot.max_ts = Some(slot.max_ts.map_or(ts, |m| m.max(ts)));
         slot.last_activity = Instant::now();
@@ -155,11 +162,7 @@ impl WatermarkSlot {
     /// Marks the slot closed; a closed producer no longer bounds the
     /// watermark.
     pub fn close(&self) {
-        let mut state = self
-            .tracker
-            .inner
-            .lock()
-            .expect("watermark tracker poisoned");
+        let mut state = self.tracker.lock();
         let slot = &mut state.slots[self.index];
         slot.open = false;
     }
@@ -206,6 +209,31 @@ mod tests {
         // Everything closed: drain to the global max.
         assert_eq!(tracker.low_watermark(IdlePolicy::WaitForAll), Some(500));
         assert_eq!(tracker.max_seen(), Some(500));
+    }
+
+    #[test]
+    fn tracker_keeps_working_after_a_panic_under_its_lock() {
+        let tracker = WatermarkTracker::new();
+        let a = tracker.register();
+        a.advance(100);
+        let inner = Arc::clone(&tracker.inner);
+        let panicked = std::thread::spawn(move || {
+            let _guard = inner.lock().unwrap();
+            panic!("deliberate panic while holding the watermark lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(tracker.inner.is_poisoned());
+
+        let b = tracker.register();
+        assert_eq!(tracker.low_watermark(IdlePolicy::WaitForAll), None);
+        b.advance(40);
+        assert_eq!(tracker.low_watermark(IdlePolicy::WaitForAll), Some(40));
+        a.advance(250);
+        b.close();
+        assert_eq!(tracker.low_watermark(IdlePolicy::WaitForAll), Some(250));
+        drop(a);
+        assert_eq!(tracker.max_seen(), Some(250));
     }
 
     #[test]

@@ -10,14 +10,17 @@
 //! batches in time order or shuffled, single pushes, watermark advances
 //! and mid-stream `finish` calls. Events straggle behind the stream's
 //! clock, so the script produces pre-origin, in-gap, late, out-of-range
-//! and re-reported events. After every operation both binners must agree
-//! on the late count it returned and on the events / late / rejected
-//! counters; at the end they must have sealed the same rounds.
+//! and re-reported events. A second binner takes each batch as random
+//! sub-batches (empty ones included) and each single push as a one-event
+//! batch. After every operation all three must agree on the late count it
+//! returned, on the events / late / rejected counters and on the events
+//! each open window holds; at the end they must have sealed the same
+//! rounds.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use longsynth_ingest::{
-    BitRoundAssembler, LatePolicy, RoundAssembler, SealedRound, WindowBinner, WindowSpec,
+    BitRoundAssembler, Event, LatePolicy, RoundAssembler, SealedRound, WindowBinner, WindowSpec,
 };
 use proptest::prelude::*;
 
@@ -187,62 +190,134 @@ fn script(spec: WindowSpec, words: &[(u8, u64)]) -> Vec<Op> {
         .collect()
 }
 
-/// Runs one script through both binners and checks they agree after
-/// every step and in the sealed rounds; returns the reference.
+/// Scripted `(time, individual, payload)` triples as binner events.
+fn to_events(batch: &[(i64, u32, bool)]) -> Vec<Event<bool>> {
+    batch
+        .iter()
+        .map(|&(time_ms, individual, payload)| Event {
+            time_ms,
+            individual,
+            payload,
+        })
+        .collect()
+}
+
+/// `batch` cut at random points into consecutive sub-batches, some empty.
+fn split<'b>(batch: &'b [Event<bool>], state: &mut u64) -> Vec<&'b [Event<bool>]> {
+    let mut parts = Vec::new();
+    let mut rest = batch;
+    loop {
+        let len = (mix(state) % 8) as usize;
+        if len >= rest.len() {
+            parts.push(rest);
+            return parts;
+        }
+        let (part, tail) = rest.split_at(len);
+        parts.push(part);
+        rest = tail;
+    }
+}
+
+/// The binner's counters, in the order the assertions name them.
+fn counters(binner: &WindowBinner<BitRoundAssembler>) -> (u64, u64, u64, u64) {
+    (
+        binner.events_total(),
+        binner.late_events(),
+        binner.rejected_events(),
+        binner.next_seal(),
+    )
+}
+
+/// Runs one script through the binner, a sub-batching binner and the
+/// reference, and checks they agree after every step and in the sealed
+/// rounds; `split_seed` draws the sub-batch cuts. Returns the reference.
 fn check_script(
     spec: WindowSpec,
     policy: LatePolicy,
     assembler: BitRoundAssembler,
     script: &[Op],
+    mut split_seed: u64,
 ) -> Reference<BitRoundAssembler> {
     let mut binner = WindowBinner::new(spec, policy, assembler.clone());
+    let mut pieces = WindowBinner::new(spec, policy, assembler.clone());
     let mut reference = Reference::new(spec, policy, assembler);
-    let (mut got, mut want) = (VecDeque::new(), VecDeque::new());
+    let (mut got, mut got_pieces, mut want) = (VecDeque::new(), VecDeque::new(), VecDeque::new());
     for (step, op) in script.iter().enumerate() {
         match op {
             Op::Batch(batch) => {
-                let late = binner.push_batch(batch.iter().map(|(t, i, p)| (*t, *i, p)));
+                let batch_events = to_events(batch);
+                let late = binner.push_batch(&batch_events);
+                let pieces_late: u64 = split(&batch_events, &mut split_seed)
+                    .into_iter()
+                    .map(|part| pieces.push_batch(part))
+                    .sum();
                 let want_late: u64 = batch
                     .iter()
                     .map(|(t, i, p)| u64::from(reference.push(*t, *i, p)))
                     .sum();
                 assert_eq!(late, want_late, "batch late count at step {step}");
+                assert_eq!(
+                    pieces_late, want_late,
+                    "sub-batch late count at step {step}"
+                );
             }
             Op::Push(t, i, p) => {
-                assert_eq!(
-                    binner.push(*t, *i, p),
-                    reference.push(*t, *i, p),
-                    "step {step}"
-                );
+                let want_late = reference.push(*t, *i, p);
+                assert_eq!(binner.push(*t, *i, p), want_late, "step {step}");
+                let one = pieces.push_batch(&to_events(&[(*t, *i, *p)]));
+                assert_eq!(one, u64::from(want_late), "one-event batch at step {step}");
             }
             Op::Advance(watermark) => {
                 binner.advance(*watermark, &mut got);
+                pieces.advance(*watermark, &mut got_pieces);
                 reference.advance(*watermark, &mut want);
             }
             Op::Finish => {
                 binner.finish(&mut got);
+                pieces.finish(&mut got_pieces);
                 reference.finish(&mut want);
             }
         }
+        let want_counters = (
+            reference.events,
+            reference.late,
+            reference.rejected,
+            reference.next_seal,
+        );
         assert_eq!(
-            (
-                binner.events_total(),
-                binner.late_events(),
-                binner.rejected_events(),
-                binner.next_seal(),
-            ),
-            (
-                reference.events,
-                reference.late,
-                reference.rejected,
-                reference.next_seal,
-            ),
+            counters(&binner),
+            want_counters,
             "counters after step {step} ({op:?})"
+        );
+        assert_eq!(
+            counters(&pieces),
+            want_counters,
+            "sub-batch counters after step {step} ({op:?})"
+        );
+        // Every open reference window is an active window, and every
+        // active window holds the reference's count (0 if untouched).
+        let active = binner.active_windows();
+        for round in reference.open.keys() {
+            assert!(
+                active.iter().any(|w| w.0 == *round),
+                "open round {round} is not active after step {step}"
+            );
+        }
+        for (round, _, count) in &active {
+            let want_count = reference.open.get(round).map_or(0, |(_, events)| *events);
+            assert_eq!(*count, want_count, "round {round} events after step {step}");
+        }
+        assert_eq!(
+            pieces.active_windows(),
+            active,
+            "sub-batch open windows after step {step}"
         );
     }
     binner.finish(&mut got);
+    pieces.finish(&mut got_pieces);
     reference.finish(&mut want);
     assert_eq!(got, want, "sealed rounds differ");
+    assert_eq!(got_pieces, want, "sub-batch sealed rounds differ");
     reference
 }
 
@@ -254,6 +329,7 @@ proptest! {
         geometry in (0u8..3, 1i64..40, 1i64..40, 0u8..3, any::<u64>()),
         setup in (0i64..4, 0i64..60, any::<bool>(), any::<u64>()),
         ops in collection::vec((0u8..16, any::<u64>()), 1..200),
+        split_seed in any::<u64>(),
     ) {
         let (kind, a, b, origin, jitter) = geometry;
         let spec = spec_from(kind, a, b, origin, jitter);
@@ -274,7 +350,7 @@ proptest! {
         } else {
             BitRoundAssembler::new(INDIVIDUALS as usize - 1)
         };
-        check_script(spec, policy, assembler, &script(spec, &ops));
+        check_script(spec, policy, assembler, &script(spec, &ops), split_seed);
     }
 
     #[test]
@@ -352,6 +428,7 @@ fn scripts_produce_every_event_class() {
         LatePolicy::Drop,
         BitRoundAssembler::new(vec![7; 300]),
         &script,
+        7,
     );
     assert!(
         reference.late > pre_origin + in_gap,
@@ -380,7 +457,7 @@ fn run_absorb_matches_the_reference_on_long_in_order_runs() {
             let events: Vec<(i64, u32, bool)> = (0..n)
                 .map(|i| (open + i64::from(i) * 60, i, i % 3 == 0))
                 .collect();
-            binner.push_batch(events.iter().map(|(t, i, p)| (*t, *i, p)));
+            binner.push_batch(&to_events(&events));
             for (t, i, p) in &events {
                 reference.push(*t, *i, p);
             }
