@@ -9,10 +9,13 @@
 //! queryable *immediately and forever after* — and answering from stored
 //! releases must never cost a re-synthesis. Three pieces deliver that:
 //!
-//! * [`store::ReleaseStore`] — an append-only store of per-round merged and
-//!   per-cohort synthetic releases, ingested from the engine as rounds
-//!   complete (via the engine's `ReleaseSink` hook). Released prefixes are
-//!   immutable, which is the property everything above relies on.
+//! * [`store::ReleaseStore`] — an append-only store of per-cohort
+//!   synthetic releases, ingested from the engine as rounds complete (via
+//!   the engine's `ReleaseSink` hook). A per-shard merged round is the
+//!   concatenation of the cohort columns, so it is derived, not stored; a
+//!   shared-noise population release is stored beside the cohorts.
+//!   Released prefixes are immutable, which is the property everything
+//!   above relies on.
 //! * [`query::QueryService`] — a cloneable, thread-safe front-end answering
 //!   the existing window/cumulative/pattern workloads (`longsynth-queries`)
 //!   straight from the store, with a **memoizing cache keyed by

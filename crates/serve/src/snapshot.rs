@@ -33,7 +33,7 @@ use longsynth_data::BitColumn;
 use longsynth_engine::PolicyTag;
 use serde::Serialize;
 
-use crate::store::{GrowingPanel, IngestRound, MergedRelease, ReleaseStore, ServeError};
+use crate::store::{GrowingPanel, IngestRound, ReleaseStore, ServeError};
 
 /// Format tag embedded in every full snapshot; bump on layout changes.
 /// v4 added cohort-coverage metadata on a dynamic store's merged rounds
@@ -143,26 +143,23 @@ fn columns_to_hex(panel: &GrowingPanel, since: usize) -> Option<(u64, Vec<String
     })
 }
 
-/// The merged release's rounds `since..`: a panel for a longitudinal
-/// store, ragged columns for a dynamic one.
-fn merged_to_dto(merged: &MergedRelease, since: usize) -> (Option<PanelDto>, Vec<RaggedColumnDto>) {
-    match merged {
-        MergedRelease::Longitudinal(panel) => {
-            let panel = columns_to_hex(panel, since)
-                .map(|(records, columns)| PanelDto { records, columns });
-            (panel, Vec::new())
-        }
-        MergedRelease::Ragged(rounds) => {
-            let rounds = rounds[since..]
-                .iter()
-                .map(|column| RaggedColumnDto {
-                    records: column.len() as u64,
-                    column: column_to_hex(column),
-                })
-                .collect();
-            (None, rounds)
-        }
+/// The merged release's rounds `since..`, as [`ReleaseStore::merged_round`]
+/// reads them: a panel for a static store, ragged columns for a dynamic
+/// one.
+fn merged_to_dto(store: &ReleaseStore, since: usize) -> (Option<PanelDto>, Vec<RaggedColumnDto>) {
+    let rounds = (since..store.rounds()).map(|t| store.merged_round(t).expect("released"));
+    if store.is_dynamic() {
+        let rounds = rounds.map(|column| RaggedColumnDto {
+            records: column.len() as u64,
+            column: column_to_hex(&column),
+        });
+        return (None, rounds.collect());
     }
+    let panel = store.records().map(|records| PanelDto {
+        records: records as u64,
+        columns: rounds.map(|column| column_to_hex(&column)).collect(),
+    });
+    (panel, Vec::new())
 }
 
 /// Every cohort's columns of the global rounds `since..` (possibly none —
@@ -419,15 +416,16 @@ fn replay(
 
 /// Render the store as a full JSON snapshot.
 pub fn snapshot_json(store: &ReleaseStore) -> String {
-    let (merged, merged_rounds) = merged_to_dto(&store.merged, 0);
-    let coverage = match &store.merged {
-        MergedRelease::Longitudinal(_) => Vec::new(),
-        MergedRelease::Ragged(_) => (0..store.rounds())
+    let (merged, merged_rounds) = merged_to_dto(store, 0);
+    let coverage = if store.is_dynamic() {
+        (0..store.rounds())
             .map(|t| {
                 let active = store.merged_coverage(t).expect("a released round");
                 active.into_iter().map(|c| c as u64).collect()
             })
-            .collect(),
+            .collect()
+    } else {
+        Vec::new()
     };
     let dto = SnapshotDto {
         format: FORMAT.to_string(),
@@ -493,7 +491,7 @@ pub fn snapshot_since_json(store: &ReleaseStore, base_rounds: usize) -> Result<S
             store.rounds()
         )));
     }
-    let (merged, merged_rounds) = merged_to_dto(&store.merged, base_rounds);
+    let (merged, merged_rounds) = merged_to_dto(store, base_rounds);
     let dto = DeltaDto {
         format: DELTA_FORMAT.to_string(),
         policy: policy_to_dto(store.policy()),
@@ -721,6 +719,45 @@ mod tests {
     }
 
     #[test]
+    fn restore_refuses_a_per_shard_merged_column_that_is_not_the_concatenation() {
+        // The record counts sum (1 + 1 = 2), but the merged bits are the
+        // cohorts' in the wrong order.
+        let json = format!(
+            r#"{{
+  "format": "{FORMAT}",
+  "policy": "per-shard",
+  "merged": {{ "records": 2, "columns": ["0000000000000001"] }},
+  "cohorts": [
+    {{ "records": 1, "columns": ["0000000000000000"] }},
+    {{ "records": 1, "columns": ["0000000000000001"] }}
+  ]
+}}"#
+        );
+        let err = restore_json(&json).unwrap_err();
+        assert!(matches!(err, ServeError::Snapshot(_)), "{err}");
+        let concatenated = json.replacen("0000000000000001", "0000000000000002", 1);
+        assert!(restore_json(&concatenated).is_ok());
+        // A dynamic document: round 0 concatenates bits 10 and 011.
+        let json = snapshot_json(&dynamic_store());
+        let round = "\"column\": \"0000000000000019\"";
+        assert!(json.contains(round), "{json}");
+        let tampered = json.replace(round, "\"column\": \"0000000000000018\"");
+        let err = restore_json(&tampered).unwrap_err();
+        assert!(matches!(err, ServeError::Snapshot(_)), "{err}");
+        // A delta is refused whole, leaving its base untouched.
+        let delta = snapshot_since_json(&dynamic_store(), 0).unwrap();
+        assert!(delta.contains(round), "{delta}");
+        let mut store = ReleaseStore::new();
+        let err = apply_delta_json(
+            &mut store,
+            &delta.replace(round, "\"column\": \"0000000000000018\""),
+        )
+        .unwrap_err();
+        assert!(matches!(err, ServeError::Snapshot(_)), "{err}");
+        assert_eq!(store, ReleaseStore::new());
+    }
+
+    #[test]
     fn delta_snapshots_chain_to_the_full_snapshot() {
         for shared in [false, true] {
             let build = |rounds: usize| {
@@ -734,15 +771,19 @@ mod tests {
                         let a = full
                             .panel(crate::StoreScope::Cohort(0))
                             .unwrap()
-                            .column(round);
+                            .column(round)
+                            .clone();
                         let b = full
                             .panel(crate::StoreScope::Cohort(1))
                             .unwrap()
-                            .column(round);
-                        let merged = full.panel(crate::StoreScope::Merged).unwrap().column(round);
-                        store
-                            .ingest_columns(&[a.clone(), b.clone()], merged)
-                            .unwrap();
+                            .column(round)
+                            .clone();
+                        let merged = full
+                            .panel(crate::StoreScope::Merged)
+                            .unwrap()
+                            .column(round)
+                            .clone();
+                        store.ingest_columns(&[a, b], &merged).unwrap();
                     }
                     store
                 }

@@ -1,12 +1,12 @@
 //! [`ReleaseStore`]: the append-only archive of everything the engine has
 //! released.
 //!
-//! The store keeps one growing synthetic panel per cohort (shard) plus the
-//! merged population-level release. Panels grow strictly by appending
-//! columns — released prefixes are never rewritten, mirroring the
-//! persistent-record guarantee of the synthesizers themselves. That
-//! immutability is what makes the serving cache sound and the snapshot
-//! format trivial.
+//! The store keeps one growing synthetic panel per cohort (shard), and the
+//! merged population-level release where the cohorts do not already hold
+//! it. Panels grow strictly by appending columns — released prefixes are
+//! never rewritten, mirroring the persistent-record guarantee of the
+//! synthesizers themselves. That immutability is what makes the serving
+//! cache sound and the snapshot format trivial.
 //!
 //! Ingestion accepts the two release shapes the engine produces:
 //! [`BitColumn`] rounds (cumulative family) via
@@ -23,10 +23,11 @@
 //!
 //! Every round arrives tagged with the engine's [`PolicyTag`]: under
 //! `PerShard` the merged release is the shard-order concatenation of the
-//! stepping cohorts' columns (ingestion enforces that their record counts
-//! sum to the merged count); under `Shared` the merged release is an
+//! stepping cohorts' columns (ingestion refuses any other merged column),
+//! so the store keeps only the cohort panels and derives the merged
+//! release from them; under `Shared` the merged release is an
 //! *independent* population-level synthesis whose record count need not
-//! match, so that cross-check is relaxed (per-panel consistency and
+//! match, so it is stored beside them (per-panel consistency and
 //! contiguity still hold). The tag is recorded on first ingest, must stay
 //! constant for the store's lifetime, and travels with snapshots.
 //!
@@ -44,20 +45,22 @@
 //! them — snapshot restore and delta replay included — run through one
 //! validator.
 //!
-//! The one real difference between the two shapes is whether record `i`
-//! of the merged release is the same individual in every round. The
-//! store's merged release records it, fixed by the first ingested round:
+//! Every query reads a list of panels: a cohort scope its own, a merged
+//! scope the cohorts. It sums each panel's integer statistic (a window
+//! histogram, or a threshold count) and record count, and divides once.
+//! Counts add across disjoint cohorts, so a per-shard merged answer is the
+//! answer on the concatenated panel, bit for bit. The one real difference
+//! between the two shapes is whether record `i` of the merged release is
+//! the same individual in every round, fixed by the first ingested round:
 //!
-//! - **Longitudinal** (lockstep rounds): the merged release is one
-//!   rectangular panel and merged-scope queries evaluate it directly.
-//!   Under shared noise it is an independent population synthesis, so its
-//!   answers are *not* the pooled cohort answers.
-//! - **Ragged** (scheduled rounds — [`is_dynamic`](ReleaseStore::is_dynamic)):
+//! - **Static** (lockstep rounds): every cohort observes every window.
+//!   Under shared noise the merged scope reads the stored population panel
+//!   instead, an independent synthesis whose answers are *not* the pooled
+//!   cohort answers.
+//! - **Dynamic** (scheduled rounds — [`is_dynamic`](ReleaseStore::is_dynamic)):
 //!   the merged record count varies with the active set, and record `i` of
-//!   rounds `t` and `t+1` may be different individuals. The rounds are kept
-//!   as a column list, and cross-round merged queries are answered as the
-//!   **size-weighted combination of the covering cohorts' answers** (a
-//!   window query only counts cohorts that observed the whole window).
+//!   rounds `t` and `t+1` may be different individuals, so a merged window
+//!   query only pools the cohorts that observed the whole window.
 //!
 //! The two ingestion families never mix in one store.
 //!
@@ -74,13 +77,12 @@
 //!
 //! ## Cumulative queries are lookups
 //!
-//! Every stored panel (each cohort's, and the longitudinal merged panel)
-//! keeps its threshold counts `S_b^t` current as columns arrive, through
-//! a [`ThresholdCounter`] fed by the same push that stores the column. A
-//! `CumulativeFraction` miss then reads one count and divides by the
-//! record count, instead of walking the panel's history; a ragged merged
-//! scope pools the cohorts' looked-up answers. The counts add 4 bytes per
-//! record of a live panel (its running weights) and `8·(t+2)` bytes per
+//! Every stored panel (each cohort's, and a static shared-noise population
+//! panel) keeps its threshold counts `S_b^t` current as columns arrive,
+//! through a [`ThresholdCounter`] fed by the same push that stores the
+//! column. A `CumulativeFraction` miss then sums one count per panel it
+//! reads, instead of walking the panels' history. The counts add 4 bytes
+//! per record of a live panel (its running weights) and `8·(t+2)` bytes per
 //! panel at round `t` (that round's counts). A cohort that has entered but
 //! does not step in a scheduled round has retired, since it may never
 //! resume: its weights are dropped and its counts kept. Snapshot restore
@@ -91,7 +93,8 @@ use longsynth::Release;
 use longsynth_data::{BitColumn, LongitudinalDataset};
 use longsynth_engine::PolicyTag;
 use longsynth_queries::cumulative::ThresholdCounter;
-use longsynth_queries::{active_weighted_mean, WindowQuery};
+use longsynth_queries::{window_histogram, WindowQuery};
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
 
@@ -286,20 +289,17 @@ impl GrowingPanel {
 /// A stored panel and its threshold counts, as queries read them.
 type Stored<'a> = (&'a LongitudinalDataset, &'a ThresholdCounter);
 
-/// The merged population-level release. Whether record `i` is the same
-/// individual in every round decides its shape: one rectangular panel for
-/// lockstep rounds, or the per-round columns of a scheduled panel, whose
-/// active population changes with the schedule.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum MergedRelease {
+/// The merged population-level release as the store keeps it: nothing
+/// under per-shard noise, where each round's is the concatenation of the
+/// cohort columns covering it; under shared noise, one rectangular panel
+/// for lockstep rounds, or the per-round columns of a scheduled panel,
+/// whose active population changes with the schedule.
+#[derive(Debug, Clone, PartialEq, Default)]
+enum MergedRelease {
+    #[default]
+    Pooled,
     Longitudinal(GrowingPanel),
     Ragged(Vec<BitColumn>),
-}
-
-impl Default for MergedRelease {
-    fn default() -> Self {
-        MergedRelease::Longitudinal(GrowingPanel::default())
-    }
 }
 
 /// One round of an ingest batch: the global round, the ascending cohorts
@@ -322,7 +322,11 @@ pub struct ReleaseStore {
     /// 0 for every cohort of a static store): its panel covers global
     /// rounds `entry .. entry + panel.rounds()`.
     pub(crate) entries: Vec<Option<usize>>,
-    pub(crate) merged: MergedRelease,
+    /// Released global rounds.
+    rounds: usize,
+    /// Whether the rounds are scheduled rather than lockstep.
+    dynamic: bool,
+    merged: MergedRelease,
 }
 
 impl ReleaseStore {
@@ -502,7 +506,7 @@ impl ReleaseStore {
             .collect();
         let mut merged_records = match &self.merged {
             MergedRelease::Longitudinal(panel) => panel.records(),
-            MergedRelease::Ragged(_) => None,
+            _ => None,
         };
         for (offset, (round, active, parts, merged)) in batch.iter().enumerate() {
             let round = *round;
@@ -536,12 +540,16 @@ impl ReleaseStore {
             // of the stepping cohorts' columns; a shared-noise merged
             // column is an independent population synthesis whose n* is
             // free to differ.
-            let total: usize = parts.iter().map(|column| column.len()).sum();
-            if policy == PolicyTag::PerShard && total != merged.len() {
-                return mismatch(format!(
-                    "per-shard cohort columns sum to {total} records, merged column has {}",
-                    merged.len()
-                ));
+            if policy == PolicyTag::PerShard {
+                let concatenation = BitColumn::concat(parts.iter().copied());
+                if concatenation != **merged {
+                    return mismatch(format!(
+                        "per-shard merged column ({} records) is not the concatenation of \
+                         the cohort columns, which sum to {} records",
+                        merged.len(),
+                        concatenation.len()
+                    ));
+                }
             }
             if longitudinal {
                 match merged_records {
@@ -580,13 +588,15 @@ impl ReleaseStore {
         if self.policy.is_none() {
             self.cohorts = vec![GrowingPanel::default(); cohorts];
             self.entries = vec![None; cohorts];
-            self.merged = if longitudinal {
-                MergedRelease::default()
-            } else {
-                MergedRelease::Ragged(Vec::new())
+            self.dynamic = !longitudinal;
+            self.merged = match (policy, longitudinal) {
+                (PolicyTag::PerShard, _) => MergedRelease::Pooled,
+                (PolicyTag::Shared, true) => MergedRelease::Longitudinal(GrowingPanel::default()),
+                (PolicyTag::Shared, false) => MergedRelease::Ragged(Vec::new()),
             };
         }
         self.policy = Some(policy);
+        self.rounds += batch.len();
         for (round, active, parts, merged) in batch {
             for (&c, column) in active.iter().zip(parts) {
                 self.entries[c].get_or_insert(*round);
@@ -602,6 +612,7 @@ impl ReleaseStore {
                 }
             }
             match &mut self.merged {
+                MergedRelease::Pooled => {}
                 MergedRelease::Longitudinal(panel) => panel.push(merged),
                 MergedRelease::Ragged(columns) => columns.push((*merged).clone()),
             }
@@ -612,7 +623,7 @@ impl ReleaseStore {
     /// True once the store holds dynamic (scheduled) rounds — its merged
     /// release is ragged.
     pub fn is_dynamic(&self) -> bool {
-        matches!(self.merged, MergedRelease::Ragged(_))
+        self.dynamic
     }
 
     /// The global rounds cohort `c` covers so far (`0..rounds()` for every
@@ -636,15 +647,25 @@ impl ReleaseStore {
             .collect())
     }
 
-    /// The merged release of round `t`. A dynamic store's record count
-    /// varies with the schedule.
-    pub fn merged_round(&self, t: usize) -> Result<&BitColumn, ServeError> {
+    /// The merged release of round `t`: under per-shard noise the
+    /// concatenation of the covering cohorts' columns, built on demand. A
+    /// dynamic store's record count varies with the schedule.
+    pub fn merged_round(&self, t: usize) -> Result<Cow<'_, BitColumn>, ServeError> {
         let column = match &self.merged {
+            MergedRelease::Pooled => {
+                let columns = self.merged_coverage(t)?.into_iter().map(|c| {
+                    let panel = self.cohorts[c]
+                        .panel()
+                        .expect("a covering cohort has columns");
+                    panel.column(t - self.entries[c].expect("and an entry round"))
+                });
+                Some(Cow::Owned(BitColumn::concat(columns)))
+            }
             MergedRelease::Longitudinal(panel) => panel
                 .panel()
                 .filter(|panel| t < panel.rounds())
-                .map(|panel| panel.column(t)),
-            MergedRelease::Ragged(columns) => columns.get(t),
+                .map(|panel| Cow::Borrowed(panel.column(t))),
+            MergedRelease::Ragged(columns) => columns.get(t).map(Cow::Borrowed),
         };
         column.ok_or_else(|| self.unreleased(StoreScope::Merged, t))
     }
@@ -659,10 +680,7 @@ impl ReleaseStore {
 
     /// Released global rounds.
     pub fn rounds(&self) -> usize {
-        match &self.merged {
-            MergedRelease::Longitudinal(panel) => panel.rounds(),
-            MergedRelease::Ragged(columns) => columns.len(),
-        }
+        self.rounds
     }
 
     /// Number of cohorts tracked (0 until the first round arrives).
@@ -675,34 +693,36 @@ impl ReleaseStore {
     /// see [`merged_round`](Self::merged_round)).
     pub fn records(&self) -> Option<usize> {
         match &self.merged {
+            _ if self.dynamic || self.rounds == 0 => None,
             MergedRelease::Longitudinal(panel) => panel.records(),
-            MergedRelease::Ragged(_) => None,
+            _ => Some(self.cohorts.iter().filter_map(GrowingPanel::records).sum()),
         }
     }
 
-    /// Borrow the stored panel for `scope`, if any rounds exist there.
+    /// The panel for `scope`, if any rounds exist there.
     ///
     /// Cohort panels hold the cohort's **local** rounds (global round =
-    /// [`cohort_window`](Self::cohort_window)'s start + local index); a
-    /// dynamic store's merged scope is ragged and has no rectangular panel
-    /// ([`ServeError::ScopeNotRectangular`]).
-    pub fn panel(&self, scope: StoreScope) -> Result<&LongitudinalDataset, ServeError> {
-        self.stored(scope).map(|(panel, _)| panel)
-    }
-
-    /// The stored panel for `scope` with its threshold counts.
-    fn stored(&self, scope: StoreScope) -> Result<Stored<'_>, ServeError> {
+    /// [`cohort_window`](Self::cohort_window)'s start + local index). A
+    /// static per-shard store's merged panel is built on demand from the
+    /// cohort panels; a dynamic store's merged scope is ragged and has no
+    /// rectangular panel ([`ServeError::ScopeNotRectangular`]).
+    pub fn panel(&self, scope: StoreScope) -> Result<Cow<'_, LongitudinalDataset>, ServeError> {
         let growing = match (scope, &self.merged) {
-            (StoreScope::Merged, MergedRelease::Ragged(_)) => {
-                return Err(ServeError::ScopeNotRectangular(scope));
-            }
-            (StoreScope::Merged, MergedRelease::Longitudinal(panel)) => panel,
             (StoreScope::Cohort(c), _) => self.cohorts.get(c).ok_or(ServeError::UnknownCohort {
                 cohort: c,
                 cohorts: self.cohorts.len(),
             })?,
+            (StoreScope::Merged, MergedRelease::Longitudinal(panel)) => panel,
+            _ if self.dynamic => return Err(ServeError::ScopeNotRectangular(scope)),
+            _ if self.rounds == 0 => return Err(ServeError::NothingReleased(scope)),
+            _ => {
+                let columns = (0..self.rounds).map(|t| self.merged_round(t).map(Cow::into_owned));
+                let panel = LongitudinalDataset::from_columns(columns.collect::<Result<_, _>>()?);
+                return Ok(Cow::Owned(panel.expect("cohort panels are rectangular")));
+            }
         };
-        growing.stored().ok_or(ServeError::NothingReleased(scope))
+        let panel = growing.panel().ok_or(ServeError::NothingReleased(scope))?;
+        Ok(Cow::Borrowed(panel))
     }
 
     /// Answer one query directly from stored releases — no synthesis, no
@@ -711,36 +731,42 @@ impl ReleaseStore {
     ///
     /// A cohort scope reads its local round (released rounds outside its
     /// window are [`ServeError::RoundNotCovered`]); the merged scope reads
-    /// the longitudinal merged panel, or — for a dynamic store — the
-    /// size-weighted combination of the covering cohorts, where window and
-    /// pattern queries only count cohorts that observed the *entire*
-    /// window.
+    /// a static shared-noise population panel, or else pools the cohorts,
+    /// where window and pattern queries only count cohorts that observed
+    /// the *entire* window. Each panel read adds its integer statistic and
+    /// record count, and the answer divides once.
     pub fn answer(&self, query: &ServeQuery) -> Result<f64, ServeError> {
         let (scope, t) = (query.scope, query.kind.round());
-        let width = match &query.kind {
-            QueryKind::Window { query, .. } => query.width(),
-            QueryKind::Pattern { pattern, .. } => pattern.width(),
-            QueryKind::CumulativeFraction { .. } => 1,
+        // Window and pattern queries sum window histograms; a cumulative
+        // query sums its threshold count `b`.
+        let (window, b) = match &query.kind {
+            QueryKind::Window { query, .. } => (Some(Cow::Borrowed(query)), 0),
+            QueryKind::Pattern { pattern, .. } => {
+                (Some(Cow::Owned(WindowQuery::pattern(*pattern))), 0)
+            }
+            QueryKind::CumulativeFraction { b, .. } => (None, *b),
         };
+        let width = window.as_deref().map_or(1, WindowQuery::width);
         if width == 0 {
             return Err(ServeError::ZeroWidthQuery);
         }
-        // The panel to evaluate (none for a ragged merged scope) and the
-        // global rounds it covers.
-        let (stored, covered) = match scope {
-            StoreScope::Cohort(c) => {
-                let stored = self.stored(scope)?;
+        // The panels the scope reads, their entry rounds (0 for a static
+        // population panel), and the global rounds the scope covers.
+        let (panels, entries, covered) = match (scope, &self.merged) {
+            (StoreScope::Cohort(c), _) => {
+                self.panel(scope)?; // an unknown or not yet entered cohort
                 let covered = self
                     .cohort_window(c)
                     .expect("a cohort with columns has entered");
-                (Some(stored), covered)
+                (&self.cohorts[c..=c], &self.entries[c..=c], covered)
             }
-            StoreScope::Merged if self.rounds() == 0 => {
-                return Err(ServeError::NothingReleased(scope));
+            _ if self.rounds == 0 => return Err(ServeError::NothingReleased(scope)),
+            (StoreScope::Merged, MergedRelease::Longitudinal(panel)) => {
+                (std::slice::from_ref(panel), &[Some(0)][..], 0..self.rounds)
             }
-            StoreScope::Merged => (self.stored(scope).ok(), 0..self.rounds()),
+            (StoreScope::Merged, _) => (&self.cohorts[..], &self.entries[..], 0..self.rounds),
         };
-        if t >= self.rounds() {
+        if t >= self.rounds {
             return Err(self.unreleased(scope, t));
         }
         if !covered.contains(&t) {
@@ -753,32 +779,43 @@ impl ReleaseStore {
         if t + 1 < covered.start + width {
             return Err(ServeError::WindowUnderflow { round: t, width });
         }
-        let empty = ServeError::EmptyScope { scope, round: t };
-        if let Some(stored) = stored {
-            if stored.0.individuals() == 0 {
-                return Err(empty);
+        let (mut histogram, mut count, mut records, mut observed) = (Vec::new(), 0, 0, false);
+        for (panel, &entry) in panels.iter().zip(entries) {
+            let (Some(entry), Some((data, thresholds))) = (entry, panel.stored()) else {
+                continue;
+            };
+            if t + 1 < entry + width || t >= entry + data.rounds() {
+                continue;
             }
-            return Ok(evaluate(&query.kind, stored, t - covered.start));
+            observed = true;
+            records += data.individuals();
+            if window.is_some() {
+                let part = window_histogram(data, t - entry, width);
+                if histogram.is_empty() {
+                    histogram = part;
+                } else {
+                    histogram
+                        .iter_mut()
+                        .zip(part)
+                        .for_each(|(sum, c)| *sum += c);
+                }
+            } else {
+                count += thresholds.counts(t - entry).get(b).copied().unwrap_or(0);
+            }
         }
-        // An empty cohort has no fraction of its own and weighs nothing in
-        // the mean, so only non-empty observing cohorts are evaluated.
-        let mut observed = false;
-        let parts = self.cohorts.iter().enumerate().filter_map(|(c, cohort)| {
-            let covered = self.cohort_window(c)?;
-            let stored @ (panel, _) = cohort.stored()?;
-            let observes = covered.contains(&t) && covered.start + width <= t + 1;
-            observed |= observes;
-            (observes && panel.individuals() > 0).then(|| {
-                (
-                    evaluate(&query.kind, stored, t - covered.start),
-                    panel.individuals(),
-                )
-            })
-        });
-        active_weighted_mean(parts).ok_or(if observed {
-            empty
-        } else {
-            ServeError::WindowNotCovered { round: t, width }
+        if records == 0 {
+            return Err(if observed || !self.dynamic {
+                ServeError::EmptyScope { scope, round: t }
+            } else {
+                ServeError::WindowNotCovered { round: t, width }
+            });
+        }
+        Ok(match window {
+            Some(query) => {
+                let histogram: Vec<f64> = histogram.iter().map(|&c| c as f64).collect();
+                query.evaluate_histogram(&histogram, records as f64)
+            }
+            None => count as f64 / records as f64,
         })
     }
 
@@ -788,19 +825,6 @@ impl ReleaseStore {
             round,
             available: self.rounds(),
         }
-    }
-}
-
-/// Evaluate `kind` on a stored panel at its local round `local`: window
-/// and pattern queries read the columns, a cumulative query looks up the
-/// running threshold counts.
-fn evaluate(kind: &QueryKind, (panel, thresholds): Stored<'_>, local: usize) -> f64 {
-    match kind {
-        QueryKind::Window { query, .. } => query.evaluate_true(panel, local),
-        QueryKind::Pattern { pattern, .. } => {
-            WindowQuery::pattern(*pattern).evaluate_true(panel, local)
-        }
-        QueryKind::CumulativeFraction { b, .. } => thresholds.fraction(local, *b),
     }
 }
 
@@ -950,6 +974,52 @@ mod tests {
         assert!(store
             .ingest_columns_with(PolicyTag::Shared, &parts, &col(&[true, true]))
             .is_err());
+    }
+
+    #[test]
+    fn per_shard_merged_columns_must_be_the_concatenation() {
+        // Right record count, wrong bits: refused whole, in lockstep...
+        let mut store = ReleaseStore::new();
+        let (parts, merged) = two_cohort_round(&[true, false], &[false, true]);
+        store.ingest_columns(&parts, &merged).unwrap();
+        let before = store.clone();
+        let (parts, merged) = two_cohort_round(&[true, true], &[false, false]);
+        let err = store
+            .ingest_columns(&parts, &col(&[true, false, true, false]))
+            .unwrap_err();
+        assert!(matches!(err, ServeError::IngestMismatch(_)), "{err}");
+        let releases = parts
+            .iter()
+            .cloned()
+            .map(Release::Update)
+            .collect::<Vec<_>>();
+        let swapped = Release::Update(col(&[false, false, true, true]));
+        assert!(matches!(
+            store.ingest_releases(&releases, &swapped),
+            Err(ServeError::IngestMismatch(_))
+        ));
+        assert_eq!(store, before, "failed ingest must not mutate the store");
+        store.ingest_columns(&parts, &merged).unwrap();
+        // ...and in scheduled rounds.
+        let mut store = rotating_store();
+        let before = store.clone();
+        let parts = [col(&[true]), col(&[false, true])];
+        let err = store
+            .ingest_active_columns(
+                PolicyTag::PerShard,
+                3,
+                4,
+                &[2, 3],
+                &parts,
+                &col(&[false, true, true]),
+            )
+            .unwrap_err();
+        assert!(matches!(err, ServeError::IngestMismatch(_)), "{err}");
+        assert_eq!(store, before, "failed ingest must not mutate the store");
+        let merged = BitColumn::concat(&parts);
+        store
+            .ingest_active_columns(PolicyTag::PerShard, 3, 4, &[2, 3], &parts, &merged)
+            .unwrap();
     }
 
     #[test]
@@ -1112,7 +1182,7 @@ mod tests {
         // stepped in the last round and keeps its weights.
         for c in 0..4 {
             let panel = store.panel(StoreScope::Cohort(c)).unwrap();
-            let mut expected = ThresholdCounter::over(panel);
+            let mut expected = ThresholdCounter::over(&panel);
             if c == 0 {
                 expected.retire();
             }
@@ -1125,14 +1195,14 @@ mod tests {
                         scope: StoreScope::Cohort(c),
                         kind,
                     });
-                    let want = cumulative_fraction(panel, t - start, b);
+                    let want = cumulative_fraction(&panel, t - start, b);
                     assert_eq!(got.unwrap().to_bits(), want.to_bits(), "c={c} t={t} b={b}");
                 }
             }
         }
         assert_ne!(
             counter(0),
-            &ThresholdCounter::over(store.panel(StoreScope::Cohort(0)).unwrap())
+            &ThresholdCounter::over(&store.panel(StoreScope::Cohort(0)).unwrap())
         );
         // Restore replays the schedule, so the retirement is rebuilt.
         assert_eq!(restore_json(&snapshot_json(&store)).unwrap(), store);
@@ -1155,7 +1225,7 @@ mod tests {
         let merged = store.panel(StoreScope::Merged).unwrap();
         for t in 0..3 {
             assert_eq!(store.merged_coverage(t).unwrap(), &[0, 1]);
-            assert_eq!(store.merged_round(t).unwrap(), merged.column(t));
+            assert_eq!(&*store.merged_round(t).unwrap(), merged.column(t));
         }
         assert!(store.merged_coverage(3).is_err());
         assert!(store.merged_round(3).is_err());

@@ -11,8 +11,8 @@ use longsynth_data::BitColumn;
 use longsynth_dp::budget::Rho;
 use longsynth_engine::{PanelSchedule, PolicyTag};
 use longsynth_pool::WorkerPool;
-use longsynth_queries::cumulative::cumulative_fraction;
-use longsynth_queries::{active_weighted_mean, Pattern, WindowQuery};
+use longsynth_queries::cumulative::{cumulative_counts, cumulative_fraction};
+use longsynth_queries::{window_histogram, Pattern, WindowQuery};
 use longsynth_serve::snapshot::{
     apply_delta_json, restore_json, snapshot_json, snapshot_since_json,
 };
@@ -182,10 +182,10 @@ fn query_battery(store: &ReleaseStore) -> Vec<ServeQuery> {
     queries
 }
 
-/// `c_b^t` in `scope` recomputed from the stored columns by
-/// [`cumulative_fraction`]: on the scope's panel at its local round, or,
-/// for a dynamic store's merged scope, as the size-weighted mean of the
-/// non-empty cohorts covering `t`.
+/// `c_b^t` in `scope` recomputed from the stored columns: by
+/// [`cumulative_fraction`] on the scope's panel at its local round, or,
+/// for a dynamic store's merged scope, as the pooled count `S_b^t` of the
+/// cohorts covering `t` ([`cumulative_counts`]) over their pooled records.
 fn cumulative_oracle(store: &ReleaseStore, scope: StoreScope, t: usize, b: usize) -> f64 {
     let local = |c: usize| {
         let window = store.cohort_window(c)?;
@@ -195,17 +195,22 @@ fn cumulative_oracle(store: &ReleaseStore, scope: StoreScope, t: usize, b: usize
     match scope {
         StoreScope::Cohort(c) => {
             let (panel, local) = local(c).expect("round covered by the cohort");
-            cumulative_fraction(panel, local, b)
+            cumulative_fraction(&panel, local, b)
         }
         StoreScope::Merged if !store.is_dynamic() => {
-            cumulative_fraction(store.panel(scope).unwrap(), t, b)
+            cumulative_fraction(&store.panel(scope).unwrap(), t, b)
         }
-        StoreScope::Merged => active_weighted_mean((0..store.cohorts()).filter_map(|c| {
-            let (panel, local) = local(c)?;
-            (panel.individuals() > 0)
-                .then(|| (cumulative_fraction(panel, local, b), panel.individuals()))
-        }))
-        .expect("a covering cohort"),
+        StoreScope::Merged => {
+            let (count, records) = (0..store.cohorts()).filter_map(local).fold(
+                (0, 0),
+                |(count, records), (panel, local)| {
+                    let s_b = cumulative_counts(&panel, local).get(b).copied();
+                    (count + s_b.unwrap_or(0), records + panel.individuals())
+                },
+            );
+            assert!(records > 0, "a covering cohort");
+            count as f64 / records as f64
+        }
     }
 }
 
@@ -236,8 +241,129 @@ fn check_cumulative_answers(store: &ReleaseStore) {
     }
 }
 
+/// A window query's answer in `scope` at round `t`, recomputed from the
+/// stored columns: [`WindowQuery::evaluate_true`] on the scope's panel at
+/// its local round (for a static merged scope, the population panel or
+/// the concatenated cohort panels), or, for a dynamic store's merged
+/// scope, the [`window_histogram`]s of the cohorts that observed the whole
+/// window, summed and evaluated once. `None` where no records answer.
+fn window_oracle(
+    store: &ReleaseStore,
+    scope: StoreScope,
+    query: &WindowQuery,
+    t: usize,
+) -> Option<f64> {
+    let k = query.width();
+    let observed = |c: usize| {
+        let window = store.cohort_window(c)?;
+        let panel = store.panel(StoreScope::Cohort(c)).unwrap();
+        (window.start + k <= t + 1 && window.contains(&t)).then(|| (panel, t - window.start))
+    };
+    match scope {
+        StoreScope::Cohort(c) => {
+            observed(c).map(|(panel, local)| query.evaluate_true(&panel, local))
+        }
+        StoreScope::Merged if !store.is_dynamic() => {
+            (k <= t + 1).then(|| query.evaluate_true(&store.panel(scope).unwrap(), t))
+        }
+        StoreScope::Merged => {
+            let mut histogram = vec![0; 1 << k];
+            let mut records = 0;
+            for (panel, local) in (0..store.cohorts()).filter_map(observed) {
+                let part = window_histogram(&panel, local, k);
+                histogram
+                    .iter_mut()
+                    .zip(part)
+                    .for_each(|(sum, c)| *sum += c);
+                records += panel.individuals();
+            }
+            let histogram: Vec<f64> = histogram.into_iter().map(|c| c as f64).collect();
+            (records > 0).then(|| query.evaluate_histogram(&histogram, records as f64))
+        }
+    }
+}
+
+/// Every window and pattern answer of `store` — every scope, every round,
+/// widths 1–3 — equals [`window_oracle`] bit for bit, and is an error
+/// exactly where the oracle has no answer.
+fn check_window_answers(store: &ReleaseStore) {
+    let mut scopes = vec![StoreScope::Merged];
+    scopes.extend((0..store.cohorts()).map(StoreScope::Cohort));
+    for scope in scopes {
+        for t in 0..store.rounds() {
+            for width in 1..=3.min(t + 1) {
+                let pattern = Pattern::new((t * 5 + width) as u32 & ((1 << width) - 1), width);
+                let queries = [
+                    WindowQuery::at_least_m_ones(width, 1),
+                    WindowQuery::at_least_m_consecutive_ones(width, 2),
+                    WindowQuery::pattern(pattern),
+                ];
+                let kinds = [
+                    QueryKind::Window {
+                        t,
+                        query: queries[0].clone(),
+                    },
+                    QueryKind::Window {
+                        t,
+                        query: queries[1].clone(),
+                    },
+                    QueryKind::Pattern { t, pattern },
+                ];
+                for (query, kind) in queries.iter().zip(kinds) {
+                    let answer = store.answer(&ServeQuery { scope, kind }).ok();
+                    let oracle = window_oracle(store, scope, query, t);
+                    assert_eq!(
+                        answer.map(f64::to_bits),
+                        oracle.map(f64::to_bits),
+                        "{scope} at t={t}: {}",
+                        query.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Window and pattern answers sum each panel's window histogram and
+    /// evaluate once; they must equal the kernel on the stored panels, bit
+    /// for bit, in static per-shard, static shared-noise and per-shard
+    /// rotating stores — live, after a full snapshot restore, and after a
+    /// restored prefix plus two chained deltas.
+    #[test]
+    fn window_answers_equal_the_kernel_on_the_stored_panels(
+        seed in any::<u64>(),
+        cohort_a in 1usize..40,
+        cohort_b in 1usize..90,
+        population in 1usize..70,
+        waves in 1usize..5,
+        horizon in 2usize..9,
+        first_cut in 0usize..9,
+        second_cut in 0usize..9,
+    ) {
+        let sizes = [cohort_a, cohort_b];
+        let builders: [Box<dyn Fn(usize) -> ReleaseStore>; 3] = [
+            Box::new(|rounds| random_store(seed, &sizes, rounds)),
+            Box::new(|rounds| random_shared_store(seed, &sizes, population, rounds)),
+            Box::new(|rounds| random_rotating_store(seed, waves, horizon, rounds)),
+        ];
+        for build in &builders {
+            let full = build(horizon);
+            check_window_answers(&full);
+            check_window_answers(&restore_json(&snapshot_json(&full)).unwrap());
+            let mut cuts = [first_cut % (horizon + 1), second_cut % (horizon + 1)];
+            cuts.sort_unstable();
+            let [cut_a, cut_b] = cuts;
+            let mut chained = restore_json(&snapshot_json(&build(cut_a))).unwrap();
+            apply_delta_json(&mut chained, &snapshot_since_json(&build(cut_b), cut_a).unwrap())
+                .unwrap();
+            apply_delta_json(&mut chained, &snapshot_since_json(&full, cut_b).unwrap()).unwrap();
+            check_window_answers(&chained);
+            prop_assert_eq!(&chained, &full);
+        }
+    }
 
     /// A cumulative answer is a lookup of the store's running threshold
     /// counts; it must equal `cumulative_fraction` on the stored panel,
@@ -442,9 +568,9 @@ proptest! {
         let merged = store.panel(StoreScope::Merged).unwrap();
         prop_assert_eq!(merged.individuals(), cohort_a + cohort_b);
         for t in 0..rounds {
-            let a = store.panel(StoreScope::Cohort(0)).unwrap().column(t);
-            let b = store.panel(StoreScope::Cohort(1)).unwrap().column(t);
-            prop_assert_eq!(&BitColumn::concat([a, b]), merged.column(t));
+            let a = store.panel(StoreScope::Cohort(0)).unwrap().column(t).clone();
+            let b = store.panel(StoreScope::Cohort(1)).unwrap().column(t).clone();
+            prop_assert_eq!(&BitColumn::concat([&a, &b]), merged.column(t));
         }
     }
 }
@@ -871,7 +997,7 @@ fn v4_rotating_fixture_restore_stays_pinned() {
     assert_eq!(store.cohort_window(2), Some(1..3));
     assert_eq!(store.cohort_window(3), Some(2..3));
     assert_eq!(store.merged_coverage(1).unwrap(), &[1, 2]);
-    assert_eq!(store.merged_round(1).unwrap(), &word_column(0b011, 3));
+    assert_eq!(&*store.merged_round(1).unwrap(), &word_column(0b011, 3));
     let answer = |scope, t, b| {
         store
             .answer(&ServeQuery {
@@ -923,5 +1049,332 @@ fn v2_delta_fixtures_apply_with_pinned_answers() {
         })
         .unwrap();
     assert_eq!(merged, 2.0 / 3.0);
+    assert_eq!(store.merged_coverage(2).unwrap(), &[2, 3]);
+}
+
+/// The first `rounds` rounds of the live-ingested store behind the frozen
+/// per-shard static fixtures: cohorts of 2 and 3 records whose merged
+/// release is their shard-order concatenation.
+fn per_shard_static_store(rounds: usize) -> ReleaseStore {
+    let plan: [[u64; 2]; 3] = [[0b01, 0b110], [0b11, 0b010], [0b10, 0b101]];
+    let mut store = ReleaseStore::new();
+    for [a, b] in plan.into_iter().take(rounds) {
+        let parts = [word_column(a, 2), word_column(b, 3)];
+        store
+            .ingest_columns(&parts, &BitColumn::concat(&parts))
+            .unwrap();
+    }
+    store
+}
+
+/// The first `rounds` rounds of the live-ingested store behind the frozen
+/// per-shard rotating fixtures: four cohorts (2, 1, 1 and 2 records)
+/// entering two at a time, each round's merged release the concatenation
+/// of its active cohorts' columns.
+fn per_shard_rotating_store(rounds: usize) -> ReleaseStore {
+    let sizes = [2, 1, 1, 2];
+    let plan: [([usize; 2], [u64; 2]); 3] =
+        [([0, 1], [0b10, 1]), ([1, 2], [0, 1]), ([2, 3], [1, 0b11])];
+    let mut store = ReleaseStore::new();
+    for (round, (active, words)) in plan.into_iter().enumerate().take(rounds) {
+        let parts: Vec<BitColumn> = active
+            .iter()
+            .zip(words)
+            .map(|(&c, word)| word_column(word, sizes[c]))
+            .collect();
+        let merged = BitColumn::concat(&parts);
+        store
+            .ingest_active_columns(PolicyTag::PerShard, round, 4, &active, &parts, &merged)
+            .unwrap();
+    }
+    store
+}
+
+/// Frozen **v4** full snapshot of a static per-shard store: exactly what
+/// the writer renders for [`per_shard_static_store`]`(3)`. Each merged
+/// column is the concatenation of the cohort columns of its round.
+const PER_SHARD_V4_STATIC_FIXTURE: &str = r#"{
+  "format": "longsynth-release-store/v4",
+  "policy": "per-shard",
+  "dynamic": false,
+  "merged": {
+    "records": 5,
+    "columns": [
+      "0000000000000019",
+      "000000000000000b",
+      "0000000000000016"
+    ]
+  },
+  "merged_rounds": [],
+  "coverage": [],
+  "cohorts": [
+    {
+      "records": 2,
+      "entry": null,
+      "columns": [
+        "0000000000000001",
+        "0000000000000003",
+        "0000000000000002"
+      ]
+    },
+    {
+      "records": 3,
+      "entry": null,
+      "columns": [
+        "0000000000000006",
+        "0000000000000002",
+        "0000000000000005"
+      ]
+    }
+  ]
+}"#;
+
+/// Frozen **v4** full snapshot of a per-shard rotating store: the
+/// rendering of [`per_shard_rotating_store`]`(3)`.
+const PER_SHARD_V4_ROTATING_FIXTURE: &str = r#"{
+  "format": "longsynth-release-store/v4",
+  "policy": "per-shard",
+  "dynamic": true,
+  "merged": null,
+  "merged_rounds": [
+    {
+      "records": 3,
+      "column": "0000000000000006"
+    },
+    {
+      "records": 2,
+      "column": "0000000000000002"
+    },
+    {
+      "records": 3,
+      "column": "0000000000000007"
+    }
+  ],
+  "coverage": [
+    [
+      0,
+      1
+    ],
+    [
+      1,
+      2
+    ],
+    [
+      2,
+      3
+    ]
+  ],
+  "cohorts": [
+    {
+      "records": 2,
+      "entry": 0,
+      "columns": [
+        "0000000000000002"
+      ]
+    },
+    {
+      "records": 1,
+      "entry": 0,
+      "columns": [
+        "0000000000000001",
+        "0000000000000000"
+      ]
+    },
+    {
+      "records": 1,
+      "entry": 1,
+      "columns": [
+        "0000000000000001",
+        "0000000000000001"
+      ]
+    },
+    {
+      "records": 2,
+      "entry": 2,
+      "columns": [
+        "0000000000000003"
+      ]
+    }
+  ]
+}"#;
+
+/// Frozen static per-shard delta: rounds 1..3 of
+/// [`per_shard_static_store`].
+const PER_SHARD_V2_STATIC_DELTA_FIXTURE: &str = r#"{
+  "format": "longsynth-release-store-delta/v2",
+  "policy": "per-shard",
+  "dynamic": false,
+  "base_rounds": 1,
+  "delta_rounds": 2,
+  "merged": {
+    "records": 5,
+    "columns": [
+      "000000000000000b",
+      "0000000000000016"
+    ]
+  },
+  "merged_rounds": [],
+  "cohorts": [
+    {
+      "records": 2,
+      "entry": null,
+      "columns": [
+        "0000000000000003",
+        "0000000000000002"
+      ]
+    },
+    {
+      "records": 3,
+      "entry": null,
+      "columns": [
+        "0000000000000002",
+        "0000000000000005"
+      ]
+    }
+  ]
+}"#;
+
+/// Frozen per-shard rotating delta: rounds 1..3 of
+/// [`per_shard_rotating_store`]. Cohort 0 retired before the base;
+/// cohorts 2 and 3 enter inside the delta.
+const PER_SHARD_V2_ROTATING_DELTA_FIXTURE: &str = r#"{
+  "format": "longsynth-release-store-delta/v2",
+  "policy": "per-shard",
+  "dynamic": true,
+  "base_rounds": 1,
+  "delta_rounds": 2,
+  "merged": null,
+  "merged_rounds": [
+    {
+      "records": 2,
+      "column": "0000000000000002"
+    },
+    {
+      "records": 3,
+      "column": "0000000000000007"
+    }
+  ],
+  "cohorts": [
+    {
+      "records": 2,
+      "entry": 0,
+      "columns": []
+    },
+    {
+      "records": 1,
+      "entry": 0,
+      "columns": [
+        "0000000000000000"
+      ]
+    },
+    {
+      "records": 1,
+      "entry": 1,
+      "columns": [
+        "0000000000000001",
+        "0000000000000001"
+      ]
+    },
+    {
+      "records": 2,
+      "entry": 2,
+      "columns": [
+        "0000000000000003"
+      ]
+    }
+  ]
+}"#;
+
+/// `store`'s answer to `kind` in `scope`.
+fn ask(store: &ReleaseStore, scope: StoreScope, kind: QueryKind) -> f64 {
+    store.answer(&ServeQuery { scope, kind }).unwrap()
+}
+
+#[test]
+fn per_shard_v4_static_fixture_restore_stays_pinned() {
+    let store = restore_json(PER_SHARD_V4_STATIC_FIXTURE).unwrap();
+    assert!(!store.is_dynamic());
+    assert_eq!(store.policy(), Some(PolicyTag::PerShard));
+    assert_eq!(store.rounds(), 3);
+    assert_eq!(store.cohorts(), 2);
+    assert_eq!(store.records(), Some(5));
+    assert_eq!(&*store.merged_round(1).unwrap(), &word_column(0b01011, 5));
+    let cumulative = |scope, t, b| ask(&store, scope, QueryKind::CumulativeFraction { t, b });
+    // Merged bits 10011, 11010, 01101 (record 0 first): weights 2, 2, 1,
+    // 2, 2 after round 2.
+    assert_eq!(cumulative(StoreScope::Merged, 0, 1), 3.0 / 5.0);
+    assert_eq!(cumulative(StoreScope::Merged, 1, 2), 2.0 / 5.0);
+    assert_eq!(cumulative(StoreScope::Merged, 2, 2), 4.0 / 5.0);
+    assert_eq!(cumulative(StoreScope::Cohort(1), 2, 2), 2.0 / 3.0);
+    let window = QueryKind::Window {
+        t: 1,
+        query: WindowQuery::at_least_m_ones(2, 1),
+    };
+    assert_eq!(ask(&store, StoreScope::Merged, window), 4.0 / 5.0);
+    let pattern = QueryKind::Pattern {
+        t: 2,
+        pattern: Pattern::parse("10"),
+    };
+    assert_eq!(ask(&store, StoreScope::Merged, pattern), 2.0 / 5.0);
+    // The same store built by live ingest renders byte for byte.
+    let live = per_shard_static_store(3);
+    assert_eq!(store, live);
+    assert_eq!(snapshot_json(&live), PER_SHARD_V4_STATIC_FIXTURE);
+    assert_eq!(snapshot_json(&store), PER_SHARD_V4_STATIC_FIXTURE);
+}
+
+#[test]
+fn per_shard_v4_rotating_fixture_restore_stays_pinned() {
+    let store = restore_json(PER_SHARD_V4_ROTATING_FIXTURE).unwrap();
+    assert!(store.is_dynamic());
+    assert_eq!(store.policy(), Some(PolicyTag::PerShard));
+    assert_eq!(store.rounds(), 3);
+    assert_eq!(store.cohorts(), 4);
+    assert_eq!(store.cohort_window(0), Some(0..1));
+    assert_eq!(store.cohort_window(2), Some(1..3));
+    assert_eq!(store.merged_coverage(1).unwrap(), &[1, 2]);
+    assert_eq!(&*store.merged_round(1).unwrap(), &word_column(0b10, 2));
+    let cumulative = |scope, t, b| ask(&store, scope, QueryKind::CumulativeFraction { t, b });
+    // Round 0 pools cohort 0 (weights 0, 1) and cohort 1 (weight 1).
+    assert_eq!(cumulative(StoreScope::Merged, 0, 1), 2.0 / 3.0);
+    // Round 2 pools cohort 2 (weight 2) and cohort 3 (weights 1, 1).
+    assert_eq!(cumulative(StoreScope::Merged, 2, 2), 1.0 / 3.0);
+    assert_eq!(cumulative(StoreScope::Cohort(2), 2, 2), 1.0);
+    // Only cohort 1 observed both rounds 0 and 1: bits 1 then 0.
+    let pattern = QueryKind::Pattern {
+        t: 1,
+        pattern: Pattern::parse("10"),
+    };
+    assert_eq!(ask(&store, StoreScope::Merged, pattern), 1.0);
+    let live = per_shard_rotating_store(3);
+    assert_eq!(store, live);
+    assert_eq!(snapshot_json(&live), PER_SHARD_V4_ROTATING_FIXTURE);
+    assert_eq!(snapshot_json(&store), PER_SHARD_V4_ROTATING_FIXTURE);
+}
+
+#[test]
+fn per_shard_v2_delta_fixtures_apply_with_pinned_answers() {
+    let static_case: (fn(usize) -> ReleaseStore, _) =
+        (per_shard_static_store, PER_SHARD_V2_STATIC_DELTA_FIXTURE);
+    let rotating_fixture = PER_SHARD_V2_ROTATING_DELTA_FIXTURE;
+    for (build, fixture) in [static_case, (per_shard_rotating_store, rotating_fixture)] {
+        let full = build(3);
+        assert_eq!(snapshot_since_json(&full, 1).unwrap(), fixture);
+        // Onto a live base and onto a restored base alike.
+        let mut live = build(1);
+        apply_delta_json(&mut live, fixture).unwrap();
+        assert_eq!(live, full);
+        let mut restored = restore_json(&snapshot_json(&build(1))).unwrap();
+        apply_delta_json(&mut restored, fixture).unwrap();
+        assert_eq!(restored, full);
+    }
+    let mut store = per_shard_static_store(1);
+    apply_delta_json(&mut store, PER_SHARD_V2_STATIC_DELTA_FIXTURE).unwrap();
+    let merged = QueryKind::CumulativeFraction { t: 2, b: 2 };
+    assert_eq!(ask(&store, StoreScope::Merged, merged), 4.0 / 5.0);
+    let mut store = per_shard_rotating_store(1);
+    apply_delta_json(&mut store, PER_SHARD_V2_ROTATING_DELTA_FIXTURE).unwrap();
+    let merged = QueryKind::CumulativeFraction { t: 2, b: 2 };
+    assert_eq!(ask(&store, StoreScope::Merged, merged), 1.0 / 3.0);
     assert_eq!(store.merged_coverage(2).unwrap(), &[2, 3]);
 }

@@ -57,7 +57,7 @@ fn serving_stack_answers_live_traffic_and_survives_restart() {
         let released = store.panel(StoreScope::Merged).unwrap();
         assert_eq!(released.rounds(), horizon);
         for t in [0, horizon / 2, horizon - 1] {
-            let direct = cumulative_fraction(released, t, 1);
+            let direct = cumulative_fraction(&released, t, 1);
             let served = service
                 .answer(&ServeQuery {
                     scope: StoreScope::Merged,
