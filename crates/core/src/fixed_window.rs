@@ -694,8 +694,7 @@ impl<R: Rng> ContinualSynthesizer for FixedWindowSynthesizer<R> {
         debug_assert_eq!(self.buffer.len(), k);
         // Word-sliced joint histogram: the front (oldest) column is the
         // pattern's high bit, same fold as Pattern's encoding.
-        let cols: Vec<&BitColumn> = self.buffer.iter().collect();
-        let counts: Vec<i64> = BitColumn::pattern_counts(&cols)
+        let counts: Vec<i64> = BitColumn::pattern_counts(self.buffer.make_contiguous())
             .into_iter()
             .map(|c| c as i64)
             .collect();

@@ -211,18 +211,24 @@ impl BitColumn {
     /// significant bit (matching a front-to-back fold
     /// `code = (code << 1) | bit`).
     ///
-    /// For `k ≤ 6` (≤ 64 bins) this runs word-sliced: per 64 individuals it
-    /// does `2^k` AND/NOT combines plus popcounts instead of `64·k` bit
-    /// extractions, which is what makes the fixed-window synthesizer's
-    /// per-round aggregation memory-bound rather than shift-bound. Wider
-    /// windows fall back to the per-individual loop, where the scalar cost
-    /// (`k` per row) is already below the sliced cost (`2^k/64` per row).
+    /// For `k ≤ 6` (≤ 64 bins) this runs word-sliced. Per 64 individuals
+    /// it ANDs the columns of every non-empty subset `S` of the `k`
+    /// columns, each built from a smaller subset with one AND, and
+    /// popcounts it into `counts[S]`: `2^k − 1` ANDs and popcounts per
+    /// word instead of `64·k` bit extractions. That counts the
+    /// individuals whose code is a *superset* of `S`; with `counts[0] = n`,
+    /// one superset-Möbius pass (for each bit, `counts[S] -= counts[S | bit]`
+    /// over every `S` without it) turns those into exact pattern counts.
+    /// No word is complemented, so the zero tail beyond `len` stays zero
+    /// and the final word needs no mask. Wider windows fall back to the
+    /// per-individual loop, where the scalar cost (`k` per row) is already
+    /// below the sliced cost (`2^k/64` per row).
     ///
     /// # Panics
     /// Panics if `cols` is empty, `k >`
     /// [`MAX_PATTERN_WIDTH`](Self::MAX_PATTERN_WIDTH), or the columns
     /// disagree on length.
-    pub fn pattern_counts(cols: &[&Self]) -> Vec<u64> {
+    pub fn pattern_counts(cols: &[Self]) -> Vec<u64> {
         let k = cols.len();
         assert!(k >= 1, "pattern_counts over zero columns");
         assert!(
@@ -240,29 +246,20 @@ impl BitColumn {
             return counts;
         }
         if bins <= WORD_BITS {
-            let words: Vec<&[u64]> = cols.iter().map(|c| c.as_words()).collect();
-            let n_words = n.div_ceil(WORD_BITS);
-            let tail = n % WORD_BITS;
-            for w in 0..n_words {
-                // The complement of a final partial word raises the bits
-                // beyond `len` (the zero-tail invariant covers only the
-                // uncomplemented words), so mask the lanes that exist.
-                let valid: u64 = if w + 1 == n_words && tail != 0 {
-                    (1u64 << tail) - 1
-                } else {
-                    u64::MAX
-                };
-                for (code, count) in counts.iter_mut().enumerate() {
-                    let mut m = valid;
-                    for (j, col_words) in words.iter().enumerate() {
-                        let cw = col_words[w];
-                        m &= if (code >> (k - 1 - j)) & 1 == 1 {
-                            cw
-                        } else {
-                            !cw
-                        };
-                    }
-                    *count += u64::from(m.count_ones());
+            let supersets = match k {
+                1 => Self::subset_counts::<1>(cols),
+                2 => Self::subset_counts::<2>(cols),
+                3 => Self::subset_counts::<3>(cols),
+                4 => Self::subset_counts::<4>(cols),
+                5 => Self::subset_counts::<5>(cols),
+                _ => Self::subset_counts::<6>(cols),
+            };
+            counts.copy_from_slice(&supersets[..bins]);
+            counts[0] = n as u64;
+            for b in 0..k {
+                let bit = 1 << b;
+                for s in (0..bins).filter(|s| s & bit == 0) {
+                    counts[s] -= counts[s | bit];
                 }
             }
         } else {
@@ -272,6 +269,30 @@ impl BitColumn {
                     code = (code << 1) | usize::from(col.get(i));
                 }
                 counts[code] += 1;
+            }
+        }
+        counts
+    }
+
+    /// `counts[S]` for every non-empty subset `S` of the `K ≤ 6` columns:
+    /// the individuals whose bit is set in each column of `S`, where
+    /// subset bit `b` stands for column `K − 1 − b`. Per word, each subset
+    /// with highest bit `b` is the AND of the subset without it and column
+    /// `b`'s word. Monomorphised per width so the subset loops unroll.
+    fn subset_counts<const K: usize>(cols: &[Self]) -> [u64; WORD_BITS] {
+        let words: [&[u64]; K] = std::array::from_fn(|b| cols[K - 1 - b].as_words());
+        let mut counts = [0u64; WORD_BITS];
+        let mut ands = [0u64; WORD_BITS];
+        ands[0] = u64::MAX;
+        for w in 0..words[0].len() {
+            for (b, col_words) in words.iter().enumerate() {
+                let (half, word) = (1 << b, col_words[w]);
+                for s in 0..half {
+                    ands[half | s] = ands[s] & word;
+                }
+            }
+            for s in 1..1 << K {
+                counts[s] += u64::from(ands[s].count_ones());
             }
         }
         counts
@@ -414,7 +435,7 @@ mod tests {
         BitColumn::zeros(10).slice(5..11);
     }
 
-    fn reference_pattern_counts(cols: &[&BitColumn]) -> Vec<u64> {
+    fn reference_pattern_counts(cols: &[BitColumn]) -> Vec<u64> {
         let k = cols.len();
         let mut counts = vec![0u64; 1 << k];
         for i in 0..cols[0].len() {
@@ -437,31 +458,51 @@ mod tests {
 
     #[test]
     fn pattern_counts_matches_bit_reference() {
-        // Lengths straddling word boundaries; widths on both sides of the
-        // sliced/scalar split (2^6 = 64 bins sliced, 2^7 falls back).
-        for len in [1usize, 63, 64, 65, 127, 128, 200] {
-            for k in [1usize, 2, 3, 6, 7] {
-                let cols: Vec<BitColumn> =
-                    (0..k).map(|j| pseudo_column(len, j as u64 + 1)).collect();
-                let refs: Vec<&BitColumn> = cols.iter().collect();
-                let counts = BitColumn::pattern_counts(&refs);
-                assert_eq!(counts, reference_pattern_counts(&refs), "len={len} k={k}");
-                assert_eq!(counts.iter().sum::<u64>(), len as u64, "len={len} k={k}");
+        // Lengths on and beside word boundaries; widths on both sides of
+        // the sliced/scalar split (2^6 = 64 bins sliced, 2^7 falls back).
+        // All-ones and all-zeros columns put every record in bin 2^k − 1
+        // or bin 0, the two extremes of the Möbius pass; the mix
+        // interleaves constant and varied columns.
+        for len in [1usize, 63, 64, 65, 127, 128, 129, 191, 192, 193, 200] {
+            for k in 1usize..=7 {
+                let varied = |j: usize| pseudo_column(len, j as u64 + 1);
+                let mixed = |j: usize| match j % 3 {
+                    0 => BitColumn::ones(len),
+                    1 => varied(j),
+                    _ => BitColumn::zeros(len),
+                };
+                for (family, cols) in [
+                    ("varied", (0..k).map(varied).collect()),
+                    ("ones", vec![BitColumn::ones(len); k]),
+                    ("zeros", vec![BitColumn::zeros(len); k]),
+                    ("mixed", (0..k).map(mixed).collect()),
+                ] {
+                    let counts = BitColumn::pattern_counts(&cols);
+                    let at = format!("{family} len={len} k={k}");
+                    assert_eq!(counts, reference_pattern_counts(&cols), "{at}");
+                    assert_eq!(counts.iter().sum::<u64>(), len as u64, "{at}");
+                }
             }
         }
     }
 
     #[test]
     fn pattern_counts_empty_columns_and_msb_order() {
-        let zero: Vec<&BitColumn> = Vec::new();
+        let zero: Vec<BitColumn> = Vec::new();
         let empty = BitColumn::zeros(0);
-        assert_eq!(BitColumn::pattern_counts(&[&empty, &empty]), vec![0; 4]);
+        assert_eq!(
+            BitColumn::pattern_counts(&[empty.clone(), empty]),
+            vec![0; 4]
+        );
         assert!(std::panic::catch_unwind(|| BitColumn::pattern_counts(&zero)).is_err());
         // cols[0] is the high bit: (1, 0) must land in bin 0b10.
         let hi = BitColumn::ones(3);
         let lo = BitColumn::zeros(3);
-        assert_eq!(BitColumn::pattern_counts(&[&hi, &lo]), vec![0, 0, 3, 0]);
-        assert_eq!(BitColumn::pattern_counts(&[&lo, &hi]), vec![0, 3, 0, 0]);
+        assert_eq!(
+            BitColumn::pattern_counts(&[hi.clone(), lo.clone()]),
+            vec![0, 0, 3, 0]
+        );
+        assert_eq!(BitColumn::pattern_counts(&[lo, hi]), vec![0, 3, 0, 0]);
     }
 
     #[test]
@@ -469,6 +510,6 @@ mod tests {
     fn pattern_counts_rejects_ragged_columns() {
         let a = BitColumn::zeros(5);
         let b = BitColumn::zeros(6);
-        BitColumn::pattern_counts(&[&a, &b]);
+        BitColumn::pattern_counts(&[a, b]);
     }
 }

@@ -110,6 +110,13 @@ impl LongitudinalDataset {
         &self.columns[t]
     }
 
+    /// Every recorded round's reports, oldest first (round `t` at index
+    /// `t`).
+    #[inline]
+    pub fn columns(&self) -> &[BitColumn] {
+        &self.columns
+    }
+
     /// Iterate over rounds in arrival order — the continual-release
     /// interface: `for (t, d_t) in data.stream() { synthesizer.step(d_t) }`.
     pub fn stream(&self) -> impl Iterator<Item = (usize, &BitColumn)> + '_ {

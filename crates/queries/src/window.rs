@@ -17,8 +17,7 @@ use longsynth_data::{BitColumn, LongitudinalDataset};
 pub fn window_histogram(data: &LongitudinalDataset, t: usize, k: usize) -> Vec<u64> {
     assert!(t < data.rounds(), "round {t} not yet recorded");
     assert!(t + 1 >= k, "window underflows at t={t}, k={k}");
-    let columns: Vec<&BitColumn> = (t + 1 - k..=t).map(|r| data.column(r)).collect();
-    BitColumn::pattern_counts(&columns)
+    BitColumn::pattern_counts(&data.columns()[t + 1 - k..=t])
 }
 
 /// A linear query over width-`k'` window patterns:
@@ -162,13 +161,25 @@ impl WindowQuery {
     /// Evaluate against an explicit width-matching histogram of counts,
     /// normalising by `denominator` (the dataset size).
     pub fn evaluate_histogram(&self, histogram: &[f64], denominator: f64) -> f64 {
-        assert_eq!(
-            histogram.len(),
-            self.weights.len(),
-            "histogram width mismatch"
-        );
+        self.evaluate_bins(histogram.len(), histogram.iter().copied(), denominator)
+    }
+
+    /// [`evaluate_histogram`](Self::evaluate_histogram) of an exact
+    /// integer histogram, converting each count as it is read: the same
+    /// `f64` bits, with no converted copy of the histogram.
+    pub fn evaluate_counts(&self, counts: &[u64], denominator: f64) -> f64 {
+        self.evaluate_bins(counts.len(), counts.iter().map(|&c| c as f64), denominator)
+    }
+
+    fn evaluate_bins(
+        &self,
+        bins: usize,
+        counts: impl Iterator<Item = f64>,
+        denominator: f64,
+    ) -> f64 {
+        assert_eq!(bins, self.weights.len(), "histogram width mismatch");
         assert!(denominator > 0.0);
-        let total: f64 = self.weights.iter().zip(histogram).map(|(w, c)| w * c).sum();
+        let total: f64 = self.weights.iter().zip(counts).map(|(w, c)| w * c).sum();
         total / denominator
     }
 
@@ -176,8 +187,7 @@ impl WindowQuery {
     /// `n`).
     pub fn evaluate_true(&self, data: &LongitudinalDataset, t: usize) -> f64 {
         let histogram = window_histogram(data, t, self.width);
-        let histogram: Vec<f64> = histogram.iter().map(|&c| c as f64).collect();
-        self.evaluate_histogram(&histogram, data.individuals() as f64)
+        self.evaluate_counts(&histogram, data.individuals() as f64)
     }
 }
 

@@ -88,6 +88,16 @@
 //! resume: its weights are dropped and its counts kept. Snapshot restore
 //! and delta replay run through the same ingest path, so they rebuild the
 //! counts too, and the snapshot format carries none of them.
+//!
+//! ## Window queries share one histogram
+//!
+//! A window or pattern miss sums one window histogram per panel it reads.
+//! Each stored panel memoises its last histogram of width ≤ 6 in a single
+//! slot keyed by `(local round, width)`, at most 512 bytes of counts, so
+//! the queries of a battery that ask the same `(panel, t, k)` build it
+//! once, and a repeat sums straight from the slot without allocating.
+//! Wider windows skip the slot. The slot is a cache: clones start without
+//! it, equality and snapshots ignore it, and a retired cohort drops it.
 
 use longsynth::Release;
 use longsynth_data::{BitColumn, LongitudinalDataset};
@@ -97,6 +107,7 @@ use longsynth_queries::{window_histogram, WindowQuery};
 use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::query::{QueryKind, ServeQuery};
 
@@ -238,11 +249,52 @@ impl fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// A synthetic panel that grows by appending released columns, with the
-/// running threshold counts of its rounds. The record count is pinned by
-/// the first column; callers validate later appends.
+/// running threshold counts of its rounds and its last window histogram.
+/// The record count is pinned by the first column; callers validate later
+/// appends.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct GrowingPanel {
     stored: Option<(LongitudinalDataset, ThresholdCounter)>,
+    memo: HistogramMemo,
+}
+
+/// The widest window a panel memoises: `2^6` bins, the word-sliced
+/// histogram kernel's limit, so the slot holds at most 512 bytes of
+/// counts. Wider histograms are built on every read.
+const MEMO_MAX_WIDTH: usize = 6;
+
+/// One slot holding a panel's last window histogram, keyed by its local
+/// round and width. Released columns are never rewritten, so a memoised
+/// histogram never goes stale. A clone starts empty, and equality ignores
+/// the slot: it is a cache, not content.
+#[derive(Default)]
+struct HistogramMemo(Mutex<Option<(usize, usize, Vec<u64>)>>);
+
+impl HistogramMemo {
+    /// The slot. A panic while it was held cannot leave it half written
+    /// (it is only compared, read or replaced whole), so a poisoned lock
+    /// is recovered.
+    fn slot(&self) -> MutexGuard<'_, Option<(usize, usize, Vec<u64>)>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for HistogramMemo {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl PartialEq for HistogramMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for HistogramMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("HistogramMemo")
+    }
 }
 
 impl GrowingPanel {
@@ -265,6 +317,30 @@ impl GrowingPanel {
         if let Some((_, thresholds)) = &mut self.stored {
             thresholds.retire();
         }
+        self.memo = HistogramMemo::default();
+    }
+
+    /// Adds the width-`k` window histogram of local round `t` into `sum`
+    /// (`2^k` bins). Up to [`MEMO_MAX_WIDTH`] the histogram goes through
+    /// the memo: a repeat of the last `(t, k)` sums straight from the slot
+    /// under its lock, and any other is built outside the lock and then
+    /// replaces it.
+    fn add_window_histogram(&self, t: usize, k: usize, sum: &mut [u64]) {
+        let data = self.panel().expect("a panel read for a window has columns");
+        let add = |sum: &mut [u64], counts: &[u64]| {
+            sum.iter_mut().zip(counts).for_each(|(s, &c)| *s += c);
+        };
+        if k > MEMO_MAX_WIDTH {
+            return add(sum, &window_histogram(data, t, k));
+        }
+        let slot = self.memo.slot();
+        if let Some((_, _, counts)) = slot.as_ref().filter(|memo| (memo.0, memo.1) == (t, k)) {
+            return add(sum, counts);
+        }
+        drop(slot);
+        let counts = window_histogram(data, t, k);
+        add(sum, &counts);
+        *self.memo.slot() = Some((t, k, counts));
     }
 
     pub(crate) fn rounds(&self) -> usize {
@@ -779,7 +855,22 @@ impl ReleaseStore {
         if t + 1 < covered.start + width {
             return Err(ServeError::WindowUnderflow { round: t, width });
         }
-        let (mut histogram, mut count, mut records, mut observed) = (Vec::new(), 0, 0, false);
+        // Up to the memo width the summed histogram lives on the stack, so
+        // an answer whose histograms are all memoised allocates nothing.
+        // A cumulative answer zeroes none of it.
+        let (mut narrow, mut wide);
+        let histogram: &mut [u64] = match window {
+            None => &mut [],
+            Some(_) if width <= MEMO_MAX_WIDTH => {
+                narrow = [0u64; 1 << MEMO_MAX_WIDTH];
+                &mut narrow[..1 << width]
+            }
+            Some(_) => {
+                wide = vec![0; 1 << width];
+                &mut wide
+            }
+        };
+        let (mut count, mut records, mut observed) = (0, 0, false);
         for (panel, &entry) in panels.iter().zip(entries) {
             let (Some(entry), Some((data, thresholds))) = (entry, panel.stored()) else {
                 continue;
@@ -790,15 +881,7 @@ impl ReleaseStore {
             observed = true;
             records += data.individuals();
             if window.is_some() {
-                let part = window_histogram(data, t - entry, width);
-                if histogram.is_empty() {
-                    histogram = part;
-                } else {
-                    histogram
-                        .iter_mut()
-                        .zip(part)
-                        .for_each(|(sum, c)| *sum += c);
-                }
+                panel.add_window_histogram(t - entry, width, histogram);
             } else {
                 count += thresholds.counts(t - entry).get(b).copied().unwrap_or(0);
             }
@@ -811,10 +894,7 @@ impl ReleaseStore {
             });
         }
         Ok(match window {
-            Some(query) => {
-                let histogram: Vec<f64> = histogram.iter().map(|&c| c as f64).collect();
-                query.evaluate_histogram(&histogram, records as f64)
-            }
+            Some(query) => query.evaluate_counts(histogram, records as f64),
             None => count as f64 / records as f64,
         })
     }
@@ -1469,5 +1549,67 @@ mod tests {
         }
         .to_string();
         assert!(msg.contains('7') && msg.contains('2'));
+    }
+
+    #[test]
+    fn panels_memoise_their_last_narrow_window_histogram() {
+        let mut store = ReleaseStore::new();
+        for r in 0..8 {
+            let (parts, merged) = two_cohort_round(&[r % 2 == 0, true], &[false, r % 3 == 0]);
+            store.ingest_columns(&parts, &merged).unwrap();
+        }
+        let memo = |store: &ReleaseStore, c: usize| {
+            let slot = store.cohorts[c].memo.slot();
+            slot.as_ref().map(|(t, k, counts)| (*t, *k, counts.len()))
+        };
+        let ask = |store: &ReleaseStore, scope, t, k| {
+            let query = WindowQuery::at_least_m_ones(k, 1);
+            let kind = QueryKind::Window { t, query };
+            store.answer(&ServeQuery { scope, kind }).unwrap()
+        };
+        assert_eq!(memo(&store, 0), None);
+        let merged = ask(&store, StoreScope::Merged, 5, 3);
+        assert_eq!(memo(&store, 0), Some((5, 3, 8)));
+        assert_eq!(memo(&store, 1), Some((5, 3, 8)));
+        assert_eq!(
+            ask(&store, StoreScope::Merged, 5, 3).to_bits(),
+            merged.to_bits()
+        );
+        // Past 64 bins the slot is bypassed, so it keeps the last narrow one.
+        ask(&store, StoreScope::Cohort(0), 7, 7);
+        assert_eq!(memo(&store, 0), Some((5, 3, 8)));
+        ask(&store, StoreScope::Cohort(0), 6, 2);
+        assert_eq!(memo(&store, 0), Some((6, 2, 4)));
+        // A clone starts empty, still compares equal and answers the same.
+        let clone = store.clone();
+        assert_eq!(memo(&clone, 0), None);
+        assert_eq!(clone, store);
+        assert_eq!(
+            ask(&clone, StoreScope::Merged, 5, 3).to_bits(),
+            merged.to_bits()
+        );
+        // A panic under the slot's lock poisons it; reads recover.
+        let panel = &store.cohorts[1];
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _slot = panel.memo.slot();
+                panic!("poison the histogram memo");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && panel.memo.0.is_poisoned());
+        assert_eq!(
+            ask(&store, StoreScope::Merged, 5, 3).to_bits(),
+            merged.to_bits()
+        );
+        assert_eq!(ask(&store, StoreScope::Merged, 4, 3).to_bits(), {
+            let panel = store.panel(StoreScope::Merged).unwrap();
+            WindowQuery::at_least_m_ones(3, 1)
+                .evaluate_true(&panel, 4)
+                .to_bits()
+        });
+        // Retiring a panel drops its slot.
+        store.cohorts[0].retire();
+        assert_eq!(memo(&store, 0), None);
     }
 }
