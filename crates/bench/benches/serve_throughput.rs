@@ -1,17 +1,20 @@
-//! Serving throughput: queries/sec from the release store, cold vs cached,
-//! and concurrent batch serving across pool sizes — the tracking
-//! instrument for the query-serving subsystem (`longsynth-serve`).
+//! Serving throughput: queries/sec from the release store, first reads
+//! against stored-statistic reads, and concurrent batch serving across
+//! pool sizes — the tracking instrument for the query-serving subsystem
+//! (`longsynth-serve`).
 //!
 //! Setup (once): a 4-shard cumulative engine run over a 50k x 12 panel,
 //! releases ingested into the store through the engine's sink. Benches:
 //!
-//! * `serve_cold/seq` — the full mixed query battery answered on an empty
-//!   cache (every answer computed from stored releases);
-//! * `serve_cached/seq` — the same battery on a warm cache (pure memo
-//!   hits; the ISSUE acceptance bar is >= 10x over cold);
+//! * `serve_first_read/seq` — the full mixed query battery answered on a
+//!   fresh copy of the store, so every window histogram is built on its
+//!   first read;
+//! * `serve_stored/seq` — the same battery once every histogram it reads
+//!   is stored (each answer sums stored counts);
 //! * `serve_batch/p{1,2,4,8}` — the battery as one concurrent
-//!   `answer_batch` on a `WorkerPool` of 1/2/4/8 workers, warm cache
-//!   (measures the serving front-end's dispatch overhead and scaling).
+//!   `answer_batch` on a `WorkerPool` of 1/2/4/8 workers, histograms
+//!   stored (measures the serving front-end's dispatch overhead and
+//!   scaling).
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use longsynth::{CumulativeConfig, CumulativeSynthesizer};
@@ -52,9 +55,9 @@ fn bench_serve_throughput(c: &mut Criterion) {
     let battery = mixed_battery(store.rounds(), store.cohorts(), 3, WINDOW);
     let elements = battery.len() as u64;
 
-    // Cold: a fresh (empty) cache every iteration, answers computed from
-    // the stored releases.
-    let mut group = c.benchmark_group("serve_cold");
+    // First reads: a fresh store every iteration, so every window
+    // histogram is built from the stored columns.
+    let mut group = c.benchmark_group("serve_first_read");
     group
         .sample_size(10)
         .throughput(Throughput::Elements(elements));
@@ -62,18 +65,19 @@ fn bench_serve_throughput(c: &mut Criterion) {
         b.iter_batched(
             || QueryService::from_store(store.clone()),
             |service| {
+                let mut acc = 0.0;
                 for query in &battery {
-                    service.answer(query).expect("answerable");
+                    acc += service.answer(query).expect("answerable");
                 }
-                service.cache_len()
+                acc
             },
             BatchSize::LargeInput,
         )
     });
     group.finish();
 
-    // Cached: same battery, warm cache — pure memo hits.
-    let mut group = c.benchmark_group("serve_cached");
+    // Stored: the same battery once every histogram it reads is stored.
+    let mut group = c.benchmark_group("serve_stored");
     group
         .sample_size(50)
         .throughput(Throughput::Elements(elements));

@@ -39,7 +39,7 @@ use longsynth_queries::cumulative::cumulative_fraction;
 use longsynth_queries::window::quarterly_battery;
 use longsynth_queries::{active_weighted_mean, AccuracyComparison, ErrorSummary, WindowQuery};
 use longsynth_serve::{
-    mixed_battery, EvictionPolicy, QueryKind, QueryService, ReleaseStore, ServeQuery, StoreScope,
+    mixed_battery, QueryKind, QueryService, ReleaseStore, ServeQuery, StoreScope,
 };
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -61,14 +61,14 @@ const USAGE: &str = "usage:
   longsynth-cli serve        --input PANEL.csv --rho R --shards S
                              [--algorithm fixed-window|cumulative] [--window K]
                              [--aggregation per-shard|shared|shared:P]
-                             [--panel static|rotating:W] [--eviction fifo|lru]
+                             [--panel static|rotating:W]
                              [--queries N] [--pool-threads P] [--snapshot OUT.json]
                              [--seed N] [--sipp] [--months T] [--beta B] [--max-b B]
                              [--metrics M.jsonl]
   longsynth-cli ingest       --rho R [--individuals N] [--rounds T] [--shards S]
                              [--window W:S] [--t0 MS] [--late-policy drop|grace:G]
                              [--queue-cap N] [--producers P] [--rate F]
-                             [--aggregation per-shard|shared|shared:P] [--eviction fifo|lru]
+                             [--aggregation per-shard|shared|shared:P]
                              [--queries N] [--pool-threads P] [--snapshot OUT.json]
                              [--max-b B] [--seed N] [--metrics M.jsonl]
   longsynth-cli stats        --metrics M.jsonl [--fail-on-late]
@@ -105,11 +105,10 @@ draw per round.
 
 `serve` is the engine run with the release store attached. It then drives
 a batch of concurrent window/cumulative queries against the stored releases
-through the shared worker pool — cold (empty cache) and cached — and
-reports queries/sec for both. --eviction picks the memo-cache eviction policy
-(fifo default, lru for skewed traffic). --snapshot additionally writes the
-store as JSON, restores it, and verifies the restored answers are
-bit-identical.
+through the shared worker pool twice — first reads, which build each window
+histogram the store keeps, then reads of the stored statistics — and reports
+queries/sec for both. --snapshot additionally writes the store as JSON,
+restores it, and verifies the restored answers are bit-identical.
 
 `ingest` runs the event-time pipeline end to end: a synthetic timestamped
 event stream (N individuals over T rounds at activity rate F, event times
@@ -124,7 +123,7 @@ docs/INGEST.md for the semantics.
 
 --metrics M.jsonl (engine, serve, and ingest) turns on the observability
 layer: round-phase latency histograms, worker-pool queue/latency/panic
-counters, serving cache and ingest counters, and the privacy-budget audit
+counters, serving ingest counters, and the privacy-budget audit
 ledger. At the end of the run the metrics and ledger events are written as
 JSONL to M and a Prometheus text dump to M with a .prom extension. `stats` reads such
 a JSONL file back and prints a summary (exits nonzero on malformed input);
@@ -142,12 +141,12 @@ fn accepted_flags(command: &str) -> &'static str {
              months beta max-b metrics"
         }
         "serve" => {
-            "input rho shards algorithm window aggregation panel eviction queries pool-threads \
-             snapshot seed sipp months beta max-b metrics"
+            "input rho shards algorithm window aggregation panel queries pool-threads snapshot \
+             seed sipp months beta max-b metrics"
         }
         "ingest" => {
             "rho individuals rounds shards window t0 late-policy queue-cap producers rate \
-             aggregation eviction queries pool-threads snapshot max-b seed metrics"
+             aggregation queries pool-threads snapshot max-b seed metrics"
         }
         "stats" => "metrics fail-on-late",
         "simulate" => "households months seed output",
@@ -254,7 +253,6 @@ struct RunSpec {
     policy: AggregationPolicy,
     /// `--panel rotating:W`'s wave count; `None` for a static panel.
     waves: Option<usize>,
-    eviction: EvictionPolicy,
     metrics: Option<String>,
     /// The SIPP loader's horizon hint.
     months: usize,
@@ -314,11 +312,6 @@ impl RunSpec {
             None => AggregationPolicy::PerShardNoise,
             Some(raw) => raw.parse().map_err(|e| format!("--aggregation: {e}"))?,
         };
-        let eviction = match flags.get("eviction").map(String::as_str) {
-            None | Some("fifo") => EvictionPolicy::Fifo,
-            Some("lru") => EvictionPolicy::Lru,
-            Some(other) => return Err(format!("--eviction must be fifo or lru, got {other:?}")),
-        };
         Ok(Self {
             rho,
             seed: get_parsed(flags, "seed", 42)?,
@@ -326,7 +319,6 @@ impl RunSpec {
             algorithm,
             policy,
             waves,
-            eviction,
             metrics: flags.get("metrics").cloned(),
             months: get_parsed(flags, "months", 12)?,
         })
@@ -583,10 +575,7 @@ impl Wiring {
     fn new(spec: &RunSpec, pool_threads: Option<usize>) -> Self {
         let registry = MetricsRegistry::new();
         let serving = pool_threads.map(|threads| {
-            let capacity = longsynth_serve::DEFAULT_CACHE_CAPACITY;
-            let store = ReleaseStore::new();
-            let service =
-                QueryService::with_cache_in_registry(store, capacity, spec.eviction, &registry);
+            let service = QueryService::with_registry(ReleaseStore::new(), &registry);
             (Arc::new(WorkerPool::new(threads.max(1))), service)
         });
         let metrics = spec.metrics.clone();
@@ -641,9 +630,9 @@ impl Wiring {
         Ok(engine)
     }
 
-    /// Drive the schedule's query battery over the stored releases cold
-    /// and cached, report throughput, and (optionally) verify a snapshot
-    /// round-trip.
+    /// Drive the schedule's query battery over the stored releases twice
+    /// (first reads, then stored statistics), report throughput, and
+    /// (optionally) verify a snapshot round-trip.
     fn serve_queries(
         &self,
         flags: &Flags,
@@ -668,31 +657,21 @@ impl Wiring {
             .cloned()
             .collect();
 
-        // Cold pass: every distinct query computed from the store. Cached
-        // pass: same batch, all hits.
+        // First pass: each window histogram is built on its first read and
+        // stored. Second pass: the same batch sums stored statistics.
         let run_batch = |label: &str| {
             let start = std::time::Instant::now();
             let answers = service.answer_batch(pool, batch.clone());
             let elapsed = start.elapsed();
             let failures = answers.iter().filter(|a| a.is_err()).count();
             let qps = batch.len() as f64 / elapsed.as_secs_f64();
-            let (hits, misses) = service.cache_stats();
             eprintln!(
-                "{label}: {} queries in {elapsed:?} ({qps:.0} queries/sec; \
-                 {hits} hits, {misses} misses, {failures} failures)",
+                "{label}: {} queries in {elapsed:?} ({qps:.0} queries/sec; {failures} failures)",
                 batch.len()
             );
-            qps
         };
-        service.clear_cache();
-        let cold_qps = run_batch("cold  ");
-        let cached_qps = run_batch("cached");
-        eprintln!(
-            "cache speedup: {:.1}x ({} distinct queries memoized, {} evictions)",
-            cached_qps / cold_qps,
-            service.cache_len(),
-            service.cache_evictions()
-        );
+        run_batch("first ");
+        run_batch("stored");
 
         if let Some(path) = flags.get("snapshot") {
             let json = service.snapshot_json();
@@ -1474,14 +1453,13 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("does not fit"), "{err}");
 
-        // Rotating serve run with LRU eviction and a v3 snapshot.
+        // Rotating serve run with a v4 snapshot.
         run_serve(&flags_of(&[
             ("input", panel.to_str().unwrap()),
             ("rho", "0.1"),
             ("shards", "1"),
             ("algorithm", "cumulative"),
             ("panel", "rotating:2"),
-            ("eviction", "lru"),
             ("queries", "150"),
             ("pool-threads", "2"),
             ("snapshot", snapshot.to_str().unwrap()),
@@ -1539,13 +1517,15 @@ mod tests {
             ]))
             .is_err());
         }
+        // `serve` has no --eviction flag.
         assert!(run_serve(&flags_of(&[
             ("input", panel.to_str().unwrap()),
             ("rho", "0.1"),
             ("shards", "1"),
             ("eviction", "random"),
         ]))
-        .is_err());
+        .unwrap_err()
+        .contains("does not accept --eviction"));
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1610,7 +1590,6 @@ mod tests {
             "engine_rounds_total",
             "pool_tasks_total",
             "pool_worker_panics",
-            "serve_cache_hits_total",
             "serve_ingest_rounds_total",
         ] {
             assert!(jsonl.contains(&format!("\"{name}\"")), "{name} missing");

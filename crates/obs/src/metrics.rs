@@ -16,9 +16,7 @@ pub const LATENCY_MS_BUCKETS: [f64; 15] = [
     0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0,
 ];
 
-/// A monotonically increasing counter (resettable only for cache-clear
-/// style lifecycle events, mirroring the pre-registry `AtomicU64`s it
-/// replaces).
+/// A monotonically increasing counter.
 #[derive(Clone, Debug)]
 pub struct Counter {
     value: Arc<AtomicU64>,
@@ -44,12 +42,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    /// Reset to zero. Exists so promoted cache counters keep their
-    /// historical `clear_cache` semantics; ordinary metrics never call it.
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
     }
 }
 
@@ -401,8 +393,6 @@ mod tests {
         assert_eq!(c.get(), 5);
         // Same name returns the same underlying counter.
         assert_eq!(reg.counter("requests_total").get(), 5);
-        c.reset();
-        assert_eq!(reg.counter("requests_total").get(), 0);
 
         let g = reg.gauge("queue_depth");
         g.inc();

@@ -18,9 +18,10 @@
 //!   above relies on.
 //! * [`query::QueryService`] — a cloneable, thread-safe front-end answering
 //!   the existing window/cumulative/pattern workloads (`longsynth-queries`)
-//!   straight from the store, with a **memoizing cache keyed by
-//!   `(query, round)`**. Append-only releases make every per-round answer
-//!   immutable once computed, so the cache never needs invalidation.
+//!   straight from the store: an answer is one store read. Append-only
+//!   releases fix every round's statistics once it is released, so the
+//!   store keeps them (threshold counts as columns arrive, window
+//!   histograms on their first read) and no answer cache sits in front.
 //!   Concurrent batches fan out on a `longsynth-pool` [`WorkerPool`] — the
 //!   same pool type (and, if the caller chooses, the same pool instance)
 //!   that drives the engine's shards.
@@ -50,15 +51,15 @@
 //!     engine.step(column).unwrap();
 //! }
 //!
-//! // Every released round is immediately queryable — twice, cheaply.
+//! // Every released round is immediately queryable, and a re-read is
+//! // bit-identical.
 //! let query = ServeQuery {
 //!     scope: StoreScope::Merged,
 //!     kind: QueryKind::CumulativeFraction { t: 5, b: 2 },
 //! };
-//! let cold = service.answer(&query).unwrap();
-//! let cached = service.answer(&query).unwrap();
-//! assert_eq!(cold, cached);
-//! assert_eq!(service.cache_stats(), (1, 1)); // one hit, one miss
+//! let first = service.answer(&query).unwrap();
+//! let again = service.answer(&query).unwrap();
+//! assert_eq!(first.to_bits(), again.to_bits());
 //! ```
 
 #![warn(missing_docs)]
@@ -69,9 +70,7 @@ pub mod query;
 pub mod snapshot;
 pub mod store;
 
-pub use query::{
-    mixed_battery, EvictionPolicy, QueryKind, QueryService, ServeQuery, DEFAULT_CACHE_CAPACITY,
-};
+pub use query::{mixed_battery, QueryKind, QueryService, ServeQuery};
 pub use store::{ReleaseStore, ServeError, StoreScope};
 
 // Re-exported so sinks and stores can be policy-tagged without a direct

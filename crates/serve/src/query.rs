@@ -1,44 +1,23 @@
-//! The serving front-end: [`ServeQuery`] requests, the memoizing
-//! [`QueryService`], and its engine-facing sinks.
+//! The serving front-end: [`ServeQuery`] requests, the [`QueryService`],
+//! and its engine-facing sinks.
 //!
-//! ## Why memoization is sound
+//! ## One answer path
 //!
 //! The store is append-only and every query names the round it reads
-//! (`t`): once round `t` is released, the window/cumulative statistics of
-//! rounds `0..=t` are frozen forever. So `(query, round)` answers are
-//! immutable, the cache never needs invalidation, and a cache hit is
-//! bit-identical to recomputation — the property the
-//! `serve_throughput` bench and the snapshot tests pin down.
-//!
-//! ## Cache keys
-//!
-//! [`WindowQuery`] carries `f64` weights, which are not `Hash`/`Eq`; the
-//! cache keys them by their exact IEEE-754 bit patterns
-//! (`f64::to_bits`), so two queries share an entry iff they are
-//! bit-identical — never merely "close".
-//!
-//! ## Cache bounds
-//!
-//! The memo cache is **bounded**: at most
-//! [`cache_capacity`](QueryService::cache_capacity) entries live at once
-//! (default [`DEFAULT_CACHE_CAPACITY`], generous — a front-end serving
-//! adversarially varied window weights can no longer grow it without
-//! limit). Eviction is pluggable ([`EvictionPolicy`]): insertion-order
-//! FIFO by default — entries are immutable and equally cheap to
-//! recompute, so the simplest policy that bounds memory wins — with LRU
-//! available for skewed traffic whose working set outlives the insertion
-//! churn. Hits, misses, and evictions are counted under both.
+//! (`t`): once round `t` is released, the window and cumulative statistics
+//! of rounds `0..=t` are fixed. The store keeps them as it goes, threshold
+//! counts as columns arrive and window histograms on their first read, so
+//! [`QueryService::answer`] is one store read under the store's read lock,
+//! with no answer cache in front of it. A re-read sums the same stored
+//! integers as the first read, so it is bit-identical by construction,
+//! and no cache bound needs tuning however far back reads reach.
 //!
 //! ## Metrics
 //!
-//! Every service owns (or shares —
-//! [`QueryService::with_cache_in_registry`]) a
-//! [`MetricsRegistry`] carrying
-//! `serve_cache_{hits,misses,evictions}_total`,
-//! `serve_ingest_{rounds,records}_total` (fed by the engine-facing
-//! sinks), and the `serve_snapshot_bytes` gauge (last snapshot
-//! rendered). [`cache_stats`](QueryService::cache_stats) and friends
-//! read the same counters, so the two views can never disagree.
+//! Every service reports into a [`MetricsRegistry`], its own or one shared
+//! with the engine and the pool ([`QueryService::with_registry`]):
+//! `serve_ingest_{rounds,records}_total` (fed by the engine-facing sinks)
+//! and the `serve_snapshot_bytes` gauge (last snapshot rendered).
 
 use longsynth::Release;
 use longsynth_data::BitColumn;
@@ -46,14 +25,9 @@ use longsynth_engine::{PolicyTag, ReleaseSink};
 use longsynth_obs::{Counter, Gauge, MetricsRegistry};
 use longsynth_pool::WorkerPool;
 use longsynth_queries::{Pattern, WindowQuery};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 use crate::store::{ReleaseStore, ServeError, StoreScope};
-
-/// Default bound on memoized answers — generous (a key plus one `f64`
-/// each), but finite.
-pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
 
 /// What a consumer can ask of the serving layer, against one scope.
 #[derive(Debug, Clone)]
@@ -76,7 +50,7 @@ pub enum QueryKind {
         query: WindowQuery,
     },
     /// Single-pattern indicator at round `t` — sugar for the corresponding
-    /// [`WindowQuery::pattern`], with a cheaper cache key.
+    /// [`WindowQuery::pattern`].
     Pattern {
         /// Round to evaluate at.
         t: usize,
@@ -141,243 +115,20 @@ pub fn mixed_battery(
     queries
 }
 
-/// The memoization key: scope + round + the query's exact identity.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum KeyKind {
-    Window {
-        t: usize,
-        width: usize,
-        weight_bits: Vec<u64>,
-    },
-    Pattern {
-        t: usize,
-        code: u32,
-        width: usize,
-    },
-    Cumulative {
-        t: usize,
-        b: usize,
-    },
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct QueryKey {
-    scope: StoreScope,
-    kind: KeyKind,
-}
-
-impl QueryKey {
-    fn of(query: &ServeQuery) -> Self {
-        let kind = match &query.kind {
-            QueryKind::Window { t, query } => KeyKind::Window {
-                t: *t,
-                width: query.width(),
-                weight_bits: query.weights().iter().map(|w| w.to_bits()).collect(),
-            },
-            QueryKind::Pattern { t, pattern } => KeyKind::Pattern {
-                t: *t,
-                code: pattern.code(),
-                width: pattern.width(),
-            },
-            QueryKind::CumulativeFraction { t, b } => KeyKind::Cumulative { t: *t, b: *b },
-        };
-        Self {
-            scope: query.scope,
-            kind,
-        }
-    }
-}
-
-/// How the memo cache picks a victim once it is full.
-///
-/// FIFO stays the default: entries are immutable and equally cheap to
-/// recompute, so insertion-order eviction is the simplest bound. LRU is
-/// the ROADMAP's "smarter eviction" option for skewed read traffic — a
-/// hot query that keeps being hit is never the victim, so a working set
-/// larger than the insertion churn survives. Both run on the same
-/// linked-list structure; the only difference is whether a cache **hit**
-/// refreshes the entry's position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Evict in insertion order; hits do not reorder (the default).
-    #[default]
-    Fifo,
-    /// Evict the least-recently-used entry; hits move entries to the back.
-    Lru,
-}
-
-impl std::fmt::Display for EvictionPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EvictionPolicy::Fifo => write!(f, "fifo"),
-            EvictionPolicy::Lru => write!(f, "lru"),
-        }
-    }
-}
-
-/// Sentinel index for the intrusive list.
-const NIL: usize = usize::MAX;
-
-struct CacheEntry {
-    key: QueryKey,
-    value: f64,
-    prev: usize,
-    next: usize,
-}
-
-/// The bounded memo map plus its eviction order, kept as an intrusive
-/// doubly-linked list over a slab so both FIFO and LRU run in O(1):
-/// front = next victim, back = most recently inserted (FIFO) or used
-/// (LRU). Every map entry owns exactly one slab slot.
-struct BoundedCache {
-    map: HashMap<QueryKey, usize>,
-    entries: Vec<Option<CacheEntry>>,
-    free: Vec<usize>,
-    head: usize,
-    tail: usize,
-    capacity: usize,
-    policy: EvictionPolicy,
-}
-
-impl BoundedCache {
-    fn new(capacity: usize, policy: EvictionPolicy) -> Self {
-        Self {
-            map: HashMap::new(),
-            entries: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            capacity,
-            policy,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn unlink(&mut self, index: usize) {
-        let (prev, next) = {
-            let entry = self.entries[index].as_ref().expect("linked entry exists");
-            (entry.prev, entry.next)
-        };
-        match prev {
-            NIL => self.head = next,
-            p => self.entries[p].as_mut().expect("prev exists").next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.entries[n].as_mut().expect("next exists").prev = prev,
-        }
-    }
-
-    fn push_back(&mut self, index: usize) {
-        {
-            let entry = self.entries[index].as_mut().expect("entry exists");
-            entry.prev = self.tail;
-            entry.next = NIL;
-        }
-        match self.tail {
-            NIL => self.head = index,
-            t => self.entries[t].as_mut().expect("tail exists").next = index,
-        }
-        self.tail = index;
-    }
-
-    /// Look up an answer; under LRU a hit refreshes the entry's position.
-    fn get(&mut self, key: &QueryKey) -> Option<f64> {
-        let &index = self.map.get(key)?;
-        let value = self.entries[index].as_ref().expect("mapped entry").value;
-        if self.policy == EvictionPolicy::Lru {
-            self.unlink(index);
-            self.push_back(index);
-        }
-        Some(value)
-    }
-
-    /// Insert a fresh answer, evicting victims past the capacity; returns
-    /// how many entries were evicted.
-    fn insert(&mut self, key: QueryKey, value: f64) -> u64 {
-        if self.capacity == 0 {
-            return 0;
-        }
-        if let Some(&index) = self.map.get(&key) {
-            // Re-insert of a live key (two batch jobs racing to compute
-            // the same immutable answer): refresh the value; LRU also
-            // refreshes recency, FIFO keeps the original position.
-            self.entries[index].as_mut().expect("mapped entry").value = value;
-            if self.policy == EvictionPolicy::Lru {
-                self.unlink(index);
-                self.push_back(index);
-            }
-            return 0;
-        }
-        let index = match self.free.pop() {
-            Some(slot) => {
-                self.entries[slot] = Some(CacheEntry {
-                    key: key.clone(),
-                    value,
-                    prev: NIL,
-                    next: NIL,
-                });
-                slot
-            }
-            None => {
-                self.entries.push(Some(CacheEntry {
-                    key: key.clone(),
-                    value,
-                    prev: NIL,
-                    next: NIL,
-                }));
-                self.entries.len() - 1
-            }
-        };
-        self.map.insert(key, index);
-        self.push_back(index);
-        let mut evicted = 0;
-        while self.map.len() > self.capacity {
-            let victim = self.head;
-            debug_assert_ne!(victim, NIL, "non-empty cache has a head");
-            self.unlink(victim);
-            let entry = self.entries[victim].take().expect("victim exists");
-            self.map.remove(&entry.key);
-            self.free.push(victim);
-            evicted += 1;
-        }
-        evicted
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.entries.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-}
-
 struct ServiceInner {
     store: RwLock<ReleaseStore>,
-    cache: Mutex<BoundedCache>,
     registry: MetricsRegistry,
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
     ingest_rounds: Counter,
     ingest_records: Counter,
     snapshot_bytes: Gauge,
 }
 
-/// The cloneable, thread-safe serving front-end.
+/// The cloneable, thread-safe serving front-end: the store behind its
+/// lock, the engine-facing sinks and the snapshots.
 ///
-/// Clones share one store and one cache (`Arc` inside), so an engine can
-/// ingest through a sink handle while consumers answer queries through
-/// other clones — including concurrently from pool workers.
-///
-/// The memo cache holds at most
-/// [`cache_capacity`](Self::cache_capacity) entries (FIFO eviction; see
-/// the module docs). Construct with
-/// [`with_cache_capacity`](Self::with_cache_capacity) to tune the bound.
+/// Clones share one store (`Arc` inside), so an engine can ingest through
+/// a sink handle while consumers answer queries through other clones —
+/// including concurrently from pool workers.
 #[derive(Clone)]
 pub struct QueryService {
     inner: Arc<ServiceInner>,
@@ -396,43 +147,20 @@ impl QueryService {
     }
 
     /// A service over an existing store (e.g. restored from a snapshot),
-    /// at the default cache capacity.
-    pub fn from_store(store: ReleaseStore) -> Self {
-        Self::with_cache_capacity(store, DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// A service whose memo cache holds at most `capacity` entries
-    /// (0 disables memoization entirely — every answer recomputes), under
-    /// the default FIFO eviction.
-    pub fn with_cache_capacity(store: ReleaseStore, capacity: usize) -> Self {
-        Self::with_cache(store, capacity, EvictionPolicy::Fifo)
-    }
-
-    /// A service with an explicit cache bound *and* [`EvictionPolicy`],
     /// reporting into its own private [`MetricsRegistry`].
-    pub fn with_cache(store: ReleaseStore, capacity: usize, policy: EvictionPolicy) -> Self {
-        Self::with_cache_in_registry(store, capacity, policy, &MetricsRegistry::new())
+    pub fn from_store(store: ReleaseStore) -> Self {
+        Self::with_registry(store, &MetricsRegistry::new())
     }
 
-    /// As [`with_cache`](Self::with_cache), but registering the serving
-    /// metrics (`serve_cache_*_total`, `serve_ingest_*_total`,
-    /// `serve_snapshot_bytes`) in a caller-provided shared registry — so
+    /// A service registering the serving metrics (`serve_ingest_*_total`,
+    /// `serve_snapshot_bytes`) in a caller-provided shared registry, so
     /// one exporter dump covers the engine, the pool, and the serving
     /// layer together.
-    pub fn with_cache_in_registry(
-        store: ReleaseStore,
-        capacity: usize,
-        policy: EvictionPolicy,
-        registry: &MetricsRegistry,
-    ) -> Self {
+    pub fn with_registry(store: ReleaseStore, registry: &MetricsRegistry) -> Self {
         Self {
             inner: Arc::new(ServiceInner {
                 store: RwLock::new(store),
-                cache: Mutex::new(BoundedCache::new(capacity, policy)),
                 registry: registry.clone(),
-                hits: registry.counter("serve_cache_hits_total"),
-                misses: registry.counter("serve_cache_misses_total"),
-                evictions: registry.counter("serve_cache_evictions_total"),
                 ingest_rounds: registry.counter("serve_ingest_rounds_total"),
                 ingest_records: registry.counter("serve_ingest_records_total"),
                 snapshot_bytes: registry.gauge("serve_snapshot_bytes"),
@@ -445,48 +173,17 @@ impl QueryService {
         &self.inner.registry
     }
 
-    /// Answer one query, consulting the memoizing cache first.
-    ///
-    /// Errors (round not yet released, unknown cohort, …) are **not**
-    /// cached: a continual release may make the same query answerable one
-    /// round later.
+    /// Answer one query: [`ReleaseStore::answer`] under the store's read
+    /// lock.
     pub fn answer(&self, query: &ServeQuery) -> Result<f64, ServeError> {
-        let key = QueryKey::of(query);
-        if let Some(value) = self
-            .inner
-            .cache
-            .lock()
-            .expect("cache lock never poisoned")
-            .get(&key)
-        {
-            self.inner.hits.inc();
-            return Ok(value);
-        }
-        let value = self
-            .inner
-            .store
-            .read()
-            .expect("store lock never poisoned")
-            .answer(query)?;
-        self.inner.misses.inc();
-        let evicted = self
-            .inner
-            .cache
-            .lock()
-            .expect("cache lock never poisoned")
-            .insert(key, value);
-        if evicted > 0 {
-            self.inner.evictions.add(evicted);
-        }
-        Ok(value)
+        self.with_store(|store| store.answer(query))
     }
 
     /// Answer a batch of queries concurrently on `pool`, preserving order.
     ///
-    /// Each job is a service clone answering one query, so batch traffic
-    /// shares the cache: duplicates inside one batch may race to compute
-    /// the same entry (both write the identical immutable value — benign),
-    /// and later batches hit outright.
+    /// Each job is a service clone answering one query. Duplicates inside
+    /// one batch may race to build the same window histogram; both store
+    /// the identical counts, so the race is benign.
     pub fn answer_batch(
         &self,
         pool: &WorkerPool,
@@ -498,59 +195,11 @@ impl QueryService {
         }))
     }
 
-    /// `(hits, misses)` since construction (restores start at zero).
-    /// Reads the same `serve_cache_*_total` registry counters the
-    /// exporters dump.
+    /// Always `(0, 0)`: an answer is one store read, with no answer cache
+    /// to hit or miss. Kept so callers that split answer timings into hits
+    /// and misses still build; every answer counts as a miss.
     pub fn cache_stats(&self) -> (u64, u64) {
-        (self.inner.hits.get(), self.inner.misses.get())
-    }
-
-    /// Entries evicted to keep the cache under its capacity, since
-    /// construction or the last [`clear_cache`](Self::clear_cache) (the
-    /// hit/miss counters reset on the same events).
-    pub fn cache_evictions(&self) -> u64 {
-        self.inner.evictions.get()
-    }
-
-    /// The configured bound on memoized answers.
-    pub fn cache_capacity(&self) -> usize {
-        self.inner
-            .cache
-            .lock()
-            .expect("cache lock never poisoned")
-            .capacity
-    }
-
-    /// The configured eviction policy.
-    pub fn eviction_policy(&self) -> EvictionPolicy {
-        self.inner
-            .cache
-            .lock()
-            .expect("cache lock never poisoned")
-            .policy
-    }
-
-    /// Number of memoized answers (always ≤
-    /// [`cache_capacity`](Self::cache_capacity)).
-    pub fn cache_len(&self) -> usize {
-        self.inner
-            .cache
-            .lock()
-            .expect("cache lock never poisoned")
-            .len()
-    }
-
-    /// Drop every memoized answer (the `serve_throughput` bench uses this
-    /// to measure cold serving on a warm store).
-    pub fn clear_cache(&self) {
-        self.inner
-            .cache
-            .lock()
-            .expect("cache lock never poisoned")
-            .clear();
-        self.inner.hits.reset();
-        self.inner.misses.reset();
-        self.inner.evictions.reset();
+        (0, 0)
     }
 
     /// Record a rendered snapshot's size in the `serve_snapshot_bytes`
@@ -633,11 +282,7 @@ impl QueryService {
         Box::new(
             move |_round: usize, per_shard: &[Release], merged: &Release, policy: PolicyTag| {
                 service
-                    .inner
-                    .store
-                    .write()
-                    .expect("store lock never poisoned")
-                    .ingest_releases_with(policy, per_shard, merged)
+                    .with_store_mut(|store| store.ingest_releases_with(policy, per_shard, merged))
                     .expect("engine rounds always match the store shape");
                 let records = match merged {
                     Release::Buffered => 0,
@@ -659,15 +304,8 @@ impl QueryService {
 
 impl std::fmt::Debug for QueryService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let store = self.inner.store.read().expect("store lock never poisoned");
-        let (hits, misses) = self.cache_stats();
-        write!(
-            f,
-            "QueryService[rounds={}, cohorts={}, cached={}, hits={hits}, misses={misses}]",
-            store.rounds(),
-            store.cohorts(),
-            self.cache_len(),
-        )
+        let (rounds, cohorts) = self.with_store(|store| (store.rounds(), store.cohorts()));
+        write!(f, "QueryService[rounds={rounds}, cohorts={cohorts}]")
     }
 }
 
@@ -726,49 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_return_identical_answers() {
-        let service = QueryService::from_store(store_with_rounds(5));
-        let q = cumulative(4, 2);
-        let cold = service.answer(&q).unwrap();
-        let warm = service.answer(&q).unwrap();
-        assert_eq!(cold.to_bits(), warm.to_bits());
-        assert_eq!(service.cache_stats(), (1, 1));
-        assert_eq!(service.cache_len(), 1);
-        service.clear_cache();
-        assert_eq!(service.cache_stats(), (0, 0));
-        assert_eq!(service.cache_len(), 0);
-    }
-
-    #[test]
-    fn distinct_rounds_and_scopes_get_distinct_entries() {
-        let service = QueryService::from_store(store_with_rounds(4));
-        service.answer(&cumulative(1, 1)).unwrap();
-        service.answer(&cumulative(2, 1)).unwrap();
-        let mut cohort_query = cumulative(1, 1);
-        cohort_query.scope = StoreScope::Cohort(0);
-        service.answer(&cohort_query).unwrap();
-        assert_eq!(service.cache_len(), 3);
-        assert_eq!(service.cache_stats(), (0, 3));
-    }
-
-    #[test]
-    fn window_queries_key_by_exact_weights() {
-        let service = QueryService::from_store(store_with_rounds(4));
-        let ask = |query: WindowQuery| {
-            service
-                .answer(&ServeQuery {
-                    scope: StoreScope::Merged,
-                    kind: QueryKind::Window { t: 3, query },
-                })
-                .unwrap()
-        };
-        ask(WindowQuery::at_least_m_ones(2, 1));
-        ask(WindowQuery::at_least_m_ones(2, 1)); // same weights: hit
-        ask(WindowQuery::at_least_m_ones(2, 2)); // different weights: miss
-        assert_eq!(service.cache_stats(), (1, 2));
-    }
-
-    #[test]
     fn errors_are_not_cached_so_later_rounds_can_answer() {
         let service = QueryService::from_store(store_with_rounds(1));
         let q = cumulative(1, 1);
@@ -792,178 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_bound_holds_under_churn() {
-        let service = QueryService::with_cache_capacity(store_with_rounds(8), 5);
-        assert_eq!(service.cache_capacity(), 5);
-        // 8 rounds × 2 thresholds = 16 distinct queries through a
-        // 5-entry cache.
-        let queries: Vec<ServeQuery> = (0..8)
-            .flat_map(|t| (1..=2).map(move |b| cumulative(t, b)))
-            .collect();
-        for query in &queries {
-            service.answer(query).unwrap();
-            assert!(service.cache_len() <= 5, "bound violated");
-        }
-        assert_eq!(service.cache_len(), 5);
-        assert_eq!(service.cache_evictions(), 16 - 5);
-        assert_eq!(service.cache_stats(), (0, 16));
-        // The five most recent entries are live (hits); the oldest were
-        // evicted and recompute as misses.
-        for query in &queries[16 - 5..] {
-            service.answer(query).unwrap();
-        }
-        assert_eq!(service.cache_stats(), (5, 16));
-        service.answer(&queries[0]).unwrap();
-        assert_eq!(service.cache_stats(), (5, 17));
-        assert!(service.cache_len() <= 5);
-        // Answers remain bit-identical across eviction and recompute.
-        let direct = QueryService::from_store(store_with_rounds(8));
-        for query in &queries {
-            assert_eq!(
-                service.answer(query).unwrap().to_bits(),
-                direct.answer(query).unwrap().to_bits()
-            );
-        }
-        service.clear_cache();
-        assert_eq!(service.cache_evictions(), 0);
-        assert_eq!(service.cache_len(), 0);
-    }
-
-    #[test]
-    fn lru_eviction_keeps_the_hot_working_set() {
-        let service = QueryService::with_cache(store_with_rounds(8), 3, EvictionPolicy::Lru);
-        assert_eq!(service.eviction_policy(), EvictionPolicy::Lru);
-        let hot = cumulative(0, 1);
-        service.answer(&hot).unwrap(); // cache: [hot]
-        service.answer(&cumulative(1, 1)).unwrap(); // [hot, 1]
-        service.answer(&cumulative(2, 1)).unwrap(); // [hot, 1, 2]
-                                                    // Touch the hot entry, then overflow: the LRU victims are the
-                                                    // untouched entries, never the hot one.
-        service.answer(&hot).unwrap(); // [1, 2, hot]
-        service.answer(&cumulative(3, 1)).unwrap(); // evicts 1
-        service.answer(&cumulative(4, 1)).unwrap(); // evicts 2
-        assert_eq!(service.cache_evictions(), 2);
-        let (hits_before, _) = service.cache_stats();
-        service.answer(&hot).unwrap(); // still resident: a hit
-        let (hits_after, misses) = service.cache_stats();
-        assert_eq!(hits_after, hits_before + 1);
-        // Under FIFO the same traffic evicts the hot entry (insertion
-        // order ignores the touch), so it recomputes as a miss.
-        let fifo = QueryService::with_cache(store_with_rounds(8), 3, EvictionPolicy::Fifo);
-        for query in [&hot, &cumulative(1, 1), &cumulative(2, 1)] {
-            fifo.answer(query).unwrap();
-        }
-        fifo.answer(&hot).unwrap(); // hit, but position unchanged
-        fifo.answer(&cumulative(3, 1)).unwrap(); // evicts hot
-        let (_, fifo_misses_before) = fifo.cache_stats();
-        fifo.answer(&hot).unwrap();
-        let (_, fifo_misses_after) = fifo.cache_stats();
-        assert_eq!(
-            fifo_misses_after,
-            fifo_misses_before + 1,
-            "FIFO evicted the hot entry"
-        );
-        // Answers stay bit-identical across either policy's evictions.
-        let direct = QueryService::from_store(store_with_rounds(8));
-        for t in 0..8 {
-            assert_eq!(
-                service.answer(&cumulative(t, 1)).unwrap().to_bits(),
-                direct.answer(&cumulative(t, 1)).unwrap().to_bits()
-            );
-        }
-        let _ = misses;
-    }
-
-    #[test]
-    fn default_policy_is_fifo() {
-        let service = QueryService::new();
-        assert_eq!(service.eviction_policy(), EvictionPolicy::Fifo);
-        assert_eq!(EvictionPolicy::Lru.to_string(), "lru");
-        assert_eq!(EvictionPolicy::Fifo.to_string(), "fifo");
-    }
-
-    #[test]
-    fn zero_capacity_disables_memoization() {
-        // Both eviction policies: capacity 0 must mean "never insert" —
-        // not "insert then immediately evict the entry just added" — with
-        // all three counters staying consistent.
-        for policy in [EvictionPolicy::Fifo, EvictionPolicy::Lru] {
-            let registry = MetricsRegistry::new();
-            let service =
-                QueryService::with_cache_in_registry(store_with_rounds(3), 0, policy, &registry);
-            let q = cumulative(2, 1);
-            service.answer(&q).unwrap();
-            service.answer(&q).unwrap();
-            assert_eq!(service.cache_len(), 0, "{policy}");
-            assert_eq!(service.cache_stats(), (0, 2), "{policy}");
-            assert_eq!(service.cache_evictions(), 0, "{policy}");
-            // The shared registry exports the identical values.
-            assert_eq!(counter(&registry, "serve_cache_hits_total"), 0, "{policy}");
-            assert_eq!(
-                counter(&registry, "serve_cache_misses_total"),
-                2,
-                "{policy}"
-            );
-            assert_eq!(
-                counter(&registry, "serve_cache_evictions_total"),
-                0,
-                "{policy}"
-            );
-        }
-    }
-
-    /// Capacity 1 is the tightest real cache: the entry just inserted
-    /// must be the survivor (the *previous* resident is the victim), under
-    /// both eviction policies, with hit/miss/eviction counters exact.
-    #[test]
-    fn capacity_one_keeps_the_newest_entry() {
-        for policy in [EvictionPolicy::Fifo, EvictionPolicy::Lru] {
-            let registry = MetricsRegistry::new();
-            let service =
-                QueryService::with_cache_in_registry(store_with_rounds(4), 1, policy, &registry);
-            let a = cumulative(0, 1);
-            let b = cumulative(1, 1);
-            service.answer(&a).unwrap(); // miss, cache: [a]
-            service.answer(&a).unwrap(); // hit
-            assert_eq!(service.cache_stats(), (1, 1), "{policy}");
-            service.answer(&b).unwrap(); // miss, evicts a, cache: [b]
-            assert_eq!(service.cache_len(), 1, "{policy}");
-            assert_eq!(service.cache_evictions(), 1, "{policy}");
-            // The just-inserted entry is resident (insert-then-evict of
-            // the new entry would make this a miss).
-            service.answer(&b).unwrap();
-            assert_eq!(service.cache_stats(), (2, 2), "{policy}");
-            // The victim was the older entry.
-            service.answer(&a).unwrap(); // miss again, evicts b
-            assert_eq!(service.cache_stats(), (2, 3), "{policy}");
-            assert_eq!(service.cache_evictions(), 2, "{policy}");
-            assert_eq!(service.cache_len(), 1, "{policy}");
-            // Re-inserting a live key at capacity 1 must not evict it.
-            service.answer(&a).unwrap();
-            assert_eq!(service.cache_stats(), (3, 3), "{policy}");
-            assert_eq!(service.cache_evictions(), 2, "{policy}");
-            // Pinned registry values match the accessor views exactly.
-            assert_eq!(counter(&registry, "serve_cache_hits_total"), 3, "{policy}");
-            assert_eq!(
-                counter(&registry, "serve_cache_misses_total"),
-                3,
-                "{policy}"
-            );
-            assert_eq!(
-                counter(&registry, "serve_cache_evictions_total"),
-                2,
-                "{policy}"
-            );
-        }
-    }
-
-    #[test]
-    fn default_capacity_is_generous() {
-        let service = QueryService::new();
-        assert_eq!(service.cache_capacity(), DEFAULT_CACHE_CAPACITY);
-    }
-
-    #[test]
     fn batches_fan_out_and_preserve_order() {
         let service = QueryService::from_store(store_with_rounds(6));
         let pool = WorkerPool::new(4);
@@ -974,10 +397,6 @@ mod tests {
         for (got, want) in batch.into_iter().zip(sequential) {
             assert_eq!(got.unwrap().to_bits(), want.to_bits());
         }
-        // The second (sequential) pass was pure hits.
-        let (hits, misses) = service.cache_stats();
-        assert_eq!(misses, 6);
-        assert_eq!(hits, 6);
     }
 
     #[test]

@@ -538,8 +538,9 @@ pub fn apply_delta_json(store: &mut ReleaseStore, json: &str) -> Result<(), Serv
 
 impl crate::QueryService {
     /// Snapshot the underlying store as JSON (read lock held briefly; the
-    /// cache is derived data and deliberately not serialized). The
-    /// rendered size lands in the `serve_snapshot_bytes` gauge.
+    /// stored statistics are derived data and deliberately not
+    /// serialized). The rendered size lands in the `serve_snapshot_bytes`
+    /// gauge.
     pub fn snapshot_json(&self) -> String {
         let json = self.with_store(snapshot_json);
         self.note_snapshot_bytes(json.len());
@@ -557,14 +558,14 @@ impl crate::QueryService {
     }
 
     /// Apply an incremental snapshot to the underlying store (write lock
-    /// held for the call). Sound with a warm cache: the store is
-    /// append-only, so every memoized `(query, round)` answer stays valid.
+    /// held for the call). Sound with histograms already stored: the store
+    /// is append-only, so every stored statistic stays valid.
     pub fn apply_delta_json(&self, json: &str) -> Result<(), ServeError> {
         self.with_store_mut(|store| apply_delta_json(store, json))
     }
 
-    /// A fresh service over a store restored from `json` (empty cache —
-    /// answers refill it and are bit-identical by construction).
+    /// A fresh service over a store restored from `json` (no histograms
+    /// stored yet — reads rebuild them, bit-identical by construction).
     pub fn restore_json(json: &str) -> Result<Self, ServeError> {
         Ok(Self::from_store(restore_json(json)?))
     }
@@ -1041,8 +1042,6 @@ mod tests {
         let restored = QueryService::restore_json(&service.snapshot_json()).unwrap();
         let after = restored.answer(&query).unwrap();
         assert_eq!(before.to_bits(), after.to_bits());
-        // Restored cache starts cold.
-        assert_eq!(restored.cache_stats(), (0, 1));
     }
 
     #[test]
@@ -1054,7 +1053,7 @@ mod tests {
             scope: StoreScope::Merged,
             kind: QueryKind::CumulativeFraction { t, b: 1 },
         };
-        // Warm the cache on the base rounds.
+        // Read a base round before the delta lands.
         let warm = base.answer(&query(2)).unwrap();
         // Round 4 is not answerable yet.
         assert!(base.answer(&query(4)).is_err());

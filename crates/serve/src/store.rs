@@ -5,8 +5,9 @@
 //! merged population-level release where the cohorts do not already hold
 //! it. Panels grow strictly by appending columns — released prefixes are
 //! never rewritten, mirroring the persistent-record guarantee of the
-//! synthesizers themselves. That immutability is what makes the serving
-//! cache sound and the snapshot format trivial.
+//! synthesizers themselves. That immutability is what lets the store keep
+//! each released round's statistics once, and keeps the snapshot format
+//! trivial.
 //!
 //! Ingestion accepts the two release shapes the engine produces:
 //! [`BitColumn`] rounds (cumulative family) via
@@ -89,15 +90,21 @@
 //! and delta replay run through the same ingest path, so they rebuild the
 //! counts too, and the snapshot format carries none of them.
 //!
-//! ## Window queries share one histogram
+//! ## Window queries read stored histograms
 //!
-//! A window or pattern miss sums one window histogram per panel it reads.
-//! Each stored panel memoises its last histogram of width ≤ 6 in a single
-//! slot keyed by `(local round, width)`, at most 512 bytes of counts, so
-//! the queries of a battery that ask the same `(panel, t, k)` build it
-//! once, and a repeat sums straight from the slot without allocating.
-//! Wider windows skip the slot. The slot is a cache: clones start without
-//! it, equality and snapshots ignore it, and a retired cohort drops it.
+//! A window or pattern query sums one window histogram per panel it reads.
+//! Once round `t` is released its window histograms are as fixed as its
+//! threshold counts, so every stored panel keeps the histogram of each
+//! `(local round, width ≤ 6)` that has been read, in one flat buffer per
+//! width. A histogram is built on its first read, never at ingest, so
+//! release lag pays for no histogram nobody asked for; every later read
+//! sums it from the buffer without allocating. A width-`k` histogram is
+//! `8·2^k` bytes (64 at `k = 3`, 512 at `k = 6`), and a width's buffer
+//! spans every round up to the latest one read at that width, so the
+//! stored bytes grow linearly with the horizon. They are kept for the
+//! panel's life, also after it retires. Wider windows are built on every
+//! read and stored nowhere. The histograms are derived data: equality and
+//! snapshots ignore them, and a restored store rebuilds them as it is read.
 
 use longsynth::Release;
 use longsynth_data::{BitColumn, LongitudinalDataset};
@@ -107,7 +114,9 @@ use longsynth_queries::{window_histogram, WindowQuery};
 use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+#[cfg(test)]
+use std::sync::Mutex;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::query::{QueryKind, ServeQuery};
 
@@ -249,51 +258,82 @@ impl fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// A synthetic panel that grows by appending released columns, with the
-/// running threshold counts of its rounds and its last window histogram.
-/// The record count is pinned by the first column; callers validate later
-/// appends.
+/// running threshold counts of its rounds and the window histograms read
+/// from it. The record count is pinned by the first column; callers
+/// validate later appends.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct GrowingPanel {
     stored: Option<(LongitudinalDataset, ThresholdCounter)>,
-    memo: HistogramMemo,
+    histograms: WindowHistograms,
+    /// How often the panel was retired (once, if ever).
+    #[cfg(test)]
+    retirements: usize,
 }
 
-/// The widest window a panel memoises: `2^6` bins, the word-sliced
-/// histogram kernel's limit, so the slot holds at most 512 bytes of
-/// counts. Wider histograms are built on every read.
-const MEMO_MAX_WIDTH: usize = 6;
+/// The widest window whose histograms a panel stores: `2^6` bins, the
+/// word-sliced histogram kernel's limit, 512 bytes per round. Wider
+/// histograms are built on every read.
+const STORED_MAX_WIDTH: usize = 6;
 
-/// One slot holding a panel's last window histogram, keyed by its local
-/// round and width. Released columns are never rewritten, so a memoised
-/// histogram never goes stale. A clone starts empty, and equality ignores
-/// the slot: it is a cache, not content.
+/// Fills the bins of a round whose histogram has not been built. A built
+/// histogram's bins count records, so none reaches `u64::MAX`.
+const UNBUILT: u64 = u64::MAX;
+
+/// A panel's stored window histograms, one flat buffer per width `k ≤ 6`
+/// (allocated when the first histogram of that width is stored): local
+/// round `t`'s histogram is `buffers[k - 1][t·2^k..(t + 1)·2^k]`,
+/// [`UNBUILT`] until it is first read. Released columns are never
+/// rewritten, so a stored histogram never goes stale. Equality ignores the
+/// buffers: they are derived from the columns, not content.
 #[derive(Default)]
-struct HistogramMemo(Mutex<Option<(usize, usize, Vec<u64>)>>);
+struct WindowHistograms {
+    buffers: RwLock<Vec<Vec<u64>>>,
+    /// Every `(local round, width)` histogram built, in order.
+    #[cfg(test)]
+    builds: Mutex<Vec<(usize, usize)>>,
+}
 
-impl HistogramMemo {
-    /// The slot. A panic while it was held cannot leave it half written
-    /// (it is only compared, read or replaced whole), so a poisoned lock
-    /// is recovered.
-    fn slot(&self) -> MutexGuard<'_, Option<(usize, usize, Vec<u64>)>> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+impl WindowHistograms {
+    /// A panic while the lock was held cannot leave a buffer half written
+    /// (a round's bins are only copied in whole, after the buffer has
+    /// grown), so a poisoned lock is recovered.
+    fn read(&self) -> RwLockReadGuard<'_, Vec<Vec<u64>>> {
+        self.buffers.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Vec<Vec<u64>>> {
+        self.buffers.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn build(&self, data: &LongitudinalDataset, t: usize, k: usize) -> Vec<u64> {
+        #[cfg(test)]
+        self.builds
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push((t, k));
+        window_histogram(data, t, k)
     }
 }
 
-impl Clone for HistogramMemo {
+impl Clone for WindowHistograms {
     fn clone(&self) -> Self {
-        Self::default()
+        Self {
+            buffers: RwLock::new(self.read().clone()),
+            #[cfg(test)]
+            builds: Mutex::default(),
+        }
     }
 }
 
-impl PartialEq for HistogramMemo {
+impl PartialEq for WindowHistograms {
     fn eq(&self, _: &Self) -> bool {
         true
     }
 }
 
-impl fmt::Debug for HistogramMemo {
+impl fmt::Debug for WindowHistograms {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("HistogramMemo")
+        f.write_str("WindowHistograms")
     }
 }
 
@@ -311,36 +351,50 @@ impl GrowingPanel {
             .expect("validated against the panel's record count");
     }
 
-    /// The panel receives no more columns: keep its counts, drop the
-    /// per-record weights.
+    /// The panel receives no more columns: keep its counts and stored
+    /// histograms, drop the per-record weights.
     fn retire(&mut self) {
         if let Some((_, thresholds)) = &mut self.stored {
             thresholds.retire();
         }
-        self.memo = HistogramMemo::default();
+        #[cfg(test)]
+        {
+            self.retirements += 1;
+        }
     }
 
     /// Adds the width-`k` window histogram of local round `t` into `sum`
-    /// (`2^k` bins). Up to [`MEMO_MAX_WIDTH`] the histogram goes through
-    /// the memo: a repeat of the last `(t, k)` sums straight from the slot
-    /// under its lock, and any other is built outside the lock and then
-    /// replaces it.
+    /// (`2^k` bins). Up to [`STORED_MAX_WIDTH`] a stored histogram is
+    /// summed under the read lock; one not yet stored is built outside the
+    /// lock and then stored.
     fn add_window_histogram(&self, t: usize, k: usize, sum: &mut [u64]) {
         let data = self.panel().expect("a panel read for a window has columns");
         let add = |sum: &mut [u64], counts: &[u64]| {
             sum.iter_mut().zip(counts).for_each(|(s, &c)| *s += c);
         };
-        if k > MEMO_MAX_WIDTH {
-            return add(sum, &window_histogram(data, t, k));
+        if k > STORED_MAX_WIDTH {
+            return add(sum, &self.histograms.build(data, t, k));
         }
-        let slot = self.memo.slot();
-        if let Some((_, _, counts)) = slot.as_ref().filter(|memo| (memo.0, memo.1) == (t, k)) {
+        let bins = t << k..(t + 1) << k;
+        let buffers = self.histograms.read();
+        let counts = buffers
+            .get(k - 1)
+            .and_then(|buffer| buffer.get(bins.clone()));
+        if let Some(counts) = counts.filter(|counts| counts[0] != UNBUILT) {
             return add(sum, counts);
         }
-        drop(slot);
-        let counts = window_histogram(data, t, k);
+        drop(buffers);
+        let counts = self.histograms.build(data, t, k);
         add(sum, &counts);
-        *self.memo.slot() = Some((t, k, counts));
+        let mut buffers = self.histograms.write();
+        if buffers.len() < k {
+            buffers.resize_with(k, Vec::new);
+        }
+        let buffer = &mut buffers[k - 1];
+        if buffer.len() < bins.end {
+            buffer.resize(bins.end, UNBUILT);
+        }
+        buffer[bins].copy_from_slice(&counts);
     }
 
     pub(crate) fn rounds(&self) -> usize {
@@ -402,6 +456,9 @@ pub struct ReleaseStore {
     rounds: usize,
     /// Whether the rounds are scheduled rather than lockstep.
     dynamic: bool,
+    /// The ascending cohorts that stepped in the last scheduled round (empty
+    /// for a static store): the only ones the next round can retire.
+    live: Vec<usize>,
     merged: MergedRelease,
 }
 
@@ -679,13 +736,15 @@ impl ReleaseStore {
                 self.cohorts[c].push(column);
             }
             if !longitudinal {
-                // An entered cohort missing from a scheduled round has
-                // retired: the validator refuses its resumption.
-                for ((c, cohort), entry) in self.cohorts.iter_mut().enumerate().zip(&self.entries) {
-                    if entry.is_some() && active.binary_search(&c).is_err() {
-                        cohort.retire();
+                // A cohort that stepped in the last scheduled round and is
+                // missing from this one has retired (the validator refuses
+                // its resumption): it retires here, once.
+                for &c in &self.live {
+                    if active.binary_search(&c).is_err() {
+                        self.cohorts[c].retire();
                     }
                 }
+                self.live.clone_from(active);
             }
             match &mut self.merged {
                 MergedRelease::Pooled => {}
@@ -801,9 +860,10 @@ impl ReleaseStore {
         Ok(Cow::Borrowed(panel))
     }
 
-    /// Answer one query directly from stored releases — no synthesis, no
-    /// caching (the [`QueryService`](crate::QueryService) layers the cache
-    /// on top of this).
+    /// Answer one query from the stored releases and their statistics — no
+    /// synthesis, and no pass over a panel's history once the statistic it
+    /// reads is stored. [`QueryService::answer`](crate::QueryService::answer)
+    /// is this call under the store's read lock.
     ///
     /// A cohort scope reads its local round (released rounds outside its
     /// window are [`ServeError::RoundNotCovered`]); the merged scope reads
@@ -855,14 +915,14 @@ impl ReleaseStore {
         if t + 1 < covered.start + width {
             return Err(ServeError::WindowUnderflow { round: t, width });
         }
-        // Up to the memo width the summed histogram lives on the stack, so
-        // an answer whose histograms are all memoised allocates nothing.
+        // Up to the stored width the summed histogram lives on the stack,
+        // so an answer whose histograms are all stored allocates nothing.
         // A cumulative answer zeroes none of it.
         let (mut narrow, mut wide);
         let histogram: &mut [u64] = match window {
             None => &mut [],
-            Some(_) if width <= MEMO_MAX_WIDTH => {
-                narrow = [0u64; 1 << MEMO_MAX_WIDTH];
+            Some(_) if width <= STORED_MAX_WIDTH => {
+                narrow = [0u64; 1 << STORED_MAX_WIDTH];
                 &mut narrow[..1 << width]
             }
             Some(_) => {
@@ -1551,65 +1611,128 @@ mod tests {
         assert!(msg.contains('7') && msg.contains('2'));
     }
 
+    fn window(scope: StoreScope, t: usize, k: usize) -> ServeQuery {
+        let query = WindowQuery::at_least_m_ones(k, 1);
+        let kind = QueryKind::Window { t, query };
+        ServeQuery { scope, kind }
+    }
+
+    /// `(local round, width)` builds of cohort `c`'s histograms so far.
+    fn builds(store: &ReleaseStore, c: usize) -> Vec<(usize, usize)> {
+        store.cohorts[c].histograms.builds.lock().unwrap().clone()
+    }
+
     #[test]
-    fn panels_memoise_their_last_narrow_window_histogram() {
+    fn narrow_window_histograms_are_built_once_per_round_and_width() {
+        let mut store = ReleaseStore::new();
+        let mut wide_reads = 0;
+        for r in 0..40 {
+            let (parts, merged) = two_cohort_round(&[r % 2 == 0, r % 5 != 1], &[r % 3 == 0]);
+            store.ingest_columns(&parts, &merged).unwrap();
+            // Each round reads the newest round at every width it allows,
+            // then re-reads rounds long past; width 7 is never stored.
+            for t in [r, r / 2, r / 3, 7.min(r)] {
+                for k in 1..=7.min(t + 1) {
+                    for scope in [StoreScope::Merged, StoreScope::Cohort(1)] {
+                        let answer = store.answer(&window(scope, t, k)).unwrap();
+                        let panel = store.panel(scope).unwrap();
+                        let direct = WindowQuery::at_least_m_ones(k, 1).evaluate_true(&panel, t);
+                        assert_eq!(answer.to_bits(), direct.to_bits(), "t={t} k={k}");
+                        if k == 7 && scope == StoreScope::Cohort(1) {
+                            wide_reads += 1;
+                        }
+                    }
+                }
+            }
+        }
+        for c in 0..2 {
+            let builds = builds(&store, c);
+            let mut narrow: Vec<_> = builds.iter().filter(|&&(_, k)| k <= 6).collect();
+            let read = narrow.len();
+            narrow.sort();
+            narrow.dedup();
+            assert_eq!(narrow.len(), read, "cohort {c} rebuilt a stored histogram");
+            // Every round is read at every width it allows.
+            assert_eq!(read, (0..40).map(|t: usize| 6.min(t + 1)).sum::<usize>());
+            let wide = builds.iter().filter(|&&(_, k)| k == 7).count();
+            // Cohort 0 is read through the merged scope only, cohort 1
+            // through both.
+            assert_eq!(wide, wide_reads * (c + 1), "cohort {c}");
+        }
+    }
+
+    #[test]
+    fn stored_histograms_survive_clones_poison_and_retirement() {
         let mut store = ReleaseStore::new();
         for r in 0..8 {
             let (parts, merged) = two_cohort_round(&[r % 2 == 0, true], &[false, r % 3 == 0]);
             store.ingest_columns(&parts, &merged).unwrap();
         }
-        let memo = |store: &ReleaseStore, c: usize| {
-            let slot = store.cohorts[c].memo.slot();
-            slot.as_ref().map(|(t, k, counts)| (*t, *k, counts.len()))
-        };
-        let ask = |store: &ReleaseStore, scope, t, k| {
-            let query = WindowQuery::at_least_m_ones(k, 1);
-            let kind = QueryKind::Window { t, query };
-            store.answer(&ServeQuery { scope, kind }).unwrap()
-        };
-        assert_eq!(memo(&store, 0), None);
-        let merged = ask(&store, StoreScope::Merged, 5, 3);
-        assert_eq!(memo(&store, 0), Some((5, 3, 8)));
-        assert_eq!(memo(&store, 1), Some((5, 3, 8)));
-        assert_eq!(
-            ask(&store, StoreScope::Merged, 5, 3).to_bits(),
-            merged.to_bits()
-        );
-        // Past 64 bins the slot is bypassed, so it keeps the last narrow one.
-        ask(&store, StoreScope::Cohort(0), 7, 7);
-        assert_eq!(memo(&store, 0), Some((5, 3, 8)));
-        ask(&store, StoreScope::Cohort(0), 6, 2);
-        assert_eq!(memo(&store, 0), Some((6, 2, 4)));
-        // A clone starts empty, still compares equal and answers the same.
+        let merged = store.answer(&window(StoreScope::Merged, 5, 3)).unwrap();
+        assert_eq!(builds(&store, 0), [(5, 3)]);
+        // A clone keeps the stored histograms and compares equal.
         let clone = store.clone();
-        assert_eq!(memo(&clone, 0), None);
         assert_eq!(clone, store);
-        assert_eq!(
-            ask(&clone, StoreScope::Merged, 5, 3).to_bits(),
-            merged.to_bits()
-        );
-        // A panic under the slot's lock poisons it; reads recover.
+        let again = clone.answer(&window(StoreScope::Merged, 5, 3)).unwrap();
+        assert_eq!(again.to_bits(), merged.to_bits());
+        assert!(builds(&clone, 0).is_empty());
+        // A panic under the write lock poisons it; reads recover.
         let panel = &store.cohorts[1];
         let panicked = std::thread::scope(|s| {
             s.spawn(|| {
-                let _slot = panel.memo.slot();
-                panic!("poison the histogram memo");
+                let _buffers = panel.histograms.write();
+                panic!("poison the stored histograms");
             })
             .join()
         });
-        assert!(panicked.is_err() && panel.memo.0.is_poisoned());
-        assert_eq!(
-            ask(&store, StoreScope::Merged, 5, 3).to_bits(),
-            merged.to_bits()
-        );
-        assert_eq!(ask(&store, StoreScope::Merged, 4, 3).to_bits(), {
-            let panel = store.panel(StoreScope::Merged).unwrap();
-            WindowQuery::at_least_m_ones(3, 1)
-                .evaluate_true(&panel, 4)
-                .to_bits()
-        });
-        // Retiring a panel drops its slot.
-        store.cohorts[0].retire();
-        assert_eq!(memo(&store, 0), None);
+        assert!(panicked.is_err() && panel.histograms.buffers.is_poisoned());
+        let again = store.answer(&window(StoreScope::Merged, 5, 3)).unwrap();
+        assert_eq!(again.to_bits(), merged.to_bits());
+        let fresh = store.answer(&window(StoreScope::Merged, 4, 3)).unwrap();
+        let panel = store.panel(StoreScope::Merged).unwrap();
+        let direct = WindowQuery::at_least_m_ones(3, 1).evaluate_true(&panel, 4);
+        assert_eq!(fresh.to_bits(), direct.to_bits());
+        assert_eq!(builds(&store, 1), [(5, 3), (4, 3)]);
+    }
+
+    #[test]
+    fn cohorts_retire_once_and_keep_their_histograms() {
+        // Cohort c steps in rounds c..c + 3: each round retires the
+        // cohort that entered three rounds earlier.
+        let mut store = ReleaseStore::new();
+        let ingest = |store: &mut ReleaseStore, round: usize| {
+            let active: Vec<usize> = (round.saturating_sub(2)..=round).collect();
+            let parts: Vec<BitColumn> = active
+                .iter()
+                .map(|&c| col(&[(c + round).is_multiple_of(2), round % 3 == c % 3]))
+                .collect();
+            let merged = BitColumn::concat(&parts);
+            store
+                .ingest_active_columns(PolicyTag::PerShard, round, 20, &active, &parts, &merged)
+                .unwrap();
+        };
+        for round in 0..3 {
+            ingest(&mut store, round);
+        }
+        let cohort0 = |t| window(StoreScope::Cohort(0), t, 2);
+        let before = [1, 2].map(|t| store.answer(&cohort0(t)).unwrap());
+        assert_eq!(builds(&store, 0), [(1, 2), (2, 2)]);
+        for round in 3..20 {
+            ingest(&mut store, round);
+        }
+        for c in 0..17 {
+            assert_eq!(store.cohorts[c].retirements, 1, "cohort {c}");
+        }
+        for c in 17..20 {
+            assert_eq!(store.cohorts[c].retirements, 0, "cohort {c}");
+        }
+        // The retired cohort answers from its stored histograms.
+        let after = [1, 2].map(|t| store.answer(&cohort0(t)).unwrap());
+        assert_eq!(after.map(f64::to_bits), before.map(f64::to_bits));
+        assert_eq!(builds(&store, 0), [(1, 2), (2, 2)]);
+        // Restore replays the schedule, retiring each cohort once again.
+        let restored = restore_json(&snapshot_json(&store)).unwrap();
+        assert_eq!(restored, store);
+        assert_eq!(restored.cohorts[0].retirements, 1);
     }
 }

@@ -369,10 +369,6 @@ fn one_pool_serves_engine_and_query_traffic() {
         let answers = service.answer_batch(&pool, queries);
         assert!(answers.into_iter().all(|a| a.is_ok()));
     }
-    let (hits, misses) = service.cache_stats();
-    // Round t's query was a miss once and a hit in every later batch.
-    assert_eq!(misses as usize, horizon);
-    assert_eq!(hits as usize, (horizon * (horizon + 1)) / 2 - horizon);
 }
 
 #[test]

@@ -1,13 +1,13 @@
-//! Oracle property for the per-panel window-histogram memo.
+//! Oracle property for the per-panel stored window histograms.
 //!
-//! Every stored panel keeps its last window histogram of width ≤ 6, so a
-//! repeated `(scope, t, k)` query is summed from the slot instead of being
-//! rebuilt. Whatever order queries arrive in, each answer must be
-//! bit-identical to a direct [`window_histogram`] +
+//! Every stored panel keeps each window histogram of width ≤ 6 it has
+//! built, so a repeated `(scope, t, k)` query is summed from the stored
+//! counts instead of being rebuilt. Whatever order queries arrive in, each
+//! answer must be bit-identical to a direct [`window_histogram`] +
 //! [`WindowQuery::evaluate_histogram`] over the same panels, in static and
 //! rotating stores under both noise policies, on the live store, after a
-//! snapshot round trip, and after a delta lands on a store whose memos are
-//! already warm.
+//! snapshot round trip, and after a delta lands on a store whose
+//! histograms are already stored.
 
 use longsynth_data::{BitColumn, LongitudinalDataset};
 use longsynth_dp::budget::Rho;
@@ -194,7 +194,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Interleaved and repeated window and pattern queries of widths 1–8
-    /// (7 and 8 bypass the memo) answer exactly as the direct kernel does,
+    /// (7 and 8 are never stored) answer exactly as the direct kernel does,
     /// on every store shape, live, after a snapshot round trip, and after
     /// a delta lands on a prefix store that has already answered the
     /// script.
@@ -226,7 +226,7 @@ proptest! {
             );
             let full = store(horizon);
             check_script(&full, &keys, &script, &format!("{shape:?} live"));
-            // The same script again reads warm memos.
+            // The same script again reads stored histograms.
             check_script(&full, &keys, &script, &format!("{shape:?} warm"));
             let restored = restore_json(&snapshot_json(&full)).unwrap();
             check_script(&restored, &keys, &script, &format!("{shape:?} restored"));

@@ -3,9 +3,9 @@
 //! The load-bearing one (an ISSUE acceptance criterion): over **random
 //! release sequences**, snapshot → restore → re-query yields answers
 //! bit-identical to the original store's, across every query kind, scope,
-//! round, and parameter. Alongside it: the memoizing cache returns
-//! bit-identical answers to recomputation, and ingestion keeps all scopes
-//! in lockstep.
+//! round, and parameter. Alongside it: service answers, on first read and
+//! re-read, are bit-identical to direct store answers, and ingestion keeps
+//! all scopes in lockstep.
 
 use longsynth_data::BitColumn;
 use longsynth_dp::budget::Rho;
@@ -428,10 +428,10 @@ proptest! {
         }
     }
 
-    /// Cached answers are bit-identical to fresh computation, sequentially
-    /// and through a concurrent pool batch.
+    /// Service answers are bit-identical to direct store answers, on first
+    /// read and re-read, and through a concurrent pool batch.
     #[test]
-    fn cache_and_pool_answers_match_direct_evaluation(
+    fn service_and_pool_answers_match_direct_evaluation(
         seed in any::<u64>(),
         cohort_a in 1usize..60,
         cohort_b in 1usize..60,
@@ -441,17 +441,14 @@ proptest! {
         let service = QueryService::from_store(store.clone());
         let battery = query_battery(&store);
         let direct: Vec<f64> = battery.iter().map(|q| store.answer(q).unwrap()).collect();
-        // First pass: all misses. Second pass: all hits. Both identical.
+        // First reads, then re-reads of stored statistics: both identical.
         for pass in 0..2 {
             for (query, want) in battery.iter().zip(&direct) {
                 let got = service.answer(query).unwrap();
                 prop_assert_eq!(got.to_bits(), want.to_bits(), "pass {}", pass);
             }
         }
-        let (hits, misses) = service.cache_stats();
-        prop_assert_eq!(misses as usize, battery.len());
-        prop_assert_eq!(hits as usize, battery.len());
-        // Pool batch (warm cache) agrees too.
+        // Pool batch agrees too.
         let pool = WorkerPool::new(3);
         let batch = service.answer_batch(&pool, battery.clone());
         for (got, want) in batch.into_iter().zip(&direct) {

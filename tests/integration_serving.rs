@@ -84,7 +84,7 @@ fn serving_stack_answers_live_traffic_and_survives_restart() {
         "served {served} vs truth {truth}"
     );
 
-    // Restart: snapshot, restore, identical answers from a cold cache.
+    // Restart: snapshot, restore, identical answers from the restored store.
     let restored = QueryService::restore_json(&service.snapshot_json()).unwrap();
     for t in 0..horizon {
         for b in 1..=3 {
