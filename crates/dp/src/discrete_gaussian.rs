@@ -167,15 +167,6 @@ pub fn sample_discrete_gaussian<R: Rng + ?Sized>(rng: &mut R, sigma2: f64) -> i6
     DiscreteGaussianSampler::new(sigma2).sample(rng)
 }
 
-/// An upper bound on the variance of `N_Z(0, σ²)`.
-///
-/// CKS 2020 (Corollary 9) show `Var[N_Z(0, σ²)] ≤ σ²`, which is the fact
-/// the paper's accuracy proofs use ("The variance of N_Z(0,σ²) is at most
-/// σ²").
-pub fn variance_upper_bound(sigma2: f64) -> f64 {
-    sigma2
-}
-
 /// Sub-Gaussian tail bound: `Pr[|X| ≥ λ] ≤ 2·exp(-λ²/(2σ²))`.
 ///
 /// The discrete Gaussian is σ-sub-Gaussian (CKS 2020, Proposition 22 /

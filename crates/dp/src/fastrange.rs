@@ -223,11 +223,6 @@ pub mod replay {
             self.direct(0);
         }
 
-        /// The packed word stream.
-        pub fn into_words(self) -> Vec<u64> {
-            self.words
-        }
-
         /// The packed stream as a ready-to-draw [`WordScript`].
         pub fn into_script(self) -> WordScript {
             WordScript::new(self.words)

@@ -18,11 +18,6 @@ pub fn run(panel: &LongitudinalDataset, reps: usize, master_seed: u64) -> Vec<Se
     fig5to7::run(panel, RHO, reps, master_seed).biased
 }
 
-/// The debiased companion (shown in the appendix as Fig. 6's right panel).
-pub fn run_debiased(panel: &LongitudinalDataset, reps: usize, master_seed: u64) -> Vec<Series> {
-    fig5to7::run(panel, RHO, reps, master_seed).debiased
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

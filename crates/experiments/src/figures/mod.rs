@@ -12,13 +12,6 @@ use longsynth_data::sipp::SippConfig;
 use longsynth_data::LongitudinalDataset;
 use longsynth_dp::rng::rng_from_seed;
 
-/// The simulated SIPP 2021 panel every SIPP experiment consumes
-/// (n = 23 374 households, T = 12 months; see DESIGN.md §5 for the
-/// substitution rationale). Deterministic: the same panel every call.
-pub fn sipp_panel() -> LongitudinalDataset {
-    SippConfig::default().simulate(&mut rng_from_seed(SIPP_PANEL_SEED))
-}
-
 /// A smaller SIPP-like panel for fast tests and smoke runs.
 pub fn sipp_panel_small(households: usize) -> LongitudinalDataset {
     SippConfig::small(households).simulate(&mut rng_from_seed(SIPP_PANEL_SEED))

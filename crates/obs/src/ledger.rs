@@ -150,11 +150,6 @@ impl LedgerReplay {
         self.cohorts.get(&id).copied().unwrap_or(0.0)
     }
 
-    /// Cohort ids that appear in the ledger, ascending.
-    pub fn cohort_ids(&self) -> impl Iterator<Item = usize> + '_ {
-        self.cohorts.keys().copied()
-    }
-
     /// Parallel composition across disjoint cohorts: `max_c spent_c`,
     /// the same fold `EngineBudget::cohort_spent` performs (strictly
     /// greater replaces, 0.0 seed — identical f64 result on the same

@@ -10,10 +10,11 @@
 //! releases must never cost a re-synthesis. Three pieces deliver that:
 //!
 //! * [`store::ReleaseStore`] — an append-only store of per-cohort
-//!   synthetic releases, ingested from the engine as rounds complete (via
-//!   the engine's `ReleaseSink` hook). A per-shard merged round is the
-//!   concatenation of the cohort columns, so it is derived, not stored; a
-//!   shared-noise population release is stored beside the cohorts.
+//!   synthetic releases, fed as rounds complete (via the engine's
+//!   `ReleaseSink` hook) through one call, [`ReleaseStore::ingest`]. A
+//!   per-shard merged round is the concatenation of the cohort columns, so
+//!   it is derived, not stored; a shared-noise population release is
+//!   stored beside the cohorts.
 //!   Released prefixes are immutable, which is the property everything
 //!   above relies on.
 //! * [`query::QueryService`] — a cloneable, thread-safe front-end answering
@@ -71,10 +72,10 @@ pub mod snapshot;
 pub mod store;
 
 pub use query::{mixed_battery, QueryKind, QueryService, ServeQuery};
-pub use store::{ReleaseStore, ServeError, StoreScope};
+pub use store::{ReleaseColumns, ReleaseStore, RoundShape, ServeError, StoreScope};
 
-// Re-exported so sinks and stores can be policy-tagged without a direct
-// `longsynth-engine` dependency at the call site.
+// Re-exported so callers can read a store's policy tag and tag sink rounds
+// without a direct `longsynth-engine` dependency at the call site.
 pub use longsynth_engine::PolicyTag;
 
 // Re-exported so `serve` users can size and share pools without a direct

@@ -12,6 +12,9 @@
 //! integers as the first read, so it is bit-identical by construction,
 //! and no cache bound needs tuning however far back reads reach.
 //!
+//! Both engine-facing sinks are one type: each engine round, lockstep or
+//! scheduled, lands through [`ReleaseStore::ingest`] under the write lock.
+//!
 //! ## Metrics
 //!
 //! Every service reports into a [`MetricsRegistry`], its own or one shared
@@ -27,7 +30,7 @@ use longsynth_pool::WorkerPool;
 use longsynth_queries::{Pattern, WindowQuery};
 use std::sync::{Arc, RwLock};
 
-use crate::store::{ReleaseStore, ServeError, StoreScope};
+use crate::store::{ReleaseColumns, ReleaseStore, RoundShape, ServeError, StoreScope};
 
 /// What a consumer can ask of the serving layer, against one scope.
 #[derive(Debug, Clone)]
@@ -181,18 +184,25 @@ impl QueryService {
 
     /// Answer a batch of queries concurrently on `pool`, preserving order.
     ///
-    /// Each job is a service clone answering one query. Duplicates inside
-    /// one batch may race to build the same window histogram; both store
-    /// the identical counts, so the race is benign.
+    /// The batch splits into one contiguous chunk per worker, and each job
+    /// answers its chunk in order, so dispatch costs one job per worker,
+    /// not one per query. Duplicates inside one batch may race to build
+    /// the same window histogram; both store the identical counts, so the
+    /// race is benign.
     pub fn answer_batch(
         &self,
         pool: &WorkerPool,
         queries: Vec<ServeQuery>,
     ) -> Vec<Result<f64, ServeError>> {
-        pool.run_batch(queries.into_iter().map(|query| {
+        let size = queries.len().div_ceil(pool.threads()).max(1);
+        let chunks = queries.len().div_ceil(size);
+        let mut queries = queries.into_iter();
+        let jobs = (0..chunks).map(|_| {
+            let chunk: Vec<ServeQuery> = queries.by_ref().take(size).collect();
             let service = self.clone();
-            move || service.answer(&query)
-        }))
+            move || chunk.iter().map(|q| service.answer(q)).collect::<Vec<_>>()
+        });
+        pool.run_batch(jobs).into_iter().flatten().collect()
     }
 
     /// Always `(0, 0)`: an answer is one store read, with no answer cache
@@ -220,85 +230,72 @@ impl QueryService {
     }
 
     /// A sink for engines whose release type is a plain [`BitColumn`]
-    /// (the cumulative family): every completed round lands in the store.
-    ///
-    /// Handles both engine shapes: static lockstep rounds ingest as
-    /// before, and dynamic-panel rounds (a scheduled engine's
-    /// `on_round_active`) ingest by cohort × round range, so one sink
-    /// serves either engine.
+    /// (the cumulative family): every completed round, static lockstep
+    /// (`on_round`) or scheduled (`on_round_active`), lands in the store.
     ///
     /// # Panics
     /// The engine guarantees a stable shard count and record layout; if a
     /// round nevertheless mismatches the store shape, the sink panics
     /// rather than silently dropping released data.
     pub fn column_sink(&self) -> Box<dyn ReleaseSink<BitColumn>> {
-        struct ColumnSink {
-            service: QueryService,
-        }
-        impl ReleaseSink<BitColumn> for ColumnSink {
-            fn on_round(
-                &mut self,
-                _round: usize,
-                per_shard: &[BitColumn],
-                merged: &BitColumn,
-                policy: PolicyTag,
-            ) {
-                self.service
-                    .with_store_mut(|store| store.ingest_columns_with(policy, per_shard, merged))
-                    .expect("engine rounds always match the store shape");
-                self.service.note_ingest(merged.len());
-            }
-
-            fn on_round_active(
-                &mut self,
-                round: usize,
-                cohorts: usize,
-                active: &[usize],
-                per_shard: &[BitColumn],
-                merged: &BitColumn,
-                policy: PolicyTag,
-            ) {
-                self.service
-                    .with_store_mut(|store| {
-                        store.ingest_active_columns(
-                            policy, round, cohorts, active, per_shard, merged,
-                        )
-                    })
-                    .expect("scheduled engine rounds always match the store shape");
-                self.service.note_ingest(merged.len());
-            }
-        }
-        Box::new(ColumnSink {
-            service: self.clone(),
-        })
+        Box::new(StoreSink(self.clone()))
     }
 
-    /// A sink for fixed-window engines (release type [`Release`]).
+    /// A sink for fixed-window engines (release type [`Release`]): the same
+    /// sink as [`column_sink`](Self::column_sink).
     ///
     /// # Panics
     /// As [`column_sink`](Self::column_sink).
     pub fn release_sink(&self) -> Box<dyn ReleaseSink<Release>> {
-        let service = self.clone();
-        Box::new(
-            move |_round: usize, per_shard: &[Release], merged: &Release, policy: PolicyTag| {
-                service
-                    .with_store_mut(|store| store.ingest_releases_with(policy, per_shard, merged))
-                    .expect("engine rounds always match the store shape");
-                let records = match merged {
-                    Release::Buffered => 0,
-                    Release::Initial(columns) => columns.first().map_or(0, |c| c.len()),
-                    Release::Update(column) => column.len(),
-                };
-                service.note_ingest(records);
-            },
-        )
+        Box::new(StoreSink(self.clone()))
+    }
+}
+
+/// The engine-facing sink of both release families: each round lands in
+/// the service's store through [`ReleaseStore::ingest`], carrying the
+/// engine's merged release only under shared noise, where it is the
+/// population release.
+struct StoreSink(QueryService);
+
+impl StoreSink {
+    fn ingest<R: ReleaseColumns>(
+        &self,
+        shape: RoundShape<'_>,
+        per_shard: &[R],
+        merged: &R,
+        policy: PolicyTag,
+    ) {
+        let population = (policy == PolicyTag::Shared).then_some(merged);
+        self.0
+            .with_store_mut(|store| store.ingest(shape, per_shard, population))
+            .expect("engine rounds always match the store shape");
+        // The `serve_ingest_*_total` counters count the merged records.
+        let records = merged.columns().first().map_or(0, BitColumn::len);
+        self.0.inner.ingest_rounds.inc();
+        self.0.inner.ingest_records.add(records as u64);
+    }
+}
+
+impl<R: ReleaseColumns> ReleaseSink<R> for StoreSink {
+    fn on_round(&mut self, _round: usize, per_shard: &[R], merged: &R, policy: PolicyTag) {
+        self.ingest(RoundShape::Lockstep, per_shard, merged, policy);
     }
 
-    /// Count one ingested round of `records` records into the
-    /// `serve_ingest_*_total` registry counters.
-    fn note_ingest(&self, records: usize) {
-        self.inner.ingest_rounds.inc();
-        self.inner.ingest_records.add(records as u64);
+    fn on_round_active(
+        &mut self,
+        round: usize,
+        cohorts: usize,
+        active: &[usize],
+        per_shard: &[R],
+        merged: &R,
+        policy: PolicyTag,
+    ) {
+        let shape = RoundShape::Scheduled {
+            round,
+            cohorts,
+            active,
+        };
+        self.ingest(shape, per_shard, merged, policy);
     }
 }
 
@@ -318,8 +315,7 @@ mod tests {
         for round in 0..rounds {
             let a = BitColumn::from_bools(&[round % 2 == 0, true]);
             let b = BitColumn::from_bools(&[false, round % 3 == 0]);
-            let merged = BitColumn::concat([&a, &b]);
-            store.ingest_columns(&[a, b], &merged).unwrap();
+            store.ingest(RoundShape::Lockstep, &[a, b], None).unwrap();
         }
         store
     }
@@ -374,13 +370,12 @@ mod tests {
         {
             let a = BitColumn::from_bools(&[true, true]);
             let b = BitColumn::from_bools(&[true, false]);
-            let merged = BitColumn::concat([&a, &b]);
             sink_side
                 .inner
                 .store
                 .write()
                 .unwrap()
-                .ingest_columns(&[a, b], &merged)
+                .ingest(RoundShape::Lockstep, &[a, b], None)
                 .unwrap();
         }
         assert!(service.answer(&q).is_ok());
@@ -389,14 +384,22 @@ mod tests {
     #[test]
     fn batches_fan_out_and_preserve_order() {
         let service = QueryService::from_store(store_with_rounds(6));
-        let pool = WorkerPool::new(4);
-        let queries: Vec<ServeQuery> = (0..6).map(|t| cumulative(t, 1)).collect();
-        let batch = service.answer_batch(&pool, queries.clone());
-        assert_eq!(batch.len(), 6);
-        let sequential: Vec<f64> = queries.iter().map(|q| service.answer(q).unwrap()).collect();
-        for (got, want) in batch.into_iter().zip(sequential) {
-            assert_eq!(got.unwrap().to_bits(), want.to_bits());
+        // Batches shorter than, equal to and longer than the pool, split
+        // into chunks of one, two and more queries.
+        let battery = mixed_battery(6, 2, 3, 2);
+        for (threads, len) in [(4, 3), (4, 4), (4, 6), (3, battery.len())] {
+            let pool = WorkerPool::new(threads);
+            let queries = battery[..len].to_vec();
+            let batch = service.answer_batch(&pool, queries.clone());
+            assert_eq!(batch.len(), len);
+            for (got, query) in batch.into_iter().zip(&queries) {
+                let want = service.answer(query).unwrap();
+                assert_eq!(got.unwrap().to_bits(), want.to_bits(), "{query:?}");
+            }
         }
+        assert!(service
+            .answer_batch(&WorkerPool::new(2), Vec::new())
+            .is_empty());
     }
 
     #[test]

@@ -376,7 +376,7 @@ fn plan<'a>(
     let end = base + doc.merged.len();
     let mut plan: Vec<IngestRound<'a>> = (base..end)
         .zip(&doc.merged)
-        .map(|(round, merged)| (round, Vec::new(), Vec::new(), merged))
+        .map(|(round, merged)| (round, Vec::new(), Vec::new(), Some(merged)))
         .collect();
     for (c, cohort) in doc.cohorts.iter().enumerate() {
         let Some((entry, columns)) = cohort.as_ref().filter(|(_, cols)| !cols.is_empty()) else {
@@ -574,6 +574,7 @@ impl crate::QueryService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RoundShape;
 
     fn sample_store() -> ReleaseStore {
         sample_store_rounds(5)
@@ -586,8 +587,7 @@ mod tests {
                 BitColumn::from_bools(&(0..67).map(|i| (i + round) % 3 == 0).collect::<Vec<_>>());
             let b =
                 BitColumn::from_bools(&(0..41).map(|i| (i * round) % 5 == 1).collect::<Vec<_>>());
-            let merged = BitColumn::concat([&a, &b]);
-            store.ingest_columns(&[a, b], &merged).unwrap();
+            store.ingest(RoundShape::Lockstep, &[a, b], None).unwrap();
         }
         store
     }
@@ -600,10 +600,10 @@ mod tests {
             let b =
                 BitColumn::from_bools(&(0..9).map(|i| (i * round) % 3 == 1).collect::<Vec<_>>());
             // Independent population panel with its own record count.
-            let merged =
+            let population =
                 BitColumn::from_bools(&(0..29).map(|i| (i ^ round) % 4 == 0).collect::<Vec<_>>());
             store
-                .ingest_columns_with(PolicyTag::Shared, &[a, b], &merged)
+                .ingest(RoundShape::Lockstep, &[a, b], Some(&population))
                 .unwrap();
         }
         store
@@ -661,10 +661,10 @@ mod tests {
         assert_eq!(restored.rounds(), 1);
         assert_eq!(restored.policy(), Some(PolicyTag::PerShard));
         let err = restored
-            .ingest_columns_with(
-                PolicyTag::Shared,
+            .ingest(
+                RoundShape::Lockstep,
                 &[BitColumn::from_bools(&[true, false])],
-                &BitColumn::from_bools(&[true, true, true]),
+                Some(&BitColumn::from_bools(&[true, true, true])),
             )
             .unwrap_err();
         assert!(err.to_string().contains("per-shard"), "{err}");
@@ -759,6 +759,37 @@ mod tests {
     }
 
     #[test]
+    fn restore_names_how_a_per_shard_merged_column_differs() {
+        // Three one-record cohorts 0, 1, 1 concatenate to bits 110 (0x6).
+        let doc = |merged: &str| {
+            format!(
+                r#"{{
+  "format": "{FORMAT}",
+  "policy": "per-shard",
+  "merged": {{ "records": 3, "columns": ["{merged}"] }},
+  "cohorts": [
+    {{ "records": 1, "columns": ["0000000000000000"] }},
+    {{ "records": 1, "columns": ["0000000000000001"] }},
+    {{ "records": 1, "columns": ["0000000000000001"] }}
+  ]
+}}"#
+            )
+        };
+        assert!(restore_json(&doc("0000000000000006")).is_ok());
+        let err = restore_json(&doc("0000000000000002")).unwrap_err();
+        assert!(err.to_string().contains("at record 2"), "{err}");
+        let err = restore_json(&doc("0000000000000007")).unwrap_err();
+        assert!(err.to_string().contains("at record 0"), "{err}");
+        let short = doc("0000000000000002").replace("\"records\": 3", "\"records\": 2");
+        let err = restore_json(&short).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("has 2 records, but the cohort columns sum to 3"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn delta_snapshots_chain_to_the_full_snapshot() {
         for shared in [false, true] {
             let build = |rounds: usize| {
@@ -779,12 +810,7 @@ mod tests {
                             .unwrap()
                             .column(round)
                             .clone();
-                        let merged = full
-                            .panel(crate::StoreScope::Merged)
-                            .unwrap()
-                            .column(round)
-                            .clone();
-                        store.ingest_columns(&[a, b], &merged).unwrap();
+                        store.ingest(RoundShape::Lockstep, &[a, b], None).unwrap();
                     }
                     store
                 }
@@ -823,10 +849,12 @@ mod tests {
             (&[1, 2], vec![col(&[true, true, true]), col(&[false])]),
         ];
         for (round, (active, parts)) in plan.into_iter().enumerate().take(rounds) {
-            let merged = BitColumn::concat(parts.iter());
-            store
-                .ingest_active_columns(PolicyTag::PerShard, round, 3, active, &parts, &merged)
-                .unwrap();
+            let shape = RoundShape::Scheduled {
+                round,
+                cohorts: 3,
+                active,
+            };
+            store.ingest(shape, &parts, None).unwrap();
         }
         store
     }

@@ -9,12 +9,9 @@
 //! each released round's statistics once, and keeps the snapshot format
 //! trivial.
 //!
-//! Ingestion accepts the two release shapes the engine produces:
-//! [`BitColumn`] rounds (cumulative family) via
-//! [`ingest_columns`](ReleaseStore::ingest_columns), and fixed-window
-//! [`Release`] rounds via
-//! [`ingest_releases`](ReleaseStore::ingest_releases) (`Buffered` stores
-//! nothing, `Initial` stores its k seed columns, `Update` stores one).
+//! [`ingest`](ReleaseStore::ingest) is the one way in, for both release
+//! shapes the engine produces ([`ReleaseColumns`]): [`BitColumn`] rounds
+//! (cumulative family) and fixed-window [`Release`] rounds.
 //!
 //! Note on semantics: the store serves the *released synthetic data*, so a
 //! fixed-window panel contains the n\* padded records the synthesizer
@@ -22,15 +19,15 @@
 //! estimator (the debiased estimator needs the synthesizer's private
 //! bookkeeping and is not a function of the release alone).
 //!
-//! Every round arrives tagged with the engine's [`PolicyTag`]: under
-//! `PerShard` the merged release is the shard-order concatenation of the
-//! stepping cohorts' columns (ingestion refuses any other merged column),
-//! so the store keeps only the cohort panels and derives the merged
-//! release from them; under `Shared` the merged release is an
-//! *independent* population-level synthesis whose record count need not
-//! match, so it is stored beside them (per-panel consistency and
-//! contiguity still hold). The tag is recorded on first ingest, must stay
-//! constant for the store's lifetime, and travels with snapshots.
+//! A round carries the cohort releases, plus the population release under
+//! shared noise, which fixes the store's [`PolicyTag`]. Under `PerShard`
+//! the merged release is the shard-order concatenation of the stepping
+//! cohorts' columns, so the store keeps only the cohort panels and derives
+//! it (snapshot and delta documents carry it, and restore refuses one that
+//! is not the concatenation). Under `Shared` it is an *independent*
+//! population-level synthesis whose record count need not match, stored
+//! beside them. The tag is fixed by the first ingest, constant for the
+//! store's lifetime, and travels with snapshots.
 //!
 //! ## One model: cohorts × round ranges
 //!
@@ -39,12 +36,9 @@
 //! horizon. Its panel holds **local** rounds, so a cohort query at global
 //! round `t` reads local round `t − e_c`. A static (lockstep) panel is the
 //! schedule where every cohort enters at round 0 and steps in every round.
-//! [`ingest_columns`](ReleaseStore::ingest_columns) and
-//! [`ingest_releases`](ReleaseStore::ingest_releases) feed such lockstep
-//! rounds, [`ingest_active_columns`](ReleaseStore::ingest_active_columns)
-//! feeds scheduled ones (each round names its active cohorts), and all of
-//! them — snapshot restore and delta replay included — run through one
-//! validator.
+//! A [`RoundShape`] names which: `Lockstep` rounds step every cohort,
+//! `Scheduled` ones name their active cohorts. Live ingest, snapshot
+//! restore and delta replay all run through one validator.
 //!
 //! Every query reads a list of panels: a cohort scope its own, a merged
 //! scope the cohorts. It sums each panel's integer statistic (a window
@@ -63,7 +57,7 @@
 //!   rounds `t` and `t+1` may be different individuals, so a merged window
 //!   query only pools the cohorts that observed the whole window.
 //!
-//! The two ingestion families never mix in one store.
+//! Static and dynamic rounds never mix in one store.
 //!
 //! Note on **shared-noise rotating** stores: merged-scope answers still
 //! pool the covering cohorts' panels. The stored merged rounds are the
@@ -434,8 +428,56 @@ enum MergedRelease {
 
 /// One round of an ingest batch: the global round, the ascending cohorts
 /// that stepped in it, their released columns (in `active` order), and the
-/// merged release.
-pub(crate) type IngestRound<'a> = (usize, Vec<usize>, Vec<&'a BitColumn>, &'a BitColumn);
+/// merged release where the round carries one (always under shared noise;
+/// under per-shard noise only in snapshot and delta documents).
+pub(crate) type IngestRound<'a> = (usize, Vec<usize>, Vec<&'a BitColumn>, Option<&'a BitColumn>);
+
+/// Refuse an ingested round, naming why.
+fn mismatch<T>(msg: impl Into<String>) -> Result<T, ServeError> {
+    Err(ServeError::IngestMismatch(msg.into()))
+}
+
+/// How the cohorts of an ingested round step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RoundShape<'a> {
+    /// Every cohort steps, in shard order, at the store's next round: a
+    /// static panel.
+    Lockstep,
+    /// A round of a dynamic (scheduled) panel.
+    Scheduled {
+        /// The global round; it must be the store's next.
+        round: usize,
+        /// The panel's total cohort count, fixed by the first round.
+        cohorts: usize,
+        /// The ascending cohorts that stepped: the `i`-th cohort release
+        /// is cohort `active[i]`'s.
+        active: &'a [usize],
+    },
+}
+
+/// The columns a release adds to the store: one for a [`BitColumn`]; none
+/// for a `Buffered` fixed-window [`Release`], its `k` seed columns for an
+/// `Initial` one, and one for an `Update`.
+pub trait ReleaseColumns {
+    /// The released columns, oldest round first.
+    fn columns(&self) -> &[BitColumn];
+}
+
+impl ReleaseColumns for BitColumn {
+    fn columns(&self) -> &[BitColumn] {
+        std::slice::from_ref(self)
+    }
+}
+
+impl ReleaseColumns for Release {
+    fn columns(&self) -> &[BitColumn] {
+        match self {
+            Release::Buffered => &[],
+            Release::Initial(columns) => columns,
+            Release::Update(column) => std::slice::from_ref(column),
+        }
+    }
+}
 
 /// The append-only store of merged and per-cohort releases.
 ///
@@ -469,126 +511,51 @@ impl ReleaseStore {
         Self::default()
     }
 
-    /// Ingest one cumulative-family round under the default
-    /// [`PolicyTag::PerShard`] semantics (merged = cohort concatenation).
-    /// See [`ingest_columns_with`](Self::ingest_columns_with).
-    pub fn ingest_columns(
-        &mut self,
-        per_cohort: &[BitColumn],
-        merged: &BitColumn,
-    ) -> Result<(), ServeError> {
-        self.ingest_columns_with(PolicyTag::PerShard, per_cohort, merged)
-    }
-
-    /// Ingest one cumulative-family lockstep round: per-cohort released
-    /// columns (in shard order) plus the merged population-level column,
-    /// tagged with the aggregation policy that produced them.
+    /// Ingest one engine round: the cohort releases, in `shape`'s cohort
+    /// order, and the population release if and only if the round ran
+    /// under shared noise, which fixes the store's [`PolicyTag`] (see the
+    /// module docs). Each release adds the columns [`ReleaseColumns`]
+    /// names, one global round each, and every release of the round must
+    /// add the same number.
     ///
-    /// Ingestion is atomic: every column of the round is validated against
-    /// the store's shape *before* anything is appended, so a rejected round
-    /// leaves the store exactly as it was (merged and cohort panels can
-    /// never drift out of lockstep).
-    pub fn ingest_columns_with(
+    /// Ingestion is atomic: every column is validated against the store's
+    /// shape *before* anything is appended, so a rejected round leaves the
+    /// store exactly as it was — a multi-column `Initial` release lands
+    /// entirely or not at all. A cohort's first column pins its entry
+    /// round; after that its columns must arrive contiguously (a retired
+    /// cohort cannot resume).
+    pub fn ingest<R: ReleaseColumns>(
         &mut self,
-        policy: PolicyTag,
-        per_cohort: &[BitColumn],
-        merged: &BitColumn,
+        shape: RoundShape<'_>,
+        per_cohort: &[R],
+        population: Option<&R>,
     ) -> Result<(), ServeError> {
-        let round = (
-            self.rounds(),
-            (0..per_cohort.len()).collect(),
-            per_cohort.iter().collect(),
-            merged,
-        );
-        self.ingest_rounds(policy, per_cohort.len(), true, &[round])
-    }
-
-    /// Ingest one fixed-window round under the default
-    /// [`PolicyTag::PerShard`] semantics. See
-    /// [`ingest_releases_with`](Self::ingest_releases_with).
-    pub fn ingest_releases(
-        &mut self,
-        per_cohort: &[Release],
-        merged: &Release,
-    ) -> Result<(), ServeError> {
-        self.ingest_releases_with(PolicyTag::PerShard, per_cohort, merged)
-    }
-
-    /// Ingest one fixed-window round: per-cohort [`Release`]s (in shard
-    /// order) plus the merged release, tagged with the aggregation policy
-    /// that produced them. All shards run in lockstep, so the variants
-    /// agree; `Buffered` rounds store nothing. Atomic, like
-    /// [`ingest_columns_with`](Self::ingest_columns_with) — a multi-column
-    /// `Initial` release lands entirely or not at all.
-    pub fn ingest_releases_with(
-        &mut self,
-        policy: PolicyTag,
-        per_cohort: &[Release],
-        merged: &Release,
-    ) -> Result<(), ServeError> {
-        fn columns(release: &Release) -> &[BitColumn] {
-            match release {
-                Release::Buffered => &[],
-                Release::Initial(columns) => columns,
-                Release::Update(column) => std::slice::from_ref(column),
-            }
+        let n = per_cohort.len();
+        let mut widths = per_cohort
+            .iter()
+            .chain(population)
+            .map(|r| r.columns().len());
+        let width = widths.next().unwrap_or(0);
+        if n == 0 || widths.any(|w| w != width) {
+            return mismatch("a round needs cohort releases that add equally many columns");
         }
-        let merged_columns = columns(merged);
-        let mut parts = vec![Vec::with_capacity(per_cohort.len()); merged_columns.len()];
-        for release in per_cohort {
-            if std::mem::discriminant(release) != std::mem::discriminant(merged) {
-                return Err(ServeError::IngestMismatch(
-                    "cohort/merged release variants disagree".to_string(),
-                ));
-            }
-            if columns(release).len() < merged_columns.len() {
-                return Err(ServeError::IngestMismatch(
-                    "cohort initial release narrower than merged".to_string(),
-                ));
-            }
-            for (round_parts, column) in parts.iter_mut().zip(columns(release)) {
-                round_parts.push(column);
-            }
-        }
-        let start = self.rounds();
-        let batch: Vec<IngestRound<'_>> = parts
-            .into_iter()
-            .zip(merged_columns)
-            .enumerate()
-            .map(|(offset, (parts, merged))| {
-                (
-                    start + offset,
-                    (0..per_cohort.len()).collect(),
-                    parts,
-                    merged,
-                )
+        let (start, cohorts, active) = match shape {
+            RoundShape::Lockstep => (self.rounds, n, (0..n).collect()),
+            RoundShape::Scheduled {
+                round,
+                cohorts,
+                active,
+            } => (round, cohorts, active.to_vec()),
+        };
+        let batch: Vec<IngestRound<'_>> = (0..width)
+            .map(|j| {
+                let parts = per_cohort.iter().map(|r| &r.columns()[j]).collect();
+                let merged = population.map(|p| &p.columns()[j]);
+                (start + j, active.clone(), parts, merged)
             })
             .collect();
-        self.ingest_rounds(policy, per_cohort.len(), true, &batch)
-    }
-
-    /// Ingest one **dynamic-panel** round: the releases of the round's
-    /// active cohorts, indexed by cohort, plus the merged active-set
-    /// release.
-    ///
-    /// `round` is the global round (must be exactly the store's next),
-    /// `cohorts` the panel's total cohort count (fixed by the first
-    /// round), `active` the ascending indices of the cohorts that stepped,
-    /// and `per_cohort[i]` the release of cohort `active[i]`. A cohort's
-    /// first appearance pins its entry round; after that its columns must
-    /// arrive contiguously (a retired cohort cannot resume). Atomic like
-    /// lockstep ingestion: everything is validated before anything lands.
-    pub fn ingest_active_columns(
-        &mut self,
-        policy: PolicyTag,
-        round: usize,
-        cohorts: usize,
-        active: &[usize],
-        per_cohort: &[BitColumn],
-        merged: &BitColumn,
-    ) -> Result<(), ServeError> {
-        let round = (round, active.to_vec(), per_cohort.iter().collect(), merged);
-        self.ingest_rounds(policy, cohorts, false, &[round])
+        let policy = population.map_or(PolicyTag::PerShard, |_| PolicyTag::Shared);
+        self.ingest_rounds(policy, cohorts, shape == RoundShape::Lockstep, &batch)
     }
 
     /// The single mutation path, shared by live ingestion, snapshot
@@ -605,13 +572,12 @@ impl ReleaseStore {
         longitudinal: bool,
         batch: &[IngestRound<'_>],
     ) -> Result<(), ServeError> {
-        let mismatch = |msg: String| Err(ServeError::IngestMismatch(msg));
         if let Some(existing) = self.policy {
             if self.is_dynamic() == longitudinal {
                 return mismatch(if longitudinal {
-                    "store holds dynamic (scheduled) rounds; lockstep rounds cannot mix in".into()
+                    "store holds dynamic (scheduled) rounds; lockstep rounds cannot mix in"
                 } else {
-                    "store holds static lockstep rounds; scheduled rounds cannot mix in".into()
+                    "store holds static lockstep rounds; scheduled rounds cannot mix in"
                 });
             }
             if existing != policy {
@@ -627,7 +593,7 @@ impl ReleaseStore {
             }
         }
         if cohorts == 0 && !longitudinal {
-            return mismatch("dynamic round declares zero cohorts".to_string());
+            return mismatch("dynamic round declares zero cohorts");
         }
         // Validation pass: each cohort's (entry, rounds, records) as the
         // rounds validated so far leave it — no mutation yet.
@@ -659,9 +625,7 @@ impl ReleaseStore {
             if active.windows(2).any(|pair| pair[0] >= pair[1])
                 || active.last().is_some_and(|&c| c >= cohorts)
             {
-                return mismatch(
-                    "active cohort indices must be ascending and within the panel".to_string(),
-                );
+                return mismatch("active cohort indices must be ascending and within the panel");
             }
             if longitudinal && active.len() != cohorts {
                 return mismatch(format!(
@@ -669,22 +633,28 @@ impl ReleaseStore {
                     active.len()
                 ));
             }
-            // Under per-shard noise the merged column is the concatenation
-            // of the stepping cohorts' columns; a shared-noise merged
-            // column is an independent population synthesis whose n* is
-            // free to differ.
-            if policy == PolicyTag::PerShard {
-                let concatenation = BitColumn::concat(parts.iter().copied());
-                if concatenation != **merged {
+            // A live per-shard round carries no merged column (the store
+            // derives the concatenation); a document's must be exactly that.
+            // A shared-noise merged column is an independent population
+            // synthesis whose n* is free to differ.
+            if let (PolicyTag::PerShard, Some(merged)) = (policy, merged) {
+                let records: usize = parts.iter().map(|column| column.len()).sum();
+                if records != merged.len() {
                     return mismatch(format!(
-                        "per-shard merged column ({} records) is not the concatenation of \
-                         the cohort columns, which sum to {} records",
-                        merged.len(),
-                        concatenation.len()
+                        "per-shard merged column has {} records, but the cohort columns sum \
+                         to {records}",
+                        merged.len()
+                    ));
+                }
+                let cohort_bits = parts.iter().flat_map(|column| column.iter());
+                if let Some(i) = cohort_bits.zip(merged.iter()).position(|(a, b)| a != b) {
+                    return mismatch(format!(
+                        "per-shard merged column differs from the concatenation of the cohort \
+                         columns at record {i}"
                     ));
                 }
             }
-            if longitudinal {
+            if let (true, Some(merged)) = (longitudinal, merged) {
                 match merged_records {
                     Some(records) if records != merged.len() => {
                         return mismatch(format!(
@@ -746,10 +716,10 @@ impl ReleaseStore {
                 }
                 self.live.clone_from(active);
             }
-            match &mut self.merged {
-                MergedRelease::Pooled => {}
-                MergedRelease::Longitudinal(panel) => panel.push(merged),
-                MergedRelease::Ragged(columns) => columns.push((*merged).clone()),
+            match (&mut self.merged, merged) {
+                (MergedRelease::Longitudinal(panel), Some(merged)) => panel.push(merged),
+                (MergedRelease::Ragged(columns), Some(merged)) => columns.push((*merged).clone()),
+                _ => {}
             }
         }
         Ok(())
@@ -978,18 +948,24 @@ mod tests {
         BitColumn::from_bools(bits)
     }
 
-    fn two_cohort_round(a: &[bool], b: &[bool]) -> (Vec<BitColumn>, BitColumn) {
-        let merged: Vec<bool> = a.iter().chain(b).copied().collect();
-        (vec![col(a), col(b)], col(&merged))
+    /// Ingest one per-shard lockstep round of two cohorts.
+    fn ingest_two(store: &mut ReleaseStore, a: &[bool], b: &[bool]) -> Result<(), ServeError> {
+        store.ingest(RoundShape::Lockstep, &[col(a), col(b)], None)
+    }
+
+    fn scheduled(round: usize, cohorts: usize, active: &[usize]) -> RoundShape<'_> {
+        RoundShape::Scheduled {
+            round,
+            cohorts,
+            active,
+        }
     }
 
     #[test]
-    fn ingest_columns_grows_all_scopes_in_lockstep() {
+    fn lockstep_ingest_grows_all_scopes() {
         let mut store = ReleaseStore::new();
-        let (parts, merged) = two_cohort_round(&[true, false], &[false, true, true]);
-        store.ingest_columns(&parts, &merged).unwrap();
-        let (parts, merged) = two_cohort_round(&[false, false], &[true, true, false]);
-        store.ingest_columns(&parts, &merged).unwrap();
+        ingest_two(&mut store, &[true, false], &[false, true, true]).unwrap();
+        ingest_two(&mut store, &[false, false], &[true, true, false]).unwrap();
 
         assert_eq!(store.rounds(), 2);
         assert_eq!(store.cohorts(), 2);
@@ -1001,17 +977,20 @@ mod tests {
     #[test]
     fn ingest_rejects_shape_changes() {
         let mut store = ReleaseStore::new();
-        let (parts, merged) = two_cohort_round(&[true], &[false]);
-        store.ingest_columns(&parts, &merged).unwrap();
+        ingest_two(&mut store, &[true], &[false]).unwrap();
         // Wrong cohort count.
         assert!(matches!(
-            store.ingest_columns(&[col(&[true])], &col(&[true])),
+            store.ingest(RoundShape::Lockstep, &[col(&[true])], None),
+            Err(ServeError::IngestMismatch(_))
+        ));
+        // No cohort release at all.
+        assert!(matches!(
+            store.ingest::<BitColumn>(RoundShape::Lockstep, &[], None),
             Err(ServeError::IngestMismatch(_))
         ));
         // Wrong record count.
-        let (parts, _) = two_cohort_round(&[true], &[false]);
         assert!(matches!(
-            store.ingest_columns(&parts, &col(&[true, false, true])),
+            ingest_two(&mut store, &[true], &[false, true]),
             Err(ServeError::IngestMismatch(_))
         ));
     }
@@ -1019,24 +998,19 @@ mod tests {
     #[test]
     fn rejected_rounds_leave_the_store_untouched() {
         let mut store = ReleaseStore::new();
-        let (parts, merged) = two_cohort_round(&[true, false], &[false, true]);
-        store.ingest_columns(&parts, &merged).unwrap();
+        ingest_two(&mut store, &[true, false], &[false, true]).unwrap();
         let before = store.clone();
 
-        // Merged column consistent with the store, but cohort 1's column
-        // has the wrong record count: the round must be rejected *whole*
-        // (previously the merged panel kept the push, silently breaking
-        // lockstep and making every later snapshot unrestorable).
-        let bad_parts = vec![col(&[true, false]), col(&[true, false, false])];
-        let bad_merged = col(&[true, false, true, false]);
+        // Cohort 0's column fits the store, but cohort 1's has the wrong
+        // record count: the round must be rejected *whole*, so no panel
+        // keeps a push the others lack.
         assert!(matches!(
-            store.ingest_columns(&bad_parts, &bad_merged),
+            ingest_two(&mut store, &[true, false], &[true, false, false]),
             Err(ServeError::IngestMismatch(_))
         ));
         assert_eq!(store, before, "failed ingest must not mutate the store");
         // The store still works and still snapshots/restores.
-        let (parts, merged) = two_cohort_round(&[false, false], &[true, true]);
-        store.ingest_columns(&parts, &merged).unwrap();
+        ingest_two(&mut store, &[false, false], &[true, true]).unwrap();
         assert_eq!(store.rounds(), 2);
         let restored = restore_json(&snapshot_json(&store)).unwrap();
         assert_eq!(restored, store);
@@ -1046,44 +1020,38 @@ mod tests {
         let mut store = ReleaseStore::new();
         let good = Release::Initial(vec![col(&[true]), col(&[false])]);
         let ragged = Release::Initial(vec![col(&[true]), col(&[false, true])]);
-        let merged = Release::Initial(vec![col(&[true, true]), col(&[false, false])]);
+        let population = Release::Initial(vec![col(&[true, true]), col(&[false, false])]);
         let before = store.clone();
-        assert!(store.ingest_releases(&[good, ragged], &merged).is_err());
+        assert!(store
+            .ingest(RoundShape::Lockstep, &[good, ragged], Some(&population))
+            .is_err());
         assert_eq!(store, before);
     }
 
     #[test]
     fn window_releases_expand_variants() {
         let mut store = ReleaseStore::new();
+        let mut ingest = |parts: &[Release]| store.ingest(RoundShape::Lockstep, parts, None);
         // Buffered round: nothing stored.
-        store
-            .ingest_releases(&[Release::Buffered, Release::Buffered], &Release::Buffered)
-            .unwrap();
-        assert_eq!(store.rounds(), 0);
+        ingest(&[Release::Buffered, Release::Buffered]).unwrap();
         // Initial round: both seed columns land.
-        let merged = Release::Initial(vec![col(&[true, false, true]), col(&[false, false, true])]);
-        let parts = vec![
+        ingest(&[
             Release::Initial(vec![col(&[true, false]), col(&[false, false])]),
             Release::Initial(vec![col(&[true]), col(&[true])]),
-        ];
-        store.ingest_releases(&parts, &merged).unwrap();
-        assert_eq!(store.rounds(), 2);
+        ])
+        .unwrap();
         // Update round.
-        let merged = Release::Update(col(&[true, true, false]));
-        let parts = vec![
+        ingest(&[
             Release::Update(col(&[true, true])),
             Release::Update(col(&[false])),
-        ];
-        store.ingest_releases(&parts, &merged).unwrap();
+        ])
+        .unwrap();
+        // Releases adding different numbers of columns error.
+        assert!(ingest(&[Release::Buffered, Release::Update(col(&[true]))]).is_err());
         assert_eq!(store.rounds(), 3);
         assert_eq!(store.panel(StoreScope::Cohort(0)).unwrap().rounds(), 3);
-        // Mismatched variants error.
-        assert!(store
-            .ingest_releases(
-                &[Release::Buffered, Release::Buffered],
-                &Release::Update(col(&[true, true, false]))
-            )
-            .is_err());
+        let merged = store.merged_round(2).unwrap();
+        assert_eq!(*merged, col(&[true, true, false]));
     }
 
     #[test]
@@ -1092,91 +1060,34 @@ mod tests {
         // synthesis: its record count need not equal the cohort sum.
         let mut store = ReleaseStore::new();
         let parts = vec![col(&[true, false]), col(&[false])];
-        let merged = col(&[true, false, true, true, false]); // 5 != 2 + 1
+        let population = col(&[true, false, true, true, false]); // 5 != 2 + 1
         store
-            .ingest_columns_with(PolicyTag::Shared, &parts, &merged)
+            .ingest(RoundShape::Lockstep, &parts, Some(&population))
             .unwrap();
         assert_eq!(store.policy(), Some(PolicyTag::Shared));
         assert_eq!(store.records(), Some(5));
         assert_eq!(store.panel(StoreScope::Cohort(0)).unwrap().individuals(), 2);
-        // The same round is rejected under per-shard semantics...
-        let mut strict = ReleaseStore::new();
-        assert!(matches!(
-            strict.ingest_columns_with(PolicyTag::PerShard, &parts, &merged),
-            Err(ServeError::IngestMismatch(_))
-        ));
-        // ...and a store never changes policy mid-stream.
+        // A store never changes policy mid-stream.
         let err = store
-            .ingest_columns_with(PolicyTag::PerShard, &parts, &merged)
+            .ingest(RoundShape::Lockstep, &parts, None)
             .unwrap_err();
         assert!(err.to_string().contains("per-shard"), "{err}");
         // Per-panel record consistency still holds under shared.
         assert!(store
-            .ingest_columns_with(PolicyTag::Shared, &parts, &col(&[true, true]))
+            .ingest(RoundShape::Lockstep, &parts, Some(&col(&[true, true])))
             .is_err());
-    }
-
-    #[test]
-    fn per_shard_merged_columns_must_be_the_concatenation() {
-        // Right record count, wrong bits: refused whole, in lockstep...
-        let mut store = ReleaseStore::new();
-        let (parts, merged) = two_cohort_round(&[true, false], &[false, true]);
-        store.ingest_columns(&parts, &merged).unwrap();
-        let before = store.clone();
-        let (parts, merged) = two_cohort_round(&[true, true], &[false, false]);
-        let err = store
-            .ingest_columns(&parts, &col(&[true, false, true, false]))
-            .unwrap_err();
-        assert!(matches!(err, ServeError::IngestMismatch(_)), "{err}");
-        let releases = parts
-            .iter()
-            .cloned()
-            .map(Release::Update)
-            .collect::<Vec<_>>();
-        let swapped = Release::Update(col(&[false, false, true, true]));
-        assert!(matches!(
-            store.ingest_releases(&releases, &swapped),
-            Err(ServeError::IngestMismatch(_))
-        ));
-        assert_eq!(store, before, "failed ingest must not mutate the store");
-        store.ingest_columns(&parts, &merged).unwrap();
-        // ...and in scheduled rounds.
-        let mut store = rotating_store();
-        let before = store.clone();
-        let parts = [col(&[true]), col(&[false, true])];
-        let err = store
-            .ingest_active_columns(
-                PolicyTag::PerShard,
-                3,
-                4,
-                &[2, 3],
-                &parts,
-                &col(&[false, true, true]),
-            )
-            .unwrap_err();
-        assert!(matches!(err, ServeError::IngestMismatch(_)), "{err}");
-        assert_eq!(store, before, "failed ingest must not mutate the store");
-        let merged = BitColumn::concat(&parts);
-        store
-            .ingest_active_columns(PolicyTag::PerShard, 3, 4, &[2, 3], &parts, &merged)
-            .unwrap();
-    }
-
-    #[test]
-    fn untagged_ingest_defaults_to_per_shard() {
-        let mut store = ReleaseStore::new();
-        let (parts, merged) = two_cohort_round(&[true], &[false]);
-        store.ingest_columns(&parts, &merged).unwrap();
-        assert_eq!(store.policy(), Some(PolicyTag::PerShard));
     }
 
     #[test]
     fn answers_cover_all_query_kinds_and_scopes() {
         let mut store = ReleaseStore::new();
         for round in 0..4 {
-            let (parts, merged) =
-                two_cohort_round(&[round % 2 == 0, true], &[false, round >= 1, true]);
-            store.ingest_columns(&parts, &merged).unwrap();
+            ingest_two(
+                &mut store,
+                &[round % 2 == 0, true],
+                &[false, round >= 1, true],
+            )
+            .unwrap();
         }
         let ask = |scope, kind| store.answer(&ServeQuery { scope, kind }).unwrap();
         // Cumulative: every record of cohort 0 has weight >= 1 by t=1.
@@ -1227,9 +1138,8 @@ mod tests {
         ];
         for (round, (active, parts)) in rounds.into_iter().enumerate() {
             let owned: Vec<BitColumn> = parts.iter().map(|c| (*c).clone()).collect();
-            let merged = BitColumn::concat(owned.iter());
             store
-                .ingest_active_columns(PolicyTag::PerShard, round, 4, active, &owned, &merged)
+                .ingest(scheduled(round, 4, active), &owned, None)
                 .unwrap();
         }
         store
@@ -1354,8 +1264,7 @@ mod tests {
         // round: the dynamic accessors describe it truthfully.
         let mut store = ReleaseStore::new();
         for round in 0..3 {
-            let (parts, merged) = two_cohort_round(&[round != 1], &[true, round == 2]);
-            store.ingest_columns(&parts, &merged).unwrap();
+            ingest_two(&mut store, &[round != 1], &[true, round == 2]).unwrap();
         }
         assert!(!store.is_dynamic());
         for c in 0..2 {
@@ -1422,7 +1331,7 @@ mod tests {
                 _ => vec![merged.slice(0..2), merged.slice(2..3)],
             };
             rotated
-                .ingest_active_columns(PolicyTag::PerShard, round, 2, active, &parts, &merged)
+                .ingest(scheduled(round, 2, active), &parts, None)
                 .unwrap();
         }
         // Width 3 at t=2 spans rounds 0..=2: cohort 0 retired after round
@@ -1456,9 +1365,9 @@ mod tests {
         ];
         for (round, (active, parts)) in rounds.into_iter().enumerate() {
             // Independent population synthesis: NOT the concatenation.
-            let merged = col(&[round % 2 == 0, true, false, round == 2]);
+            let population = col(&[round % 2 == 0, true, false, round == 2]);
             store
-                .ingest_active_columns(PolicyTag::Shared, round, 4, active, &parts, &merged)
+                .ingest(scheduled(round, 4, active), &parts, Some(&population))
                 .unwrap();
         }
         assert!(store.is_dynamic());
@@ -1488,65 +1397,28 @@ mod tests {
         let before = store.clone();
         // Round out of order.
         assert!(matches!(
-            store.ingest_active_columns(
-                PolicyTag::PerShard,
-                5,
-                4,
-                &[1],
-                &[col(&[true, true, true])],
-                &col(&[true, true, true]),
-            ),
+            store.ingest(scheduled(5, 4, &[1]), &[col(&[true, true, true])], None),
             Err(ServeError::IngestMismatch(_))
         ));
         // A retired cohort cannot resume (cohort 0 stopped after round 1).
         let err = store
-            .ingest_active_columns(
-                PolicyTag::PerShard,
-                3,
-                4,
-                &[0],
-                &[col(&[true, false])],
-                &col(&[true, false]),
-            )
+            .ingest(scheduled(3, 4, &[0]), &[col(&[true, false])], None)
             .unwrap_err();
         assert!(err.to_string().contains("contiguous"), "{err}");
         // Non-ascending active indices.
+        let parts = [col(&[true]), col(&[true, false, true])];
         assert!(store
-            .ingest_active_columns(
-                PolicyTag::PerShard,
-                3,
-                4,
-                &[2, 1],
-                &[col(&[true]), col(&[true, false, true])],
-                &col(&[true, true, false, true]),
-            )
+            .ingest(scheduled(3, 4, &[2, 1]), &parts, None)
             .is_err());
-        // Concatenation mismatch under per-shard.
-        assert!(store
-            .ingest_active_columns(
-                PolicyTag::PerShard,
-                3,
-                4,
-                &[1],
-                &[col(&[true, false, true])],
-                &col(&[true]),
-            )
-            .is_err());
+        // More releases than active cohorts.
+        assert!(store.ingest(scheduled(3, 4, &[1]), &parts, None).is_err());
         assert_eq!(store, before, "failed ingests must not mutate");
         // Static and dynamic rounds never mix, in either direction.
-        let (parts, merged) = two_cohort_round(&[true], &[false]);
-        assert!(store.ingest_columns(&parts, &merged).is_err());
+        assert!(ingest_two(&mut store, &[true], &[false]).is_err());
         let mut static_store = ReleaseStore::new();
-        static_store.ingest_columns(&parts, &merged).unwrap();
+        ingest_two(&mut static_store, &[true], &[false]).unwrap();
         assert!(static_store
-            .ingest_active_columns(
-                PolicyTag::PerShard,
-                1,
-                2,
-                &[0],
-                &[col(&[true])],
-                &col(&[true]),
-            )
+            .ingest(scheduled(1, 2, &[0]), &[col(&[true])], None)
             .is_err());
     }
 
@@ -1563,8 +1435,7 @@ mod tests {
         ));
 
         let mut store = ReleaseStore::new();
-        let (parts, merged) = two_cohort_round(&[true], &[false]);
-        store.ingest_columns(&parts, &merged).unwrap();
+        ingest_two(&mut store, &[true], &[false]).unwrap();
         // Round too far ahead.
         let q = ServeQuery {
             scope: StoreScope::Merged,
@@ -1627,8 +1498,7 @@ mod tests {
         let mut store = ReleaseStore::new();
         let mut wide_reads = 0;
         for r in 0..40 {
-            let (parts, merged) = two_cohort_round(&[r % 2 == 0, r % 5 != 1], &[r % 3 == 0]);
-            store.ingest_columns(&parts, &merged).unwrap();
+            ingest_two(&mut store, &[r % 2 == 0, r % 5 != 1], &[r % 3 == 0]).unwrap();
             // Each round reads the newest round at every width it allows,
             // then re-reads rounds long past; width 7 is never stored.
             for t in [r, r / 2, r / 3, 7.min(r)] {
@@ -1665,8 +1535,7 @@ mod tests {
     fn stored_histograms_survive_clones_poison_and_retirement() {
         let mut store = ReleaseStore::new();
         for r in 0..8 {
-            let (parts, merged) = two_cohort_round(&[r % 2 == 0, true], &[false, r % 3 == 0]);
-            store.ingest_columns(&parts, &merged).unwrap();
+            ingest_two(&mut store, &[r % 2 == 0, true], &[false, r % 3 == 0]).unwrap();
         }
         let merged = store.answer(&window(StoreScope::Merged, 5, 3)).unwrap();
         assert_eq!(builds(&store, 0), [(5, 3)]);
@@ -1706,9 +1575,8 @@ mod tests {
                 .iter()
                 .map(|&c| col(&[(c + round).is_multiple_of(2), round % 3 == c % 3]))
                 .collect();
-            let merged = BitColumn::concat(&parts);
             store
-                .ingest_active_columns(PolicyTag::PerShard, round, 20, &active, &parts, &merged)
+                .ingest(scheduled(round, 20, &active), &parts, None)
                 .unwrap();
         };
         for round in 0..3 {

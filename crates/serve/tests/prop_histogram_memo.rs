@@ -16,7 +16,7 @@ use longsynth_queries::{window_histogram, Pattern, WindowQuery};
 use longsynth_serve::snapshot::{
     apply_delta_json, restore_json, snapshot_json, snapshot_since_json,
 };
-use longsynth_serve::{QueryKind, ReleaseStore, ServeQuery, StoreScope};
+use longsynth_serve::{QueryKind, ReleaseStore, RoundShape, ServeQuery, StoreScope};
 use proptest::prelude::*;
 use std::borrow::Cow;
 
@@ -66,11 +66,13 @@ fn build(
                     .iter()
                     .map(|&n| random_column(&mut next_bit, n))
                     .collect();
-                let (policy, merged) = match shape {
-                    Shape::StaticPerShard => (PolicyTag::PerShard, BitColumn::concat(&parts)),
-                    _ => (PolicyTag::Shared, random_column(&mut next_bit, population)),
+                let population = match shape {
+                    Shape::StaticPerShard => None,
+                    _ => Some(random_column(&mut next_bit, population)),
                 };
-                store.ingest_columns_with(policy, &parts, &merged).unwrap();
+                store
+                    .ingest(RoundShape::Lockstep, &parts, population.as_ref())
+                    .unwrap();
             }
         }
         Shape::RotatingPerShard | Shape::RotatingShared => {
@@ -84,20 +86,16 @@ fn build(
                     .iter()
                     .map(|&c| random_column(&mut next_bit, schedule.cohort_size(c)))
                     .collect();
-                let (policy, merged) = match shape {
-                    Shape::RotatingPerShard => (PolicyTag::PerShard, BitColumn::concat(&parts)),
-                    _ => (PolicyTag::Shared, random_column(&mut next_bit, population)),
+                let population = match shape {
+                    Shape::RotatingPerShard => None,
+                    _ => Some(random_column(&mut next_bit, population)),
                 };
-                store
-                    .ingest_active_columns(
-                        policy,
-                        round,
-                        schedule.cohorts(),
-                        &active,
-                        &parts,
-                        &merged,
-                    )
-                    .unwrap();
+                let shape = RoundShape::Scheduled {
+                    round,
+                    cohorts: schedule.cohorts(),
+                    active: &active,
+                };
+                store.ingest(shape, &parts, population.as_ref()).unwrap();
             }
         }
     }

@@ -16,7 +16,7 @@ use longsynth_queries::{window_histogram, Pattern, WindowQuery};
 use longsynth_serve::snapshot::{
     apply_delta_json, restore_json, snapshot_json, snapshot_since_json,
 };
-use longsynth_serve::{QueryKind, QueryService, ReleaseStore, ServeQuery, StoreScope};
+use longsynth_serve::{QueryKind, QueryService, ReleaseStore, RoundShape, ServeQuery, StoreScope};
 use proptest::prelude::*;
 
 /// Deterministically expand compact random parameters into a full release
@@ -38,8 +38,7 @@ fn random_store(seed: u64, cohort_sizes: &[usize], rounds: usize) -> ReleaseStor
             .iter()
             .map(|&size| BitColumn::from_iter_bits((0..size).map(|_| next_bit())))
             .collect();
-        let merged = BitColumn::concat(parts.iter());
-        store.ingest_columns(&parts, &merged).unwrap();
+        store.ingest(RoundShape::Lockstep, &parts, None).unwrap();
     }
     store
 }
@@ -60,9 +59,9 @@ fn random_shared_store(
             .iter()
             .map(|&size| BitColumn::from_iter_bits((0..size).map(|_| next_bit())))
             .collect();
-        let merged = BitColumn::from_iter_bits((0..population).map(|_| next_bit()));
+        let population = BitColumn::from_iter_bits((0..population).map(|_| next_bit()));
         store
-            .ingest_columns_with(PolicyTag::Shared, &parts, &merged)
+            .ingest(RoundShape::Lockstep, &parts, Some(&population))
             .unwrap();
     }
     store
@@ -97,17 +96,12 @@ fn random_rotating_store(seed: u64, waves: usize, horizon: usize, rounds: usize)
             .iter()
             .map(|&c| BitColumn::from_iter_bits((0..schedule.cohort_size(c)).map(|_| next_bit())))
             .collect();
-        let merged = BitColumn::concat(parts.iter());
-        store
-            .ingest_active_columns(
-                PolicyTag::PerShard,
-                round,
-                schedule.cohorts(),
-                &active,
-                &parts,
-                &merged,
-            )
-            .unwrap();
+        let shape = RoundShape::Scheduled {
+            round,
+            cohorts: schedule.cohorts(),
+            active: &active,
+        };
+        store.ingest(shape, &parts, None).unwrap();
     }
     store
 }
@@ -715,12 +709,12 @@ fn v4_static_store(rounds: usize) -> ReleaseStore {
         ([1, 0b01], 0b1111),
     ];
     let mut store = ReleaseStore::new();
-    for ([a, b], merged) in plan.into_iter().take(rounds) {
+    for ([a, b], population) in plan.into_iter().take(rounds) {
         store
-            .ingest_columns_with(
-                PolicyTag::Shared,
+            .ingest(
+                RoundShape::Lockstep,
                 &[word_column(a, 1), word_column(b, 2)],
-                &word_column(merged, 4),
+                Some(&word_column(population, 4)),
             )
             .unwrap();
     }
@@ -739,21 +733,19 @@ fn v4_rotating_store(rounds: usize) -> ReleaseStore {
         ([2, 3], [0, 0b10], 0b110),
     ];
     let mut store = ReleaseStore::new();
-    for (round, (active, words, merged)) in plan.into_iter().enumerate().take(rounds) {
+    for (round, (active, words, population)) in plan.into_iter().enumerate().take(rounds) {
         let parts: Vec<BitColumn> = active
             .iter()
             .zip(words)
             .map(|(&c, word)| word_column(word, sizes[c]))
             .collect();
+        let shape = RoundShape::Scheduled {
+            round,
+            cohorts: 4,
+            active: &active,
+        };
         store
-            .ingest_active_columns(
-                PolicyTag::Shared,
-                round,
-                4,
-                &active,
-                &parts,
-                &word_column(merged, 3),
-            )
+            .ingest(shape, &parts, Some(&word_column(population, 3)))
             .unwrap();
     }
     store
@@ -1057,9 +1049,7 @@ fn per_shard_static_store(rounds: usize) -> ReleaseStore {
     let mut store = ReleaseStore::new();
     for [a, b] in plan.into_iter().take(rounds) {
         let parts = [word_column(a, 2), word_column(b, 3)];
-        store
-            .ingest_columns(&parts, &BitColumn::concat(&parts))
-            .unwrap();
+        store.ingest(RoundShape::Lockstep, &parts, None).unwrap();
     }
     store
 }
@@ -1079,10 +1069,12 @@ fn per_shard_rotating_store(rounds: usize) -> ReleaseStore {
             .zip(words)
             .map(|(&c, word)| word_column(word, sizes[c]))
             .collect();
-        let merged = BitColumn::concat(&parts);
-        store
-            .ingest_active_columns(PolicyTag::PerShard, round, 4, &active, &parts, &merged)
-            .unwrap();
+        let shape = RoundShape::Scheduled {
+            round,
+            cohorts: 4,
+            active: &active,
+        };
+        store.ingest(shape, &parts, None).unwrap();
     }
     store
 }

@@ -5,7 +5,7 @@
 use longsynth_data::BitColumn;
 use longsynth_queries::{Pattern, WindowQuery};
 use longsynth_serve::{
-    PolicyTag, QueryKind, QueryService, ReleaseStore, ServeError, ServeQuery, StoreScope,
+    QueryKind, QueryService, ReleaseStore, RoundShape, ServeError, ServeQuery, StoreScope,
 };
 
 fn ask(service: &QueryService, scope: StoreScope, kind: QueryKind) -> Result<f64, ServeError> {
@@ -53,10 +53,12 @@ fn ragged_store(second: usize) -> ReleaseStore {
     ];
     for (round, (active, parts)) in rounds.into_iter().enumerate() {
         let parts: Vec<BitColumn> = parts.into_iter().cloned().collect();
-        let merged = BitColumn::concat(&parts);
-        store
-            .ingest_active_columns(PolicyTag::PerShard, round, 2, active, &parts, &merged)
-            .unwrap();
+        let shape = RoundShape::Scheduled {
+            round,
+            cohorts: 2,
+            active,
+        };
+        store.ingest(shape, &parts, None).unwrap();
     }
     store
 }
@@ -65,9 +67,7 @@ fn ragged_store(second: usize) -> ReleaseStore {
 fn zero_width_queries_are_typed_errors_on_static_and_ragged_stores() {
     let mut fixed = ReleaseStore::new();
     let column = BitColumn::from_bools(&[true, false, true]);
-    fixed
-        .ingest_columns(std::slice::from_ref(&column), &column)
-        .unwrap();
+    fixed.ingest(RoundShape::Lockstep, &[column], None).unwrap();
     let stores = [(fixed, 0), (ragged_store(3), 1)];
     for (store, t) in stores {
         let service = QueryService::from_store(store);
@@ -83,7 +83,7 @@ fn zero_width_queries_are_typed_errors_on_static_and_ragged_stores() {
 fn zero_record_static_scopes_are_typed_errors() {
     let mut store = ReleaseStore::new();
     store
-        .ingest_columns(&[BitColumn::zeros(0)], &BitColumn::zeros(0))
+        .ingest(RoundShape::Lockstep, &[BitColumn::zeros(0)], None)
         .unwrap();
     let restored =
         QueryService::restore_json(&QueryService::from_store(store.clone()).snapshot_json())
@@ -142,9 +142,7 @@ fn the_widest_pattern_answers() {
     let mut store = ReleaseStore::new();
     for round in 0..width {
         let column = BitColumn::from_iter_bits((0..5).map(|i| i != round));
-        store
-            .ingest_columns(std::slice::from_ref(&column), &column)
-            .unwrap();
+        store.ingest(RoundShape::Lockstep, &[column], None).unwrap();
     }
     let service = QueryService::from_store(store);
     let all_ones = Pattern::new((1 << width) - 1, width);
