@@ -51,7 +51,8 @@ use std::ops::Range;
 pub struct GroupArena {
     /// Front id store: group `g` is `ids[offsets[g]..offsets[g+1]]`.
     ids: Vec<u32>,
-    /// Front offsets, length `groups + 1` (`[0]` when empty).
+    /// Front offsets, length `groups + 1`, or empty for zero groups (so
+    /// an empty arena holds no heap).
     offsets: Vec<usize>,
     /// Back id store under construction between `plan` and `commit`.
     back_ids: Vec<u32>,
@@ -64,26 +65,19 @@ pub struct GroupArena {
 }
 
 impl GroupArena {
-    /// An empty arena with zero groups.
+    /// An empty arena with zero groups. Allocates nothing.
     pub fn new() -> Self {
-        Self {
-            ids: Vec::new(),
-            offsets: vec![0],
-            back_ids: Vec::new(),
-            back_offsets: Vec::new(),
-            cursors: Vec::new(),
-            planning: false,
-        }
+        Self::default()
     }
 
     /// Number of groups in the settled (front) partition.
     pub fn groups(&self) -> usize {
-        self.offsets.len() - 1
+        self.offsets.len().saturating_sub(1)
     }
 
     /// Total number of ids stored across all groups.
     pub fn len(&self) -> usize {
-        *self.offsets.last().expect("offsets never empty")
+        self.offsets.last().copied().unwrap_or(0)
     }
 
     /// True when no ids are stored.
@@ -220,8 +214,16 @@ impl GroupArena {
     pub fn clear(&mut self) {
         self.ids.clear();
         self.offsets.clear();
-        self.offsets.push(0);
         self.planning = false;
+    }
+
+    /// Bytes of heap the arena holds (every buffer's capacity).
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.ids.capacity() + self.back_ids.capacity()) * size_of::<u32>()
+            + (self.offsets.capacity() + self.back_offsets.capacity() + self.cursors.capacity())
+                * size_of::<usize>()
     }
 }
 
@@ -235,6 +237,7 @@ mod tests {
         assert_eq!(arena.groups(), 0);
         assert_eq!(arena.len(), 0);
         assert!(arena.is_empty());
+        assert_eq!(arena.heap_bytes(), 0);
     }
 
     #[test]

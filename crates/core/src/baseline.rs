@@ -14,6 +14,9 @@
 //! inconsistency. The `integration_baselines` test and the
 //! `ablation_counters` bench use it to reproduce the paper's motivating
 //! comparison.
+//!
+//! The raw prefix serves only the next recompute, so the `finalize` that
+//! completes the horizon drops it; a sealed baseline keeps its releases.
 
 use crate::error::SynthError;
 use crate::fixed_window::{FixedWindowConfig, FixedWindowSynthesizer};
@@ -32,6 +35,7 @@ pub struct RecomputeBaseline {
     window: usize,
     rho: Rho,
     padding: PaddingPolicy,
+    /// The raw prefix each recompute replays; dropped at the horizon.
     observed: LongitudinalDataset,
     /// One released population per round `t ≥ k−1`, in round order.
     releases: Vec<SyntheticDataset>,
@@ -118,7 +122,7 @@ impl RecomputeBaseline {
         let npad = self
             .padding
             .resolve(self.gate.horizon(), self.window, self.rho) as f64;
-        let n = self.observed.individuals() as f64;
+        let n = self.gate.n().expect("a released round pinned n") as f64;
         Ok((histogram[pattern.code() as usize] as f64 - npad) / n)
     }
 }
@@ -163,6 +167,9 @@ impl ContinualSynthesizer for RecomputeBaseline {
             single_shot.step(self.observed.column(round))?;
         }
         self.releases.push(single_shot.synthetic().clone());
+        if t == self.gate.horizon() {
+            self.observed = LongitudinalDataset::empty(0);
+        }
         Ok(())
     }
 
@@ -291,6 +298,70 @@ mod tests {
                 longsynth_queries::window::window_histogram(&data, t, 2)[3] as f64 / 2_000.0;
             assert!((est - truth).abs() < 0.1, "t={t}: {est} vs {truth}");
         }
+    }
+
+    /// Everything a post-run reader sees for rounds `0..rounds`: each
+    /// release, its run counts and its debiased pattern estimates.
+    fn post_run_view(baseline: &RecomputeBaseline, rounds: usize) -> String {
+        let mut view = format!("n={:?}\n", baseline.true_n());
+        for t in baseline.window - 1..rounds {
+            view += &format!("t={t} release {:?}", baseline.release(t));
+            for run in 1..=3 {
+                view += &format!(" run{run}={:?}", baseline.ever_run_count(t, run));
+            }
+            for pattern in Pattern::all(baseline.window) {
+                view += &format!(
+                    " {pattern}={:?}",
+                    baseline.estimate_debiased_pattern(t, pattern)
+                );
+            }
+            view += "\n";
+        }
+        view
+    }
+
+    #[test]
+    fn sealed_baseline_drops_its_raw_prefix_and_keeps_its_releases() {
+        let horizon = 6;
+        let data = markov(200, horizon, 9);
+        let mut baseline = RecomputeBaseline::new(
+            horizon,
+            2,
+            Rho::new(0.5).unwrap(),
+            PaddingPolicy::Recommended { beta: 0.05 },
+            RngFork::new(10),
+        )
+        .unwrap();
+        for (_, col) in data.stream().take(horizon - 1) {
+            baseline.step(col).unwrap();
+        }
+        let before = post_run_view(&baseline, horizon - 1);
+
+        baseline.step(data.column(horizon - 1)).unwrap();
+        assert!(baseline.is_sealed());
+        assert_eq!(baseline.observed.rounds(), 0, "raw prefix kept");
+        assert_eq!(baseline.observed.individuals(), 0, "raw prefix kept");
+        assert_eq!(post_run_view(&baseline, horizon - 1), before);
+        assert_eq!(baseline.release(horizon - 1).unwrap().rounds(), horizon);
+        assert!(baseline.monotonicity_violation(1).unwrap() >= 0.0);
+        assert!((baseline.budget_spent().value() - 0.5).abs() < 1e-12);
+
+        // Further rounds are refused without touching anything.
+        let view = post_run_view(&baseline, horizon);
+        assert!(matches!(
+            baseline.prepare(data.column(0)),
+            Err(SynthError::HorizonExceeded { horizon: 6 })
+        ));
+        assert!(matches!(
+            baseline.step(data.column(0)),
+            Err(SynthError::HorizonExceeded { horizon: 6 })
+        ));
+        assert!(matches!(
+            baseline.finalize(data.column(0).clone()),
+            Err(SynthError::HorizonExceeded { horizon: 6 })
+        ));
+        assert_eq!(post_run_view(&baseline, horizon), view);
+        assert_eq!(baseline.observed.rounds(), 0);
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //!
 //! Privacy is word-for-word the binary argument: sensitivity 1 per noisy
 //! bin per step, uniform split over `T − k + 1` steps ⇒ ρ-zCDP.
+//!
+//! The rolling window codes, the overlap classes and the selection scratch
+//! serve only the next round, so the `finalize` that completes the horizon
+//! drops them. A sealed synthesizer keeps its synthetic record values, the
+//! released targets and its ledger.
 
 // Threshold loops index by `b` to mirror the paper's S_b / z_b notation.
 #![allow(clippy::needless_range_loop)]
@@ -45,11 +50,8 @@ pub struct CategoricalConfig {
     pub npad_override: Option<u64>,
     /// Failure probability for the padding rule.
     pub beta: f64,
-    /// Per-bin, per-step noise. `None` derives the paper's calibration
-    /// `N_Z(0, R/(2ρ))`; overriding it (e.g. `NoiseDistribution::None` in
-    /// tests) changes the privacy guarantee accordingly — the caller owns
-    /// that analysis. Mirrors `FixedWindowConfig::noise_override`.
-    pub noise_override: Option<NoiseDistribution>,
+    /// Drop the per-bin noise (tests only, see [`Self::noiseless`]).
+    noiseless: bool,
 }
 
 impl CategoricalConfig {
@@ -86,7 +88,24 @@ impl CategoricalConfig {
             rho,
             npad_override: None,
             beta: 0.05,
-            noise_override: None,
+            noiseless: false,
+        })
+    }
+
+    /// [`new`](Self::new) without the per-bin noise: the releases carry
+    /// **no privacy guarantee**. For tests that check the consistency
+    /// arithmetic exactly; the budget `rho` still sets the padding rule
+    /// and the ledger charges.
+    #[doc(hidden)]
+    pub fn noiseless(
+        horizon: usize,
+        window: usize,
+        categories: u8,
+        rho: Rho,
+    ) -> Result<Self, SynthError> {
+        Ok(Self {
+            noiseless: true,
+            ..Self::new(horizon, window, categories, rho)?
         })
     }
 
@@ -94,13 +113,6 @@ impl CategoricalConfig {
     #[must_use]
     pub fn with_npad(mut self, npad: u64) -> Self {
         self.npad_override = Some(npad);
-        self
-    }
-
-    /// Override the per-bin noise distribution (see field docs).
-    #[must_use]
-    pub fn with_noise_override(mut self, noise: NoiseDistribution) -> Self {
-        self.noise_override = Some(noise);
         self
     }
 
@@ -147,7 +159,9 @@ pub struct CategoricalSynthesizer<R: Rng = StdDpRng> {
     /// Rolling base-`V` window code per true record — the last
     /// `min(t, k)` observed values after round `t`, big-endian. Maintained
     /// incrementally by `prepare` (one O(n) pass per round) instead of
-    /// re-encoding a buffered k-wide window per record.
+    /// re-encoding a buffered k-wide window per record. This and the other
+    /// per-record working state (`groups`, `plan_counts`, `chosen`) are
+    /// dropped at the horizon.
     window_codes: Vec<u32>,
     /// Synthetic record values, column-major: `released_values[t][id]` is
     /// record `id`'s base-`V` category at round `t`. Column-major so the
@@ -176,9 +190,11 @@ impl<R: Rng> CategoricalSynthesizer<R> {
         let sigma2 = config.update_steps() as f64 / (2.0 * config.rho.value());
         let per_step_rho =
             Rho::new(config.rho.value() / config.update_steps() as f64).expect("validated rho");
-        let noise = config
-            .noise_override
-            .unwrap_or(NoiseDistribution::DiscreteGaussian { sigma2 });
+        let noise = if config.noiseless {
+            NoiseDistribution::None
+        } else {
+            NoiseDistribution::DiscreteGaussian { sigma2 }
+        };
         Self {
             sampler: noise.sampler(),
             npad: config.npad(),
@@ -380,6 +396,16 @@ impl<R: Rng> CategoricalSynthesizer<R> {
         self.released_values.push(column);
     }
 
+    /// Drop the state only a further round would read, once the horizon
+    /// is complete: the window codes, the overlap classes and the
+    /// regrouping and selection scratch.
+    fn release_working_state(&mut self) {
+        self.window_codes = Vec::new();
+        self.groups = GroupArena::new();
+        self.plan_counts = Vec::new();
+        self.chosen = Vec::new();
+    }
+
     // ------------------------------------------------------------------
 
     /// Released histogram targets for 0-based round `t` (first at
@@ -524,6 +550,9 @@ impl<R: Rng> ContinualSynthesizer for CategoricalSynthesizer<R> {
         } else {
             self.extend(noisy);
         }
+        if t == self.config.horizon {
+            self.release_working_state();
+        }
         Ok(())
     }
 
@@ -661,10 +690,9 @@ mod tests {
         // must drain the deficit down to all-zero targets and terminate
         // (the every-profile invariant asserts each absorption step makes
         // progress).
-        let config = CategoricalConfig::new(3, 2, 3, Rho::new(1.0).unwrap())
+        let config = CategoricalConfig::noiseless(3, 2, 3, Rho::new(1.0).unwrap())
             .unwrap()
-            .with_npad(0)
-            .with_noise_override(NoiseDistribution::None);
+            .with_npad(0);
         let mut synth = CategoricalSynthesizer::new(config, rng_from_seed(9));
         let n = 6usize;
         // Round 1 buffers (t < k).
@@ -719,6 +747,93 @@ mod tests {
             let tru = truth[code] as f64 / 2_000.0;
             assert!((est - tru).abs() < 0.05, "code={code}: {est} vs {tru}");
         }
+    }
+
+    /// Everything a post-run reader sees for rounds `0..rounds`: the
+    /// synthetic values, the released targets, every estimator, and the
+    /// population sizes.
+    fn post_run_view(synth: &CategoricalSynthesizer, rounds: usize) -> String {
+        let v = synth.config().categories;
+        let mut view = format!(
+            "n*={} n={:?} npad={}\n",
+            synth.n_star(),
+            synth.true_n(),
+            synth.npad()
+        );
+        for t in 0..rounds {
+            view += &format!(
+                "t={t} values {:?} targets {:?}",
+                synth.round_values(t),
+                synth.histogram_estimate(t)
+            );
+            for code in 0..synth.config().bins() {
+                view += &format!(" b{code}={:?}", synth.estimate_debiased_bin(t, code));
+            }
+            for c in 0..v {
+                view += &format!(" m{c}={:?}", synth.estimate_category_marginal(t, c));
+            }
+            view += "\n";
+        }
+        view
+    }
+
+    /// The working state the horizon drops is gone.
+    fn assert_working_state_dropped(synth: &CategoricalSynthesizer) {
+        assert_eq!(synth.window_codes.capacity(), 0, "window codes kept");
+        assert_eq!(synth.groups.heap_bytes(), 0, "overlap classes kept");
+        assert_eq!(synth.plan_counts.capacity(), 0, "plan scratch kept");
+        assert_eq!(synth.chosen.capacity(), 0, "category scratch kept");
+    }
+
+    #[test]
+    fn sealed_synthesizer_drops_its_working_state_and_keeps_its_release() {
+        let horizon = 6;
+        let data = categorical_markov(&mut rng_from_seed(37), 300, horizon, 3, 0.7);
+        let config = CategoricalConfig::new(horizon, 2, 3, Rho::new(0.5).unwrap()).unwrap();
+        let mut synth = CategoricalSynthesizer::new(config, rng_from_seed(38));
+        let columns: Vec<_> = data.stream().map(|(_, col)| col.clone()).collect();
+        for col in &columns[..horizon - 1] {
+            synth.step(col).unwrap();
+        }
+        assert!(synth.groups.heap_bytes() > 0 && synth.window_codes.capacity() > 0);
+        let before = post_run_view(&synth, horizon - 1);
+
+        synth.step(&columns[horizon - 1]).unwrap();
+        assert!(synth.is_sealed());
+        assert_working_state_dropped(&synth);
+        assert_eq!(post_run_view(&synth, horizon - 1), before);
+        // The last round's records carry its released targets.
+        let mut from_records = vec![0i64; 9];
+        let prev = synth.round_values(horizon - 2).unwrap();
+        let now = synth.round_values(horizon - 1).unwrap();
+        for (&p, &c) in prev.iter().zip(now) {
+            from_records[p as usize * 3 + c as usize] += 1;
+        }
+        assert_eq!(
+            synth.histogram_estimate(horizon - 1).unwrap(),
+            from_records.as_slice()
+        );
+        assert!(synth.ledger().exhausted());
+
+        // Further rounds are refused without touching anything.
+        let view = post_run_view(&synth, horizon);
+        assert!(matches!(
+            synth.prepare(&columns[0]),
+            Err(SynthError::HorizonExceeded { horizon: 6 })
+        ));
+        assert!(matches!(
+            synth.step(&columns[0]),
+            Err(SynthError::HorizonExceeded { horizon: 6 })
+        ));
+        assert!(matches!(
+            synth.finalize(HistogramAggregate::Counts {
+                n: 300,
+                counts: vec![0; 9],
+            }),
+            Err(SynthError::HorizonExceeded { horizon: 6 })
+        ));
+        assert_eq!(post_run_view(&synth, horizon), view);
+        assert_working_state_dropped(&synth);
     }
 
     #[test]

@@ -18,7 +18,16 @@
 //! `Ŝ_{b−1}^{t−1} − Ŝ_b^{t−1} ≥ ẑ_b^t` records are available.
 //!
 //! The synthetic population has exactly `m = n` records (as printed in
-//! Algorithm 2), initialized all-zero.
+//! Algorithm 2), initialized all-zero. Each round's promoted ids are set
+//! straight into a packed column, which is both the release and the
+//! synthetic population's new column.
+//!
+//! The raw panel, the weight classes and the planning scratch serve only
+//! the next round, so the `finalize` that completes the horizon drops
+//! them. A sealed synthesizer keeps its synthetic population, its
+//! estimates, its counters (for [`error_bound_counts`](CumulativeSynthesizer::error_bound_counts)),
+//! the windowed mode's exact counts (for
+//! [`forget_cohort`](ContinualSynthesizer::forget_cohort)) and its ledger.
 
 // Threshold loops index by `b` to mirror the paper's S_b / z_b notation.
 #![allow(clippy::needless_range_loop)]
@@ -172,7 +181,8 @@ pub struct CumulativeSynthesizer<R: Rng = longsynth_dp::rng::StdDpRng> {
     per_counter_rho: Vec<Rho>,
     ledger: SpendTracker,
     gate: RoundGate,
-    /// Previous round's monotone estimates `Ŝ_b^{t−1}` for `b = 0..=T`.
+    /// Previous round's monotone estimates `Ŝ_b^{t−1}` for `b = 0..=T`
+    /// (dropped at the horizon, like the other working state below).
     s_prev: Vec<i64>,
     /// Windowed-mode state ([`CumulativeConfig::with_window`]): the
     /// **exact** active-set counts `S_b = #{active individuals with ≥ b
@@ -212,8 +222,6 @@ pub struct CumulativeSynthesizer<R: Rng = longsynth_dp::rng::StdDpRng> {
     weight_groups: GroupArena,
     /// Reusable successor-size scratch for [`GroupArena::plan`].
     plan_counts: Vec<usize>,
-    /// Reusable released-column scratch (`n` bits, cleared per round).
-    scratch_bits: Vec<bool>,
     /// True data consumed so far (needed to compute increments `z_b^t`).
     observed: LongitudinalDataset,
     rng: R,
@@ -288,7 +296,6 @@ impl<R: Rng> CumulativeSynthesizer<R> {
             synthetic: SyntheticDataset::empty(0),
             weight_groups: GroupArena::new(),
             plan_counts: Vec::new(),
-            scratch_bits: Vec::new(),
             observed: LongitudinalDataset::empty(0),
             rng,
             config,
@@ -325,8 +332,7 @@ impl<R: Rng> CumulativeSynthesizer<R> {
         // Selections read the previous round's weight groups (disjoint
         // across b), then all segment moves apply together through the
         // arena's planned successor layout.
-        self.scratch_bits.clear();
-        self.scratch_bits.resize(n, false);
+        let mut round = BitColumn::zeros(n);
         let mut pool = RangePool::new();
         for b in 1..=t {
             let want = promotions[b];
@@ -350,7 +356,7 @@ impl<R: Rng> CumulativeSynthesizer<R> {
             // Fisher–Yates prefix: the first `want` entries get promoted.
             pool.partial_shuffle(&mut self.rng, group, want);
             for &id in group.iter().take(want) {
-                self.scratch_bits[id as usize] = true;
+                round.set(id as usize, true);
             }
         }
         // Weight t becomes reachable this round: final class g keeps its
@@ -383,7 +389,7 @@ impl<R: Rng> CumulativeSynthesizer<R> {
         self.weight_groups.commit();
         self.s_history.push(s_now.clone());
         self.s_prev = s_now;
-        self.append_round()
+        self.append_round(round)
     }
 
     // ------------------------------------------------------------------
@@ -535,8 +541,7 @@ impl<R: Rng> CumulativeSynthesizer<R> {
         // Phase A shuffles each class prefix (highest weight first, the
         // pinned RNG order); phase B moves whole segments through the
         // arena's planned successor layout.
-        self.scratch_bits.clear();
-        self.scratch_bits.resize(n, false);
+        let mut round = BitColumn::zeros(n);
         let mut pool = RangePool::new();
         for w in (0..=window).rev() {
             let promote = if w < window { promotes[w + 1] } else { 0 };
@@ -545,7 +550,7 @@ impl<R: Rng> CumulativeSynthesizer<R> {
             debug_assert!(promote + stay <= group.len(), "plan fits the class");
             pool.partial_shuffle(&mut self.rng, group, promote + stay);
             for &id in group.iter().take(promote) {
-                self.scratch_bits[id as usize] = true;
+                round.set(id as usize, true);
             }
         }
         // Final class g ≥ 1 keeps its stayers and gains the promoted
@@ -578,17 +583,26 @@ impl<R: Rng> CumulativeSynthesizer<R> {
         row[1..=window].copy_from_slice(&realized[1..=window]);
         self.s_history.push(row.clone());
         self.s_prev = row;
-        self.append_round()
+        self.append_round(round)
     }
 
-    /// Append the round built in `scratch_bits` to the synthetic
-    /// population and return it as the release.
-    fn append_round(&mut self) -> BitColumn {
-        let column = BitColumn::from_bools(&self.scratch_bits);
+    /// Append the round's packed column to the synthetic population and
+    /// return it as the release.
+    fn append_round(&mut self, column: BitColumn) -> BitColumn {
         self.synthetic
             .push_column(column.clone())
             .expect("the round covers every synthetic record");
         column
+    }
+
+    /// Drop the state only a further round would read, once the horizon
+    /// is complete: the raw panel, the weight classes, their planning
+    /// scratch and the previous round's estimates.
+    fn release_working_state(&mut self) {
+        self.observed = LongitudinalDataset::empty(0);
+        self.weight_groups = GroupArena::new();
+        self.plan_counts = Vec::new();
+        self.s_prev = Vec::new();
     }
 
     /// A-priori worst-case error bound (in counts) across all thresholds
@@ -665,10 +679,14 @@ impl<R: Rng> ContinualSynthesizer for CumulativeSynthesizer<R> {
             self.s_prev = vec![0i64; tracked + 1];
             self.s_prev[0] = n as i64;
         }
-        Ok(match self.config.window {
+        let release = match self.config.window {
             None => self.finalize_persistent(t, n, aggregate),
             Some(window) => self.finalize_windowed(t, n, window, aggregate),
-        })
+        };
+        if t == self.config.horizon {
+            self.release_working_state();
+        }
+        Ok(release)
     }
 
     fn cohort_retirement_window(&self) -> Option<usize> {
@@ -1095,6 +1113,142 @@ mod tests {
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6));
+    }
+
+    /// Everything a post-run reader sees for rounds `0..rounds`: the
+    /// synthetic columns, the estimate rows, every fraction and (in
+    /// persistent mode) every crossings estimate, and the error bound.
+    fn post_run_view(synth: &CumulativeSynthesizer, rounds: usize) -> String {
+        let mut view = format!("bound {:?}\n", synth.error_bound_counts(0.05));
+        for t in 0..rounds {
+            let row = synth.threshold_estimates(t).unwrap();
+            view += &format!("t={t} column {:?} row {row:?}", synth.synthetic().column(t));
+            for b in 0..row.len() {
+                view += &format!(" f{b}={:?}", synth.estimate_fraction(t, b).unwrap());
+                if synth.config().window.is_none() {
+                    for t1 in 0..t {
+                        view += &format!(" x{t1}={:?}", synth.estimate_crossings(t1, t, b));
+                    }
+                }
+            }
+            view += "\n";
+        }
+        view
+    }
+
+    /// The working state the horizon drops is gone.
+    fn assert_working_state_dropped(synth: &CumulativeSynthesizer) {
+        assert_eq!(synth.observed.rounds(), 0, "observed panel kept");
+        assert_eq!(synth.observed.individuals(), 0, "observed panel kept");
+        assert_eq!(synth.weight_groups.heap_bytes(), 0, "weight classes kept");
+        assert_eq!(synth.plan_counts.capacity(), 0, "plan scratch kept");
+        assert_eq!(synth.s_prev.capacity(), 0, "previous estimates kept");
+    }
+
+    #[test]
+    fn sealed_synthesizer_drops_its_working_state_and_keeps_its_release() {
+        let horizon = 8;
+        let data = iid_bernoulli(&mut rng_from_seed(30), 300, horizon, 0.4);
+        let config = CumulativeConfig::new(horizon, Rho::new(0.5).unwrap()).unwrap();
+        let mut synth = CumulativeSynthesizer::new(config, RngFork::new(31), rng_from_seed(31));
+        for (_, col) in data.stream().take(horizon - 1) {
+            synth.step(col).unwrap();
+        }
+        assert!(synth.weight_groups.heap_bytes() > 0 && synth.observed.rounds() > 0);
+        let before = post_run_view(&synth, horizon - 1);
+
+        let last = synth.step(data.column(horizon - 1)).unwrap();
+        assert!(synth.is_sealed());
+        assert_working_state_dropped(&synth);
+        assert_eq!(post_run_view(&synth, horizon - 1), before);
+        // The last round's release is the synthetic population's last
+        // column, and its estimates are the records' weight counts.
+        assert_eq!(synth.synthetic().column(horizon - 1), &last);
+        let matrix: Vec<Vec<i64>> = (0..horizon)
+            .map(|t| synth.threshold_estimates(t).unwrap().to_vec())
+            .collect();
+        assert!(is_valid_threshold_matrix(&matrix));
+        let counts = cumulative_counts(synth.synthetic(), horizon - 1);
+        for (b, &estimate) in matrix[horizon - 1].iter().enumerate() {
+            assert_eq!(
+                counts.get(b).copied().unwrap_or(0) as i64,
+                estimate,
+                "b={b}"
+            );
+        }
+        assert!(synth.ledger().exhausted());
+
+        // Further rounds are refused without touching anything.
+        let view = post_run_view(&synth, horizon);
+        assert!(matches!(
+            synth.prepare(data.column(0)),
+            Err(SynthError::HorizonExceeded { horizon: 8 })
+        ));
+        assert!(matches!(
+            synth.step(data.column(0)),
+            Err(SynthError::HorizonExceeded { horizon: 8 })
+        ));
+        assert!(matches!(
+            synth.finalize(CumulativeAggregate {
+                n: 300,
+                increments: vec![0; horizon + 1],
+            }),
+            Err(SynthError::HorizonExceeded { horizon: 8 })
+        ));
+        assert_eq!(post_run_view(&synth, horizon), view);
+        assert_working_state_dropped(&synth);
+    }
+
+    #[test]
+    fn sealed_windowed_synthesizer_still_forgets_cohorts() {
+        let (horizon, window, n) = (5, 2, 60);
+        let mut synth = windowed(horizon, window, 0.2, 32);
+        for t in 1..horizon {
+            synth.finalize(aligned(n, t, window, 6)).unwrap();
+        }
+        let before = post_run_view(&synth, horizon - 1);
+        synth.finalize(aligned(n, horizon, window, 6)).unwrap();
+        assert_working_state_dropped(&synth);
+        assert_eq!(post_run_view(&synth, horizon - 1), before);
+        let sealed = post_run_view(&synth, horizon);
+        assert!(matches!(
+            synth.finalize(aligned(n, horizon + 1, window, 6)),
+            Err(SynthError::HorizonExceeded { horizon: 5 })
+        ));
+
+        // Exact counts after five rounds of 6 increments per threshold.
+        assert_eq!(synth.exact_s, vec![0, 30, 24]);
+        // A view wider than the window, or above the exact counts, is
+        // refused untouched; a true sub-sum subtracts.
+        assert!(synth
+            .forget_cohort(CumulativeAggregate {
+                n: 20,
+                increments: vec![1, 1, 1],
+            })
+            .is_err());
+        assert!(synth
+            .forget_cohort(CumulativeAggregate {
+                n: 20,
+                increments: vec![31],
+            })
+            .is_err());
+        assert!(matches!(
+            synth.forget_cohort(CumulativeAggregate {
+                n: n + 1,
+                increments: vec![1],
+            }),
+            Err(SynthError::ColumnSizeMismatch { .. })
+        ));
+        assert_eq!(synth.exact_s, vec![0, 30, 24]);
+        synth
+            .forget_cohort(CumulativeAggregate {
+                n: 20,
+                increments: vec![10, 4],
+            })
+            .unwrap();
+        assert_eq!(synth.exact_s, vec![0, 20, 20]);
+        // Forgetting changes only the exact counts, never a release.
+        assert_eq!(post_run_view(&synth, horizon), sealed);
     }
 
     #[test]

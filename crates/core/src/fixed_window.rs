@@ -18,6 +18,11 @@
 //!
 //! All arithmetic is exact over `i64`; the half-integer case is handled by
 //! splitting the *doubled* correction `2Δ_z` into two integer parts.
+//!
+//! The last `k` raw columns, the overlap classes and the selection scratch
+//! serve only the next round, so the `finalize` that completes the horizon
+//! drops them. A sealed synthesizer keeps its synthetic population, the
+//! released targets, the public padding labels and its ledger.
 
 use crate::aggregate::HistogramAggregate;
 use crate::arena::GroupArena;
@@ -73,11 +78,8 @@ pub struct FixedWindowConfig {
     pub padding: PaddingPolicy,
     /// Record selection strategy (default: [`SelectionStrategy::Uniform`]).
     pub selection: SelectionStrategy,
-    /// Per-bin, per-step noise. `None` derives the paper's calibration
-    /// `N_Z(0, (T−k+1)/(2ρ))`; overriding it (e.g. a different σ², or
-    /// `NoiseDistribution::None` in tests) changes the privacy guarantee
-    /// accordingly — the caller owns that analysis.
-    pub noise_override: Option<NoiseDistribution>,
+    /// Drop the per-bin noise (tests only, see [`Self::noiseless`]).
+    noiseless: bool,
 }
 
 impl FixedWindowConfig {
@@ -97,7 +99,19 @@ impl FixedWindowConfig {
             rho,
             padding: PaddingPolicy::default(),
             selection: SelectionStrategy::default(),
-            noise_override: None,
+            noiseless: false,
+        })
+    }
+
+    /// [`new`](Self::new) without the per-bin noise: the releases carry
+    /// **no privacy guarantee**. For tests that check the consistency
+    /// arithmetic exactly; the budget `rho` still sets the padding rule
+    /// and the ledger charges.
+    #[doc(hidden)]
+    pub fn noiseless(horizon: usize, window: usize, rho: Rho) -> Result<Self, SynthError> {
+        Ok(Self {
+            noiseless: true,
+            ..Self::new(horizon, window, rho)?
         })
     }
 
@@ -115,23 +129,20 @@ impl FixedWindowConfig {
         self
     }
 
-    /// Override the per-bin noise distribution (see field docs).
-    #[must_use]
-    pub fn with_noise_override(mut self, noise: NoiseDistribution) -> Self {
-        self.noise_override = Some(noise);
-        self
-    }
-
     /// Number of update steps `R = T − k + 1`.
     pub fn update_steps(&self) -> usize {
         self.horizon - self.window + 1
     }
 
+    /// The paper's calibration `N_Z(0, (T−k+1)/(2ρ))` per bin and step.
     fn derived_noise(&self) -> NoiseDistribution {
-        self.noise_override
-            .unwrap_or(NoiseDistribution::DiscreteGaussian {
+        if self.noiseless {
+            NoiseDistribution::None
+        } else {
+            NoiseDistribution::DiscreteGaussian {
                 sigma2: self.update_steps() as f64 / (2.0 * self.rho.value()),
-            })
+            }
+        }
     }
 }
 
@@ -176,7 +187,9 @@ pub struct FixedWindowSynthesizer<R: Rng = StdDpRng> {
     per_step_rho: Rho,
     ledger: SpendTracker,
     gate: RoundGate,
-    /// Ring buffer of the last `k` true columns.
+    /// Ring buffer of the last `k` true columns. This and the other
+    /// per-record working state (`groups`, `plan_counts`, `strata`,
+    /// `strata_meta`) are dropped at the horizon.
     buffer: VecDeque<BitColumn>,
     synthetic: SyntheticDataset,
     /// Record ids grouped by current (k−1)-bit overlap code, stored flat
@@ -531,6 +544,17 @@ impl<R: Rng> FixedWindowSynthesizer<R> {
         Release::Update(round)
     }
 
+    /// Drop the state only a further round would read, once the horizon
+    /// is complete: the raw window, the overlap classes and the
+    /// regrouping and selection scratch.
+    fn release_working_state(&mut self) {
+        self.buffer = VecDeque::new();
+        self.groups = GroupArena::new();
+        self.plan_counts = Vec::new();
+        self.strata = Vec::new();
+        self.strata_meta = Vec::new();
+    }
+
     // ------------------------------------------------------------------
     // Accessors and analyst-side estimation
     // ------------------------------------------------------------------
@@ -715,11 +739,15 @@ impl<R: Rng> ContinualSynthesizer for FixedWindowSynthesizer<R> {
             HistogramAggregate::Counts { counts, .. } => counts,
         };
         let noisy = self.noisy_histogram(counts);
-        if t == k {
-            Ok(self.initialize(noisy))
+        let release = if t == k {
+            self.initialize(noisy)
         } else {
-            Ok(self.extend(noisy))
+            self.extend(noisy)
+        };
+        if t == self.config.horizon {
+            self.release_working_state();
         }
+        Ok(release)
     }
 
     fn round(&self) -> usize {
@@ -760,10 +788,9 @@ mod tests {
     }
 
     fn noiseless_config(horizon: usize, window: usize) -> FixedWindowConfig {
-        FixedWindowConfig::new(horizon, window, Rho::new(1.0).unwrap())
+        FixedWindowConfig::noiseless(horizon, window, Rho::new(1.0).unwrap())
             .unwrap()
             .with_padding(PaddingPolicy::None)
-            .with_noise_override(NoiseDistribution::None)
     }
 
     #[test]
@@ -898,10 +925,9 @@ mod tests {
     fn debiased_estimates_are_exact_without_noise() {
         let data = iid_bernoulli(&mut rng_from_seed(13), 400, 9, 0.4);
         // Padding but no noise: debiasing must remove the padding exactly.
-        let config = FixedWindowConfig::new(9, 3, Rho::new(1.0).unwrap())
+        let config = FixedWindowConfig::noiseless(9, 3, Rho::new(1.0).unwrap())
             .unwrap()
-            .with_padding(PaddingPolicy::Fixed(50))
-            .with_noise_override(NoiseDistribution::None);
+            .with_padding(PaddingPolicy::Fixed(50));
         let synth = run_synth(&data, config, 14);
         for t in 2..9 {
             for query in quarterly_battery(3) {
@@ -925,11 +951,10 @@ mod tests {
         // at exactly npad per bin for the whole run, so both debiasing
         // methods agree (and equal the truth) for widths ≤ k.
         let data = iid_bernoulli(&mut rng_from_seed(33), 400, 9, 0.4);
-        let config = FixedWindowConfig::new(9, 3, Rho::new(1.0).unwrap())
+        let config = FixedWindowConfig::noiseless(9, 3, Rho::new(1.0).unwrap())
             .unwrap()
             .with_padding(PaddingPolicy::Fixed(30))
-            .with_selection(SelectionStrategy::Stratified)
-            .with_noise_override(NoiseDistribution::None);
+            .with_selection(SelectionStrategy::Stratified);
         let synth = run_synth(&data, config, 34);
         // Padding flags: exactly 8 × 30 records flagged.
         let flagged = synth.padding_flags().iter().filter(|&&f| f).count();
@@ -952,10 +977,9 @@ mod tests {
     #[test]
     fn narrower_queries_answerable_without_extra_cost() {
         let data = iid_bernoulli(&mut rng_from_seed(15), 400, 9, 0.5);
-        let config = FixedWindowConfig::new(9, 3, Rho::new(1.0).unwrap())
+        let config = FixedWindowConfig::noiseless(9, 3, Rho::new(1.0).unwrap())
             .unwrap()
-            .with_padding(PaddingPolicy::Fixed(20))
-            .with_noise_override(NoiseDistribution::None);
+            .with_padding(PaddingPolicy::Fixed(20));
         let synth = run_synth(&data, config, 16);
         let narrow = WindowQuery::at_least_m_ones(2, 1);
         for t in 2..9 {
@@ -1065,6 +1089,106 @@ mod tests {
         // Bad configs.
         assert!(FixedWindowConfig::new(4, 5, Rho::new(1.0).unwrap()).is_err());
         assert!(FixedWindowConfig::new(25, 21, Rho::new(1.0).unwrap()).is_err());
+    }
+
+    /// Everything a post-run reader sees for rounds `0..rounds`: the
+    /// synthetic columns, the released targets, every estimator on the
+    /// quarterly battery and a width-4 query, the population sizes and
+    /// the public padding labels.
+    fn post_run_view(synth: &FixedWindowSynthesizer, rounds: usize) -> String {
+        let mut view = format!(
+            "n*={} n={:?} npad={} flags={:?}\n",
+            synth.n_star(),
+            synth.true_n(),
+            synth.npad(),
+            synth.padding_flags()
+        );
+        let mut queries = quarterly_battery(3);
+        queries.push(WindowQuery::all_ones(4));
+        for t in 0..rounds {
+            view += &format!(
+                "t={t} column {:?} targets {:?}",
+                synth.synthetic().column(t),
+                synth.histogram_estimate(t)
+            );
+            for query in &queries {
+                view += &format!(
+                    " {}: {:?} {:?} {:?}",
+                    query.name(),
+                    synth.estimate_biased(t, query),
+                    synth.estimate_debiased(t, query),
+                    synth.estimate_debiased_records(t, query)
+                );
+            }
+            view += "\n";
+        }
+        view
+    }
+
+    /// The working state the horizon drops is gone.
+    fn assert_working_state_dropped(synth: &FixedWindowSynthesizer) {
+        assert_eq!(synth.buffer.capacity(), 0, "raw window kept");
+        assert_eq!(synth.groups.heap_bytes(), 0, "overlap classes kept");
+        assert_eq!(synth.strata.capacity(), 0, "strata kept");
+        assert_eq!(synth.strata_meta.capacity(), 0, "strata sizes kept");
+        assert_eq!(synth.plan_counts.capacity(), 0, "plan scratch kept");
+    }
+
+    #[test]
+    fn sealed_synthesizer_drops_its_working_state_and_keeps_its_release() {
+        let horizon = 8;
+        let data = iid_bernoulli(&mut rng_from_seed(35), 300, horizon, 0.4);
+        for selection in [SelectionStrategy::Uniform, SelectionStrategy::Stratified] {
+            let config = FixedWindowConfig::new(horizon, 3, Rho::new(0.5).unwrap())
+                .unwrap()
+                .with_selection(selection);
+            let mut synth = FixedWindowSynthesizer::new(config, rng_from_seed(36));
+            for (_, col) in data.stream().take(horizon - 1) {
+                synth.step(col).unwrap();
+            }
+            assert!(synth.groups.heap_bytes() > 0 && synth.buffer.capacity() > 0);
+            let before = post_run_view(&synth, horizon - 1);
+
+            let last = synth.step(data.column(horizon - 1)).unwrap();
+            assert!(synth.is_sealed());
+            assert_working_state_dropped(&synth);
+            assert_eq!(post_run_view(&synth, horizon - 1), before, "{selection:?}");
+            // The last release is the synthetic population's last column,
+            // and the records carry the last released targets.
+            assert_eq!(
+                last,
+                Release::Update(synth.synthetic().column(horizon - 1).clone())
+            );
+            let from_records: Vec<i64> = window_histogram(synth.synthetic(), horizon - 1, 3)
+                .iter()
+                .map(|&c| c as i64)
+                .collect();
+            assert_eq!(
+                synth.histogram_estimate(horizon - 1).unwrap(),
+                from_records.as_slice()
+            );
+            assert!(synth.ledger().exhausted());
+
+            // Further rounds are refused without touching anything.
+            let view = post_run_view(&synth, horizon);
+            assert!(matches!(
+                synth.prepare(data.column(0)),
+                Err(SynthError::HorizonExceeded { horizon: 8 })
+            ));
+            assert!(matches!(
+                synth.step(data.column(0)),
+                Err(SynthError::HorizonExceeded { horizon: 8 })
+            ));
+            assert!(matches!(
+                synth.finalize(HistogramAggregate::Counts {
+                    n: 300,
+                    counts: vec![0; 8],
+                }),
+                Err(SynthError::HorizonExceeded { horizon: 8 })
+            ));
+            assert_eq!(post_run_view(&synth, horizon), view, "{selection:?}");
+            assert_working_state_dropped(&synth);
+        }
     }
 
     #[test]

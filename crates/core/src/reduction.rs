@@ -98,7 +98,6 @@ impl<R: Rng> ReductionSynthesizer<R> {
 mod tests {
     use super::*;
     use longsynth_data::generators::iid_bernoulli;
-    use longsynth_dp::mechanisms::NoiseDistribution;
     use longsynth_dp::rng::rng_from_seed;
     use longsynth_queries::cumulative::cumulative_counts;
 
@@ -110,10 +109,9 @@ mod tests {
         let n = 200;
         let horizon = 6;
         let data = iid_bernoulli(&mut rng_from_seed(1), n, horizon, 0.4);
-        let config = FixedWindowConfig::new(2 * horizon - 1, horizon, Rho::new(1.0).unwrap())
+        let config = FixedWindowConfig::noiseless(2 * horizon - 1, horizon, Rho::new(1.0).unwrap())
             .unwrap()
-            .with_padding(PaddingPolicy::None)
-            .with_noise_override(NoiseDistribution::None);
+            .with_padding(PaddingPolicy::None);
         let mut synth = ReductionSynthesizer {
             inner: FixedWindowSynthesizer::new(config, rng_from_seed(2)),
             horizon,

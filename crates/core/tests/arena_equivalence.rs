@@ -24,7 +24,6 @@ use longsynth::{
 use longsynth_dp::budget::Rho;
 use longsynth_dp::fastrange::RangePool;
 use longsynth_dp::rng::rng_from_seed;
-use longsynth_dp::NoiseDistribution;
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -167,11 +166,10 @@ fn run_fixed_window(
         }
     }
     let horizon = k + updates.len();
-    let config = FixedWindowConfig::new(horizon, k, Rho::new(0.5).unwrap())
+    let config = FixedWindowConfig::noiseless(horizon, k, Rho::new(0.5).unwrap())
         .unwrap()
         .with_padding(padding)
-        .with_selection(selection)
-        .with_noise_override(NoiseDistribution::None);
+        .with_selection(selection);
     let n = 100usize;
 
     // Baseline pass, consuming the same word stream from the same seed.
@@ -412,10 +410,9 @@ proptest! {
             }
         }
         let horizon = k + updates.len();
-        let config = CategoricalConfig::new(horizon, k, v as u8, Rho::new(0.5).unwrap())
+        let config = CategoricalConfig::noiseless(horizon, k, v as u8, Rho::new(0.5).unwrap())
             .unwrap()
-            .with_npad(0)
-            .with_noise_override(NoiseDistribution::None);
+            .with_npad(0);
         let n = 100usize;
 
         let (mut baseline, mut columns) = CatVecBaseline::init(&init, v, k);

@@ -38,7 +38,6 @@ use longsynth_data::generators::iid_bernoulli;
 use longsynth_dp::budget::Rho;
 use longsynth_dp::fastrange::replay::PoolPacker;
 use longsynth_dp::rng::{rng_from_seed, RngFork};
-use longsynth_dp::NoiseDistribution;
 use rand::Rng;
 
 /// Old-path Fisher–Yates prefix: draw `k` decisions from `meta`, apply them
@@ -375,11 +374,10 @@ fn run_fixed_window_replay(
     rounds: Vec<(Vec<i64>, [Option<bool>; 2])>,
 ) {
     let horizon = 2 + rounds.len();
-    let config = FixedWindowConfig::new(horizon, 2, Rho::new(0.5).unwrap())
+    let config = FixedWindowConfig::noiseless(horizon, 2, Rho::new(0.5).unwrap())
         .unwrap()
         .with_padding(padding)
-        .with_selection(selection)
-        .with_noise_override(NoiseDistribution::None);
+        .with_selection(selection);
     let n: i64 = init_counts.iter().sum();
     let n = n as usize;
 
@@ -495,11 +493,10 @@ fn fixed_window_k1_single_class_extend_replays_the_scalar_loop() {
         (vec![3, 4], Some(false)),
     ];
     let horizon = 1 + rounds.len();
-    let config = FixedWindowConfig::new(horizon, 1, Rho::new(0.5).unwrap())
+    let config = FixedWindowConfig::noiseless(horizon, 1, Rho::new(0.5).unwrap())
         .unwrap()
         .with_padding(PaddingPolicy::None)
-        .with_selection(SelectionStrategy::Uniform)
-        .with_noise_override(NoiseDistribution::None);
+        .with_selection(SelectionStrategy::Uniform);
     let init_counts = vec![6i64, 4];
     let n = 10usize;
 
@@ -587,10 +584,9 @@ fn fixed_window_k1_single_class_extend_replays_the_scalar_loop() {
 fn categorical_extend_replays_the_scalar_loop() {
     let (v, k, horizon) = (3usize, 2usize, 4usize);
     let overlaps = v; // V^(k-1)
-    let config = CategoricalConfig::new(horizon, k, v as u8, Rho::new(0.5).unwrap())
+    let config = CategoricalConfig::noiseless(horizon, k, v as u8, Rho::new(0.5).unwrap())
         .unwrap()
-        .with_npad(0)
-        .with_noise_override(NoiseDistribution::None);
+        .with_npad(0);
     let init_counts: Vec<i64> = vec![4, 3, 2, 3, 4, 2, 2, 3, 4];
     let n = init_counts.iter().sum::<i64>() as usize;
     // Two update rounds of raw counts (noise-free, zero padding: these are
@@ -699,10 +695,9 @@ fn categorical_extend_replays_the_scalar_loop() {
 #[test]
 fn categorical_k1_single_class_extend_replays_the_scalar_loop() {
     let (v, horizon) = (3usize, 3usize);
-    let config = CategoricalConfig::new(horizon, 1, v as u8, Rho::new(0.5).unwrap())
+    let config = CategoricalConfig::noiseless(horizon, 1, v as u8, Rho::new(0.5).unwrap())
         .unwrap()
-        .with_npad(0)
-        .with_noise_override(NoiseDistribution::None);
+        .with_npad(0);
     let init_counts: Vec<i64> = vec![4, 3, 3];
     let n = init_counts.iter().sum::<i64>() as usize;
     let update_counts: Vec<Vec<i64>> = vec![

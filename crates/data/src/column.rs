@@ -10,6 +10,14 @@ use std::fmt;
 
 const WORD_BITS: usize = 64;
 
+/// Pack up to 64 booleans into one word, the first in the lowest bit.
+fn pack_word(chunk: &[bool]) -> u64 {
+    chunk
+        .iter()
+        .enumerate()
+        .fold(0, |word, (i, &bit)| word | (u64::from(bit) << i))
+}
+
 /// One round of boolean reports, bit-packed.
 #[derive(Clone, PartialEq, Eq)]
 pub struct BitColumn {
@@ -30,30 +38,43 @@ impl BitColumn {
         }
     }
 
-    /// An all-one column for `len` individuals.
+    /// An all-one column for `len` individuals: whole words of ones, with
+    /// the bits past `len` cleared.
     pub fn ones(len: usize) -> Self {
-        let mut col = Self::zeros(len);
-        for i in 0..len {
-            col.set(i, true);
-        }
-        col
+        Self::from_words(vec![u64::MAX; len.div_ceil(WORD_BITS)], len)
     }
 
-    /// Build from a slice of booleans.
+    /// Build from a slice of booleans, one packed word per 64 of them.
     pub fn from_bools(bits: &[bool]) -> Self {
-        let mut col = Self::zeros(bits.len());
-        for (i, &b) in bits.iter().enumerate() {
-            if b {
-                col.set(i, true);
+        Self {
+            words: bits.chunks(WORD_BITS).map(pack_word).collect(),
+            len: bits.len(),
+        }
+    }
+
+    /// Build from an iterator of booleans, packing each word as the bits
+    /// arrive (no intermediate `Vec<bool>`).
+    pub fn from_iter_bits<I: IntoIterator<Item = bool>>(bits: I) -> Self {
+        let bits = bits.into_iter();
+        let mut words = Vec::with_capacity(bits.size_hint().0.div_ceil(WORD_BITS));
+        let (mut word, mut filled, mut len) = (0u64, 0usize, 0usize);
+        for bit in bits {
+            word |= u64::from(bit) << filled;
+            filled += 1;
+            if filled == WORD_BITS {
+                words.push(word);
+                len += WORD_BITS;
+                (word, filled) = (0, 0);
             }
         }
-        col
-    }
-
-    /// Build from an iterator of booleans.
-    pub fn from_iter_bits<I: IntoIterator<Item = bool>>(bits: I) -> Self {
-        let bits: Vec<bool> = bits.into_iter().collect();
-        Self::from_bools(&bits)
+        if filled > 0 {
+            words.push(word);
+            len += filled;
+        }
+        // A short size hint grows the buffer by doubling; keep the exact
+        // footprint `zeros` would have, since columns are long-lived.
+        words.shrink_to_fit();
+        Self { words, len }
     }
 
     /// Number of individuals in the column.

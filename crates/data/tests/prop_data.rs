@@ -176,3 +176,76 @@ proptest! {
         prop_assert_eq!(back, col);
     }
 }
+
+/// The per-bit reference every word-packing constructor must match: a
+/// zero column with each bit `set` one at a time.
+fn per_bit_oracle(bits: &[bool]) -> BitColumn {
+    let mut col = BitColumn::zeros(bits.len());
+    for (i, &bit) in bits.iter().enumerate() {
+        col.set(i, bit);
+    }
+    col
+}
+
+/// Every constructor's words equal the oracle's, and the bits at
+/// positions `>= len` are zero.
+fn assert_packs_like_the_oracle(bits: &[bool]) {
+    let oracle = per_bit_oracle(bits);
+    let len = bits.len();
+    let built = [
+        ("from_bools", BitColumn::from_bools(bits)),
+        (
+            "from_iter_bits",
+            BitColumn::from_iter_bits(bits.iter().copied()),
+        ),
+        (
+            "from_iter_bits (no size hint)",
+            BitColumn::from_iter_bits(bits.iter().copied().filter(|_| true)),
+        ),
+    ];
+    for (name, col) in &built {
+        assert_eq!(col.len(), len, "{name} at len {len}");
+        assert_eq!(col.as_words(), oracle.as_words(), "{name} at len {len}");
+        assert_eq!(col, &oracle, "{name} at len {len}");
+    }
+    for col in built.iter().map(|(_, col)| col).chain([&oracle]) {
+        assert_eq!(col.as_words().len(), len.div_ceil(64), "len {len}");
+        if !len.is_multiple_of(64) {
+            let last = *col.as_words().last().expect("len > 0");
+            assert_eq!(last >> (len % 64), 0, "stray tail bits at len {len}");
+        }
+    }
+}
+
+#[test]
+fn constructors_pack_whole_words_like_the_per_bit_oracle() {
+    use rand::Rng;
+    let mut lengths = vec![0, 1, 63, 64, 65];
+    for m in 2..=4 {
+        lengths.extend([64 * m - 1, 64 * m, 64 * m + 1]);
+    }
+    let mut rng = rng_from_seed(41);
+    for &len in &lengths {
+        assert_packs_like_the_oracle(&vec![true; len]);
+        assert_packs_like_the_oracle(&vec![false; len]);
+        let random: Vec<bool> = (0..len).map(|_| rng.gen_bool(0.5)).collect();
+        assert_packs_like_the_oracle(&random);
+
+        let ones = BitColumn::ones(len);
+        assert_eq!(ones, per_bit_oracle(&vec![true; len]), "ones at len {len}");
+        assert_eq!(ones.count_ones(), len, "ones at len {len}");
+        assert_eq!(BitColumn::zeros(len), per_bit_oracle(&vec![false; len]));
+    }
+}
+
+proptest! {
+    /// The same oracle on arbitrary lengths and contents.
+    #[test]
+    fn constructors_match_the_per_bit_oracle(
+        bits in proptest::collection::vec(any::<bool>(), 0..400),
+    ) {
+        assert_packs_like_the_oracle(&bits);
+        let ones = BitColumn::ones(bits.len());
+        prop_assert_eq!(ones.count_ones(), bits.len());
+    }
+}

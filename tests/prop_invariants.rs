@@ -10,7 +10,6 @@ use longsynth::{
 };
 use longsynth_data::generators::iid_bernoulli;
 use longsynth_dp::budget::Rho;
-use longsynth_dp::mechanisms::NoiseDistribution;
 use longsynth_dp::rng::{rng_from_seed, RngFork};
 use longsynth_queries::cumulative::{cumulative_counts, is_valid_threshold_matrix};
 use longsynth_queries::pattern::Pattern;
@@ -120,10 +119,9 @@ proptest! {
     ) {
         let k = 3usize.min(horizon);
         let data = iid_bernoulli(&mut rng_from_seed(seed), n, horizon, p);
-        let config = FixedWindowConfig::new(horizon, k, Rho::new(1.0).unwrap())
+        let config = FixedWindowConfig::noiseless(horizon, k, Rho::new(1.0).unwrap())
             .unwrap()
-            .with_padding(PaddingPolicy::None)
-            .with_noise_override(NoiseDistribution::None);
+            .with_padding(PaddingPolicy::None);
         let mut synth = FixedWindowSynthesizer::new(config, rng_from_seed(seed ^ 0xA));
         for (_, col) in data.stream() {
             synth.step(col).unwrap();
